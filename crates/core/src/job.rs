@@ -1249,11 +1249,15 @@ impl Response {
                         .collect::<Result<Vec<_>, String>>()?,
                 }))
             }
-            "shed" => Ok(Response::Shed(ShedInfo {
-                tenant: json::get(obj, "tenant")?.as_str("tenant")?.to_string(),
-                priority: json::get(obj, "priority")?.as_u64("priority")? as u8,
-                queue_depth: json::get(obj, "queue_depth")?.as_usize("queue_depth")?,
-            })),
+            "shed" => {
+                let priority = json::get(obj, "priority")?.as_u64("priority")?;
+                Ok(Response::Shed(ShedInfo {
+                    tenant: json::get(obj, "tenant")?.as_str("tenant")?.to_string(),
+                    priority: u8::try_from(priority)
+                        .map_err(|_| format!("priority {priority} exceeds 255"))?,
+                    queue_depth: json::get(obj, "queue_depth")?.as_usize("queue_depth")?,
+                }))
+            }
             "deadline_exceeded" => Ok(Response::DeadlineExceeded(DeadlineInfo {
                 tenant: json::get(obj, "tenant")?.as_str("tenant")?.to_string(),
                 deadline_ms: json::get(obj, "deadline_ms")?.as_u64("deadline_ms")?,

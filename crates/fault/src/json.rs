@@ -141,11 +141,11 @@ fn parse_event(v: &Json) -> Result<FaultEvent, FaultError> {
             late: get(obj, "late")?.as_bool("late")?,
         },
         "seu_cdr_phase" => FaultKind::SeuCdrPhase {
-            bit: get(obj, "bit")?.as_u64("bit")? as u32,
+            bit: get(obj, "bit")?.as_u32("bit")?,
         },
         "seu_deserializer" => FaultKind::SeuDeserializer {
-            lane: get(obj, "lane")?.as_u64("lane")? as u32,
-            bit: get(obj, "bit")?.as_u64("bit")? as u32,
+            lane: get(obj, "lane")?.as_u32("lane")?,
+            bit: get(obj, "bit")?.as_u32("bit")?,
         },
         "stuck_at_net" => FaultKind::StuckAtNet {
             net: get(obj, "net")?.as_str("net")?.to_string(),
@@ -204,6 +204,15 @@ impl Json {
             Json::Num(raw) => raw
                 .parse()
                 .map_err(|_| FaultError::Parse(format!("{what}: `{raw}` is not a u64"))),
+            _ => Err(FaultError::Parse(format!("{what}: expected number"))),
+        }
+    }
+
+    fn as_u32(&self, what: &str) -> Result<u32, FaultError> {
+        match self {
+            Json::Num(raw) => raw
+                .parse()
+                .map_err(|_| FaultError::Parse(format!("{what}: `{raw}` is not a u32"))),
             _ => Err(FaultError::Parse(format!("{what}: expected number"))),
         }
     }
@@ -543,5 +552,39 @@ mod tests {
         let s = FaultSchedule::from_json(text).expect("parse");
         assert_eq!(s.seed(), 9);
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn out_of_range_u32_fields_are_rejected_not_truncated() {
+        // 2^32 + 2 would wrap to 2 under an `as u32` cast.
+        let doc = |event: &str| {
+            format!(
+                "{{\"schema\":\"openserdes-fault-schedule/1\",\"seed\":0,\"events\":[{{\"at_ui\":5,{event}}}]}}"
+            )
+        };
+        for (event, field) in [
+            ("\"kind\":\"seu_cdr_phase\",\"bit\":4294967298", "bit"),
+            (
+                "\"kind\":\"seu_deserializer\",\"lane\":4294967298,\"bit\":1",
+                "lane",
+            ),
+            (
+                "\"kind\":\"seu_deserializer\",\"lane\":1,\"bit\":4294967298",
+                "bit",
+            ),
+        ] {
+            match FaultSchedule::from_json(&doc(event)) {
+                Err(FaultError::Parse(msg)) => {
+                    assert!(
+                        msg.contains(&format!("{field}: `4294967298` is not a u32")),
+                        "names `{field}`: {msg}"
+                    )
+                }
+                other => panic!("expected a parse error for {event}, got {other:?}"),
+            }
+        }
+        let max = FaultSchedule::from_json(&doc("\"kind\":\"seu_cdr_phase\",\"bit\":4294967295"))
+            .expect("u32::MAX is in range");
+        assert_eq!(max.len(), 1);
     }
 }

@@ -71,13 +71,7 @@ impl std::error::Error for ClientError {
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
-        // Unix reports an expired SO_RCVTIMEO/SO_SNDTIMEO as
-        // `WouldBlock`; Windows as `TimedOut`. Both are the bounded
-        // wait expiring, not a transport fault.
-        if matches!(
-            e.kind(),
-            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-        ) {
+        if wire::is_timeout(&e) {
             ClientError::Timeout(e)
         } else {
             ClientError::Io(e)

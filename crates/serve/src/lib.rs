@@ -1,6 +1,6 @@
 //! # openserdes-serve
 //!
-//! The link-farm front door: a dependency-free async TCP server that
+//! The link-farm front door: a dependency-free TCP server that
 //! exposes the whole [`openserdes_core::Session`] engine surface —
 //! link runs, bathtubs, fault campaigns, corner sweeps, flow/STA/lint —
 //! behind the serializable [`openserdes_core::job::Request`] /
@@ -30,10 +30,12 @@
 //!   and a timeout-and-seeded-retry [`Client`] — safe to retry because
 //!   a resubmitted job is an exact cache/coalesce hit.
 //!
-//! The async runtime is vendored in the spirit of the workspace's
-//! offline `rand`/`proptest`/`criterion` stand-ins: a single-threaded
-//! poll-tick reactor over non-blocking `std::net` sockets — no external
-//! crates, no OS readiness APIs.
+//! IO is plain blocking `std::net`, one thread per connection: the
+//! thread count is capped by [`ServerConfig::max_connections`], the idle
+//! limits are socket timeouts, and the drain after
+//! [`ServerHandle::stop`] ends by shutting down the sockets still open.
+//! The server and the [`Client`] share one frame reader and one frame
+//! writer ([`wire::read_frame_blocking`], [`wire::write_frame_blocking`]).
 //!
 //! ```no_run
 //! use openserdes_core::job::{Request, SweepSpec};
@@ -60,8 +62,6 @@
 //! ```
 
 mod cache;
-mod executor;
-mod net;
 mod sched;
 mod server;
 

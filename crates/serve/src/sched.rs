@@ -20,11 +20,8 @@ use crate::wire;
 use openserdes_core::job::{DeadlineInfo, Request, Response, ShedInfo};
 use openserdes_core::{JobKey, Session};
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// Counters accumulated over a server's lifetime, the source of truth
@@ -75,53 +72,34 @@ enum Outcome {
 }
 
 /// One waiter's slot for a reply frame. Completed exactly once by a
-/// worker (or the shed path); awaited by the connection task.
+/// worker (or the shed path); the connection thread blocks in
+/// [`Completion::wait`].
 pub(crate) struct Completion {
-    inner: Mutex<CompletionState>,
-}
-
-struct CompletionState {
-    result: Option<String>,
-    waker: Option<Waker>,
+    frame: Mutex<Option<String>>,
+    ready: Condvar,
 }
 
 impl Completion {
     fn new() -> Arc<Self> {
         Arc::new(Self {
-            inner: Mutex::new(CompletionState {
-                result: None,
-                waker: None,
-            }),
+            frame: Mutex::new(None),
+            ready: Condvar::new(),
         })
     }
 
     fn complete(&self, frame: String) {
-        let waker = {
-            let mut state = self.inner.lock().expect("completion poisoned");
-            state.result = Some(frame);
-            state.waker.take()
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
+        *self.frame.lock().expect("completion poisoned") = Some(frame);
+        self.ready.notify_one();
     }
-}
 
-/// Future yielding the reply frame for a submitted job.
-pub(crate) struct CompletionFuture(Arc<Completion>);
-
-impl Future for CompletionFuture {
-    type Output = String;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<String> {
-        let mut state = self.0.inner.lock().expect("completion poisoned");
-        match state.result.take() {
-            Some(frame) => Poll::Ready(frame),
-            None => {
-                state.waker = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
+    /// Blocks until the reply frame arrives.
+    pub(crate) fn wait(&self) -> String {
+        let frame = self.frame.lock().expect("completion poisoned");
+        self.ready
+            .wait_while(frame, |frame| frame.is_none())
+            .expect("completion poisoned")
+            .take()
+            .expect("woken with a frame")
     }
 }
 
@@ -129,8 +107,8 @@ impl Future for CompletionFuture {
 pub(crate) enum Submitted {
     /// Answered on the spot (cache hit, or the submission was shed).
     Ready(String),
-    /// Work is queued/in flight; await the frame.
-    Pending(CompletionFuture),
+    /// Work is queued/in flight; wait for the frame.
+    Pending(Arc<Completion>),
 }
 
 struct QueuedJob {
@@ -170,7 +148,7 @@ struct Inner {
     shutdown: bool,
 }
 
-/// The shared scheduler: submissions enter on the reactor thread,
+/// The shared scheduler: submissions enter on connection threads,
 /// workers drain on their own threads.
 pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
@@ -196,7 +174,7 @@ impl Scheduler {
         }
     }
 
-    /// Submits one job. Runs on the reactor thread; never blocks on
+    /// Submits one job. Runs on a connection thread; never blocks on
     /// job execution.
     pub(crate) fn submit(
         &self,
@@ -243,7 +221,7 @@ impl Scheduler {
                 _ => None,
             };
             inner.stats.coalesced += 1;
-            return Submitted::Pending(CompletionFuture(waiter));
+            return Submitted::Pending(waiter);
         }
         // Coalesce with identical executing work.
         if let Some((canonical, waiters)) = inner.inflight.get_mut(&key.digest) {
@@ -255,7 +233,7 @@ impl Scheduler {
             let waiter = Completion::new();
             waiters.push(Arc::clone(&waiter));
             inner.stats.coalesced += 1;
-            return Submitted::Pending(CompletionFuture(waiter));
+            return Submitted::Pending(waiter);
         }
 
         inner.stats.cache_misses += 1;
@@ -314,7 +292,7 @@ impl Scheduler {
             drop(inner);
         }
         self.work.notify_one();
-        Submitted::Pending(CompletionFuture(waiter))
+        Submitted::Pending(waiter)
     }
 
     /// Removes the oldest queued job at priority `lowest` (scanning
@@ -530,38 +508,6 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    fn block_on_frame(fut: CompletionFuture) -> String {
-        // Tiny synchronous executor for one CompletionFuture.
-        struct Flag(Mutex<bool>, Condvar);
-        impl std::task::Wake for Flag {
-            fn wake(self: Arc<Self>) {
-                *self.0.lock().expect("flag") = true;
-                self.1.notify_one();
-            }
-        }
-        let flag = Arc::new(Flag(Mutex::new(false), Condvar::new()));
-        let waker = Waker::from(Arc::clone(&flag));
-        let mut cx = Context::from_waker(&waker);
-        let mut fut = Box::pin(fut);
-        loop {
-            if let Poll::Ready(frame) = fut.as_mut().poll(&mut cx) {
-                return frame;
-            }
-            let mut woke = flag.0.lock().expect("flag");
-            while !*woke {
-                let (guard, timeout) = flag
-                    .1
-                    .wait_timeout(woke, Duration::from_millis(50))
-                    .expect("flag");
-                woke = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            *woke = false;
-        }
-    }
-
     fn lint_request() -> Request {
         Request::Lint {
             design: DesignSpec::Serializer,
@@ -595,8 +541,8 @@ mod tests {
                 run_worker(&sched, 1);
             })
         };
-        let frame_a = block_on_frame(fa);
-        let frame_b = block_on_frame(fb);
+        let frame_a = fa.wait();
+        let frame_b = fb.wait();
         assert_eq!(frame_a, frame_b, "coalesced waiters share bytes");
         // Third submission: exact cache hit, answered inline.
         match sched.submit("t", 1, 7, None, lint_request()) {
@@ -633,7 +579,7 @@ mod tests {
         let high = sched.submit("carol", 9, 3, None, max_loss_request(3.0));
         assert!(matches!(high, Submitted::Pending(_)));
         let low_frame = match low {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.wait(),
             Submitted::Ready(f) => f,
         };
         let reply = wire::parse_reply(&low_frame).expect("parses");
@@ -712,7 +658,7 @@ mod tests {
             })
         };
         let frame_a = match a {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.wait(),
             Submitted::Ready(f) => f,
         };
         assert!(
@@ -720,7 +666,7 @@ mod tests {
             "poisoned job reports as an error frame"
         );
         let frame_b = match b {
-            Submitted::Pending(f) => block_on_frame(f),
+            Submitted::Pending(f) => f.wait(),
             Submitted::Ready(f) => f,
         };
         assert!(
@@ -767,7 +713,7 @@ mod tests {
             sched.next_job().is_none(),
             "the expired job is retired during the scan, not handed out"
         );
-        let frame = block_on_frame(fut);
+        let frame = fut.wait();
         match wire::parse_reply(&frame).expect("parses") {
             Ok(Response::DeadlineExceeded(info)) => {
                 assert_eq!(info.tenant, "t");

@@ -1,16 +1,18 @@
-//! The job server: a single-threaded reactor accepting length-prefixed
-//! JSON submissions, a shared scheduler, and a pool of worker threads
-//! executing jobs through [`openserdes_core::Session::submit`].
+//! The job server: an accept loop that serves every connection on its
+//! own thread with blocking IO, a shared scheduler, and a pool of
+//! worker threads executing jobs through
+//! [`openserdes_core::Session::submit`].
 
-use crate::executor::Executor;
 use crate::sched::{run_worker, Scheduler, ServerStats, Submitted};
 use crate::wire::{self, Envelope};
 use openserdes_telemetry as telemetry;
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Server knobs. `Default` is a loopback server sized for the bench
 /// and test workloads.
@@ -30,7 +32,8 @@ pub struct ServerConfig {
     /// Result-cache capacity in responses (0 disables caching).
     pub cache_capacity: usize,
     /// Open-connection cap; arrivals beyond it get a typed error reply
-    /// and an immediate close (0 = unlimited).
+    /// and an immediate close (0 = unlimited). Each open connection is
+    /// served on its own thread, so this also caps those threads.
     pub max_connections: usize,
     /// Per-connection read idle limit in milliseconds: a peer that
     /// starts a frame and then stalls longer than this is disconnected
@@ -42,8 +45,8 @@ pub struct ServerConfig {
     /// never drains its replies cannot pin the reply path. 0 disables.
     pub write_idle_ms: u64,
     /// Graceful-drain budget in milliseconds after `stop()`: open
-    /// connections get this long to finish before they are dropped.
-    /// 0 waits indefinitely (the pre-hardening behavior).
+    /// connections get this long to finish before their sockets are
+    /// shut down. 0 waits indefinitely (the pre-hardening behavior).
     pub drain_ms: u64,
 }
 
@@ -69,6 +72,10 @@ impl Default for ServerConfig {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// Where [`ServerHandle::stop`] connects to wake the blocking
+    /// accept: the bound address, with an unspecified IP replaced by
+    /// loopback.
+    wake: SocketAddr,
 }
 
 impl ServerHandle {
@@ -76,6 +83,11 @@ impl ServerHandle {
     /// from [`Server::serve`] once open connections close.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop is blocked in `accept()`; a connection wakes
+        // it, and it sees the flag before serving that connection. The
+        // bound only matters if the backlog is full, and then the loop
+        // is awake anyway.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 }
 
@@ -85,6 +97,7 @@ pub struct Server {
     scheduler: Arc<Scheduler>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
+    wake: SocketAddr,
 }
 
 impl Server {
@@ -96,13 +109,20 @@ impl Server {
     /// Socket bind/configuration failures.
     pub fn bind(config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let scheduler = Arc::new(Scheduler::new(config.queue_capacity, config.cache_capacity));
         Ok(Self {
             listener,
             scheduler,
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
+            wake,
         })
     }
 
@@ -119,29 +139,33 @@ impl Server {
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
             shutdown: Arc::clone(&self.shutdown),
+            wake: self.wake,
         }
     }
 
     /// Serves until the handle's `stop()`: accepts connections on the
-    /// reactor, executes jobs on the worker pool, then drains and
-    /// returns the lifetime [`ServerStats`] together with a telemetry
-    /// [`telemetry::Record`] carrying the `serve.*` counters.
+    /// calling thread, serves each on its own thread, executes jobs on
+    /// the worker pool, then drains and returns the lifetime
+    /// [`ServerStats`] together with a telemetry [`telemetry::Record`]
+    /// carrying the `serve.*` counters.
     ///
     /// Graceful shutdown semantics: after `stop()` the server stops
     /// accepting; it waits up to `drain_ms` for open connections to
-    /// close (clients should disconnect when done) and the queue to
-    /// drain, then drops whatever is left so shutdown is bounded.
+    /// close (clients should disconnect when done), then shuts down the
+    /// sockets of any that are left so shutdown is bounded. It joins
+    /// every connection and worker thread before it returns.
     ///
     /// # Errors
     ///
-    /// Listener-level accept failures; per-connection IO errors only
-    /// close that connection.
+    /// Listener-level accept failures (after the same drain);
+    /// per-connection IO errors only close that connection.
     pub fn serve(self) -> io::Result<(ServerStats, telemetry::Record)> {
         let Server {
             listener,
             scheduler,
             config,
             shutdown,
+            ..
         } = self;
         let workers: Vec<_> = (0..config.workers.max(1))
             .map(|i| {
@@ -158,68 +182,80 @@ impl Server {
             read: duration_knob(config.read_idle_ms),
             write: duration_knob(config.write_idle_ms),
         };
-        let mut executor = Executor::new(Duration::from_micros(500));
-        let spawner = executor.spawner();
-        {
-            let spawner = spawner.clone();
+        let conns = Arc::new(Conns::default());
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let mut next_id = 0u64;
+        let accepted = loop {
+            let stream = match listener.accept() {
+                _ if shutdown.load(Ordering::SeqCst) => break Ok(()),
+                Ok((stream, _addr)) => stream,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
+                Err(e) => break Err(e),
+            };
+            reap(&mut threads);
+            // Replies are single small frames; waiting on delayed ACKs
+            // would add ~40 ms to every round trip.
+            let configured = stream
+                .set_nodelay(true)
+                .and_then(|()| stream.set_write_timeout(idle.write));
+            if configured.is_err() {
+                scheduler.note_conn_error();
+                continue;
+            }
+            let mut open = conns.open.lock().expect("connections poisoned");
+            if config.max_connections > 0 && open.len() >= config.max_connections {
+                drop(open);
+                // Typed rejection, then close: the peer learns why
+                // instead of seeing a reset. No thread is spawned.
+                scheduler.note_conn_rejected();
+                let frame = wire::err_frame("server at connection capacity; retry later");
+                let _ = wire::write_frame_blocking(&mut &stream, frame.as_bytes());
+                continue;
+            }
+            let Ok(peer) = stream.try_clone() else {
+                drop(open);
+                scheduler.note_conn_error();
+                continue;
+            };
+            next_id += 1;
+            open.insert(next_id, peer);
+            drop(open);
+            let slot = Slot {
+                conns: Arc::clone(&conns),
+                id: next_id,
+            };
             let scheduler = Arc::clone(&scheduler);
-            let shutdown = Arc::clone(&shutdown);
-            let max_connections = config.max_connections;
-            let active = Arc::new(AtomicUsize::new(0));
-            executor.spawner().spawn(async move {
-                loop {
-                    match crate::net::accept(&listener, &shutdown).await {
-                        Ok(Some((mut stream, _addr))) => {
-                            if max_connections > 0
-                                && active.load(Ordering::SeqCst) >= max_connections
-                            {
-                                // Typed rejection, then close: the peer
-                                // learns why instead of seeing a reset.
-                                scheduler.note_conn_rejected();
-                                spawner.spawn(async move {
-                                    let frame = wire::err_frame(
-                                        "server at connection capacity; retry later",
-                                    );
-                                    let _ = wire::write_frame(
-                                        &mut stream,
-                                        frame.as_bytes(),
-                                        idle.write,
-                                    )
-                                    .await;
-                                });
-                                continue;
-                            }
-                            active.fetch_add(1, Ordering::SeqCst);
-                            let active = Arc::clone(&active);
-                            let scheduler = Arc::clone(&scheduler);
-                            spawner.spawn(async move {
-                                let _ = handle_connection(stream, scheduler, idle).await;
-                                active.fetch_sub(1, Ordering::SeqCst);
-                            });
-                        }
-                        Ok(None) | Err(_) => return,
-                    }
-                }
-            });
-        }
-        let done_flag = Arc::clone(&shutdown);
-        let abort_flag = Arc::clone(&shutdown);
-        let drain = duration_knob(config.drain_ms);
-        let mut drain_since: Option<Instant> = None;
-        executor.run(
-            move || done_flag.load(Ordering::SeqCst),
-            move || match drain {
-                Some(budget) if abort_flag.load(Ordering::SeqCst) => {
-                    drain_since.get_or_insert_with(Instant::now).elapsed() > budget
-                }
-                _ => false,
-            },
-        );
+            // The slot lives as long as the thread. A failed spawn drops
+            // the closure: the slot frees itself and the stream closes.
+            if let Ok(thread) = std::thread::Builder::new()
+                .name("serve-conn".to_string())
+                .spawn(move || {
+                    handle_connection(stream, &scheduler, idle, &slot.conns.cut);
+                    drop(slot);
+                })
+            {
+                threads.push(thread);
+            }
+        };
+        drop(listener);
 
+        conns.drain(duration_knob(config.drain_ms));
+        for thread in threads {
+            thread.join().expect("connection thread exits cleanly");
+        }
+        // Only now: a connection thread may still submit until it ends.
         scheduler.shutdown();
         for worker in workers {
             worker.join().expect("worker exits cleanly");
         }
+        accepted?;
         let stats = scheduler.stats();
         Ok((stats, telemetry_record(&stats)))
     }
@@ -236,24 +272,112 @@ fn duration_knob(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// Serves one connection: read a frame, submit, reply in order.
-/// Submissions answered from the cache (or shed) reply immediately;
-/// queued jobs are awaited, which keeps per-connection replies in
-/// request order without blocking other connections.
+/// The open connections, each a clone of its socket keyed by accept
+/// order. The count bounds `max_connections` (so it bounds the
+/// connection threads too); the drain waits on `closed` and shuts down
+/// the sockets still open when its budget runs out.
+#[derive(Default)]
+struct Conns {
+    open: Mutex<HashMap<u64, TcpStream>>,
+    closed: Condvar,
+    /// Set when the drain shuts down stragglers: the IO errors that
+    /// follow are the server's doing, so they bill no counter.
+    cut: AtomicBool,
+}
+
+impl Conns {
+    /// Waits up to `budget` (forever if `None`) for every connection to
+    /// close, then shuts down the sockets of those still open.
+    fn drain(&self, budget: Option<Duration>) {
+        let open = self.open.lock().expect("connections poisoned");
+        let open = match budget {
+            Some(budget) => {
+                self.closed
+                    .wait_timeout_while(open, budget, |open| !open.is_empty())
+                    .expect("connections poisoned")
+                    .0
+            }
+            None => self
+                .closed
+                .wait_while(open, |open| !open.is_empty())
+                .expect("connections poisoned"),
+        };
+        if !open.is_empty() {
+            self.cut.store(true, Ordering::SeqCst);
+            for stream in open.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+}
+
+/// One connection's entry in [`Conns`], removed when its thread ends
+/// (or panics, or never starts).
+struct Slot {
+    conns: Arc<Conns>,
+    id: u64,
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        // Never panic here: this runs while a panicking thread unwinds.
+        let mut open = self
+            .conns
+            .open
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        open.remove(&self.id);
+        self.conns.closed.notify_all();
+    }
+}
+
+/// Joins the connection threads that have already finished.
+fn reap(threads: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].is_finished() {
+            threads
+                .swap_remove(i)
+                .join()
+                .expect("connection thread exits cleanly");
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Serves one connection: read a frame, submit, block for the reply,
+/// write it, repeat — so replies go out in request order.
 ///
 /// Every way the connection can die is billed to exactly one counter:
 /// idle stalls to `serve.timeouts`, malformed traffic (bad JSON,
 /// non-UTF-8, hostile length prefix) to `serve.protocol_errors`, and
 /// transport failures (reset, mid-frame EOF) to `serve.conn_errors`.
-async fn handle_connection(
+fn handle_connection(
     mut stream: TcpStream,
-    scheduler: Arc<Scheduler>,
+    scheduler: &Scheduler,
     idle: IdleLimits,
-) -> io::Result<()> {
+    cut: &AtomicBool,
+) {
+    let bill = |e: &io::Error| {
+        if cut.load(Ordering::SeqCst) {
+            return;
+        }
+        if wire::is_timeout(e) {
+            scheduler.note_timeout();
+        } else {
+            scheduler.note_conn_error();
+        }
+    };
     loop {
-        let payload = match wire::read_frame(&mut stream, idle.read).await {
+        match await_frame(&stream, idle.read) {
+            Ok(true) => {}
+            Ok(false) => return,
+            Err(e) => return bill(&e),
+        }
+        let payload = match wire::read_frame_blocking(&mut stream) {
             Ok(Some(payload)) => payload,
-            Ok(None) => return Ok(()),
+            Ok(None) => return,
             Err(e) => {
                 if let Some(len) = wire::oversized_len(&e) {
                     // Hostile length prefix: typed error reply, then a
@@ -263,30 +387,16 @@ async fn handle_connection(
                         "announced frame of {len} bytes exceeds MAX_FRAME ({} bytes)",
                         wire::MAX_FRAME
                     ));
-                    let _ = wire::write_frame(&mut stream, frame.as_bytes(), idle.write).await;
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return Ok(());
+                    let _ = wire::write_frame_blocking(&mut stream, frame.as_bytes());
+                    let _ = stream.shutdown(Shutdown::Both);
+                    return;
                 }
-                if e.kind() == io::ErrorKind::TimedOut {
-                    scheduler.note_timeout();
-                } else {
-                    scheduler.note_conn_error();
-                }
-                return Err(e);
+                return bill(&e);
             }
         };
-        let text = match String::from_utf8(payload) {
-            Ok(t) => t,
-            Err(_) => {
-                scheduler.note_protocol_error();
-                let frame = wire::err_frame("frame payload is not UTF-8");
-                write_reply(&mut stream, &frame, &scheduler, idle).await?;
-                continue;
-            }
-        };
-        let reply = match Envelope::from_json(&text) {
-            Ok(envelope) => {
-                match scheduler.submit(
+        let reply = match String::from_utf8(payload) {
+            Ok(text) => match Envelope::from_json(&text) {
+                Ok(envelope) => match scheduler.submit(
                     &envelope.tenant,
                     envelope.priority,
                     envelope.seed,
@@ -294,35 +404,44 @@ async fn handle_connection(
                     envelope.request,
                 ) {
                     Submitted::Ready(frame) => frame,
-                    Submitted::Pending(completion) => completion.await,
+                    Submitted::Pending(completion) => completion.wait(),
+                },
+                Err(e) => {
+                    scheduler.note_protocol_error();
+                    wire::err_frame(&e.to_string())
                 }
-            }
-            Err(e) => {
+            },
+            Err(_) => {
                 scheduler.note_protocol_error();
-                wire::err_frame(&e.to_string())
+                wire::err_frame("frame payload is not UTF-8")
             }
         };
-        write_reply(&mut stream, &reply, &scheduler, idle).await?;
+        if let Err(e) = wire::write_frame_blocking(&mut stream, reply.as_bytes()) {
+            return bill(&e);
+        }
     }
 }
 
-/// Writes one reply frame, billing a write stall or transport failure
-/// to the right counter.
-async fn write_reply(
-    stream: &mut TcpStream,
-    frame: &str,
-    scheduler: &Scheduler,
-    idle: IdleLimits,
-) -> io::Result<()> {
-    wire::write_frame(stream, frame.as_bytes(), idle.write)
-        .await
-        .inspect_err(|e| {
-            if e.kind() == io::ErrorKind::TimedOut {
-                scheduler.note_timeout();
-            } else {
-                scheduler.note_conn_error();
-            }
-        })
+/// Blocks, with no time limit, until the next frame's first byte
+/// arrives, then arms the read idle limit for the rest of the frame:
+/// an idle keep-alive connection never expires, but a peer that starts
+/// a frame and stalls does (the slow-loris defense). `Ok(false)` is a
+/// clean close between frames.
+fn await_frame(stream: &TcpStream, read_idle: Option<Duration>) -> io::Result<bool> {
+    if read_idle.is_some() {
+        stream.set_read_timeout(None)?;
+    }
+    let mut first = [0u8; 1];
+    loop {
+        match stream.peek(&mut first) {
+            Ok(0) => return Ok(false),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stream.set_read_timeout(read_idle)?;
+    Ok(true)
 }
 
 /// Mirrors the lifetime counters into an `openserdes-telemetry`

@@ -22,14 +22,12 @@
 //! the server and in-process [`openserdes_core::Session::submit`]
 //! callers share one job vocabulary, byte for byte.
 
-use crate::net::{self, Idle};
 use openserdes_core::job::{Request, Response};
 use openserdes_core::json;
 use openserdes_core::Error;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// Wire protocol / schema tag, the `schema` field of every frame.
 pub const SCHEMA: &str = "openserdes-serve/1";
@@ -224,47 +222,19 @@ fn check_len(len_buf: [u8; 4]) -> io::Result<usize> {
     Ok(len)
 }
 
-/// Reads one frame from a non-blocking stream; `Ok(None)` on a clean
-/// close at a frame boundary. The `idle` limit bounds mid-frame stalls
-/// (slow-loris defense): waiting for the *first* byte of a frame is
-/// unbounded (an idle keep-alive connection is fine), but once a frame
-/// has started, any gap longer than `idle` is `ErrorKind::TimedOut`.
-pub(crate) async fn read_frame(
-    stream: &mut TcpStream,
-    idle: Option<std::time::Duration>,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut timer = Idle::unarmed(idle);
-    let mut len_buf = [0u8; 4];
-    if !net::read_exact_or_eof(stream, &mut len_buf, &mut timer).await? {
-        return Ok(None);
-    }
-    let len = check_len(len_buf)?;
-    let mut payload = vec![0u8; len];
-    if !net::read_exact_or_eof(stream, &mut payload, &mut timer).await? && len > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "peer closed between length and payload",
-        ));
-    }
-    Ok(Some(payload))
+/// Whether `e` is an expired socket timeout (`SO_RCVTIMEO` or
+/// `SO_SNDTIMEO`): Unix reports one as `WouldBlock`, Windows as
+/// `TimedOut`. Both are a bounded wait expiring, not a transport fault.
+pub(crate) fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
-/// Writes one frame to a non-blocking stream, bounding write stalls by
-/// `idle`. Prefix and payload go out as one buffer so a frame never
-/// straddles a Nagle/delayed-ACK boundary.
-pub(crate) async fn write_frame(
-    stream: &mut TcpStream,
-    payload: &[u8],
-    idle: Option<std::time::Duration>,
-) -> io::Result<()> {
-    let len = frame_len(payload)?;
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&len);
-    buf.extend_from_slice(payload);
-    net::write_all(stream, &buf, &mut Idle::armed(idle)).await
-}
-
-/// Blocking frame read for plain clients; `Ok(None)` on clean close.
+/// Reads one frame; `Ok(None)` on a clean close at a frame boundary.
+/// Any read timeout set on the stream bounds every wait, including the
+/// wait for the first byte.
 pub fn read_frame_blocking(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut pos = 0usize;
@@ -288,8 +258,8 @@ pub fn read_frame_blocking(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>
     Ok(Some(payload))
 }
 
-/// Blocking frame write for plain clients. One buffer per frame, as on
-/// the async side, so a frame never straddles a Nagle boundary.
+/// Writes one frame. Prefix and payload go out as one buffer so a
+/// frame never straddles a Nagle/delayed-ACK boundary.
 pub fn write_frame_blocking(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = frame_len(payload)?;
     let mut buf = Vec::with_capacity(4 + payload.len());

@@ -305,3 +305,23 @@ fn zero_threads_clamp_regression() {
         .expect("clamped session still serves sweeps");
     assert!(matches!(response, Response::MaxLoss { .. }));
 }
+
+/// A shed reply whose `priority` does not fit the `u8` field is
+/// refused, not wrapped: 300 would otherwise decode as 44.
+#[test]
+fn shed_priority_above_255_is_rejected_not_truncated() {
+    let shed = Response::Shed(openserdes::core::job::ShedInfo {
+        tenant: "t".to_string(),
+        priority: 255,
+        queue_depth: 3,
+    });
+    let json = shed.to_canonical_json();
+    assert_eq!(Response::from_json(&json).expect("255 fits"), shed);
+    let hacked = json.replace("\"priority\":255", "\"priority\":300");
+    assert_ne!(hacked, json, "the edit must hit the priority field");
+    let err = Response::from_json(&hacked).expect_err("300 does not fit a u8");
+    assert!(
+        err.to_string().contains("priority"),
+        "names the field: {err}"
+    );
+}

@@ -401,6 +401,80 @@ fn queued_jobs_past_deadline_come_back_typed() {
     assert_eq!(stats.completed, 1, "only the occupier actually ran");
 }
 
+#[test]
+fn idle_keep_alive_between_frames_never_times_out() {
+    // The read idle limit arms at a frame's first byte: a client that
+    // waits several limits between frames keeps its connection.
+    let config = ServerConfig {
+        read_idle_ms: 25,
+        ..ServerConfig::default()
+    };
+    let stats = with_server(config, |addr| {
+        let request = Request::Lint {
+            design: DesignSpec::Serializer,
+        };
+        let mut client = Client::connect(addr, "keep-alive").expect("connect");
+        let first = client.submit_raw(1, 5, &request).expect("first reply");
+        std::thread::sleep(Duration::from_millis(100));
+        let second = client
+            .submit_raw(1, 5, &request)
+            .expect("second reply on the same connection");
+        assert_eq!(first, second);
+        assert_eq!(client.retry_stats().retries, 0, "no retry, no reconnect");
+    });
+    assert_eq!(stats.requests, 2);
+    assert_eq!(
+        stats.timeouts, 0,
+        "an idle gap between frames is not a stall"
+    );
+    assert_eq!(stats.conn_errors, 0);
+}
+
+#[test]
+fn drain_budget_bounds_shutdown_with_an_idle_client_attached() {
+    // A client that never disconnects cannot hold `serve()` past the
+    // drain budget, and cutting it off bills nothing.
+    let server = Server::bind(ServerConfig {
+        drain_ms: 100,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let addr = server.local_addr().expect("local addr");
+    let handle = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+    let mut client = Client::connect(addr, "lingerer").expect("connect");
+    let reply = client
+        .submit(
+            1,
+            6,
+            &Request::Lint {
+                design: DesignSpec::Serializer,
+            },
+        )
+        .expect("reply");
+    assert!(matches!(reply, Response::Lint(_)));
+
+    let started = std::time::Instant::now();
+    handle.stop();
+    let (stats, _) = serving
+        .join()
+        .expect("server thread")
+        .expect("serve returns cleanly");
+    let waited = started.elapsed();
+    assert!(
+        waited >= Duration::from_millis(100),
+        "the drain gives open connections their budget (waited {waited:?})"
+    );
+    assert!(
+        waited < Duration::from_secs(2),
+        "the drain budget bounds shutdown (waited {waited:?})"
+    );
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.timeouts, 0);
+    assert_eq!(stats.conn_errors, 0);
+    drop(client);
+}
+
 /// Executes one server-plane fault event against a live server — the
 /// loopback driver for the seeded chaos taxonomy. Every arm is bounded
 /// (no unbounded reads) so a hang is a test failure, not a deadlock.
