@@ -31,29 +31,12 @@ impl Circuit {
     /// report. `design` names the circuit in the report (a [`Circuit`]
     /// itself is anonymous).
     pub fn lint(&self, design: &str, config: &LintConfig) -> LintReport {
-        lint_circuit(self, design, config)
+        let mut report = LintReport::new(design, "analog");
+        check_elements(self, config, &mut report);
+        check_sources(self, config, &mut report);
+        check_topology(self, config, &mut report);
+        report
     }
-}
-
-/// Runs every `AN0xx` check over `circuit` and returns the report.
-/// `design` names the circuit in the report (a [`Circuit`] itself is
-/// anonymous).
-///
-/// # Deprecated
-///
-/// The same engine is reachable as the inherent [`Circuit::lint`]
-/// method.
-#[deprecated(note = "use `Circuit::lint`")]
-pub fn lint(circuit: &Circuit, design: &str, config: &LintConfig) -> LintReport {
-    lint_circuit(circuit, design, config)
-}
-
-fn lint_circuit(circuit: &Circuit, design: &str, config: &LintConfig) -> LintReport {
-    let mut report = LintReport::new(design, "analog");
-    check_elements(circuit, config, &mut report);
-    check_sources(circuit, config, &mut report);
-    check_topology(circuit, config, &mut report);
-    report
 }
 
 /// The [`LintConfig`] the solver entry points apply in debug builds:

@@ -162,13 +162,20 @@ where
 /// probes the sequential loop would have, in the same arithmetic
 /// (`0.5 * (lo + hi)` recursion), so the final bracket matches to the
 /// last bit. Probes off the walked path are wasted work bought for
-/// wall-time — errors on them are ignored, just as the sequential loop
-/// never sees them.
+/// wall-time — their errors and panics are ignored, just as the
+/// sequential loop never sees them. The bisection also stops once the
+/// bracket's ends are adjacent floats, where the midpoint no longer
+/// splits it, so a tolerance of zero or below terminates.
 ///
 /// # Errors
 ///
 /// Propagates `probe` failures from the probes the bisection actually
 /// uses.
+///
+/// # Panics
+///
+/// Re-raises, with its own message, a panic from a probe the bisection
+/// actually uses.
 pub fn bisect_speculative<E, F>(
     mut lo: f64,
     mut hi: f64,
@@ -214,15 +221,22 @@ where
         // merged telemetry is worker-count independent too. Discarded
         // speculative probes leave no trace, just as the sequential
         // loop never ran them.
-        let mut verdicts: Vec<Option<(Result<bool, E>, telemetry::Record)>> =
-            map_recorded(&probes, threads, |_, &x| probe(x))
-                .into_iter()
-                .map(Some)
-                .collect();
+        let mut verdicts: Vec<Option<_>> = map_recorded(&probes, threads, |_, &x| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(x)))
+                .map_err(panic_message)
+        })
+        .into_iter()
+        .map(Some)
+        .collect();
         let mut node = 0usize;
         while node < nodes {
             let mid = probes[node];
+            if mid <= lo || mid >= hi {
+                return Ok((lo, hi));
+            }
             let (verdict, rec) = verdicts[node].take().expect("each node visited once");
+            let verdict =
+                verdict.unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message)));
             telemetry::absorb(rec);
             match verdict? {
                 true => {
@@ -331,5 +345,57 @@ mod tests {
             }
         });
         assert_eq!(r, Err("probe failed"));
+    }
+
+    #[test]
+    fn zero_tolerance_bisection_stops_at_adjacent_floats() {
+        for threads in [1, 4] {
+            // On its own thread, so a bisection that spins fails the
+            // test at the timeout instead of hanging it.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let r = bisect_speculative(0.0, 60.0, 0.0, threads, |x| {
+                    Ok::<bool, std::convert::Infallible>(x < 17.3)
+                });
+                let _ = tx.send(r);
+            });
+            let (lo, hi) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("a zero tolerance must terminate")
+                .unwrap();
+            worker.join().expect("bisection thread");
+            assert_eq!(hi.to_bits(), lo.to_bits() + 1, "threads = {threads}");
+            assert!(lo < 17.3 && 17.3 <= hi);
+        }
+    }
+
+    #[test]
+    fn speculative_probe_panics_follow_the_walk() {
+        // The walk never leaves [0, 0.5], but from 3 workers up the
+        // speculative tree also probes 0.75, which panics: an off-path
+        // panic is discarded like an off-path error.
+        let seq = bisect_sequential(0.0, 1.0, 1e-3, |x| x < 0.3);
+        for threads in [1, 2, 4, 8] {
+            let par = bisect_speculative(0.0, 1.0, 1e-3, threads, |x| {
+                assert!(x <= 0.7, "off-path probe at {x}");
+                Ok::<bool, std::convert::Infallible>(x < 0.3)
+            })
+            .unwrap();
+            assert_eq!(par.0.to_bits(), seq.0.to_bits(), "threads = {threads}");
+            assert_eq!(par.1.to_bits(), seq.1.to_bits(), "threads = {threads}");
+            // A panic on the walked path is re-raised with its message.
+            let payload = std::panic::catch_unwind(|| {
+                bisect_speculative(0.0, 1.0, 1e-3, threads, |x| {
+                    assert!(x != 0.25, "walked probe at {x}");
+                    Ok::<bool, std::convert::Infallible>(x < 0.3)
+                })
+            })
+            .expect_err("a walked panic propagates");
+            assert_eq!(
+                panic_message(payload),
+                "walked probe at 0.25",
+                "threads = {threads}"
+            );
+        }
     }
 }

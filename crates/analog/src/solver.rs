@@ -196,25 +196,6 @@ impl TransientConfig {
         self
     }
 
-    /// A configuration with fixed 1 ps steps up to `t_end`.
-    #[deprecated(note = "use `TransientConfig::until`")]
-    pub fn to(t_end: f64) -> Self {
-        Self::until(t_end)
-    }
-
-    /// Same but with an explicit fixed timestep.
-    #[deprecated(note = "use `TransientConfig::until(..).with_fixed_dt(..)`")]
-    pub fn with_dt(t_end: f64, dt: f64) -> Self {
-        Self::until(t_end).with_fixed_dt(dt)
-    }
-
-    /// An adaptive-step configuration; the output waveform grid is
-    /// `dt_min`.
-    #[deprecated(note = "use `TransientConfig::until(..).with_adaptive_steps(..)`")]
-    pub fn adaptive(t_end: f64, dt_min: f64, dt_max: f64, lte_tol: f64) -> Self {
-        Self::until(t_end).with_adaptive_steps(dt_min, dt_max, lte_tol)
-    }
-
     /// The uniform output-grid pitch the run produces: the fixed step,
     /// or `dt_min` for adaptive runs.
     pub fn out_dt(&self) -> f64 {

@@ -484,9 +484,15 @@ fn chaos_phase(smoke: bool) -> String {
         };
         accounted &= got == *hits;
     }
-    assert!(accounted, "every fault billed to its contracted counter, worker-count independent");
+    assert!(
+        accounted,
+        "every fault billed to its contracted counter, worker-count independent"
+    );
     assert_eq!(hangs, 0, "every chaos event must finish inside its budget");
-    assert!(bit_identity, "survivor replies must match direct Session::submit");
+    assert!(
+        bit_identity,
+        "survivor replies must match direct Session::submit"
+    );
     assert_eq!(first.completed, 1, "exactly the survivor job completes");
 
     let mut by_kind: Vec<(&'static str, u64)> = Vec::new();
@@ -623,7 +629,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- deterministic server chaos (opt-in via --chaos) ------------
-    let chaos_json = if chaos { chaos_phase(smoke) } else { String::new() };
+    let chaos_json = if chaos {
+        chaos_phase(smoke)
+    } else {
+        String::new()
+    };
 
     // ---- JSON ------------------------------------------------------
     let links = jobs.iter().filter(|(l, ..)| l.starts_with("link")).count();

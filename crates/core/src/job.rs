@@ -553,11 +553,24 @@ fn push_sweep_spec(out: &mut String, s: &SweepSpec) {
 
 fn parse_sweep_spec(v: &Json) -> Result<SweepSpec, String> {
     let obj = v.as_obj("sweep")?;
+    // A bathtub scores bits 1..n against their predecessors, so it needs
+    // two bits; a bisection to a non-positive or NaN tolerance never
+    // (or trivially) ends.
+    let bits = json::get(obj, "bits")?.as_usize("bits")?;
+    if bits < 2 {
+        return Err(format!("sweep: bits {bits} below 2"));
+    }
+    let tol_db = json::get(obj, "tol_db")?.as_f64("tol_db")?;
+    if !(tol_db.is_finite() && tol_db > 0.0) {
+        return Err(format!(
+            "sweep: tol_db {tol_db} is not a positive finite number"
+        ));
+    }
     Ok(SweepSpec {
-        bits: json::get(obj, "bits")?.as_usize("bits")?,
+        bits,
         phases: json::get(obj, "phases")?.as_usize("phases")?,
         frames: json::get(obj, "frames")?.as_usize("frames")?,
-        tol_db: json::get(obj, "tol_db")?.as_f64("tol_db")?,
+        tol_db,
     })
 }
 

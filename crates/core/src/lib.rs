@@ -10,7 +10,7 @@
 //!   through the [`openserdes_flow`] OpenLANE-substitute,
 //! * [`OversamplingCdr`] — the fully digital clock-and-data recovery
 //!   with scan-configurable glitch and jitter correction (Fig. 7),
-//! * [`SerdesLink`] — the assembled link over the analog PHY (Figs. 3, 8),
+//! * [`link`] — the assembled link over the analog PHY (Figs. 3, 8),
 //! * [`PrbsGenerator`] / [`PrbsChecker`] / [`BerTest`] — PRBS-31 BER
 //!   testing,
 //! * [`sweep`] — the sensitivity / maximum-loss sweeps (Fig. 9),
@@ -60,7 +60,6 @@ pub use job::{
 };
 pub use link::{
     run_frames_with_faults, AnalogFrameReport, FaultReport, LinkConfig, LinkReport, LinkStats,
-    SerdesLink,
 };
 pub use prbs::{PrbsChecker, PrbsGenerator, PrbsOrder};
 pub use scan::{scan_chain_design, ScanChain, SCAN_BITS};
@@ -70,7 +69,5 @@ pub use serializer::{
 };
 pub use session::Session;
 pub use sweep::parallel::CornerPoint;
-#[allow(deprecated)]
-pub use sweep::{bathtub, max_loss_bisect, sensitivity_sweep};
 pub use sweep::{eye_width_at, BathtubPoint, Sweep, SweepOutcome, SweepPoint};
 pub use top::serdes_digital_top;

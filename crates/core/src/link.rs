@@ -3,12 +3,12 @@
 //! This is the system of the paper's Fig. 3/Fig. 8 assembled from the
 //! blocks in this workspace. Two execution paths:
 //!
-//! * [`SerdesLink::run_frames`] — the fast path: bit-accurate serializer
+//! * [`run_frames`] — the fast path: bit-accurate serializer
 //!   and deserializer FSMs, a statistical PHY calibrated from the analog
 //!   models (amplitude margin + noise + jitter at sample granularity),
 //!   and the cycle-accurate oversampling CDR. Scales to millions of
 //!   bits.
-//! * [`SerdesLink::run_frame_analog`] — the faithful path: a full
+//! * [`run_frame_analog`] — the faithful path: a full
 //!   transistor-level transient of driver, channel and front end for one
 //!   frame, sliced at the oversampling rate and recovered by the same
 //!   CDR. Used to regenerate Fig. 8 and to validate the fast path.
@@ -142,123 +142,84 @@ pub struct AnalogFrameReport {
     pub bits: u64,
 }
 
-/// The assembled SerDes link.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SerdesLink {
-    config: LinkConfig,
+/// Best alignment of `recv` against `sent` over small lags; returns
+/// `(lag, errors, overlap)` scored over the span beyond `skip`.
+///
+/// Every lag is scored over the *same* overlap length (the largest
+/// span available to all candidate lags). Per-lag overlaps would
+/// hand larger lags fewer error opportunities and bias the choice
+/// toward them; with a common span the error counts are comparable
+/// and ties resolve to the smallest lag.
+fn align(sent: &BitVec, recv: &BitVec, skip: usize) -> (usize, u64, usize) {
+    const MAX_LAG: usize = 3;
+    if recv.len() <= skip + MAX_LAG || sent.len() <= skip {
+        return (0, 0, 0);
+    }
+    let overlap = (recv.len() - skip - MAX_LAG).min(sent.len() - skip);
+    let mut best = (0usize, u64::MAX);
+    for lag in 0..=MAX_LAG {
+        let errors = recv.xor_errors(skip + lag, sent, skip, overlap);
+        if errors < best.1 {
+            best = (lag, errors);
+        }
+    }
+    (best.0, best.1, overlap)
 }
 
-impl SerdesLink {
-    /// Creates a link.
-    pub fn new(config: LinkConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
-    /// Best alignment of `recv` against `sent` over small lags; returns
-    /// `(lag, errors, overlap)` scored over the span beyond `skip`.
-    ///
-    /// Every lag is scored over the *same* overlap length (the largest
-    /// span available to all candidate lags). Per-lag overlaps would
-    /// hand larger lags fewer error opportunities and bias the choice
-    /// toward them; with a common span the error counts are comparable
-    /// and ties resolve to the smallest lag.
-    fn align(sent: &BitVec, recv: &BitVec, skip: usize) -> (usize, u64, usize) {
-        const MAX_LAG: usize = 3;
-        if recv.len() <= skip + MAX_LAG || sent.len() <= skip {
-            return (0, 0, 0);
+/// Scores the deserializer's actual output against the sent frames
+/// over the compared span `[skip, skip + overlap)` (sent-bit
+/// coordinates). A frame counts correct when every captured bit of
+/// it inside the span matches; a frame that falls entirely outside
+/// the span (settling window, or the unaligned tail the aligner
+/// could not compare) counts correct when it was captured at all —
+/// the link is not blamed for bits that were never scored.
+fn score_frames(
+    frames: &[Frame],
+    got: &[Frame],
+    partial: (Frame, usize),
+    skip: usize,
+    overlap: usize,
+) -> usize {
+    let mut correct = 0usize;
+    for (i, sent) in frames.iter().enumerate() {
+        let lo = i * FRAME_BITS;
+        let (cap, fill) = if i < got.len() {
+            (got[i], FRAME_BITS)
+        } else if i == got.len() && partial.1 > 0 {
+            partial
+        } else {
+            continue; // never captured
+        };
+        let scored_lo = lo.max(skip);
+        let scored_hi = (lo + FRAME_BITS).min(skip + overlap).min(lo + fill);
+        if scored_lo >= scored_hi {
+            correct += 1;
+            continue;
         }
-        let overlap = (recv.len() - skip - MAX_LAG).min(sent.len() - skip);
-        let mut best = (0usize, u64::MAX);
-        for lag in 0..=MAX_LAG {
-            let errors = recv.xor_errors(skip + lag, sent, skip, overlap);
-            if errors < best.1 {
-                best = (lag, errors);
-            }
-        }
-        (best.0, best.1, overlap)
-    }
-
-    /// Scores the deserializer's actual output against the sent frames
-    /// over the compared span `[skip, skip + overlap)` (sent-bit
-    /// coordinates). A frame counts correct when every captured bit of
-    /// it inside the span matches; a frame that falls entirely outside
-    /// the span (settling window, or the unaligned tail the aligner
-    /// could not compare) counts correct when it was captured at all —
-    /// the link is not blamed for bits that were never scored.
-    fn score_frames(
-        frames: &[Frame],
-        got: &[Frame],
-        partial: (Frame, usize),
-        skip: usize,
-        overlap: usize,
-    ) -> usize {
-        let mut correct = 0usize;
-        for (i, sent) in frames.iter().enumerate() {
-            let lo = i * FRAME_BITS;
-            let (cap, fill) = if i < got.len() {
-                (got[i], FRAME_BITS)
-            } else if i == got.len() && partial.1 > 0 {
-                partial
-            } else {
-                continue; // never captured
-            };
-            let scored_lo = lo.max(skip);
-            let scored_hi = (lo + FRAME_BITS).min(skip + overlap).min(lo + fill);
-            if scored_lo >= scored_hi {
-                correct += 1;
+        let mut ok = true;
+        for w in 0..LANES {
+            let wlo = lo + w * WORD_BITS;
+            let a = scored_lo.max(wlo);
+            let b = scored_hi.min(wlo + WORD_BITS);
+            if a >= b {
                 continue;
             }
-            let mut ok = true;
-            for w in 0..LANES {
-                let wlo = lo + w * WORD_BITS;
-                let a = scored_lo.max(wlo);
-                let b = scored_hi.min(wlo + WORD_BITS);
-                if a >= b {
-                    continue;
-                }
-                let mask = (((1u64 << (b - wlo)) - 1) ^ ((1u64 << (a - wlo)) - 1)) as u32;
-                if (cap[w] ^ sent[w]) & mask != 0 {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                correct += 1;
+            let mask = (((1u64 << (b - wlo)) - 1) ^ ((1u64 << (a - wlo)) - 1)) as u32;
+            if (cap[w] ^ sent[w]) & mask != 0 {
+                ok = false;
+                break;
             }
         }
-        correct
+        if ok {
+            correct += 1;
+        }
     }
-
-    /// Runs frames through the fast statistical PHY path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures from the front-end characterization.
-    #[deprecated(note = "use `Session::run_link` (openserdes::Session)")]
-    pub fn run_frames(&self, frames: &[Frame], seed: u64) -> Result<LinkReport, LinkError> {
-        run_frames(&self.config, frames, seed)
-    }
-
-    /// Runs one frame through the full transistor-level path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures from the transients.
-    #[deprecated(note = "use `Session::run_analog_link` (openserdes::Session)")]
-    pub fn run_frame_analog(&self, frame: Frame) -> Result<AnalogFrameReport, LinkError> {
-        run_frame_analog(&self.config, frame)
-    }
+    correct
 }
 
 /// The fast-path link engine: serializer → statistical PHY → CDR →
 /// deserializer → scoring, at `config`'s operating point. This is the
-/// canonical implementation behind both the deprecated
-/// [`SerdesLink::run_frames`] and `Session::run_link`.
+/// engine behind `Session::run_link`.
 ///
 /// # Errors
 ///
@@ -317,10 +278,10 @@ pub fn run_frames(
     let t_score = Instant::now();
     let score_span = telemetry::span("link.score");
     let skip = 2 * config.cdr.window;
-    let (lag, bit_errors, overlap) = SerdesLink::align(&bits, &recovered, skip);
+    let (lag, bit_errors, overlap) = align(&bits, &recovered, skip);
     let mut des = Deserializer::new();
     let got = des.push_packed(&recovered, lag, recovered.len() - lag);
-    let frames_correct = SerdesLink::score_frames(frames, &got, des.partial_frame(), skip, overlap);
+    let frames_correct = score_frames(frames, &got, des.partial_frame(), skip, overlap);
     drop(score_span);
     let score_time = t_score.elapsed();
 
@@ -582,7 +543,7 @@ pub fn run_frames_with_faults(
     let t_score = Instant::now();
     let score_span = telemetry::span("link.score");
     let skip = 2 * config.cdr.window;
-    let (lag, bit_errors, overlap) = SerdesLink::align(&bits, &recovered, skip);
+    let (lag, bit_errors, overlap) = align(&bits, &recovered, skip);
     let mut des = Deserializer::new();
     let mut got = Vec::new();
     let mut pos = lag;
@@ -599,7 +560,7 @@ pub fn run_frames_with_faults(
         }
     }
     got.extend(des.push_packed(&recovered, pos, recovered.len() - pos));
-    let frames_correct = SerdesLink::score_frames(frames, &got, des.partial_frame(), skip, overlap);
+    let frames_correct = score_frames(frames, &got, des.partial_frame(), skip, overlap);
     drop(score_span);
     let score_time = t_score.elapsed();
 
@@ -641,9 +602,8 @@ pub fn run_frames_with_faults(
 
 /// The faithful-path link engine: one frame through the full
 /// transistor-level transient (driver → channel → front end), sliced at
-/// the oversampling rate and recovered by the same CDR. The canonical
-/// implementation behind the deprecated [`SerdesLink::run_frame_analog`]
-/// and `Session::run_analog_link`.
+/// the oversampling rate and recovered by the same CDR. This is the
+/// engine behind `Session::run_analog_link`.
 ///
 /// # Errors
 ///
@@ -673,7 +633,7 @@ pub fn run_frame_analog(config: &LinkConfig, frame: Frame) -> Result<AnalogFrame
     let recovered = cdr.recover_packed(&stream);
     drop(cdr_span);
     let skip = 8;
-    let (_, bit_errors, overlap) = SerdesLink::align(&BitVec::from_bools(&bits), &recovered, skip);
+    let (_, bit_errors, overlap) = align(&BitVec::from_bools(&bits), &recovered, skip);
     telemetry::counter("link.bit_errors", bit_errors);
     telemetry::counter("link.cdr_phase_updates", cdr.phase_updates());
     Ok(AnalogFrameReport {
@@ -763,7 +723,7 @@ mod tests {
             sent.set(i, true);
         }
         let recv = BitVec::from_bools(&[false; 400]);
-        let (lag, errors, overlap) = SerdesLink::align(&sent, &recv, 64);
+        let (lag, errors, overlap) = align(&sent, &recv, 64);
         assert_eq!(lag, 0, "no evidence for any lag");
         assert_eq!(errors, 0);
         assert_eq!(overlap, 400 - 64 - 3, "common span excludes the tail");
@@ -777,7 +737,7 @@ mod tests {
             let mut shifted = vec![false; true_lag];
             shifted.extend_from_slice(&pattern[..600 - true_lag]);
             let recv = BitVec::from_bools(&shifted);
-            let (lag, errors, _) = SerdesLink::align(&sent, &recv, 64);
+            let (lag, errors, _) = align(&sent, &recv, 64);
             assert_eq!(lag, true_lag);
             assert_eq!(errors, 0, "lag {true_lag} must align cleanly");
         }
@@ -787,7 +747,7 @@ mod tests {
     fn align_degenerate_spans_report_zero_bits() {
         let sent = BitVec::from_bools(&[true; 10]);
         let recv = BitVec::from_bools(&[true; 10]);
-        let (lag, errors, overlap) = SerdesLink::align(&sent, &recv, 10);
+        let (lag, errors, overlap) = align(&sent, &recv, 10);
         assert_eq!((lag, errors, overlap), (0, 0, 0));
     }
 
@@ -816,7 +776,7 @@ mod tests {
         bad[3] ^= 0x10;
         let got = vec![frames[0], bad];
         let partial = (frames[2], 100);
-        let correct = SerdesLink::score_frames(&frames, &got, partial, 64, 700);
+        let correct = score_frames(&frames, &got, partial, 64, 700);
         // Frame 0 matches, frame 1 differs at a scored bit, frame 2's
         // captured prefix (bits 512..612, inside [64, 764)) matches.
         assert_eq!(correct, 2);
@@ -825,10 +785,10 @@ mod tests {
         let mut settling_bad = frames[0];
         settling_bad[0] ^= 0x1; // bit 0 < skip = 64
         let got = vec![settling_bad, frames[1]];
-        let correct = SerdesLink::score_frames(&frames, &got, (frames[2], 100), 64, 700);
+        let correct = score_frames(&frames, &got, (frames[2], 100), 64, 700);
         assert_eq!(correct, 3);
         // A frame that was never captured can never count.
-        let correct = SerdesLink::score_frames(&frames, &[], ([0u32; LANES], 0), 64, 700);
+        let correct = score_frames(&frames, &[], ([0u32; LANES], 0), 64, 700);
         assert_eq!(correct, 0);
     }
 
@@ -953,14 +913,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deterministic_per_seed_and_shim_equivalence() {
-        let link = SerdesLink::new(LinkConfig::paper_default());
+    fn deterministic_per_seed() {
+        let cfg = LinkConfig::paper_default();
         let frames = prbs_frames(5);
-        // The deprecated method is a shim over the free function: both
-        // runs of either spelling agree bit-exactly.
-        let a = link.run_frames(&frames, 3).expect("runs");
-        let b = run_frames(link.config(), &frames, 3).expect("runs");
+        let a = run_frames(&cfg, &frames, 3).expect("runs");
+        let b = run_frames(&cfg, &frames, 3).expect("runs");
         assert_eq!(a, b);
     }
 

@@ -2,13 +2,11 @@
 //! transients, the RTL→layout flow, design lint and the Monte-Carlo
 //! sweeps, all behind a single consuming-builder [`Session`].
 //!
-//! Prior to the session API each subsystem had its own spelling
-//! (`SerdesLink::run_frames`, `run_flow`, the `lint`/`bathtub`/…
-//! free functions). Those entry points still exist as deprecated shims;
-//! a `Session` reproduces their outputs exactly — it threads the same
-//! configs into the same engines — while adding what the scattered
-//! spellings could not: one place to set the operating point
-//! (rate/corner/seed) for every run, and built-in telemetry capture.
+//! A `Session` threads its configs into the same engines the builders
+//! reach ([`link::run_frames`], [`Flow::run`], [`Sweep`], the inherent
+//! `lint` methods), so its outputs equal theirs exactly, and adds what
+//! they lack: one place to set the operating point (rate/corner/seed)
+//! for every run, and built-in telemetry capture.
 //!
 //! ```
 //! use openserdes_core::session::Session;

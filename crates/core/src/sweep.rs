@@ -34,55 +34,21 @@ pub struct SweepPoint {
     pub max_loss_db: f64,
 }
 
-/// Sensitivity and maximum loss across data rates, from the front-end
-/// model (fast; regenerates Fig. 9's two curves).
-///
-/// # Errors
-///
-/// Propagates solver failures from the characterization.
-#[deprecated(note = "use `Sweep::new().sensitivity(..)` (openserdes_core::Sweep)")]
-pub fn sensitivity_sweep(pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-    sensitivity_impl(pvt, rates)
-}
-
-pub(crate) fn sensitivity_impl(pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-    let _span = telemetry::span("sweep.sensitivity");
-    let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
-    let tx_swing = pvt.vdd;
-    rates
-        .iter()
-        .map(|&rate| {
-            telemetry::counter("sweep.rate_points", 1);
-            let sensitivity = fe.sensitivity(rate)?;
-            let max_loss_db = fe.max_loss_db(rate, tx_swing)?;
-            Ok(SweepPoint {
-                data_rate: rate,
-                sensitivity,
-                max_loss_db,
-            })
-        })
-        .collect()
-}
-
-/// Bisects the maximum channel attenuation (dB) at which a PRBS link run
-/// of `frames` frames is still error-free, to within `tol_db`.
-///
-/// # Errors
-///
-/// Propagates link failures.
-#[deprecated(note = "use `Sweep::new().max_loss(..)` (openserdes_core::Sweep)")]
-pub fn max_loss_bisect(base: &LinkConfig, frames: usize, tol_db: f64) -> Result<f64, LinkError> {
-    max_loss_impl(base, frames, tol_db)
-}
-
-pub(crate) fn max_loss_impl(
+/// The loss bisection's frame, shared by [`Sweep::max_loss`] and the
+/// per-point bisections of the rate and corner sweeps: a link already
+/// failing at 0 dB reports 0, one still error-free at 60 dB reports 60,
+/// and otherwise `bisect` narrows the `[0, 60]` dB bracket with the
+/// error-free probe and returns its known-good end.
+fn max_loss_with(
     base: &LinkConfig,
     frames: usize,
-    tol_db: f64,
+    bisect: impl FnOnce(
+        f64,
+        f64,
+        &(dyn Fn(f64) -> Result<bool, LinkError> + Sync),
+    ) -> Result<f64, LinkError>,
 ) -> Result<f64, LinkError> {
     let _span = telemetry::span("sweep.max_loss_bisect");
-    let mut lo = 0.0f64; // known good
-    let mut hi = 60.0f64; // known bad
     let error_free = |db: f64| -> Result<bool, LinkError> {
         telemetry::counter("sweep.bisect_probes", 1);
         let mut cfg = base.clone();
@@ -92,23 +58,40 @@ pub(crate) fn max_loss_impl(
         };
         BerTest::prbs31(cfg, frames).is_error_free()
     };
-    // Establish brackets (the interface may already fail at 0 dB for
-    // absurd rates — report 0 in that case).
+    let (lo, hi) = (0.0f64, 60.0f64);
     if !error_free(lo)? {
         return Ok(0.0);
     }
     if error_free(hi)? {
         return Ok(hi);
     }
-    while hi - lo > tol_db {
-        let mid = 0.5 * (lo + hi);
-        if error_free(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
+    bisect(lo, hi, &error_free)
+}
+
+/// Bisects the maximum channel attenuation (dB) at which a PRBS link run
+/// of `frames` frames is still error-free, to within `tol_db`, on the
+/// calling thread.
+pub(crate) fn max_loss_impl(
+    base: &LinkConfig,
+    frames: usize,
+    tol_db: f64,
+) -> Result<f64, LinkError> {
+    max_loss_with(base, frames, |mut lo, mut hi, error_free| {
+        while hi - lo > tol_db {
+            let mid = 0.5 * (lo + hi);
+            // Adjacent floats: the midpoint rounds onto an end and the
+            // bracket cannot narrow any further.
+            if mid <= lo || mid >= hi {
+                break;
+            }
+            if error_free(mid)? {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
-    }
-    Ok(lo)
+        Ok(lo)
+    })
 }
 
 /// One point of a BER bathtub curve.
@@ -120,29 +103,8 @@ pub struct BathtubPoint {
     pub ber: f64,
 }
 
-/// Monte-Carlo BER bathtub: sweeps the sampling phase across the unit
-/// interval at the given operating point and measures the BER at each
-/// phase over `nbits` PRBS bits — the classic serial-link margin plot
-/// (high BER walls at the bit edges, a floor at the centre).
-///
-/// The per-bit model matches the fast link path: transition edges carry
-/// the channel's RJ (Gaussian) and DJ (sinusoidal) jitter; sampling on
-/// the wrong side of a jittered edge misreads the bit; amplitude noise
-/// adds `Q(margin/σ)` flips everywhere.
-///
-/// # Errors
-///
-/// Propagates solver failures from the front-end characterization.
-#[deprecated(note = "use `Sweep::new().bathtub(..)` (openserdes_core::Sweep)")]
-pub fn bathtub(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-) -> Result<Vec<BathtubPoint>, LinkError> {
-    bathtub_impl(config, nbits, phases, seed)
-}
-
+/// The sequential bathtub the parallel fan-out must reproduce.
+#[cfg(test)]
 pub(crate) fn bathtub_impl(
     config: &LinkConfig,
     nbits: usize,
@@ -259,7 +221,7 @@ pub struct SweepOutcome<T> {
 impl<T> SweepOutcome<T> {
     /// Partitions fault-isolated per-item results (outer `Err` = the
     /// item panicked, inner `Err` = it returned an error) by index.
-    pub(crate) fn collect<E: Into<Error>>(results: Vec<Result<Result<T, E>, String>>) -> Self {
+    pub(crate) fn collect(results: Vec<Slot<T>>) -> Self {
         let mut completed = Vec::new();
         let mut failed = Vec::new();
         for (i, r) in results.into_iter().enumerate() {
@@ -304,6 +266,21 @@ impl<T> SweepOutcome<T> {
             None => Ok(self.completed.into_iter().map(|(_, t)| t).collect()),
         }
     }
+}
+
+/// One fault-isolated work item's result: `Err(message)` when the item
+/// panicked, otherwise what it returned.
+pub(crate) type Slot<T> = Result<Result<T, LinkError>, String>;
+
+/// The plain-form collector behind [`Sweep::bathtub`],
+/// [`Sweep::rate_sweep`] and [`Sweep::corner_sweep`]: every value in
+/// input order, or else the first failure in input order — a returned
+/// error as itself, a panicked item re-raised with its own message.
+fn first_failure<T>(slots: Vec<Slot<T>>) -> Result<Vec<T>, LinkError> {
+    slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message))))
+        .collect()
 }
 
 /// Sweep options on the consuming-builder pattern — the one knob set
@@ -426,24 +403,42 @@ impl Sweep {
         self.tol_db
     }
 
-    /// BER bathtub at the operating point, one [`BathtubPoint`] per
-    /// configured phase.
+    /// Monte-Carlo BER bathtub at the operating point, one
+    /// [`BathtubPoint`] per configured phase: the sampling phase swept
+    /// across the unit interval, the BER measured at each phase over
+    /// the configured PRBS bits — the classic serial-link margin plot
+    /// (high BER walls at the bit edges, a floor at the centre).
+    ///
+    /// The per-bit model matches the fast link path: transition edges
+    /// carry the channel's RJ (Gaussian) and DJ (sinusoidal) jitter;
+    /// sampling on the wrong side of a jittered edge misreads the bit;
+    /// amplitude noise adds `Q(margin/σ)` flips everywhere.
+    ///
+    /// This is [`Sweep::try_bathtub`] with the first failed phase, in
+    /// phase order, raised as the whole call's failure.
     ///
     /// # Errors
     ///
     /// Propagates solver failures from the front-end characterization.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panicked phase with its own message.
     pub fn bathtub(&self, config: &LinkConfig) -> Result<Vec<BathtubPoint>, LinkError> {
-        parallel::bathtub_par_impl(config, self.nbits, self.phases, self.seed, self.threads)
+        first_failure(parallel::bathtub(self, config)?)
     }
 
     /// Maximum error-free channel attenuation (dB) at the configured
-    /// operating point.
+    /// operating point, the bisection's next midpoints probed
+    /// speculatively across the workers.
     ///
     /// # Errors
     ///
     /// Propagates link failures from the probes the bisection uses.
     pub fn max_loss(&self, config: &LinkConfig) -> Result<f64, LinkError> {
-        parallel::max_loss_par_impl(config, self.frames, self.tol_db, self.threads)
+        max_loss_with(config, self.frames, |lo, hi, error_free| {
+            Ok(parallel::bisect_speculative(lo, hi, self.tol_db, self.threads, error_free)?.0)
+        })
     }
 
     /// Maximum channel loss at each data rate (Fig. 9's measured curve).
@@ -452,15 +447,22 @@ impl Sweep {
     /// is rate-independent, so it is solved **once** and shared across
     /// all rate points rather than re-solved per item.
     ///
+    /// This is [`Sweep::try_rate_sweep`] with the first failed rate, in
+    /// rate order, raised as the whole call's failure.
+    ///
     /// # Errors
     ///
     /// Propagates the first link failure in rate order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panicked rate point with its own message.
     pub fn rate_sweep(
         &self,
         config: &LinkConfig,
         rates: &[Hertz],
     ) -> Result<Vec<SweepPoint>, LinkError> {
-        parallel::rate_sweep_impl(config, rates, self.frames, self.tol_db, self.threads)
+        first_failure(parallel::rate_sweep(self, config, rates))
     }
 
     /// Maximum channel loss and front-end sensitivity at the three
@@ -470,14 +472,21 @@ impl Sweep {
     /// corner circuits share a topology, so they share a stamp plan)
     /// before the loss bisections fan out.
     ///
+    /// This is [`Sweep::try_corner_sweep`] with the first failed
+    /// corner, in corner order, raised as the whole call's failure.
+    ///
     /// # Errors
     ///
     /// Propagates the first link failure in corner order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panicked corner with its own message.
     pub fn corner_sweep(
         &self,
         config: &LinkConfig,
     ) -> Result<Vec<parallel::CornerPoint>, LinkError> {
-        parallel::corner_sweep_impl(config, self.frames, self.tol_db, self.threads)
+        first_failure(parallel::corner_sweep(self, config))
     }
 
     /// Model-route sensitivity sweep across `rates` (the fast half of
@@ -487,7 +496,22 @@ impl Sweep {
     ///
     /// Propagates solver failures from the characterization.
     pub fn sensitivity(&self, pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
-        sensitivity_impl(pvt, rates)
+        let _span = telemetry::span("sweep.sensitivity");
+        let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
+        let tx_swing = pvt.vdd;
+        rates
+            .iter()
+            .map(|&rate| {
+                telemetry::counter("sweep.rate_points", 1);
+                let sensitivity = fe.sensitivity(rate)?;
+                let max_loss_db = fe.max_loss_db(rate, tx_swing)?;
+                Ok(SweepPoint {
+                    data_rate: rate,
+                    sensitivity,
+                    max_loss_db,
+                })
+            })
+            .collect()
     }
 
     // ---- fault-isolated runs ----------------------------------------
@@ -504,20 +528,20 @@ impl Sweep {
         &self,
         config: &LinkConfig,
     ) -> Result<SweepOutcome<BathtubPoint>, LinkError> {
-        parallel::try_bathtub_par_impl(config, self.nbits, self.phases, self.seed, self.threads)
+        parallel::bathtub(self, config).map(SweepOutcome::collect)
     }
 
     /// Fault-isolated [`Sweep::rate_sweep`]: each rate point is
     /// individually isolated, so one poisoned rate reports in
     /// [`SweepOutcome::failed`] while the others complete.
     pub fn try_rate_sweep(&self, config: &LinkConfig, rates: &[Hertz]) -> SweepOutcome<SweepPoint> {
-        parallel::try_rate_sweep_impl(config, rates, self.frames, self.tol_db, self.threads)
+        SweepOutcome::collect(parallel::rate_sweep(self, config, rates))
     }
 
     /// Fault-isolated [`Sweep::corner_sweep`], one isolated item per
     /// corner in `[nominal, worst_case, best_case]` order.
     pub fn try_corner_sweep(&self, config: &LinkConfig) -> SweepOutcome<parallel::CornerPoint> {
-        parallel::try_corner_sweep_impl(config, self.frames, self.tol_db, self.threads)
+        SweepOutcome::collect(parallel::corner_sweep(self, config))
     }
 }
 
@@ -706,6 +730,41 @@ mod tests {
             SweepOutcome::collect(vec![Ok(Ok::<_, LinkError>(7)), Ok(Ok(8))]);
         assert!(clean.is_complete());
         assert_eq!(clean.into_result().expect("clean"), vec![7, 8]);
+    }
+
+    #[test]
+    fn plain_collector_keeps_the_first_failure_in_input_order() {
+        let items: Vec<u64> = (0..8).collect();
+        for threads in [1, 4] {
+            // Items 2 and 5 fail: the lower index wins at any worker count.
+            let slots = parallel::try_map_with_threads(&items, threads, |_, &x| match x {
+                2 | 5 => Err(LinkError::CdrUnlocked { uis: x }),
+                _ => Ok(x),
+            });
+            assert!(
+                matches!(first_failure(slots), Err(LinkError::CdrUnlocked { uis: 2 })),
+                "threads = {threads}"
+            );
+            // A panicked item ahead of an erroring one is re-raised with
+            // its own message, not a generic worker-panic label.
+            let slots = parallel::try_map_with_threads(&items, threads, |_, &x| {
+                assert!(x != 3, "poisoned item {x}");
+                if x == 6 {
+                    Err(LinkError::CdrUnlocked { uis: x })
+                } else {
+                    Ok(x)
+                }
+            });
+            let payload = std::panic::catch_unwind(|| first_failure(slots))
+                .expect_err("the panicked slot is re-raised");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("poisoned item 3"),
+                "threads = {threads}"
+            );
+            let clean = parallel::try_map_with_threads(&items, threads, |_, &x| Ok(x));
+            assert_eq!(first_failure(clean).expect("clean"), items);
+        }
     }
 
     #[test]

@@ -10,30 +10,36 @@
 //! * results come back in input order, regardless of which worker
 //!   finished first.
 //!
-//! Consequently each `*_parallel` function is **bit-identical** to its
-//! sequential counterpart for the same seed — parallelism changes wall
-//! time, never results. [`max_loss_bisect_parallel`] keeps that promise
-//! for an inherently sequential loop by *speculating*: it evaluates the
-//! whole midpoint tree the bisection could visit next and then walks it,
-//! so the bracket sequence is exactly the sequential one.
+//! Consequently every [`Sweep`] run is **bit-identical** for any
+//! [`Sweep::with_threads`] value — parallelism changes wall time, never
+//! results. [`Sweep::max_loss`] keeps that promise for an inherently
+//! sequential loop by *speculating* ([`bisect_speculative`]): it
+//! evaluates the whole midpoint tree the bisection could visit next and
+//! then walks it, so the bracket sequence is exactly the sequential one.
+//!
+//! Each link-level sweep fans out once, in its fault-isolated form:
+//! every item runs under `catch_unwind` and reports its own result or
+//! panic message. The `try_` methods of [`Sweep`] partition those
+//! results into a [`SweepOutcome`](super::SweepOutcome); the plain
+//! methods return the first failure in input order and re-raise a
+//! panicked item with its own message.
 //!
 //! Built on `std::thread::scope` — no runtime dependency.
 //!
 //! The generic primitives (order-preserving map, speculative bisection)
 //! live in [`openserdes_analog::par`] so the analog sweeps share the
 //! same engine; this module re-exports them and keeps the link-level
-//! sweep wrappers.
+//! sweeps.
 
-use super::{SweepOutcome, SweepPoint};
-use crate::ber::BerTest;
+use super::{BathtubPoint, Slot, Sweep, SweepPoint};
 use crate::error::LinkError;
 use crate::link::LinkConfig;
 pub use openserdes_analog::par::{
     bisect_speculative, default_threads, map, map_with_threads, try_map_with_threads,
 };
 use openserdes_pdk::corner::Pvt;
-use openserdes_pdk::units::Hertz;
-use openserdes_phy::ChannelModel;
+use openserdes_pdk::units::{Hertz, Volt};
+use openserdes_phy::{FrontEndConfig, RxFrontEnd};
 use openserdes_telemetry as telemetry;
 
 /// Derives work item `k`'s RNG seed from the run seed. This is the
@@ -44,190 +50,56 @@ pub fn derive_seed(seed: u64, k: usize) -> u64 {
     seed ^ (k as u64).wrapping_mul(0x9E37_79B9)
 }
 
-/// Parallel [`super::bathtub`]: fans the phase points across workers.
-/// Seed-identical to the sequential curve — each phase's RNG is derived
-/// from `(seed, phase index)` in both.
-///
-/// # Errors
-///
-/// Propagates solver failures from the front-end characterization.
-#[deprecated(note = "use `Sweep::new().with_threads(..).bathtub(..)` (openserdes_core::Sweep)")]
-pub fn bathtub_parallel(
+/// The bathtub fan-out, one isolated item per phase. Each phase's RNG
+/// is derived from `(seed, phase index)`, so the curve is seed-identical
+/// at any worker count. The shared setup (PRBS stream, statistical
+/// model) fails the whole call — without it no phase is meaningful.
+pub(crate) fn bathtub(
+    sweep: &Sweep,
     config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<super::BathtubPoint>, LinkError> {
-    bathtub_par_impl(config, nbits, phases, seed, threads)
-}
-
-pub(crate) fn bathtub_par_impl(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<super::BathtubPoint>, LinkError> {
+) -> Result<Vec<Slot<BathtubPoint>>, LinkError> {
     let _span = telemetry::span("sweep.bathtub");
-    let (bits, model) = super::bathtub_setup(config, nbits)?;
-    let ks: Vec<usize> = (0..phases).collect();
-    Ok(map_with_threads(&ks, threads, |_, &k| {
-        super::bathtub_point(&bits, &model, k, phases, seed)
+    let (bits, model) = super::bathtub_setup(config, sweep.nbits)?;
+    let ks: Vec<usize> = (0..sweep.phases).collect();
+    Ok(try_map_with_threads(&ks, sweep.threads, |_, &k| {
+        Ok(super::bathtub_point(
+            &bits,
+            &model,
+            k,
+            sweep.phases,
+            sweep.seed,
+        ))
     }))
 }
 
-/// Fault-isolated [`bathtub_par_impl`]: a panicking phase lands in
-/// [`SweepOutcome::failed`] instead of aborting the sweep. The shared
-/// setup (PRBS stream, statistical model) still fails the whole call —
-/// without it no phase is meaningful.
-pub(crate) fn try_bathtub_par_impl(
-    config: &LinkConfig,
-    nbits: usize,
-    phases: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<SweepOutcome<super::BathtubPoint>, LinkError> {
-    let _span = telemetry::span("sweep.bathtub");
-    let (bits, model) = super::bathtub_setup(config, nbits)?;
-    let ks: Vec<usize> = (0..phases).collect();
-    let results = try_map_with_threads(&ks, threads, |_, &k| {
-        super::bathtub_point(&bits, &model, k, phases, seed)
-    });
-    Ok(SweepOutcome::collect(
-        results
-            .into_iter()
-            .map(|r| r.map(Ok::<_, LinkError>))
-            .collect(),
-    ))
-}
-
-/// Parallel [`super::max_loss_bisect`], bit-identical to the sequential
-/// bisection for any thread count. Runs on the shared
-/// [`bisect_speculative`] engine: the next levels of the bisection's
-/// midpoint tree are probed concurrently, then walked, so the bracket
-/// sequence is exactly the sequential one.
-///
-/// # Errors
-///
-/// Propagates link failures from the probes the bisection actually uses.
-#[deprecated(note = "use `Sweep::new().with_threads(..).max_loss(..)` (openserdes_core::Sweep)")]
-pub fn max_loss_bisect_parallel(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<f64, LinkError> {
-    max_loss_par_impl(base, frames, tol_db, threads)
-}
-
-pub(crate) fn max_loss_par_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<f64, LinkError> {
-    let _span = telemetry::span("sweep.max_loss_bisect");
-    let error_free = |db: f64| -> Result<bool, LinkError> {
-        telemetry::counter("sweep.bisect_probes", 1);
-        let mut cfg = base.clone();
-        cfg.channel = ChannelModel {
-            attenuation_db: db,
-            ..base.channel.clone()
-        };
-        BerTest::prbs31(cfg, frames).is_error_free()
-    };
-    let (lo, hi) = (0.0f64, 60.0f64);
-    if !error_free(lo)? {
-        return Ok(0.0);
-    }
-    if error_free(hi)? {
-        return Ok(hi);
-    }
-    let (lo, _hi) = bisect_speculative(lo, hi, tol_db, threads, error_free)?;
-    Ok(lo)
-}
-
-/// Maximum channel loss at each data rate, the points fanned across
-/// workers. Order follows `rates`; each point runs the *sequential*
-/// bisection, so results equal a serial loop over [`super::max_loss_bisect`].
-///
-/// # Errors
-///
-/// Propagates the first link failure in rate order.
-#[deprecated(note = "use `Sweep::new().with_threads(..).rate_sweep(..)` (openserdes_core::Sweep)")]
-pub fn rate_sweep_parallel(
+/// The rate-sweep fan-out, one isolated item per rate in `rates` order;
+/// each item runs the sequential loss bisection. The front-end
+/// characterization depends only on the PVT point, so it is solved once
+/// and shared; if it fails, each point re-solves its own sensitivity
+/// inside its isolated item instead of failing the sweep.
+pub(crate) fn rate_sweep(
+    sweep: &Sweep,
     base: &LinkConfig,
     rates: &[Hertz],
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, LinkError> {
-    rate_sweep_impl(base, rates, frames, tol_db, threads)
-}
-
-pub(crate) fn rate_sweep_impl(
-    base: &LinkConfig,
-    rates: &[Hertz],
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, LinkError> {
-    use openserdes_phy::{FrontEndConfig, RxFrontEnd};
+) -> Vec<Slot<SweepPoint>> {
     let _span = telemetry::span("sweep.rate_sweep");
-    // The small-signal characterization depends only on the PVT point,
-    // not the data rate: solve the front-end bias once and evaluate
-    // every rate from it instead of re-solving inside each work item.
-    let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), base.pvt);
-    let ss = fe.small_signal()?;
-    let results = map_with_threads(rates, threads, |_, &rate| {
-        telemetry::counter("sweep.rate_points", 1);
-        let mut cfg = base.clone();
-        cfg.data_rate = rate;
-        let max_loss_db = super::max_loss_impl(&cfg, frames, tol_db)?;
-        Ok(SweepPoint {
-            data_rate: rate,
-            sensitivity: fe.sensitivity_with(&ss, rate),
-            max_loss_db,
-        })
-    });
-    results.into_iter().collect()
-}
-
-/// Fault-isolated [`rate_sweep_impl`]: each rate point runs in its own
-/// `catch_unwind`, so one poisoned rate reports in
-/// [`SweepOutcome::failed`] while the others complete.
-pub(crate) fn try_rate_sweep_impl(
-    base: &LinkConfig,
-    rates: &[Hertz],
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> SweepOutcome<SweepPoint> {
-    use openserdes_phy::{FrontEndConfig, RxFrontEnd};
-    let _span = telemetry::span("sweep.rate_sweep");
-    // Characterize once as in `rate_sweep_impl` — but in the
-    // fault-isolated variant a failed characterization must not kill
-    // the sweep, so fall back to per-point solves (each of which fails
-    // in isolation) instead of propagating.
     let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), base.pvt);
     let ss = fe.small_signal().ok();
-    let results = try_map_with_threads(rates, threads, |_, &rate| {
+    try_map_with_threads(rates, sweep.threads, |_, &rate| {
         telemetry::counter("sweep.rate_points", 1);
         let mut cfg = base.clone();
         cfg.data_rate = rate;
-        let max_loss_db = super::max_loss_impl(&cfg, frames, tol_db)?;
+        let max_loss_db = super::max_loss_impl(&cfg, sweep.frames, sweep.tol_db)?;
         let sensitivity = match &ss {
             Some(ss) => fe.sensitivity_with(ss, rate),
             None => fe.sensitivity(rate)?,
         };
-        Ok::<_, LinkError>(SweepPoint {
+        Ok(SweepPoint {
             data_rate: rate,
             sensitivity,
             max_loss_db,
         })
-    });
-    SweepOutcome::collect(results)
+    })
 }
 
 /// One corner sweep entry: the PVT point, its measured loss budget and
@@ -243,18 +115,14 @@ pub struct CornerPoint {
     /// solve (`RxFrontEnd::self_bias_batched`): the corner circuits
     /// differ only in device parameters, so they share a stamp plan and
     /// iterate in lockstep.
-    pub sensitivity: openserdes_pdk::units::Volt,
+    pub sensitivity: Volt,
 }
 
 /// The batched corner pre-pass: every corner's front-end bias in one
 /// lockstep DC solve, then the solver-free sensitivity evaluation per
-/// corner. Returns `None` per corner on solver failure so the
-/// fault-isolated sweep can retry inside the isolated work item.
-fn corner_sensitivities(
-    base: &LinkConfig,
-    corners: &[Pvt],
-) -> Vec<Option<openserdes_pdk::units::Volt>> {
-    use openserdes_phy::{FrontEndConfig, RxFrontEnd};
+/// corner. Returns `None` per corner on solver failure so each corner
+/// can retry inside its isolated work item.
+fn corner_sensitivities(base: &LinkConfig, corners: &[Pvt]) -> Vec<Option<Volt>> {
     let fes: Vec<RxFrontEnd> = corners
         .iter()
         .map(|&pvt| RxFrontEnd::new(FrontEndConfig::paper_default(), pvt))
@@ -271,37 +139,17 @@ fn corner_sensitivities(
     }
 }
 
-/// Maximum channel loss at the three classic PVT corners (tt/ss/ff),
-/// fanned across workers, in `[nominal, worst_case, best_case]` order.
-///
-/// # Errors
-///
-/// Propagates the first link failure in corner order.
-#[deprecated(
-    note = "use `Sweep::new().with_threads(..).corner_sweep(..)` (openserdes_core::Sweep)"
-)]
-pub fn corner_sweep_parallel(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<CornerPoint>, LinkError> {
-    corner_sweep_impl(base, frames, tol_db, threads)
-}
-
-pub(crate) fn corner_sweep_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> Result<Vec<CornerPoint>, LinkError> {
-    use openserdes_phy::{FrontEndConfig, RxFrontEnd};
+/// The corner-sweep fan-out over the three classic PVT corners
+/// (tt/ss/ff), one isolated item per corner in
+/// `[nominal, worst_case, best_case]` order. The batched bias pre-pass
+/// is shared; if it fails, each corner re-solves its own sensitivity
+/// inside its isolated item.
+pub(crate) fn corner_sweep(sweep: &Sweep, base: &LinkConfig) -> Vec<Slot<CornerPoint>> {
     let _span = telemetry::span("sweep.corner_sweep");
     let corners = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()];
     let sens = corner_sensitivities(base, &corners);
-    let items: Vec<(Pvt, Option<openserdes_pdk::units::Volt>)> =
-        corners.into_iter().zip(sens).collect();
-    let results = map_with_threads(&items, threads, |_, &(pvt, sens)| {
+    let items: Vec<(Pvt, Option<Volt>)> = corners.into_iter().zip(sens).collect();
+    try_map_with_threads(&items, sweep.threads, |_, &(pvt, sens)| {
         telemetry::counter("sweep.corner_points", 1);
         let mut cfg = base.clone();
         cfg.pvt = pvt;
@@ -313,45 +161,10 @@ pub(crate) fn corner_sweep_impl(
         };
         Ok(CornerPoint {
             pvt,
-            max_loss_db: super::max_loss_impl(&cfg, frames, tol_db)?,
+            max_loss_db: super::max_loss_impl(&cfg, sweep.frames, sweep.tol_db)?,
             sensitivity,
         })
-    });
-    results.into_iter().collect()
-}
-
-/// Fault-isolated [`corner_sweep_impl`], one isolated item per corner.
-/// The batched bias pre-pass is shared; if it fails, each corner
-/// re-solves its own sensitivity inside its isolated work item.
-pub(crate) fn try_corner_sweep_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-    threads: usize,
-) -> SweepOutcome<CornerPoint> {
-    use openserdes_phy::{FrontEndConfig, RxFrontEnd};
-    let _span = telemetry::span("sweep.corner_sweep");
-    let corners = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()];
-    let sens = corner_sensitivities(base, &corners);
-    let items: Vec<(Pvt, Option<openserdes_pdk::units::Volt>)> =
-        corners.into_iter().zip(sens).collect();
-    let results = try_map_with_threads(&items, threads, |_, &(pvt, sens)| {
-        telemetry::counter("sweep.corner_points", 1);
-        let mut cfg = base.clone();
-        cfg.pvt = pvt;
-        let sensitivity = match sens {
-            Some(v) => v,
-            None => {
-                RxFrontEnd::new(FrontEndConfig::paper_default(), pvt).sensitivity(base.data_rate)?
-            }
-        };
-        Ok::<_, LinkError>(CornerPoint {
-            pvt,
-            max_loss_db: super::max_loss_impl(&cfg, frames, tol_db)?,
-            sensitivity,
-        })
-    });
-    SweepOutcome::collect(results)
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use openserdes_netlist::NetlistError;
 use std::error::Error;
 use std::fmt;
 
-/// Why [`crate::run_flow`] refused to produce a layout.
+/// Why [`crate::Flow::run`] refused to produce a layout.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
     /// A netlist-level structural error (from synthesis or STA).

@@ -5,8 +5,7 @@
 //! [`Flow::run`] takes a [`Design`] and produces a [`FlowResult`]
 //! carrying every intermediate artifact plus a stage log, so callers
 //! can reproduce the paper's area/power breakdowns (Figs. 10–11) block
-//! by block. The free function [`run_flow`] is the deprecated
-//! pre-builder spelling of the same engine.
+//! by block.
 
 use crate::error::FlowError;
 use crate::floorplan::Floorplan;
@@ -229,9 +228,8 @@ fn cts_estimate(flops: usize, library: &Library, clock: Hertz) -> CtsReport {
     }
 }
 
-/// The RTL→layout flow as a configured object: the canonical
-/// entry point behind both the deprecated [`run_flow`] free function
-/// and `Session::run_flow`.
+/// The RTL→layout flow as a configured object: the one entry point,
+/// also behind `Session::run_flow`.
 ///
 /// Built with the same consuming-builder idiom as
 /// [`openserdes_lint::LintConfig`]:
@@ -296,63 +294,45 @@ impl Flow {
     /// synthesis or STA produce an invalid netlist (which indicates an
     /// IR bug and is surfaced rather than masked).
     pub fn run(&self, design: &Design) -> Result<FlowResult, FlowError> {
-        run_flow_impl(design, &self.config)
-    }
-}
+        let config = &self.config;
+        let _span = telemetry::span("flow.run");
+        let mut log = Vec::new();
+        let library = Library::sky130(config.pvt);
+        log.push(format!(
+            "[flow] design `{}` @ {} / clock {:.3} GHz",
+            design.name(),
+            config.pvt,
+            config.clock.ghz()
+        ));
 
-/// Runs the complete flow on a design.
-///
-/// # Errors
-///
-/// Returns [`FlowError::Lint`] if the design-lint gate finds
-/// Error-level diagnostics (on the RTL IR before synthesis, or on the
-/// mapped netlist after), and [`FlowError::Netlist`] if synthesis or
-/// STA produce an invalid netlist (which indicates an IR bug and is
-/// surfaced rather than masked).
-#[deprecated(note = "use `Flow::new().with_config(..).run(..)` or `Session::run_flow`")]
-pub fn run_flow(design: &Design, config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    run_flow_impl(design, config)
-}
+        // Stage 0: the IR half of the lint gate (yosys' `check` stand-in) —
+        // broken RTL is rejected before any stage spends time on it.
+        let lint_span = telemetry::span("flow.lint");
+        let ir_lint = design.lint(&config.lint);
+        telemetry::counter("flow.lint_findings", ir_lint.findings().len() as u64);
+        drop(lint_span);
+        log.push(format!(
+            "[lint] ir: {} error(s), {} warning(s), {} info(s)",
+            ir_lint.count(openserdes_lint::Severity::Error),
+            ir_lint.count(openserdes_lint::Severity::Warn),
+            ir_lint.count(openserdes_lint::Severity::Info)
+        ));
+        if ir_lint.has_errors() {
+            return Err(FlowError::Lint(ir_lint));
+        }
 
-fn run_flow_impl(design: &Design, config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    let _span = telemetry::span("flow.run");
-    let mut log = Vec::new();
-    let library = Library::sky130(config.pvt);
-    log.push(format!(
-        "[flow] design `{}` @ {} / clock {:.3} GHz",
-        design.name(),
-        config.pvt,
-        config.clock.ghz()
-    ));
-
-    // Stage 0: the IR half of the lint gate (yosys' `check` stand-in) —
-    // broken RTL is rejected before any stage spends time on it.
-    let lint_span = telemetry::span("flow.lint");
-    let ir_lint = design.lint(&config.lint);
-    telemetry::counter("flow.lint_findings", ir_lint.findings().len() as u64);
-    drop(lint_span);
-    log.push(format!(
-        "[lint] ir: {} error(s), {} warning(s), {} info(s)",
-        ir_lint.count(openserdes_lint::Severity::Error),
-        ir_lint.count(openserdes_lint::Severity::Warn),
-        ir_lint.count(openserdes_lint::Severity::Info)
-    ));
-    if ir_lint.has_errors() {
-        return Err(FlowError::Lint(ir_lint));
-    }
-
-    // Stage 1: synthesis (yosys + ABC stand-in) plus timing-driven
-    // sizing (the resizer step of OpenLANE's optimization).
-    let synth_span = telemetry::span("flow.synthesis");
-    let mut synth = synthesize(design, &library)?;
-    let mut sta_cfg = StaConfig::at_clock(config.clock);
-    sta_cfg.multicycle = synth.multicycle.clone();
-    let bumps = optimize_timing(&mut synth.netlist, &library, &sta_cfg);
-    let stats = NetlistStats::compute(&synth.netlist, &library);
-    telemetry::counter("flow.cells", stats.cell_count as u64);
-    telemetry::counter("flow.flops", stats.flop_count as u64);
-    drop(synth_span);
-    log.push(format!(
+        // Stage 1: synthesis (yosys + ABC stand-in) plus timing-driven
+        // sizing (the resizer step of OpenLANE's optimization).
+        let synth_span = telemetry::span("flow.synthesis");
+        let mut synth = synthesize(design, &library)?;
+        let mut sta_cfg = StaConfig::at_clock(config.clock);
+        sta_cfg.multicycle = synth.multicycle.clone();
+        let bumps = optimize_timing(&mut synth.netlist, &library, &sta_cfg);
+        let stats = NetlistStats::compute(&synth.netlist, &library);
+        telemetry::counter("flow.cells", stats.cell_count as u64);
+        telemetry::counter("flow.flops", stats.flop_count as u64);
+        drop(synth_span);
+        log.push(format!(
         "[synthesis] {} cells ({} flops), {} IR nodes eliminated, {} upsized cells, area {:.1} µm²",
         stats.cell_count,
         stats.flop_count,
@@ -361,135 +341,136 @@ fn run_flow_impl(design: &Design, config: &FlowConfig) -> Result<FlowResult, Flo
         stats.area.value()
     ));
 
-    // Lint gate, netlist half: full gate-level ERC (including the
-    // drive/fanout audit against the characterized library) on the
-    // mapped netlist before committing to physical design.
-    let lint_span = telemetry::span("flow.lint");
-    let nl_lint = synth.netlist.lint_with_library(&library, &config.lint);
-    telemetry::counter("flow.lint_findings", nl_lint.findings().len() as u64);
-    drop(lint_span);
-    log.push(format!(
-        "[lint] netlist: {} error(s), {} warning(s), {} info(s)",
-        nl_lint.count(openserdes_lint::Severity::Error),
-        nl_lint.count(openserdes_lint::Severity::Warn),
-        nl_lint.count(openserdes_lint::Severity::Info)
-    ));
-    if nl_lint.has_errors() {
-        return Err(FlowError::Lint(nl_lint));
+        // Lint gate, netlist half: full gate-level ERC (including the
+        // drive/fanout audit against the characterized library) on the
+        // mapped netlist before committing to physical design.
+        let lint_span = telemetry::span("flow.lint");
+        let nl_lint = synth.netlist.lint_with_library(&library, &config.lint);
+        telemetry::counter("flow.lint_findings", nl_lint.findings().len() as u64);
+        drop(lint_span);
+        log.push(format!(
+            "[lint] netlist: {} error(s), {} warning(s), {} info(s)",
+            nl_lint.count(openserdes_lint::Severity::Error),
+            nl_lint.count(openserdes_lint::Severity::Warn),
+            nl_lint.count(openserdes_lint::Severity::Info)
+        ));
+        if nl_lint.has_errors() {
+            return Err(FlowError::Lint(nl_lint));
+        }
+
+        // Stage 2: floorplan (init_fp stand-in).
+        let fp_span = telemetry::span("flow.floorplan");
+        let floorplan = Floorplan::for_area(stats.area, config.utilization, config.aspect);
+        drop(fp_span);
+        log.push(format!(
+            "[floorplan] die {:.1} × {:.1} µm, {} rows, utilization {:.0}%",
+            floorplan.width.value(),
+            floorplan.height.value(),
+            floorplan.rows,
+            config.utilization * 100.0
+        ));
+
+        // Stage 3: placement (RePlAce/OpenDP stand-in).
+        let place_span = telemetry::span("flow.place");
+        let mut placement = place_greedy(&synth.netlist, &library, &floorplan);
+        let anneal_stats = anneal(
+            &synth.netlist,
+            &mut placement,
+            config.seed,
+            config.anneal_iterations,
+        );
+        telemetry::counter("flow.anneal_moves", anneal_stats.attempted as u64);
+        drop(place_span);
+        log.push(format!(
+            "[placement] HPWL {:.1} → {:.1} µm ({} / {} moves accepted)",
+            anneal_stats.initial_hpwl,
+            anneal_stats.final_hpwl,
+            anneal_stats.accepted,
+            anneal_stats.attempted
+        ));
+
+        // Stage 4: clock-tree synthesis (TritonCTS stand-in).
+        let cts_span = telemetry::span("flow.cts");
+        let cts = cts_estimate(stats.flop_count, &library, config.clock);
+        telemetry::counter("flow.clock_buffers", cts.buffers as u64);
+        drop(cts_span);
+        log.push(format!(
+            "[cts] {} buffers in {} levels, +{:.1} µm², +{:.3} mW",
+            cts.buffers,
+            cts.levels,
+            cts.added_area.value(),
+            cts.power.mw()
+        ));
+
+        // Stage 5: global routing (FastRoute stand-in).
+        let route_span = telemetry::span("flow.route");
+        let route = global_route(&synth.netlist, &placement);
+        telemetry::counter("flow.routed_nets", route.iter().count() as u64);
+        drop(route_span);
+        log.push(format!(
+            "[routing] total wirelength {:.1} µm, peak congestion {:.2}",
+            route.total_length.value(),
+            route.peak_congestion
+        ));
+
+        // Stage 6: STA (OpenSTA stand-in), honouring multicycle exceptions.
+        let sta_span = telemetry::span("flow.sta");
+        let timing = Sta::new()
+            .with_config(sta_cfg)
+            .run(&synth.netlist, &library, Some(&route))?;
+        telemetry::counter("flow.timing_violations", timing.violations as u64);
+        drop(sta_span);
+        log.push(format!(
+            "[sta] wns {:.1} ps, tns {:.1} ps, {} violations, fmax {:.3} GHz",
+            timing.wns.ps(),
+            timing.tns.ps(),
+            timing.violations,
+            timing.fmax.ghz()
+        ));
+
+        // Lint gate, timing half: the STA's TM findings pass through the
+        // same severity machinery as the IR and netlist gates.
+        let tm_lint = timing.to_lint(&config.lint);
+        telemetry::counter("flow.lint_findings", tm_lint.findings().len() as u64);
+        log.push(format!(
+            "[lint] timing: {} error(s), {} warning(s), {} info(s)",
+            tm_lint.count(openserdes_lint::Severity::Error),
+            tm_lint.count(openserdes_lint::Severity::Warn),
+            tm_lint.count(openserdes_lint::Severity::Info)
+        ));
+        if tm_lint.has_errors() {
+            return Err(FlowError::Lint(tm_lint));
+        }
+
+        // Stage 7: power signoff.
+        let power_span = telemetry::span("flow.power");
+        let mut pcfg = PowerConfig::at_clock(config.clock);
+        pcfg.activity = config.activity;
+        let power = analyze_power(&synth.netlist, &library, Some(&route), &pcfg);
+        drop(power_span);
+        log.push(format!(
+            "[power] total {:.3} mW (switching {:.3}, internal {:.3}, clock {:.3}, leakage {:.4})",
+            power.total().mw() + cts.power.mw(),
+            power.switching.mw(),
+            power.internal.mw(),
+            power.clock_tree.mw() + cts.power.mw(),
+            power.leakage.mw()
+        ));
+        log.push("[signoff] flow complete".to_string());
+
+        Ok(FlowResult {
+            synth,
+            stats,
+            floorplan,
+            placement,
+            anneal: anneal_stats,
+            cts,
+            route,
+            timing,
+            power,
+            log,
+        })
     }
-
-    // Stage 2: floorplan (init_fp stand-in).
-    let fp_span = telemetry::span("flow.floorplan");
-    let floorplan = Floorplan::for_area(stats.area, config.utilization, config.aspect);
-    drop(fp_span);
-    log.push(format!(
-        "[floorplan] die {:.1} × {:.1} µm, {} rows, utilization {:.0}%",
-        floorplan.width.value(),
-        floorplan.height.value(),
-        floorplan.rows,
-        config.utilization * 100.0
-    ));
-
-    // Stage 3: placement (RePlAce/OpenDP stand-in).
-    let place_span = telemetry::span("flow.place");
-    let mut placement = place_greedy(&synth.netlist, &library, &floorplan);
-    let anneal_stats = anneal(
-        &synth.netlist,
-        &mut placement,
-        config.seed,
-        config.anneal_iterations,
-    );
-    telemetry::counter("flow.anneal_moves", anneal_stats.attempted as u64);
-    drop(place_span);
-    log.push(format!(
-        "[placement] HPWL {:.1} → {:.1} µm ({} / {} moves accepted)",
-        anneal_stats.initial_hpwl,
-        anneal_stats.final_hpwl,
-        anneal_stats.accepted,
-        anneal_stats.attempted
-    ));
-
-    // Stage 4: clock-tree synthesis (TritonCTS stand-in).
-    let cts_span = telemetry::span("flow.cts");
-    let cts = cts_estimate(stats.flop_count, &library, config.clock);
-    telemetry::counter("flow.clock_buffers", cts.buffers as u64);
-    drop(cts_span);
-    log.push(format!(
-        "[cts] {} buffers in {} levels, +{:.1} µm², +{:.3} mW",
-        cts.buffers,
-        cts.levels,
-        cts.added_area.value(),
-        cts.power.mw()
-    ));
-
-    // Stage 5: global routing (FastRoute stand-in).
-    let route_span = telemetry::span("flow.route");
-    let route = global_route(&synth.netlist, &placement);
-    telemetry::counter("flow.routed_nets", route.iter().count() as u64);
-    drop(route_span);
-    log.push(format!(
-        "[routing] total wirelength {:.1} µm, peak congestion {:.2}",
-        route.total_length.value(),
-        route.peak_congestion
-    ));
-
-    // Stage 6: STA (OpenSTA stand-in), honouring multicycle exceptions.
-    let sta_span = telemetry::span("flow.sta");
-    let timing = Sta::new()
-        .with_config(sta_cfg)
-        .run(&synth.netlist, &library, Some(&route))?;
-    telemetry::counter("flow.timing_violations", timing.violations as u64);
-    drop(sta_span);
-    log.push(format!(
-        "[sta] wns {:.1} ps, tns {:.1} ps, {} violations, fmax {:.3} GHz",
-        timing.wns.ps(),
-        timing.tns.ps(),
-        timing.violations,
-        timing.fmax.ghz()
-    ));
-
-    // Lint gate, timing half: the STA's TM findings pass through the
-    // same severity machinery as the IR and netlist gates.
-    let tm_lint = timing.to_lint(&config.lint);
-    telemetry::counter("flow.lint_findings", tm_lint.findings().len() as u64);
-    log.push(format!(
-        "[lint] timing: {} error(s), {} warning(s), {} info(s)",
-        tm_lint.count(openserdes_lint::Severity::Error),
-        tm_lint.count(openserdes_lint::Severity::Warn),
-        tm_lint.count(openserdes_lint::Severity::Info)
-    ));
-    if tm_lint.has_errors() {
-        return Err(FlowError::Lint(tm_lint));
-    }
-
-    // Stage 7: power signoff.
-    let power_span = telemetry::span("flow.power");
-    let mut pcfg = PowerConfig::at_clock(config.clock);
-    pcfg.activity = config.activity;
-    let power = analyze_power(&synth.netlist, &library, Some(&route), &pcfg);
-    drop(power_span);
-    log.push(format!(
-        "[power] total {:.3} mW (switching {:.3}, internal {:.3}, clock {:.3}, leakage {:.4})",
-        power.total().mw() + cts.power.mw(),
-        power.switching.mw(),
-        power.internal.mw(),
-        power.clock_tree.mw() + cts.power.mw(),
-        power.leakage.mw()
-    ));
-    log.push("[signoff] flow complete".to_string());
-
-    Ok(FlowResult {
-        synth,
-        stats,
-        floorplan,
-        placement,
-        anneal: anneal_stats,
-        cts,
-        route,
-        timing,
-        power,
-        log,
-    })
 }
 
 #[cfg(test)]

@@ -53,11 +53,7 @@ pub mod synth;
 
 pub use error::FlowError;
 pub use export::{to_def, to_verilog};
-#[allow(deprecated)]
-pub use flow::run_flow;
 pub use flow::{optimize_timing, CtsReport, Flow, FlowConfig, FlowResult};
 pub use power::{analyze_power, PowerConfig, PowerReport};
-#[allow(deprecated)]
-pub use sta::analyze;
 pub use sta::{ClockDomain, Endpoint, PathReport, PathStage, Sta, StaConfig, StaReport};
 pub use synth::{synthesize, SynthResult};

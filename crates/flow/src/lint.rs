@@ -31,164 +31,147 @@ impl Lattice {
 impl Design {
     /// Run the `IR0xx` rule set over this design.
     pub fn lint(&self, cfg: &LintConfig) -> LintReport {
-        lint_design(self, cfg)
-    }
-}
+        let mut report = LintReport::new(self.name(), "ir");
 
-/// Run the `IR0xx` rule set over a design.
-///
-/// # Deprecated
-///
-/// The same engine is reachable as the inherent [`Design::lint`] method
-/// (or `Session::lint` at the top level).
-#[deprecated(note = "use `Design::lint` or `Session::lint`")]
-pub fn lint(design: &Design, cfg: &LintConfig) -> LintReport {
-    lint_design(design, cfg)
-}
+        // IR001 — unconnected registers.
+        let mut unconnected = vec![false; self.reg_count()];
+        for (idx, flag) in unconnected.iter_mut().enumerate() {
+            if self.reg_d_opt(idx).is_none() {
+                *flag = true;
+                report.add(
+                    cfg,
+                    Finding::new(
+                        Rule::UnconnectedRegister,
+                        format!("register r{idx} has no data input connected"),
+                    )
+                    .at_reg(format!("r{idx}"), idx),
+                );
+            }
+        }
 
-fn lint_design(design: &Design, cfg: &LintConfig) -> LintReport {
-    let mut report = LintReport::new(design.name(), "ir");
+        // Liveness: reverse reachability from the primary outputs, walking
+        // operands and crossing registers via their D inputs.
+        let nodes = self.nodes();
+        let live = live_nodes(self);
 
-    // IR001 — unconnected registers.
-    let mut unconnected = vec![false; design.reg_count()];
-    for (idx, flag) in unconnected.iter_mut().enumerate() {
-        if design.reg_d_opt(idx).is_none() {
-            *flag = true;
+        // IR002 — dead logic nodes. One aggregate finding: a dead subtree
+        // can hold hundreds of nodes and per-node findings would drown the
+        // report. Inputs and constants are exempt (IR004 covers inputs).
+        let dead: Vec<usize> = (0..nodes.len())
+            .filter(|&i| !live[i] && !matches!(nodes[i], NodeOp::Input(_) | NodeOp::Const(_)))
+            .collect();
+        if !dead.is_empty() {
+            let examples: Vec<String> = dead.iter().take(5).map(|i| format!("s{i}")).collect();
             report.add(
                 cfg,
                 Finding::new(
-                    Rule::UnconnectedRegister,
-                    format!("register r{idx} has no data input connected"),
+                    Rule::DeadNode,
+                    format!(
+                        "{} logic node(s) cannot reach any primary output (e.g. {})",
+                        dead.len(),
+                        examples.join(", ")
+                    ),
+                )
+                .at_sig(format!("s{}", dead[0]), dead[0]),
+            );
+        }
+
+        // IR003 — constant registers, by three-valued constant propagation:
+        // inputs are unknown (⊤), registers start from their power-up value
+        // (0) and accumulate every value their D input can take.
+        for (idx, value) in constant_registers(self, &unconnected) {
+            report.add(
+                cfg,
+                Finding::new(
+                    Rule::ConstantRegister,
+                    format!(
+                        "register r{idx} provably never leaves its power-up value \
+                     ({}): dead state",
+                        u8::from(value)
+                    ),
                 )
                 .at_reg(format!("r{idx}"), idx),
             );
         }
-    }
 
-    // Liveness: reverse reachability from the primary outputs, walking
-    // operands and crossing registers via their D inputs.
-    let nodes = design.nodes();
-    let live = live_nodes(design);
-
-    // IR002 — dead logic nodes. One aggregate finding: a dead subtree
-    // can hold hundreds of nodes and per-node findings would drown the
-    // report. Inputs and constants are exempt (IR004 covers inputs).
-    let dead: Vec<usize> = (0..nodes.len())
-        .filter(|&i| !live[i] && !matches!(nodes[i], NodeOp::Input(_) | NodeOp::Const(_)))
-        .collect();
-    if !dead.is_empty() {
-        let examples: Vec<String> = dead.iter().take(5).map(|i| format!("s{i}")).collect();
-        report.add(
-            cfg,
-            Finding::new(
-                Rule::DeadNode,
-                format!(
-                    "{} logic node(s) cannot reach any primary output (e.g. {})",
-                    dead.len(),
-                    examples.join(", ")
-                ),
-            )
-            .at_sig(format!("s{}", dead[0]), dead[0]),
-        );
-    }
-
-    // IR003 — constant registers, by three-valued constant propagation:
-    // inputs are unknown (⊤), registers start from their power-up value
-    // (0) and accumulate every value their D input can take.
-    for (idx, value) in constant_registers(design, &unconnected) {
-        report.add(
-            cfg,
-            Finding::new(
-                Rule::ConstantRegister,
-                format!(
-                    "register r{idx} provably never leaves its power-up value \
-                     ({}): dead state",
-                    u8::from(value)
-                ),
-            )
-            .at_reg(format!("r{idx}"), idx),
-        );
-    }
-
-    // IR004 — unused primary inputs: no node reads them and they are not
-    // wired straight to an output.
-    let mut input_read = vec![false; design.input_names().len()];
-    for op in nodes {
-        for s in operands(op) {
-            if let NodeOp::Input(idx) = nodes[s.index()] {
+        // IR004 — unused primary inputs: no node reads them and they are not
+        // wired straight to an output.
+        let mut input_read = vec![false; self.input_names().len()];
+        for op in nodes {
+            for s in operands(op) {
+                if let NodeOp::Input(idx) = nodes[s.index()] {
+                    input_read[idx] = true;
+                }
+            }
+        }
+        for &(_, sig) in self.outputs() {
+            if let NodeOp::Input(idx) = nodes[sig.index()] {
                 input_read[idx] = true;
             }
         }
-    }
-    for &(_, sig) in design.outputs() {
-        if let NodeOp::Input(idx) = nodes[sig.index()] {
-            input_read[idx] = true;
+        for (idx, name) in self.input_names().iter().enumerate() {
+            if !input_read[idx] {
+                report.add(
+                    cfg,
+                    Finding::new(
+                        Rule::UnusedInput,
+                        format!("primary input `{name}` drives nothing"),
+                    )
+                    .at_sig(name, idx),
+                );
+            }
         }
-    }
-    for (idx, name) in design.input_names().iter().enumerate() {
-        if !input_read[idx] {
-            report.add(
-                cfg,
-                Finding::new(
-                    Rule::UnusedInput,
-                    format!("primary input `{name}` drives nothing"),
-                )
-                .at_sig(name, idx),
-            );
-        }
-    }
 
-    // IR005 — ragged buses: `name[i]` ports must cover 0..n contiguously.
-    for (base, indices) in bus_indices(design.input_names().iter().map(String::as_str))
-        .into_iter()
-        .chain(bus_indices(
-            design.outputs().iter().map(|(n, _)| n.as_str()),
-        ))
-    {
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let contiguous = sorted.len() == indices.len()
-            && sorted.first() == Some(&0)
-            && sorted.len() == sorted.last().map_or(0, |l| l + 1);
-        if !contiguous {
-            report.add(
-                cfg,
-                Finding::new(
-                    Rule::RaggedBus,
-                    format!(
-                        "bus port `{base}` has non-contiguous or duplicate bit indices \
+        // IR005 — ragged buses: `name[i]` ports must cover 0..n contiguously.
+        for (base, indices) in bus_indices(self.input_names().iter().map(String::as_str))
+            .into_iter()
+            .chain(bus_indices(self.outputs().iter().map(|(n, _)| n.as_str())))
+        {
+            let mut sorted = indices.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let contiguous = sorted.len() == indices.len()
+                && sorted.first() == Some(&0)
+                && sorted.len() == sorted.last().map_or(0, |l| l + 1);
+            if !contiguous {
+                report.add(
+                    cfg,
+                    Finding::new(
+                        Rule::RaggedBus,
+                        format!(
+                            "bus port `{base}` has non-contiguous or duplicate bit indices \
                          ({} bit(s), highest index {})",
-                        indices.len(),
-                        sorted.last().copied().unwrap_or(0)
-                    ),
-                )
-                .at_sig(base, sorted.first().copied().unwrap_or(0)),
-            );
+                            indices.len(),
+                            sorted.last().copied().unwrap_or(0)
+                        ),
+                    )
+                    .at_sig(base, sorted.first().copied().unwrap_or(0)),
+                );
+            }
         }
-    }
 
-    // IR006 — duplicate multicycle exceptions on one register.
-    let mut seen: HashMap<usize, u32> = HashMap::new();
-    for &(reg, factor) in design.multicycle() {
-        if let Some(&prev) = seen.get(&reg) {
-            report.add(
-                cfg,
-                Finding::new(
-                    Rule::DuplicateMulticycle,
-                    format!(
-                        "register r{reg} carries more than one multicycle exception \
+        // IR006 — duplicate multicycle exceptions on one register.
+        let mut seen: HashMap<usize, u32> = HashMap::new();
+        for &(reg, factor) in self.multicycle() {
+            if let Some(&prev) = seen.get(&reg) {
+                report.add(
+                    cfg,
+                    Finding::new(
+                        Rule::DuplicateMulticycle,
+                        format!(
+                            "register r{reg} carries more than one multicycle exception \
                          (×{prev} then ×{factor}); only one is honoured"
-                    ),
-                )
-                .at_reg(format!("r{reg}"), reg),
-            );
-        } else {
-            seen.insert(reg, factor);
+                        ),
+                    )
+                    .at_reg(format!("r{reg}"), reg),
+                );
+            } else {
+                seen.insert(reg, factor);
+            }
         }
-    }
 
-    report
+        report
+    }
 }
 
 fn operands(op: &NodeOp) -> Vec<Sig> {

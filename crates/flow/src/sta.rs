@@ -324,38 +324,6 @@ impl Sta {
     pub fn config(&self) -> &StaConfig {
         &self.config
     }
-
-    /// Runs the analysis.
-    ///
-    /// When `route` is provided, per-net wire RC from the global route
-    /// is used; otherwise the pre-layout wireload model estimates it.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`NetlistError`] if the netlist fails validation.
-    pub fn run(
-        &self,
-        netlist: &Netlist,
-        library: &Library,
-        route: Option<&RouteResult>,
-    ) -> Result<StaReport, NetlistError> {
-        run_impl(netlist, library, route, &self.config)
-    }
-}
-
-/// Runs static timing analysis.
-///
-/// # Errors
-///
-/// Returns a [`NetlistError`] if the netlist fails validation.
-#[deprecated(note = "use `Sta::new().with_config(..).run(..)` or `Session::sta` instead")]
-pub fn analyze(
-    netlist: &Netlist,
-    library: &Library,
-    route: Option<&RouteResult>,
-    config: StaConfig,
-) -> Result<StaReport, NetlistError> {
-    run_impl(netlist, library, route, &config)
 }
 
 /// Walks a flop's clock net back through single-input combinational
@@ -422,133 +390,143 @@ fn fanin_sources(
     (sources, reached_input)
 }
 
-fn run_impl(
-    netlist: &Netlist,
-    library: &Library,
-    route: Option<&RouteResult>,
-    config: &StaConfig,
-) -> Result<StaReport, NetlistError> {
-    let _run_span = telemetry::span("sta.run");
-    netlist.check()?;
-    let order = netlist.topo_order()?;
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
-    let wireload = WireloadModel::small_block();
-    let period = 1.0 / config.clock.value();
+impl Sta {
+    /// Runs the analysis.
+    ///
+    /// When `route` is provided, per-net wire RC from the global route
+    /// is used; otherwise the pre-layout wireload model estimates it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`NetlistError`] if the netlist fails validation.
+    pub fn run(
+        &self,
+        netlist: &Netlist,
+        library: &Library,
+        route: Option<&RouteResult>,
+    ) -> Result<StaReport, NetlistError> {
+        let config = &self.config;
+        let _run_span = telemetry::span("sta.run");
+        netlist.check()?;
+        let order = netlist.topo_order()?;
+        let fanout = netlist.fanout_table();
+        let drivers = netlist.driver_table();
+        let wireload = WireloadModel::small_block();
+        let period = 1.0 / config.clock.value();
 
-    // Per-net capacitive load (pins + wire) and wire Elmore delay.
-    let n_nets = netlist.net_count();
-    let n_cells = netlist.cell_count();
-    let mut load = vec![0.0f64; n_nets];
-    let mut wire_delay = vec![0.0f64; n_nets];
-    for net in netlist.net_ids() {
-        let sinks = &fanout[net.index()];
-        let mut pin_c = 0.0;
-        for &s in sinks {
-            let inst = netlist.instance(s);
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
-            pin_c += if inst.clock == Some(net) && !inst.inputs.contains(&net) {
-                cell.clock_cap.value()
-            } else {
-                cell.input_cap.value()
-            };
-        }
-        let (wire_c, wire_r) = match route {
-            Some(r) => {
-                let rn = r.net(net);
-                (rn.capacitance().value(), rn.resistance().value())
-            }
-            None => (
-                wireload.capacitance(sinks.len()).value(),
-                wireload.resistance(sinks.len()).value(),
-            ),
-        };
-        load[net.index()] = pin_c + wire_c;
-        wire_delay[net.index()] = wire_r * (0.5 * wire_c + pin_c);
-    }
-
-    // Clock network: per-flop insertion delay, clock-pin slew and
-    // domain membership by tracing back to each clock root.
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut ins = vec![0.0f64; n_cells];
-    let mut clk_pin_slew = vec![config.clock_slew.value(); n_cells];
-    let mut domain_of = vec![usize::MAX; n_cells];
-    let mut domains: Vec<ClockDomain> = Vec::new();
-    let mut domain_period: Vec<Option<f64>> = Vec::new();
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let clk_net = inst.clock.expect("sequential cell has a clock pin");
-        let (root, chain) = trace_clock(netlist, &drivers, clk_net);
-        let mut t = 0.0f64;
-        let mut s = config.clock_slew.value();
-        for &buf in &chain {
-            let binst = netlist.instance(buf);
-            let bcell = library
-                .cell(binst.function, binst.drive)
-                .expect("library cell");
-            let out = binst.output.index();
-            let arc = bcell.arc(Time::new(s), Farad::new(load[out]));
-            t += arc.delay.value() + wire_delay[out];
-            s = arc.out_slew.value();
-        }
-        ins[id.index()] = t;
-        clk_pin_slew[id.index()] = s;
-        let di = match domains.iter().position(|d| d.root == root) {
-            Some(i) => i,
-            None => {
-                let name = netlist.net_name(root).to_string();
-                let named = config
-                    .clocks
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, f)| 1.0 / f.value());
-                let p = if netlist.is_primary_input(root) {
-                    Some(named.unwrap_or(period))
+        // Per-net capacitive load (pins + wire) and wire Elmore delay.
+        let n_nets = netlist.net_count();
+        let n_cells = netlist.cell_count();
+        let mut load = vec![0.0f64; n_nets];
+        let mut wire_delay = vec![0.0f64; n_nets];
+        for net in netlist.net_ids() {
+            let sinks = &fanout[net.index()];
+            let mut pin_c = 0.0;
+            for &s in sinks {
+                let inst = netlist.instance(s);
+                let cell = library
+                    .cell(inst.function, inst.drive)
+                    .expect("library cell");
+                pin_c += if inst.clock == Some(net) && !inst.inputs.contains(&net) {
+                    cell.clock_cap.value()
                 } else {
-                    named
+                    cell.input_cap.value()
                 };
-                domains.push(ClockDomain {
-                    name,
-                    root,
-                    period: p.map(Time::new),
-                    flops: Vec::new(),
-                    insertion_min: Time::new(f64::INFINITY),
-                    insertion_max: Time::new(0.0),
-                });
-                domain_period.push(p);
-                domains.len() - 1
             }
-        };
-        domain_of[id.index()] = di;
-        let d = &mut domains[di];
-        d.flops.push(id);
-        if t < d.insertion_min.value() {
-            d.insertion_min = Time::new(t);
+            let (wire_c, wire_r) = match route {
+                Some(r) => {
+                    let rn = r.net(net);
+                    (rn.capacitance().value(), rn.resistance().value())
+                }
+                None => (
+                    wireload.capacitance(sinks.len()).value(),
+                    wireload.resistance(sinks.len()).value(),
+                ),
+            };
+            load[net.index()] = pin_c + wire_c;
+            wire_delay[net.index()] = wire_r * (0.5 * wire_c + pin_c);
         }
-        if t > d.insertion_max.value() {
-            d.insertion_max = Time::new(t);
-        }
-    }
 
-    // TM008: validate multicycle exceptions; only valid ones apply.
-    let mut multicycle: Vec<(CellId, u32)> = Vec::new();
-    for &(cid, factor) in &config.multicycle {
-        if cid.index() >= n_cells {
-            findings.push(Finding::new(
-                Rule::InvalidTimingException,
-                format!(
+        // Clock network: per-flop insertion delay, clock-pin slew and
+        // domain membership by tracing back to each clock root.
+        let mut findings: Vec<Finding> = Vec::new();
+        let mut ins = vec![0.0f64; n_cells];
+        let mut clk_pin_slew = vec![config.clock_slew.value(); n_cells];
+        let mut domain_of = vec![usize::MAX; n_cells];
+        let mut domains: Vec<ClockDomain> = Vec::new();
+        let mut domain_period: Vec<Option<f64>> = Vec::new();
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let clk_net = inst.clock.expect("sequential cell has a clock pin");
+            let (root, chain) = trace_clock(netlist, &drivers, clk_net);
+            let mut t = 0.0f64;
+            let mut s = config.clock_slew.value();
+            for &buf in &chain {
+                let binst = netlist.instance(buf);
+                let bcell = library
+                    .cell(binst.function, binst.drive)
+                    .expect("library cell");
+                let out = binst.output.index();
+                let arc = bcell.arc(Time::new(s), Farad::new(load[out]));
+                t += arc.delay.value() + wire_delay[out];
+                s = arc.out_slew.value();
+            }
+            ins[id.index()] = t;
+            clk_pin_slew[id.index()] = s;
+            let di = match domains.iter().position(|d| d.root == root) {
+                Some(i) => i,
+                None => {
+                    let name = netlist.net_name(root).to_string();
+                    let named = config
+                        .clocks
+                        .iter()
+                        .find(|(n, _)| *n == name)
+                        .map(|(_, f)| 1.0 / f.value());
+                    let p = if netlist.is_primary_input(root) {
+                        Some(named.unwrap_or(period))
+                    } else {
+                        named
+                    };
+                    domains.push(ClockDomain {
+                        name,
+                        root,
+                        period: p.map(Time::new),
+                        flops: Vec::new(),
+                        insertion_min: Time::new(f64::INFINITY),
+                        insertion_max: Time::new(0.0),
+                    });
+                    domain_period.push(p);
+                    domains.len() - 1
+                }
+            };
+            domain_of[id.index()] = di;
+            let d = &mut domains[di];
+            d.flops.push(id);
+            if t < d.insertion_min.value() {
+                d.insertion_min = Time::new(t);
+            }
+            if t > d.insertion_max.value() {
+                d.insertion_max = Time::new(t);
+            }
+        }
+
+        // TM008: validate multicycle exceptions; only valid ones apply.
+        let mut multicycle: Vec<(CellId, u32)> = Vec::new();
+        for &(cid, factor) in &config.multicycle {
+            if cid.index() >= n_cells {
+                findings.push(Finding::new(
+                    Rule::InvalidTimingException,
+                    format!(
                     "multicycle exception names unknown cell #{}; the exception constrains nothing",
                     cid.index()
                 ),
-            ));
-        } else {
-            let inst = netlist.instance(cid);
-            if !inst.is_sequential() {
-                findings.push(
+                ));
+            } else {
+                let inst = netlist.instance(cid);
+                if !inst.is_sequential() {
+                    findings.push(
                     Finding::new(
                         Rule::InvalidTimingException,
                         format!(
@@ -558,28 +536,28 @@ fn run_impl(
                     )
                     .at_cell(inst.name.clone(), cid.index()),
                 );
-            } else if factor == 0 {
-                findings.push(
-                    Finding::new(
-                        Rule::InvalidTimingException,
-                        format!("multicycle factor 0 on flop '{}' is meaningless", inst.name),
-                    )
-                    .at_cell(inst.name.clone(), cid.index()),
-                );
-            } else {
-                multicycle.push((cid, factor));
+                } else if factor == 0 {
+                    findings.push(
+                        Finding::new(
+                            Rule::InvalidTimingException,
+                            format!("multicycle factor 0 on flop '{}' is meaningless", inst.name),
+                        )
+                        .at_cell(inst.name.clone(), cid.index()),
+                    );
+                } else {
+                    multicycle.push((cid, factor));
+                }
             }
         }
-    }
 
-    // TM003: flops in an unconstrained (generated, unnamed) domain.
-    for d in &domains {
-        if d.period.is_some() {
-            continue;
-        }
-        for &f in &d.flops {
-            let inst = netlist.instance(f);
-            findings.push(
+        // TM003: flops in an unconstrained (generated, unnamed) domain.
+        for d in &domains {
+            if d.period.is_some() {
+                continue;
+            }
+            for &f in &d.flops {
+                let inst = netlist.instance(f);
+                findings.push(
                 Finding::new(
                     Rule::UnconstrainedEndpoint,
                     format!(
@@ -590,58 +568,58 @@ fn run_impl(
                 .at_cell(inst.name.clone(), f.index())
                 .with_related(EntityKind::Net, d.name.clone(), d.root.index()),
             );
+            }
         }
-    }
 
-    // TM006: insertion-delay spread within a domain.
-    if let Some(max_skew) = config.max_skew {
-        for d in &domains {
-            if d.flops.len() >= 2 && d.skew().value() > max_skew.value() {
-                findings.push(
-                    Finding::new(
-                        Rule::ExcessiveClockSkew,
-                        format!(
+        // TM006: insertion-delay spread within a domain.
+        if let Some(max_skew) = config.max_skew {
+            for d in &domains {
+                if d.flops.len() >= 2 && d.skew().value() > max_skew.value() {
+                    findings.push(
+                        Finding::new(
+                            Rule::ExcessiveClockSkew,
+                            format!(
                             "clock '{}' skew {:.1} ps across {} flops exceeds the {:.1} ps budget",
                             d.name,
                             d.skew().ps(),
                             d.flops.len(),
                             max_skew.ps()
                         ),
-                    )
-                    .at_net(d.name.clone(), d.root.index()),
-                );
+                        )
+                        .at_net(d.name.clone(), d.root.index()),
+                    );
+                }
             }
         }
-    }
 
-    // TM007 + untimed-endpoint detection: cross-domain data cones.
-    let mut untimed_flop = vec![false; n_cells];
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let di = domain_of[id.index()];
-        if domain_period[di].is_none() {
-            untimed_flop[id.index()] = true;
-        }
-        let (sources, reached_input) = fanin_sources(netlist, &drivers, inst.inputs[0]);
-        let mut same_domain = reached_input;
-        let mut crossed = false;
-        for &(src, through_logic) in &sources {
-            if domain_of[src.index()] == di {
-                same_domain = true;
+        // TM007 + untimed-endpoint detection: cross-domain data cones.
+        let mut untimed_flop = vec![false; n_cells];
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
                 continue;
             }
-            crossed = true;
-            let src_inst = netlist.instance(src);
-            let src_root = &domains[domain_of[src.index()]].name;
-            let dst_root = &domains[di].name;
-            let detail = if through_logic {
-                "; data passes through multi-input logic on the way (see the NL006 synchronizer audit)"
-            } else {
-                ""
-            };
-            findings.push(
+            let di = domain_of[id.index()];
+            if domain_period[di].is_none() {
+                untimed_flop[id.index()] = true;
+            }
+            let (sources, reached_input) = fanin_sources(netlist, &drivers, inst.inputs[0]);
+            let mut same_domain = reached_input;
+            let mut crossed = false;
+            for &(src, through_logic) in &sources {
+                if domain_of[src.index()] == di {
+                    same_domain = true;
+                    continue;
+                }
+                crossed = true;
+                let src_inst = netlist.instance(src);
+                let src_root = &domains[domain_of[src.index()]].name;
+                let dst_root = &domains[di].name;
+                let detail = if through_logic {
+                    "; data passes through multi-input logic on the way (see the NL006 synchronizer audit)"
+                } else {
+                    ""
+                };
+                findings.push(
                 Finding::new(
                     Rule::UntimedCrossDomainPath,
                     format!(
@@ -652,87 +630,87 @@ fn run_impl(
                 .at_cell(inst.name.clone(), id.index())
                 .with_related(EntityKind::Cell, src_inst.name.clone(), src.index()),
             );
-        }
-        if crossed && !same_domain {
-            untimed_flop[id.index()] = true;
-        }
-    }
-
-    // Forward (late) pass: launch arrivals then the combinational cloud.
-    let forward_span = telemetry::span("sta.forward");
-    let mut arrival = vec![0.0f64; n_nets]; // seconds
-    let mut slew = vec![config.input_slew.value(); n_nets];
-    let mut pred: Vec<Option<CellId>> = vec![None; n_nets];
-    let mut stage_delay = vec![0.0f64; n_cells];
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let out = inst.output.index();
-        let arc = cell.arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
-        let stage = config.derate_late * (arc.delay.value() + wire_delay[out]);
-        stage_delay[id.index()] = stage;
-        arrival[out] = config.derate_late * ins[id.index()] + stage;
-        slew[out] = arc.out_slew.value();
-        pred[out] = Some(id);
-    }
-    for &id in &order {
-        let inst = netlist.instance(id);
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let mut worst_in = 0.0f64;
-        let mut worst_slew = config.input_slew.value();
-        for &i in &inst.inputs {
-            if arrival[i.index()] > worst_in {
-                worst_in = arrival[i.index()];
             }
-            worst_slew = worst_slew.max(slew[i.index()]);
+            if crossed && !same_domain {
+                untimed_flop[id.index()] = true;
+            }
         }
-        let out = inst.output.index();
-        let arc = cell.arc(Time::new(worst_slew), Farad::new(load[out]));
-        let stage = config.derate_late * (arc.delay.value() + wire_delay[out]);
-        stage_delay[id.index()] = stage;
-        let t = worst_in + stage;
-        if t > arrival[out] {
-            arrival[out] = t;
+
+        // Forward (late) pass: launch arrivals then the combinational cloud.
+        let forward_span = telemetry::span("sta.forward");
+        let mut arrival = vec![0.0f64; n_nets]; // seconds
+        let mut slew = vec![config.input_slew.value(); n_nets];
+        let mut pred: Vec<Option<CellId>> = vec![None; n_nets];
+        let mut stage_delay = vec![0.0f64; n_cells];
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let out = inst.output.index();
+            let arc = cell.arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
+            let stage = config.derate_late * (arc.delay.value() + wire_delay[out]);
+            stage_delay[id.index()] = stage;
+            arrival[out] = config.derate_late * ins[id.index()] + stage;
             slew[out] = arc.out_slew.value();
             pred[out] = Some(id);
         }
-    }
-    drop(forward_span);
-
-    // TM004: max transition on driven nets.
-    if let Some(mt) = config.max_transition {
-        for net in netlist.net_ids() {
-            if drivers[net.index()].is_some() && slew[net.index()] > mt.value() {
-                findings.push(
-                    Finding::new(
-                        Rule::MaxTransitionViolation,
-                        format!(
-                            "net '{}' transition {:.1} ps exceeds the {:.1} ps limit",
-                            netlist.net_name(net),
-                            slew[net.index()] * 1e12,
-                            mt.ps()
-                        ),
-                    )
-                    .at_net(netlist.net_name(net).to_string(), net.index()),
-                );
+        for &id in &order {
+            let inst = netlist.instance(id);
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let mut worst_in = 0.0f64;
+            let mut worst_slew = config.input_slew.value();
+            for &i in &inst.inputs {
+                if arrival[i.index()] > worst_in {
+                    worst_in = arrival[i.index()];
+                }
+                worst_slew = worst_slew.max(slew[i.index()]);
+            }
+            let out = inst.output.index();
+            let arc = cell.arc(Time::new(worst_slew), Farad::new(load[out]));
+            let stage = config.derate_late * (arc.delay.value() + wire_delay[out]);
+            stage_delay[id.index()] = stage;
+            let t = worst_in + stage;
+            if t > arrival[out] {
+                arrival[out] = t;
+                slew[out] = arc.out_slew.value();
+                pred[out] = Some(id);
             }
         }
-    }
+        drop(forward_span);
 
-    // TM005: load beyond the driver's characterized max capacitance.
-    for (id, inst) in netlist.instances() {
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let out = inst.output;
-        if load[out.index()] > cell.max_load.value() {
-            findings.push(
+        // TM004: max transition on driven nets.
+        if let Some(mt) = config.max_transition {
+            for net in netlist.net_ids() {
+                if drivers[net.index()].is_some() && slew[net.index()] > mt.value() {
+                    findings.push(
+                        Finding::new(
+                            Rule::MaxTransitionViolation,
+                            format!(
+                                "net '{}' transition {:.1} ps exceeds the {:.1} ps limit",
+                                netlist.net_name(net),
+                                slew[net.index()] * 1e12,
+                                mt.ps()
+                            ),
+                        )
+                        .at_net(netlist.net_name(net).to_string(), net.index()),
+                    );
+                }
+            }
+        }
+
+        // TM005: load beyond the driver's characterized max capacitance.
+        for (id, inst) in netlist.instances() {
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let out = inst.output;
+            if load[out.index()] > cell.max_load.value() {
+                findings.push(
                 Finding::new(
                     Rule::MaxCapViolation,
                     format!(
@@ -748,73 +726,21 @@ fn run_impl(
                 .at_cell(inst.name.clone(), id.index())
                 .with_related(EntityKind::Net, netlist.net_name(out).to_string(), out.index()),
             );
-        }
-    }
-
-    // Backward (required) pass: seed capture points, sweep reverse-topo.
-    let backward_span = telemetry::span("sta.backward");
-    let mut required = vec![f64::INFINITY; n_nets];
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() || untimed_flop[id.index()] {
-            continue;
-        }
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let setup = cell.seq.expect("flop has seq data").setup.value();
-        let p = domain_period[domain_of[id.index()]].expect("timed flop has a period");
-        let factor = multicycle
-            .iter()
-            .find(|(c, _)| *c == id)
-            .map(|(_, f)| *f as f64)
-            .unwrap_or(1.0);
-        let req = factor * p + config.derate_early * ins[id.index()]
-            - setup
-            - config.setup_uncertainty.value();
-        let d = inst.inputs[0].index();
-        required[d] = required[d].min(req);
-    }
-    for (_, net) in netlist.primary_outputs() {
-        let req = period - config.output_delay.value();
-        required[net.index()] = required[net.index()].min(req);
-    }
-    for &id in order.iter().rev() {
-        let inst = netlist.instance(id);
-        let out = inst.output.index();
-        if required[out].is_finite() {
-            let r = required[out] - stage_delay[id.index()];
-            for &i in &inst.inputs {
-                required[i.index()] = required[i.index()].min(r);
             }
         }
-    }
-    drop(backward_span);
 
-    // Endpoint checks.
-    struct EpMeta {
-        ep: Endpoint,
-        cell: Option<CellId>,
-        net: NetId,
-    }
-    let mut eps: Vec<EpMeta> = Vec::new();
-    let mut worst_datapath = 0.0f64;
-    let mut worst_net: Option<NetId> = None;
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let setup = cell.seq.expect("flop").setup.value();
-        let di = domain_of[id.index()];
-        let d_net = inst.inputs[0];
-        let arr = arrival[d_net.index()];
-        let untimed = untimed_flop[id.index()];
-        let (req, slack_v) = if untimed {
-            (f64::INFINITY, f64::INFINITY)
-        } else {
-            let p = domain_period[di].expect("timed flop has a period");
+        // Backward (required) pass: seed capture points, sweep reverse-topo.
+        let backward_span = telemetry::span("sta.backward");
+        let mut required = vec![f64::INFINITY; n_nets];
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() || untimed_flop[id.index()] {
+                continue;
+            }
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let setup = cell.seq.expect("flop has seq data").setup.value();
+            let p = domain_period[domain_of[id.index()]].expect("timed flop has a period");
             let factor = multicycle
                 .iter()
                 .find(|(c, _)| *c == id)
@@ -823,162 +749,214 @@ fn run_impl(
             let req = factor * p + config.derate_early * ins[id.index()]
                 - setup
                 - config.setup_uncertainty.value();
-            // Normalize multicycle endpoints to per-period datapath demand.
-            let demand = (arr + setup + config.setup_uncertainty.value()
-                - config.derate_early * ins[id.index()])
-                / factor;
-            if demand > worst_datapath {
-                worst_datapath = demand;
-                worst_net = Some(d_net);
+            let d = inst.inputs[0].index();
+            required[d] = required[d].min(req);
+        }
+        for (_, net) in netlist.primary_outputs() {
+            let req = period - config.output_delay.value();
+            required[net.index()] = required[net.index()].min(req);
+        }
+        for &id in order.iter().rev() {
+            let inst = netlist.instance(id);
+            let out = inst.output.index();
+            if required[out].is_finite() {
+                let r = required[out] - stage_delay[id.index()];
+                for &i in &inst.inputs {
+                    required[i.index()] = required[i.index()].min(r);
+                }
             }
-            (req, req - arr)
-        };
-        eps.push(EpMeta {
-            ep: Endpoint {
-                name: inst.name.clone(),
-                arrival: Time::new(arr),
-                setup: Time::new(setup),
-                slack: Time::new(slack_v),
-                required: Time::new(req),
-                domain: domains[di].name.clone(),
-                untimed,
-            },
-            cell: Some(id),
-            net: d_net,
-        });
-    }
-    for (name, net) in netlist.primary_outputs() {
-        let arr = arrival[net.index()];
-        let req = period - config.output_delay.value();
-        let demand = arr + config.output_delay.value();
-        if demand > worst_datapath {
-            worst_datapath = demand;
-            worst_net = Some(*net);
         }
-        eps.push(EpMeta {
-            ep: Endpoint {
-                name: format!("port:{name}"),
-                arrival: Time::new(arr),
-                setup: Time::new(0.0),
-                slack: Time::new(req - arr),
-                required: Time::new(req),
-                domain: String::from("core"),
-                untimed: false,
-            },
-            cell: None,
-            net: *net,
-        });
-    }
-    eps.sort_by(|a, b| {
-        (a.ep.untimed, a.ep.slack.value())
-            .partial_cmp(&(b.ep.untimed, b.ep.slack.value()))
-            .expect("comparable slack")
-    });
+        drop(backward_span);
 
-    // TM001: violated timed setup endpoints, worst first.
-    for m in &eps {
-        if m.ep.untimed || m.ep.slack.value() >= 0.0 {
-            continue;
+        // Endpoint checks.
+        struct EpMeta {
+            ep: Endpoint,
+            cell: Option<CellId>,
+            net: NetId,
         }
-        let msg = format!(
-            "setup violated at endpoint '{}': slack {:.1} ps against clock '{}'",
-            m.ep.name,
-            m.ep.slack.ps(),
-            m.ep.domain
-        );
-        findings.push(match m.cell {
-            Some(c) => {
-                Finding::new(Rule::SetupViolation, msg).at_cell(m.ep.name.clone(), c.index())
-            }
-            None => Finding::new(Rule::SetupViolation, msg)
-                .at_net(netlist.net_name(m.net).to_string(), m.net.index()),
-        });
-    }
-
-    let wns = eps
-        .iter()
-        .find(|m| !m.ep.untimed)
-        .map(|m| m.ep.slack)
-        .unwrap_or(Time::new(period));
-    let tns: f64 = eps
-        .iter()
-        .filter(|m| !m.ep.untimed)
-        .map(|m| m.ep.slack.value().min(0.0))
-        .sum();
-    let violations = eps
-        .iter()
-        .filter(|m| !m.ep.untimed && m.ep.slack.value() < 0.0)
-        .count();
-    let fmax = if worst_datapath > 0.0 {
-        Hertz::new(1.0 / worst_datapath)
-    } else {
-        Hertz::from_ghz(1000.0)
-    };
-
-    // Early (hold) pass with genuinely fast min-delay arcs.
-    let hold_span = telemetry::span("sta.hold");
-    let mut min_arrival = vec![f64::INFINITY; n_nets];
-    let mut min_slew = vec![config.input_slew.value(); n_nets];
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let out = inst.output.index();
-        let arc = cell.min_arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
-        min_arrival[out] = config.derate_early * (ins[id.index()] + arc.delay.value());
-        min_slew[out] = arc.out_slew.value();
-    }
-    for &id in &order {
-        let inst = netlist.instance(id);
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let out = inst.output.index();
-        let mut best_t = f64::INFINITY;
-        let mut best_slew = config.input_slew.value();
-        for &i in &inst.inputs {
-            let ai = min_arrival[i.index()];
-            if !ai.is_finite() {
+        let mut eps: Vec<EpMeta> = Vec::new();
+        let mut worst_datapath = 0.0f64;
+        let mut worst_net: Option<NetId> = None;
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
                 continue;
             }
-            let arc = cell.min_arc(Time::new(min_slew[i.index()]), Farad::new(load[out]));
-            let t = ai + config.derate_early * arc.delay.value();
-            if t < best_t {
-                best_t = t;
-                best_slew = arc.out_slew.value();
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let setup = cell.seq.expect("flop").setup.value();
+            let di = domain_of[id.index()];
+            let d_net = inst.inputs[0];
+            let arr = arrival[d_net.index()];
+            let untimed = untimed_flop[id.index()];
+            let (req, slack_v) = if untimed {
+                (f64::INFINITY, f64::INFINITY)
+            } else {
+                let p = domain_period[di].expect("timed flop has a period");
+                let factor = multicycle
+                    .iter()
+                    .find(|(c, _)| *c == id)
+                    .map(|(_, f)| *f as f64)
+                    .unwrap_or(1.0);
+                let req = factor * p + config.derate_early * ins[id.index()]
+                    - setup
+                    - config.setup_uncertainty.value();
+                // Normalize multicycle endpoints to per-period datapath demand.
+                let demand = (arr + setup + config.setup_uncertainty.value()
+                    - config.derate_early * ins[id.index()])
+                    / factor;
+                if demand > worst_datapath {
+                    worst_datapath = demand;
+                    worst_net = Some(d_net);
+                }
+                (req, req - arr)
+            };
+            eps.push(EpMeta {
+                ep: Endpoint {
+                    name: inst.name.clone(),
+                    arrival: Time::new(arr),
+                    setup: Time::new(setup),
+                    slack: Time::new(slack_v),
+                    required: Time::new(req),
+                    domain: domains[di].name.clone(),
+                    untimed,
+                },
+                cell: Some(id),
+                net: d_net,
+            });
+        }
+        for (name, net) in netlist.primary_outputs() {
+            let arr = arrival[net.index()];
+            let req = period - config.output_delay.value();
+            let demand = arr + config.output_delay.value();
+            if demand > worst_datapath {
+                worst_datapath = demand;
+                worst_net = Some(*net);
+            }
+            eps.push(EpMeta {
+                ep: Endpoint {
+                    name: format!("port:{name}"),
+                    arrival: Time::new(arr),
+                    setup: Time::new(0.0),
+                    slack: Time::new(req - arr),
+                    required: Time::new(req),
+                    domain: String::from("core"),
+                    untimed: false,
+                },
+                cell: None,
+                net: *net,
+            });
+        }
+        eps.sort_by(|a, b| {
+            (a.ep.untimed, a.ep.slack.value())
+                .partial_cmp(&(b.ep.untimed, b.ep.slack.value()))
+                .expect("comparable slack")
+        });
+
+        // TM001: violated timed setup endpoints, worst first.
+        for m in &eps {
+            if m.ep.untimed || m.ep.slack.value() >= 0.0 {
+                continue;
+            }
+            let msg = format!(
+                "setup violated at endpoint '{}': slack {:.1} ps against clock '{}'",
+                m.ep.name,
+                m.ep.slack.ps(),
+                m.ep.domain
+            );
+            findings.push(match m.cell {
+                Some(c) => {
+                    Finding::new(Rule::SetupViolation, msg).at_cell(m.ep.name.clone(), c.index())
+                }
+                None => Finding::new(Rule::SetupViolation, msg)
+                    .at_net(netlist.net_name(m.net).to_string(), m.net.index()),
+            });
+        }
+
+        let wns = eps
+            .iter()
+            .find(|m| !m.ep.untimed)
+            .map(|m| m.ep.slack)
+            .unwrap_or(Time::new(period));
+        let tns: f64 = eps
+            .iter()
+            .filter(|m| !m.ep.untimed)
+            .map(|m| m.ep.slack.value().min(0.0))
+            .sum();
+        let violations = eps
+            .iter()
+            .filter(|m| !m.ep.untimed && m.ep.slack.value() < 0.0)
+            .count();
+        let fmax = if worst_datapath > 0.0 {
+            Hertz::new(1.0 / worst_datapath)
+        } else {
+            Hertz::from_ghz(1000.0)
+        };
+
+        // Early (hold) pass with genuinely fast min-delay arcs.
+        let hold_span = telemetry::span("sta.hold");
+        let mut min_arrival = vec![f64::INFINITY; n_nets];
+        let mut min_slew = vec![config.input_slew.value(); n_nets];
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let out = inst.output.index();
+            let arc = cell.min_arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
+            min_arrival[out] = config.derate_early * (ins[id.index()] + arc.delay.value());
+            min_slew[out] = arc.out_slew.value();
+        }
+        for &id in &order {
+            let inst = netlist.instance(id);
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let out = inst.output.index();
+            let mut best_t = f64::INFINITY;
+            let mut best_slew = config.input_slew.value();
+            for &i in &inst.inputs {
+                let ai = min_arrival[i.index()];
+                if !ai.is_finite() {
+                    continue;
+                }
+                let arc = cell.min_arc(Time::new(min_slew[i.index()]), Farad::new(load[out]));
+                let t = ai + config.derate_early * arc.delay.value();
+                if t < best_t {
+                    best_t = t;
+                    best_slew = arc.out_slew.value();
+                }
+            }
+            if best_t < min_arrival[out] {
+                min_arrival[out] = best_t;
+                min_slew[out] = best_slew;
             }
         }
-        if best_t < min_arrival[out] {
-            min_arrival[out] = best_t;
-            min_slew[out] = best_slew;
-        }
-    }
 
-    // Hold checks: data must not race through before the same edge's
-    // hold window closes at the capturing flop.
-    let mut hold_wns = f64::INFINITY;
-    let mut hold_violations = 0usize;
-    for (id, inst) in netlist.instances() {
-        if !inst.is_sequential() {
-            continue;
-        }
-        let cell = library
-            .cell(inst.function, inst.drive)
-            .expect("library cell");
-        let hold = cell.seq.expect("flop").hold.value();
-        let early = min_arrival[inst.inputs[0].index()];
-        if early.is_finite() {
-            let slack = early
-                - config.derate_late * ins[id.index()]
-                - hold
-                - config.hold_uncertainty.value();
-            hold_wns = hold_wns.min(slack);
-            if slack < 0.0 {
-                hold_violations += 1;
-                findings.push(
+        // Hold checks: data must not race through before the same edge's
+        // hold window closes at the capturing flop.
+        let mut hold_wns = f64::INFINITY;
+        let mut hold_violations = 0usize;
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let cell = library
+                .cell(inst.function, inst.drive)
+                .expect("library cell");
+            let hold = cell.seq.expect("flop").hold.value();
+            let early = min_arrival[inst.inputs[0].index()];
+            if early.is_finite() {
+                let slack = early
+                    - config.derate_late * ins[id.index()]
+                    - hold
+                    - config.hold_uncertainty.value();
+                hold_wns = hold_wns.min(slack);
+                if slack < 0.0 {
+                    hold_violations += 1;
+                    findings.push(
                     Finding::new(
                         Rule::HoldViolation,
                         format!(
@@ -989,84 +967,27 @@ fn run_impl(
                     )
                     .at_cell(inst.name.clone(), id.index()),
                 );
+                }
             }
         }
-    }
-    if !hold_wns.is_finite() {
-        hold_wns = 0.0;
-    }
-    drop(hold_span);
-
-    // Path enumeration: expand the top-K worst timed endpoints.
-    let paths_span = telemetry::span("sta.paths");
-    let mut paths = Vec::new();
-    for m in eps.iter().filter(|m| !m.ep.untimed).take(config.top_paths) {
-        let mut cells = Vec::new();
-        let mut cursor = Some(m.net);
-        while let Some(net) = cursor {
-            match pred[net.index()] {
-                Some(cell) => {
-                    cells.push(cell);
-                    let inst = netlist.instance(cell);
-                    if inst.is_sequential() {
-                        break; // reached the launching flop
-                    }
-                    cursor = inst.inputs.iter().copied().max_by(|a, b| {
-                        arrival[a.index()]
-                            .partial_cmp(&arrival[b.index()])
-                            .expect("finite arrivals")
-                    });
-                }
-                None => break, // reached a primary input
-            }
+        if !hold_wns.is_finite() {
+            hold_wns = 0.0;
         }
-        cells.reverse();
-        let startpoint = match cells.first() {
-            Some(&c) if netlist.instance(c).is_sequential() => netlist.instance(c).name.clone(),
-            _ => String::from("primary input"),
-        };
-        let stages = cells
-            .iter()
-            .map(|&c| {
-                let inst = netlist.instance(c);
-                let out = inst.output.index();
-                PathStage {
-                    cell: c,
-                    instance: inst.name.clone(),
-                    gate: format!("{:?}/{:?}", inst.function, inst.drive),
-                    delay: Time::new(stage_delay[c.index()]),
-                    arrival: Time::new(arrival[out]),
-                    slew: Time::new(slew[out]),
-                    load: Farad::new(load[out]),
-                }
-            })
-            .collect();
-        paths.push(PathReport {
-            endpoint: m.ep.name.clone(),
-            startpoint,
-            domain: m.ep.domain.clone(),
-            arrival: m.ep.arrival,
-            required: m.ep.required,
-            slack: m.ep.slack,
-            stages,
-        });
-    }
-    drop(paths_span);
+        drop(hold_span);
 
-    // Critical path: the worst enumerated path; fall back to the
-    // worst-datapath net when every endpoint is untimed.
-    let critical_path = match paths.first() {
-        Some(p) => p.stages.iter().map(|s| s.cell).collect(),
-        None => {
-            let mut cp = Vec::new();
-            let mut cursor = worst_net;
+        // Path enumeration: expand the top-K worst timed endpoints.
+        let paths_span = telemetry::span("sta.paths");
+        let mut paths = Vec::new();
+        for m in eps.iter().filter(|m| !m.ep.untimed).take(config.top_paths) {
+            let mut cells = Vec::new();
+            let mut cursor = Some(m.net);
             while let Some(net) = cursor {
                 match pred[net.index()] {
                     Some(cell) => {
-                        cp.push(cell);
+                        cells.push(cell);
                         let inst = netlist.instance(cell);
                         if inst.is_sequential() {
-                            break;
+                            break; // reached the launching flop
                         }
                         cursor = inst.inputs.iter().copied().max_by(|a, b| {
                             arrival[a.index()]
@@ -1074,31 +995,89 @@ fn run_impl(
                                 .expect("finite arrivals")
                         });
                     }
-                    None => break,
+                    None => break, // reached a primary input
                 }
             }
-            cp.reverse();
-            cp
+            cells.reverse();
+            let startpoint = match cells.first() {
+                Some(&c) if netlist.instance(c).is_sequential() => netlist.instance(c).name.clone(),
+                _ => String::from("primary input"),
+            };
+            let stages = cells
+                .iter()
+                .map(|&c| {
+                    let inst = netlist.instance(c);
+                    let out = inst.output.index();
+                    PathStage {
+                        cell: c,
+                        instance: inst.name.clone(),
+                        gate: format!("{:?}/{:?}", inst.function, inst.drive),
+                        delay: Time::new(stage_delay[c.index()]),
+                        arrival: Time::new(arrival[out]),
+                        slew: Time::new(slew[out]),
+                        load: Farad::new(load[out]),
+                    }
+                })
+                .collect();
+            paths.push(PathReport {
+                endpoint: m.ep.name.clone(),
+                startpoint,
+                domain: m.ep.domain.clone(),
+                arrival: m.ep.arrival,
+                required: m.ep.required,
+                slack: m.ep.slack,
+                stages,
+            });
         }
-    };
+        drop(paths_span);
 
-    Ok(StaReport {
-        clock: config.clock,
-        wns,
-        tns: Time::new(tns),
-        violations,
-        fmax,
-        critical_path,
-        endpoints: eps.iter().map(|m| m.ep.clone()).collect(),
-        hold_wns: Time::new(hold_wns),
-        hold_violations,
-        paths,
-        domains,
-        design: netlist.name().to_string(),
-        findings,
-        arrivals: arrival.into_iter().map(Time::new).collect(),
-        requireds: required.into_iter().map(Time::new).collect(),
-    })
+        // Critical path: the worst enumerated path; fall back to the
+        // worst-datapath net when every endpoint is untimed.
+        let critical_path = match paths.first() {
+            Some(p) => p.stages.iter().map(|s| s.cell).collect(),
+            None => {
+                let mut cp = Vec::new();
+                let mut cursor = worst_net;
+                while let Some(net) = cursor {
+                    match pred[net.index()] {
+                        Some(cell) => {
+                            cp.push(cell);
+                            let inst = netlist.instance(cell);
+                            if inst.is_sequential() {
+                                break;
+                            }
+                            cursor = inst.inputs.iter().copied().max_by(|a, b| {
+                                arrival[a.index()]
+                                    .partial_cmp(&arrival[b.index()])
+                                    .expect("finite arrivals")
+                            });
+                        }
+                        None => break,
+                    }
+                }
+                cp.reverse();
+                cp
+            }
+        };
+
+        Ok(StaReport {
+            clock: config.clock,
+            wns,
+            tns: Time::new(tns),
+            violations,
+            fmax,
+            critical_path,
+            endpoints: eps.iter().map(|m| m.ep.clone()).collect(),
+            hold_wns: Time::new(hold_wns),
+            hold_violations,
+            paths,
+            domains,
+            design: netlist.name().to_string(),
+            findings,
+            arrivals: arrival.into_iter().map(Time::new).collect(),
+            requireds: required.into_iter().map(Time::new).collect(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1262,17 +1241,6 @@ mod tests {
         assert_eq!(r.endpoints.len(), 1);
         assert!(r.endpoints[0].name.starts_with("port:"));
         assert!(r.clean());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_analyze_matches_sta() {
-        let l = lib();
-        let nl = pipeline(6);
-        let cfg = StaConfig::at_clock(Hertz::from_ghz(1.0));
-        let old = analyze(&nl, &l, None, cfg.clone()).expect("ok");
-        let new = run(&nl, &l, cfg);
-        assert_eq!(old, new);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::ids::{CellId, NetId};
 use std::error::Error;
 use std::fmt;
 
-/// Structural problems detected by [`crate::Netlist::validate`] and the
+/// Structural problems detected by [`crate::Netlist::check`] and the
 /// topological-ordering queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetlistError {

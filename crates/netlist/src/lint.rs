@@ -10,8 +10,7 @@
 //!   audit, which needs characterized pin capacitances from a
 //!   [`openserdes_pdk::library::Library`],
 //! * [`Netlist::check`] — the Error-level structural subset as a typed
-//!   [`NetlistError`], used by the flow/simulator gates (and by the
-//!   deprecated [`Netlist::validate`] shim).
+//!   [`NetlistError`], used by the flow/simulator gates.
 
 use crate::error::NetlistError;
 use crate::ids::{CellId, NetId};
@@ -37,29 +36,6 @@ impl Netlist {
     pub fn lint_with_library(&self, library: &Library, cfg: &LintConfig) -> LintReport {
         lint_impl(self, Some(library), cfg)
     }
-}
-
-/// Run the gate-level ERC rules that need no library data.
-///
-/// # Deprecated
-///
-/// The same engine is reachable as the inherent [`Netlist::lint`]
-/// method (or `Session::lint_netlist` at the top level).
-#[deprecated(note = "use `Netlist::lint` or `Session::lint_netlist`")]
-pub fn lint(netlist: &Netlist, cfg: &LintConfig) -> LintReport {
-    lint_impl(netlist, None, cfg)
-}
-
-/// Run the full gate-level ERC rule set, including the `NL007`
-/// drive-strength audit against `library`'s pin capacitances.
-///
-/// # Deprecated
-///
-/// The same engine is reachable as the inherent
-/// [`Netlist::lint_with_library`] method.
-#[deprecated(note = "use `Netlist::lint_with_library`")]
-pub fn lint_with_library(netlist: &Netlist, library: &Library, cfg: &LintConfig) -> LintReport {
-    lint_impl(netlist, Some(library), cfg)
 }
 
 fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintReport {
@@ -237,15 +213,15 @@ impl Netlist {
     /// undriven nets, `NL003` combinational loops), returning the first
     /// violation as a typed [`NetlistError`].
     ///
-    /// This is the single checker behind both the flow/simulator gates
-    /// and the deprecated [`Netlist::validate`] shim; the full
-    /// diagnostic catalog (dead logic, CDC, drive audits…) is available
-    /// through [`lint`] / [`lint_with_library`].
+    /// This is the single checker behind the flow/simulator gates; the
+    /// full diagnostic catalog (dead logic, CDC, drive audits…) is
+    /// available through [`Netlist::lint`] /
+    /// [`Netlist::lint_with_library`].
     ///
     /// # Errors
     ///
-    /// Returns the first [`NetlistError`] found, in the historical
-    /// `validate()` order.
+    /// Returns the first [`NetlistError`] found, checking the rules in
+    /// the order listed above.
     pub fn check(&self) -> Result<(), NetlistError> {
         if let Some(b) = bad_references(self).into_iter().next() {
             return Err(match b {

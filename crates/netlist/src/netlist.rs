@@ -292,22 +292,6 @@ impl Netlist {
         t
     }
 
-    /// Structural validation — deprecated shim over [`Netlist::check`],
-    /// which is the lint engine's Error-level rule subset (`NL008`,
-    /// `NL001`, `NL002`, `NL003`). The full diagnostic catalog lives in
-    /// [`crate::lint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`NetlistError`] found.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Netlist::check()` (same errors, one checker) or `openserdes_netlist::lint::lint` for the full rule catalog"
-    )]
-    pub fn validate(&self) -> Result<(), NetlistError> {
-        self.check()
-    }
-
     /// Topological order of the *combinational* instances.
     ///
     /// Primary inputs and flip-flop outputs are treated as sources;
@@ -512,19 +496,6 @@ mod tests {
         nl.mark_output("q", q);
         assert!(nl.check().is_ok());
         assert_eq!(nl.flop_count(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn validate_shim_matches_check() {
-        let good = half_adder();
-        assert_eq!(good.validate(), good.check());
-        let mut bad = Netlist::new("bad");
-        let float = bad.add_net("floating");
-        let out = bad.gate(LogicFn::Inv, DriveStrength::X1, &[float]);
-        bad.mark_output("out", out);
-        assert_eq!(bad.validate(), bad.check());
-        assert_eq!(bad.validate(), Err(NetlistError::UndrivenNet(float)));
     }
 
     #[test]

@@ -291,9 +291,7 @@ impl Client {
     fn backoff(&mut self, attempt: u32) {
         let base = self.config.backoff_base_ms.max(1);
         let cap = self.config.backoff_cap_ms.max(base);
-        let ceiling = base
-            .saturating_mul(1u64 << (attempt - 1).min(32))
-            .min(cap);
+        let ceiling = base.saturating_mul(1u64 << (attempt - 1).min(32)).min(cap);
         // Equal jitter: half deterministic, half seeded — spreads
         // retry storms without losing reproducibility for a seed.
         let half = ceiling / 2;

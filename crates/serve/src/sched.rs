@@ -398,7 +398,11 @@ impl Scheduler {
 
     /// Records a connection killed by an idle timeout.
     pub(crate) fn note_timeout(&self) {
-        self.inner.lock().expect("scheduler poisoned").stats.timeouts += 1;
+        self.inner
+            .lock()
+            .expect("scheduler poisoned")
+            .stats
+            .timeouts += 1;
     }
 
     /// Records a connection refused at the max-connections cap.

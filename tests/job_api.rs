@@ -306,6 +306,38 @@ fn zero_threads_clamp_regression() {
     assert!(matches!(response, Response::MaxLoss { .. }));
 }
 
+/// Sweep knobs no sweep can honour are refused at parse time, naming
+/// the field: a bisection to a tolerance of zero or below would spin
+/// once its bracket reaches adjacent floats, a NaN tolerance would skip
+/// the bisection and report 0 dB, and a bathtub needs two bits.
+#[test]
+fn degenerate_sweep_specs_are_rejected_naming_the_field() {
+    let json = Request::MaxLoss {
+        config: LinkConfig::paper_default(),
+        sweep: SweepSpec {
+            bits: 500,
+            phases: 4,
+            frames: 2,
+            tol_db: 1.0,
+        },
+    }
+    .to_canonical_json();
+    assert!(Request::from_json(&json).is_ok());
+    for (from, to, field) in [
+        ("\"tol_db\":1.0", "\"tol_db\":0.0", "tol_db"),
+        ("\"tol_db\":1.0", "\"tol_db\":-0.5", "tol_db"),
+        ("\"tol_db\":1.0", "\"tol_db\":\"nan\"", "tol_db"),
+        ("\"tol_db\":1.0", "\"tol_db\":\"inf\"", "tol_db"),
+        ("\"bits\":500", "\"bits\":0", "bits"),
+        ("\"bits\":500", "\"bits\":1", "bits"),
+    ] {
+        let hacked = json.replace(from, to);
+        assert_ne!(hacked, json, "the edit must hit {field}");
+        let err = Request::from_json(&hacked).expect_err(to);
+        assert!(err.to_string().contains(field), "{to}: {err}");
+    }
+}
+
 /// A shed reply whose `priority` does not fit the `u8` field is
 /// refused, not wrapped: 300 would otherwise decode as 44.
 #[test]

@@ -328,7 +328,8 @@ fn dead_server_times_out_typed_instead_of_hanging() {
 fn hostile_length_prefix_gets_a_typed_error_and_clean_close() {
     let stats = with_server(ServerConfig::default(), |addr| {
         let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(&u32::MAX.to_be_bytes()).expect("hostile prefix");
+        s.write_all(&u32::MAX.to_be_bytes())
+            .expect("hostile prefix");
         let reply = wire::read_frame_blocking(&mut s)
             .expect("typed reply, not a dropped connection")
             .expect("frame before close");

@@ -63,7 +63,7 @@ proptest! {
         deadline in any::<u64>(),
         cut in any::<u64>(),
     ) {
-        let deadline_ms = (deadline % 2 == 0).then_some(deadline >> 1);
+        let deadline_ms = deadline.is_multiple_of(2).then_some(deadline >> 1);
         let json = valid_envelope(pick, seed, deadline_ms).to_json();
         let cut = (cut as usize) % (json.len() + 1);
         // Truncate on a char boundary (canonical JSON here is ASCII).

@@ -1,13 +1,11 @@
-//! The Session API contract: every deprecated entry point and its
-//! [`Session`]/builder replacement drive the *same engine*, so the
-//! outputs agree exactly — migration changes spelling, never results.
+//! The Session API contract: every `Session` method and the builder or
+//! engine it fronts drive the *same engine*, so the outputs agree
+//! exactly — the session adds an operating point and telemetry, never a
+//! different result.
 
-#![allow(deprecated)]
-
-use openserdes::core::link::SerdesLink;
-use openserdes::core::sweep::{bathtub, max_loss_bisect, sensitivity_sweep};
+use openserdes::core::link::run_frames;
 use openserdes::core::{cdr_design, LinkConfig, PrbsGenerator, PrbsOrder, Sweep, LANES};
-use openserdes::flow::{run_flow, FlowConfig};
+use openserdes::flow::{Flow, FlowConfig};
 use openserdes::pdk::corner::Pvt;
 use openserdes::pdk::units::Hertz;
 use openserdes::Session;
@@ -32,14 +30,12 @@ fn prbs_frames(count: usize) -> Vec<[u32; LANES]> {
 #[test]
 fn link_reports_are_identical() {
     let frames = prbs_frames(6);
-    let old = SerdesLink::new(LinkConfig::paper_default())
-        .run_frames(&frames, 17)
-        .expect("old API runs");
-    let new = Session::new()
+    let direct = run_frames(&LinkConfig::paper_default(), &frames, 17).expect("engine runs");
+    let via = Session::new()
         .with_seed(17)
         .run_link(&frames)
         .expect("session runs");
-    assert_eq!(old, new, "Session must reproduce the deprecated output");
+    assert_eq!(direct, via, "Session must reproduce the link engine");
 }
 
 #[test]
@@ -47,32 +43,38 @@ fn flow_results_are_identical() {
     let mut cfg = FlowConfig::at_clock(Hertz::from_ghz(1.0));
     cfg.anneal_iterations = 1_000;
     let design = cdr_design(5);
-    let old = run_flow(&design, &cfg).expect("old API runs");
-    let new = Session::new()
+    let direct = Flow::new()
+        .with_config(cfg.clone())
+        .run(&design)
+        .expect("flow runs");
+    let via = Session::new()
         .with_flow_config(cfg)
         .run_flow(&design)
         .expect("session runs");
-    assert_eq!(old.stats.cell_count, new.stats.cell_count);
-    assert_eq!(old.stats.flop_count, new.stats.flop_count);
-    assert_eq!(old.area().value().to_bits(), new.area().value().to_bits());
+    assert_eq!(direct.stats.cell_count, via.stats.cell_count);
+    assert_eq!(direct.stats.flop_count, via.stats.flop_count);
     assert_eq!(
-        old.timing.fmax.value().to_bits(),
-        new.timing.fmax.value().to_bits()
+        direct.area().value().to_bits(),
+        via.area().value().to_bits()
     );
     assert_eq!(
-        old.total_power().value().to_bits(),
-        new.total_power().value().to_bits()
+        direct.timing.fmax.value().to_bits(),
+        via.timing.fmax.value().to_bits()
     );
-    assert_eq!(old.log, new.log, "stage logs must match line for line");
+    assert_eq!(
+        direct.total_power().value().to_bits(),
+        via.total_power().value().to_bits()
+    );
+    assert_eq!(direct.log, via.log, "stage logs must match line for line");
 }
 
 #[test]
 fn lint_reports_are_identical() {
     let design = cdr_design(5);
-    let old = openserdes::flow::lint::lint(&design, &openserdes::lint::LintConfig::default());
-    let new = Session::new().lint(&design);
-    assert_eq!(old.findings().len(), new.findings().len());
-    for (a, b) in old.findings().iter().zip(new.findings()) {
+    let direct = design.lint(&openserdes::lint::LintConfig::default());
+    let via = Session::new().lint(&design);
+    assert_eq!(direct.findings().len(), via.findings().len());
+    for (a, b) in direct.findings().iter().zip(via.findings()) {
         assert_eq!(a.rule, b.rule);
         assert_eq!(a.message, b.message);
     }
@@ -82,49 +84,39 @@ fn lint_reports_are_identical() {
 fn sweeps_are_identical() {
     let cfg = LinkConfig::paper_default();
 
-    // Bathtub: deprecated free function vs Sweep builder vs Session.
-    let old = bathtub(&cfg, 2_000, 8, 5).expect("old bathtub");
+    // Bathtub: Sweep builder vs Session.
     let via_builder = Sweep::new()
         .with_bits(2_000)
         .with_phases(8)
         .with_seed(5)
         .bathtub(&cfg)
         .expect("builder bathtub");
-    assert_eq!(old, via_builder);
     let via_session = Session::new()
         .with_sweep(Sweep::new().with_bits(2_000).with_phases(8))
         .with_seed(5)
         .bathtub()
         .expect("session bathtub");
-    assert_eq!(old, via_session);
+    assert_eq!(via_builder, via_session);
 
     // Loss bisection.
-    let old = max_loss_bisect(&cfg, 4, 1.0).expect("old bisect");
-    let new = Session::new()
+    let via_builder = Sweep::new()
+        .with_frames(4)
+        .with_tolerance_db(1.0)
+        .max_loss(&cfg)
+        .expect("builder bisect");
+    let via_session = Session::new()
         .with_sweep(Sweep::new().with_frames(4).with_tolerance_db(1.0))
         .max_loss()
         .expect("session bisect");
-    assert_eq!(old.to_bits(), new.to_bits());
+    assert_eq!(via_builder.to_bits(), via_session.to_bits());
 
     // Sensitivity sweep.
     let rates = [Hertz::from_ghz(1.0), Hertz::from_ghz(2.0)];
-    let old = sensitivity_sweep(Pvt::nominal(), &rates).expect("old sweep");
-    let new = Session::new()
+    let via_builder = Sweep::new()
+        .sensitivity(Pvt::nominal(), &rates)
+        .expect("builder sweep");
+    let via_session = Session::new()
         .sensitivity_sweep(&rates)
         .expect("session sweep");
-    assert_eq!(old, new);
-}
-
-#[test]
-fn transient_config_builder_matches_old_constructors() {
-    use openserdes::analog::solver::TransientConfig;
-    assert_eq!(TransientConfig::to(5e-9), TransientConfig::until(5e-9));
-    assert_eq!(
-        TransientConfig::with_dt(5e-9, 2e-12),
-        TransientConfig::until(5e-9).with_fixed_dt(2e-12)
-    );
-    assert_eq!(
-        TransientConfig::adaptive(5e-9, 1e-12, 64e-12, 1e-3),
-        TransientConfig::until(5e-9).with_adaptive_steps(1e-12, 64e-12, 1e-3)
-    );
+    assert_eq!(via_builder, via_session);
 }
