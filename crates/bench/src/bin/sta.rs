@@ -5,7 +5,7 @@
 //! library and pushed through the full STA engine (forward/backward
 //! passes, early/late hold split, per-clock domains, TM rule audit).
 //! Per-corner fmax/WNS/TNS/hold numbers land in `BENCH_sta.json`
-//! (validated in CI by `schemas/validate_sta.py`), and the worst path
+//! (validated in CI by `schemas/validate.py sta`), and the worst path
 //! of each design prints as an OpenSTA-style `report_checks` block.
 //!
 //! Exit status is nonzero if any Error-level TM finding survives — or

@@ -19,6 +19,11 @@
 //! directions round-trip: `to_canonical_json` after `from_json` is
 //! byte-identical.
 //!
+//! Fault schedules are written and read here too:
+//! [`fault_schedule_to_json`] / [`fault_schedule_from_json`] handle the
+//! `openserdes-fault-schedule/1` file with the same event writer and
+//! reader as the `faults` object of [`Request::RunLinkWithFaults`].
+//!
 //! ```
 //! use openserdes_core::job::{Request, Response, SweepSpec};
 //! use openserdes_core::link::LinkConfig;
@@ -647,61 +652,169 @@ fn parse_design(v: &Json) -> Result<DesignSpec, String> {
     }
 }
 
+/// Schema tag of a fault-schedule file, the `schema` field that
+/// [`fault_schedule_to_json`] writes and [`fault_schedule_from_json`]
+/// requires.
+pub const FAULT_SCHEDULE_SCHEMA: &str = "openserdes-fault-schedule/1";
+
+/// Writes `schedule` as an `openserdes-fault-schedule/1` file: a
+/// self-describing document with one event per line, so a campaign can
+/// be archived next to its results and replayed bit-identically.
+///
+/// Events carry the same fields, in the same order, as the `faults`
+/// object of a canonical [`Request::RunLinkWithFaults`]; the file adds
+/// the `schema` tag and whitespace. Floats are written as in
+/// [`crate::json::push_f64`], so every probability, NaN and infinities
+/// included, reads back bit-exactly.
+///
+/// ```
+/// use openserdes_core::job::{fault_schedule_from_json, fault_schedule_to_json};
+/// use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
+///
+/// let schedule = FaultSchedule::new(7).with_event(FaultEvent {
+///     at_ui: 200,
+///     kind: FaultKind::BurstNoise { duration_ui: 16, flip_prob: 0.4 },
+/// });
+/// let text = fault_schedule_to_json(&schedule);
+/// assert_eq!(fault_schedule_from_json(&text)?, schedule);
+/// # Ok::<(), openserdes_core::error::Error>(())
+/// ```
+pub fn fault_schedule_to_json(schedule: &FaultSchedule) -> String {
+    let mut out = String::with_capacity(96 + 96 * schedule.len());
+    let _ = write!(
+        out,
+        "{{\n  \"schema\": \"{FAULT_SCHEDULE_SCHEMA}\",\n  \"seed\": {},\n  \"events\": [",
+        schedule.seed()
+    );
+    for (i, e) in schedule.events().iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        push_fault_event(&mut out, e, true);
+    }
+    out.push_str(if schedule.is_empty() {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
+    out
+}
+
+/// Reads an `openserdes-fault-schedule/1` file written by
+/// [`fault_schedule_to_json`] or by hand to the same schema; any
+/// whitespace is accepted.
+///
+/// # Errors
+///
+/// [`Error::Parse`] on malformed JSON, a wrong or missing schema tag,
+/// an unknown fault kind, or a missing or out-of-range field. Errors
+/// inside an event name it as `events[i]`.
+pub fn fault_schedule_from_json(text: &str) -> Result<FaultSchedule, Error> {
+    let v = json::parse(text).map_err(parse_err)?;
+    let schema = v
+        .as_obj("document")
+        .and_then(|obj| json::get(obj, "schema"))
+        .and_then(|s| s.as_str("schema"))
+        .map_err(parse_err)?;
+    if schema != FAULT_SCHEDULE_SCHEMA {
+        return Err(parse_err(format!(
+            "unsupported schema `{schema}` (want `{FAULT_SCHEDULE_SCHEMA}`)"
+        )));
+    }
+    parse_fault_schedule(&v).map_err(parse_err)
+}
+
+/// The canonical `faults` object of a request: `{"seed":N,"events":[...]}`.
 fn push_fault_schedule(out: &mut String, s: &FaultSchedule) {
     let _ = write!(out, "{{\"seed\":{},\"events\":[", s.seed());
     for (i, e) in s.events().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"at_ui\":{},\"kind\":\"{}\"", e.at_ui, e.kind.tag());
-        match &e.kind {
-            FaultKind::BurstNoise {
-                duration_ui,
-                flip_prob,
-            } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"flip_prob\":");
-                json::push_f64(out, *flip_prob);
-            }
-            FaultKind::Dropout { duration_ui, level } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"level\":{level}");
-            }
-            FaultKind::SupplyDroop {
-                duration_ui,
-                peak_flip_prob,
-            } => {
-                let _ = write!(out, ",\"duration_ui\":{duration_ui},\"peak_flip_prob\":");
-                json::push_f64(out, *peak_flip_prob);
-            }
-            FaultKind::PhaseGlitch { offset_samples } => {
-                let _ = write!(out, ",\"offset_samples\":{offset_samples}");
-            }
-            FaultKind::ClockDrift {
-                duration_ui,
-                slip_period_ui,
-                late,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"duration_ui\":{duration_ui},\"slip_period_ui\":{slip_period_ui},\"late\":{late}"
-                );
-            }
-            FaultKind::SeuCdrPhase { bit } => {
-                let _ = write!(out, ",\"bit\":{bit}");
-            }
-            FaultKind::SeuDeserializer { lane, bit } => {
-                let _ = write!(out, ",\"lane\":{lane},\"bit\":{bit}");
-            }
-            FaultKind::StuckAtNet { net, value } => {
-                out.push_str(",\"net\":");
-                json::push_quoted(out, net);
-                let _ = write!(out, ",\"value\":{value}");
-            }
-        }
-        out.push('}');
+        push_fault_event(out, e, false);
     }
     out.push_str("]}");
 }
 
+/// One event object, compact for the canonical bytes or `pretty` for
+/// the schedule file. The two layouts differ only in whitespace.
+fn push_fault_event(out: &mut String, e: &FaultEvent, pretty: bool) {
+    let (colon, comma) = if pretty { (": ", ", ") } else { (":", ",") };
+    // Starts the field `key`: separator, quoted key, colon.
+    let field = |out: &mut String, sep: &str, key: &str| {
+        out.push_str(sep);
+        out.push('"');
+        out.push_str(key);
+        out.push('"');
+        out.push_str(colon);
+    };
+    field(out, if pretty { "{ " } else { "{" }, "at_ui");
+    let _ = write!(out, "{}", e.at_ui);
+    field(out, comma, "kind");
+    out.push('"');
+    out.push_str(e.kind.tag());
+    out.push('"');
+    match &e.kind {
+        FaultKind::BurstNoise {
+            duration_ui,
+            flip_prob,
+        } => {
+            field(out, comma, "duration_ui");
+            let _ = write!(out, "{duration_ui}");
+            field(out, comma, "flip_prob");
+            json::push_f64(out, *flip_prob);
+        }
+        FaultKind::Dropout { duration_ui, level } => {
+            field(out, comma, "duration_ui");
+            let _ = write!(out, "{duration_ui}");
+            field(out, comma, "level");
+            let _ = write!(out, "{level}");
+        }
+        FaultKind::SupplyDroop {
+            duration_ui,
+            peak_flip_prob,
+        } => {
+            field(out, comma, "duration_ui");
+            let _ = write!(out, "{duration_ui}");
+            field(out, comma, "peak_flip_prob");
+            json::push_f64(out, *peak_flip_prob);
+        }
+        FaultKind::PhaseGlitch { offset_samples } => {
+            field(out, comma, "offset_samples");
+            let _ = write!(out, "{offset_samples}");
+        }
+        FaultKind::ClockDrift {
+            duration_ui,
+            slip_period_ui,
+            late,
+        } => {
+            field(out, comma, "duration_ui");
+            let _ = write!(out, "{duration_ui}");
+            field(out, comma, "slip_period_ui");
+            let _ = write!(out, "{slip_period_ui}");
+            field(out, comma, "late");
+            let _ = write!(out, "{late}");
+        }
+        FaultKind::SeuCdrPhase { bit } => {
+            field(out, comma, "bit");
+            let _ = write!(out, "{bit}");
+        }
+        FaultKind::SeuDeserializer { lane, bit } => {
+            field(out, comma, "lane");
+            let _ = write!(out, "{lane}");
+            field(out, comma, "bit");
+            let _ = write!(out, "{bit}");
+        }
+        FaultKind::StuckAtNet { net, value } => {
+            field(out, comma, "net");
+            json::push_quoted(out, net);
+            field(out, comma, "value");
+            let _ = write!(out, "{value}");
+        }
+    }
+    out.push_str(if pretty { " }" } else { "}" });
+}
+
+/// Reads the `seed` and `events` of a schedule object; other fields
+/// (a file's `schema` tag) are left to the caller.
 fn parse_fault_schedule(v: &Json) -> Result<FaultSchedule, String> {
     let obj = v.as_obj("faults")?;
     let mut schedule = FaultSchedule::new(json::get(obj, "seed")?.as_u64("seed")?);
@@ -710,46 +823,49 @@ fn parse_fault_schedule(v: &Json) -> Result<FaultSchedule, String> {
         .iter()
         .enumerate()
     {
-        let eobj = ev.as_obj("event")?;
-        let at_ui = json::get(eobj, "at_ui")?.as_u64("at_ui")?;
-        let tag = json::get(eobj, "kind")?.as_str("kind")?;
-        let kind = match tag {
-            "burst_noise" => FaultKind::BurstNoise {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                flip_prob: json::get(eobj, "flip_prob")?.as_f64("flip_prob")?,
-            },
-            "dropout" => FaultKind::Dropout {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                level: json::get(eobj, "level")?.as_bool("level")?,
-            },
-            "supply_droop" => FaultKind::SupplyDroop {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                peak_flip_prob: json::get(eobj, "peak_flip_prob")?.as_f64("peak_flip_prob")?,
-            },
-            "phase_glitch" => FaultKind::PhaseGlitch {
-                offset_samples: json::get(eobj, "offset_samples")?.as_i32("offset_samples")?,
-            },
-            "clock_drift" => FaultKind::ClockDrift {
-                duration_ui: json::get(eobj, "duration_ui")?.as_u64("duration_ui")?,
-                slip_period_ui: json::get(eobj, "slip_period_ui")?.as_u64("slip_period_ui")?,
-                late: json::get(eobj, "late")?.as_bool("late")?,
-            },
-            "seu_cdr_phase" => FaultKind::SeuCdrPhase {
-                bit: json::get(eobj, "bit")?.as_u32("bit")?,
-            },
-            "seu_deserializer" => FaultKind::SeuDeserializer {
-                lane: json::get(eobj, "lane")?.as_u32("lane")?,
-                bit: json::get(eobj, "bit")?.as_u32("bit")?,
-            },
-            "stuck_at_net" => FaultKind::StuckAtNet {
-                net: json::get(eobj, "net")?.as_str("net")?.to_string(),
-                value: json::get(eobj, "value")?.as_bool("value")?,
-            },
-            other => return Err(format!("events[{i}]: unknown fault kind `{other}`")),
-        };
-        schedule.push(FaultEvent { at_ui, kind });
+        schedule.push(parse_fault_event(ev).map_err(|e| format!("events[{i}]: {e}"))?);
     }
     Ok(schedule)
+}
+
+fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
+    let obj = v.as_obj("event")?;
+    let at_ui = json::get(obj, "at_ui")?.as_u64("at_ui")?;
+    let kind = match json::get(obj, "kind")?.as_str("kind")? {
+        "burst_noise" => FaultKind::BurstNoise {
+            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
+            flip_prob: json::get(obj, "flip_prob")?.as_f64("flip_prob")?,
+        },
+        "dropout" => FaultKind::Dropout {
+            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
+            level: json::get(obj, "level")?.as_bool("level")?,
+        },
+        "supply_droop" => FaultKind::SupplyDroop {
+            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
+            peak_flip_prob: json::get(obj, "peak_flip_prob")?.as_f64("peak_flip_prob")?,
+        },
+        "phase_glitch" => FaultKind::PhaseGlitch {
+            offset_samples: json::get(obj, "offset_samples")?.as_i32("offset_samples")?,
+        },
+        "clock_drift" => FaultKind::ClockDrift {
+            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
+            slip_period_ui: json::get(obj, "slip_period_ui")?.as_u64("slip_period_ui")?,
+            late: json::get(obj, "late")?.as_bool("late")?,
+        },
+        "seu_cdr_phase" => FaultKind::SeuCdrPhase {
+            bit: json::get(obj, "bit")?.as_u32("bit")?,
+        },
+        "seu_deserializer" => FaultKind::SeuDeserializer {
+            lane: json::get(obj, "lane")?.as_u32("lane")?,
+            bit: json::get(obj, "bit")?.as_u32("bit")?,
+        },
+        "stuck_at_net" => FaultKind::StuckAtNet {
+            net: json::get(obj, "net")?.as_str("net")?.to_string(),
+            value: json::get(obj, "value")?.as_bool("value")?,
+        },
+        other => return Err(format!("unknown fault kind `{other}`")),
+    };
+    Ok(FaultEvent { at_ui, kind })
 }
 
 fn push_link_report(out: &mut String, r: &LinkReport) {
@@ -1492,6 +1608,222 @@ mod tests {
             assert!(Request::from_json(bad).is_err(), "must reject {bad:?}");
         }
         assert!(Response::from_json("{\"kind\":\"nope\"}").is_err());
+    }
+
+    /// One event of every kind, with a `u64` seed above 2^53, a float
+    /// that needs all 17 digits and a net name that needs escapes.
+    fn sample_schedule() -> FaultSchedule {
+        [
+            FaultKind::BurstNoise {
+                duration_ui: 16,
+                flip_prob: 0.123_456_789_012_345_6,
+            },
+            FaultKind::Dropout {
+                duration_ui: 4,
+                level: true,
+            },
+            FaultKind::SupplyDroop {
+                duration_ui: 32,
+                peak_flip_prob: 0.5,
+            },
+            FaultKind::PhaseGlitch { offset_samples: -2 },
+            FaultKind::ClockDrift {
+                duration_ui: 64,
+                slip_period_ui: 8,
+                late: false,
+            },
+            FaultKind::SeuCdrPhase { bit: 2 },
+            FaultKind::SeuDeserializer { lane: 7, bit: 31 },
+            FaultKind::StuckAtNet {
+                net: "weird \"net\"\\π\n".into(),
+                value: true,
+            },
+        ]
+        .into_iter()
+        .zip(1..)
+        .fold(FaultSchedule::new(u64::MAX - 3), |s, (kind, k)| {
+            s.with_event(FaultEvent {
+                at_ui: 100 * k,
+                kind,
+            })
+        })
+    }
+
+    // Byte-parity pins: the literal bytes of a schedule file and of a
+    // faulted job's content address. Archived campaigns and cached
+    // results are keyed on these bytes, so they must never drift.
+
+    #[test]
+    fn schedule_file_bytes_are_pinned() {
+        assert_eq!(
+            fault_schedule_to_json(&sample_schedule()),
+            r#"{
+  "schema": "openserdes-fault-schedule/1",
+  "seed": 18446744073709551612,
+  "events": [
+    { "at_ui": 100, "kind": "burst_noise", "duration_ui": 16, "flip_prob": 0.1234567890123456 },
+    { "at_ui": 200, "kind": "dropout", "duration_ui": 4, "level": true },
+    { "at_ui": 300, "kind": "supply_droop", "duration_ui": 32, "peak_flip_prob": 0.5 },
+    { "at_ui": 400, "kind": "phase_glitch", "offset_samples": -2 },
+    { "at_ui": 500, "kind": "clock_drift", "duration_ui": 64, "slip_period_ui": 8, "late": false },
+    { "at_ui": 600, "kind": "seu_cdr_phase", "bit": 2 },
+    { "at_ui": 700, "kind": "seu_deserializer", "lane": 7, "bit": 31 },
+    { "at_ui": 800, "kind": "stuck_at_net", "net": "weird \"net\"\\π\n", "value": true }
+  ]
+}
+"#
+        );
+        assert_eq!(
+            fault_schedule_to_json(&FaultSchedule::new(0)),
+            "{\n  \"schema\": \"openserdes-fault-schedule/1\",\n  \"seed\": 0,\n  \"events\": []\n}\n"
+        );
+    }
+
+    #[test]
+    fn faulted_job_key_bytes_are_pinned() {
+        let request = Request::RunLinkWithFaults {
+            config: LinkConfig::paper_default(),
+            frames: frames(1),
+            schedule: openserdes_fault::campaign(openserdes_fault::CampaignKind::Mixed, 9, 10_000),
+        };
+        let key = JobKey::of(&request, 7);
+        assert_eq!(
+            key.canonical,
+            concat!(
+                r#"{"request":{"kind":"run_link_with_faults","config":{"data_rate_hz":2000000000.0,"#,
+                r#""channel":{"attenuation_db":34.0,"bandwidth_hz":6000000000.0,"noise_sigma_v":0.0003,"#,
+                r#""rj_sigma_s":1.5e-12,"dj_pp_s":3e-12,"dj_freq_hz":123000000.0,"seed":12648430},"#,
+                r#""pvt":{"corner":"tt","vdd_v":1.8,"temp_c":25.0},"#,
+                r#""cdr":{"oversampling":5,"glitch_filter":true,"phase_hysteresis":2,"window":32}},"#,
+                r#""frames":[[1515890085,1515890084,1515890087,1515890086,1515890081,1515890080,1515890083,1515890082]],"#,
+                r#""faults":{"seed":9,"events":["#,
+                r#"{"at_ui":2686,"kind":"burst_noise","duration_ui":12,"flip_prob":0.3},"#,
+                r#"{"at_ui":3905,"kind":"dropout","duration_ui":4,"level":false},"#,
+                r#"{"at_ui":6221,"kind":"supply_droop","duration_ui":24,"peak_flip_prob":0.3},"#,
+                r#"{"at_ui":7195,"kind":"phase_glitch","offset_samples":2},"#,
+                r#"{"at_ui":8024,"kind":"seu_cdr_phase","bit":1},"#,
+                r#"{"at_ui":8964,"kind":"burst_noise","duration_ui":12,"flip_prob":0.3}]}},"#,
+                r#""seed":7}"#
+            )
+        );
+        assert_eq!(key.digest, "b640346804a1723684ab6a2ce367bfd9");
+    }
+
+    #[test]
+    fn schedule_file_round_trips_every_kind() {
+        let s = sample_schedule();
+        let text = fault_schedule_to_json(&s);
+        let back = fault_schedule_from_json(&text).expect("parse");
+        assert_eq!(back, s);
+        assert_eq!(fault_schedule_to_json(&back), text, "byte-identical");
+    }
+
+    #[test]
+    fn schedule_file_round_trips_empty_and_campaigns() {
+        let empty = FaultSchedule::new(0);
+        let back = fault_schedule_from_json(&fault_schedule_to_json(&empty)).expect("parse");
+        assert_eq!(back, empty);
+        for kind in openserdes_fault::CampaignKind::ALL {
+            let c = openserdes_fault::campaign(kind, 77, 10_000);
+            let back = fault_schedule_from_json(&fault_schedule_to_json(&c)).expect("parse");
+            assert_eq!(back, c);
+        }
+    }
+
+    #[test]
+    fn schedule_file_u64_seed_survives_exactly() {
+        let text = fault_schedule_to_json(&FaultSchedule::new(u64::MAX));
+        let back = fault_schedule_from_json(&text).expect("parse");
+        assert_eq!(back.seed(), u64::MAX);
+    }
+
+    #[test]
+    fn schedule_file_non_finite_probabilities_read_back() {
+        let probs = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut s = FaultSchedule::new(1);
+        for (k, &p) in (0..).zip(&probs) {
+            s.push(FaultEvent {
+                at_ui: 2 * k,
+                kind: FaultKind::BurstNoise {
+                    duration_ui: 2,
+                    flip_prob: p,
+                },
+            });
+            s.push(FaultEvent {
+                at_ui: 2 * k + 1,
+                kind: FaultKind::SupplyDroop {
+                    duration_ui: 2,
+                    peak_flip_prob: p,
+                },
+            });
+        }
+        let back = fault_schedule_from_json(&fault_schedule_to_json(&s)).expect("parse");
+        let bits: Vec<u64> = back
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                FaultKind::BurstNoise { flip_prob, .. } => flip_prob.to_bits(),
+                FaultKind::SupplyDroop { peak_flip_prob, .. } => peak_flip_prob.to_bits(),
+                _ => unreachable!("only probability events were written"),
+            })
+            .collect();
+        let want: Vec<u64> = probs.iter().flat_map(|p| [p.to_bits(); 2]).collect();
+        assert_eq!(bits, want);
+    }
+
+    #[test]
+    fn schedule_file_rejects_garbage() {
+        for bad in [
+            "",
+            "{",
+            "[]",
+            "{\"schema\": \"nope/9\", \"seed\": 0, \"events\": []}",
+            "{\"schema\": \"openserdes-fault-schedule/1\", \"events\": []}",
+            "{\"schema\": \"openserdes-fault-schedule/1\", \"seed\": 0, \"events\": [{\"at_ui\": 1, \"kind\": \"warp_core_breach\"}]}",
+            "{\"schema\": \"openserdes-fault-schedule/1\", \"seed\": 0, \"events\": []} trailing",
+        ] {
+            assert!(fault_schedule_from_json(bad).is_err(), "must reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn schedule_file_accepts_hand_authored_whitespace() {
+        let text = "\n{ \"schema\":\"openserdes-fault-schedule/1\" ,\n\t\"seed\" : 9,\n  \"events\":[ {\"at_ui\":5,\"kind\":\"seu_cdr_phase\",\"bit\":1} ] }";
+        let s = fault_schedule_from_json(text).expect("parse");
+        assert_eq!(s.seed(), 9);
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn schedule_out_of_range_u32_fields_are_rejected_not_truncated() {
+        // 2^32 + 2 would wrap to 2 under an `as u32` cast.
+        let doc = |event: &str| {
+            format!(
+                "{{\"schema\":\"openserdes-fault-schedule/1\",\"seed\":0,\"events\":[{{\"at_ui\":5,{event}}}]}}"
+            )
+        };
+        for (event, field) in [
+            ("\"kind\":\"seu_cdr_phase\",\"bit\":4294967298", "bit"),
+            (
+                "\"kind\":\"seu_deserializer\",\"lane\":4294967298,\"bit\":1",
+                "lane",
+            ),
+            (
+                "\"kind\":\"seu_deserializer\",\"lane\":1,\"bit\":4294967298",
+                "bit",
+            ),
+        ] {
+            match fault_schedule_from_json(&doc(event)) {
+                Err(Error::Parse(msg)) => assert!(
+                    msg.contains(&format!("events[0]: {field}: `4294967298` is not a u32")),
+                    "names the event and `{field}`: {msg}"
+                ),
+                other => panic!("expected a parse error for {event}, got {other:?}"),
+            }
+        }
+        let max = fault_schedule_from_json(&doc("\"kind\":\"seu_cdr_phase\",\"bit\":4294967295"))
+            .expect("u32::MAX is in range");
+        assert_eq!(max.len(), 1);
     }
 
     #[test]

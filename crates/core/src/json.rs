@@ -16,8 +16,22 @@
 //! JSON spelling; [`push_f64`] writes them as the quoted strings
 //! `"inf"`, `"-inf"` and `"nan"`, and [`Json::as_f64`] accepts those
 //! spellings back.
+//!
+//! This is the workspace's only JSON parser: job requests, serve
+//! envelopes and `openserdes-fault-schedule/1` files
+//! ([`crate::job::fault_schedule_from_json`]) all read through
+//! [`parse`]. It sees outside input, so it never recurses without
+//! bound: arrays and objects nest at most 128 deep, and deeper input
+//! is an error rather than a stack overflow. `\u` escapes decode
+//! UTF-16 surrogate pairs into one character; a lone surrogate is an
+//! error.
 
 use std::fmt::Write as _;
+
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so this bounds its stack use on a 2 MiB thread; the
+/// repository's own documents nest at most 5 deep.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +198,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -231,6 +246,8 @@ pub fn push_f64(out: &mut String, v: f64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -273,8 +290,19 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_obj(),
-            Some(b'[') => self.parse_arr(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.parse_obj()
+                } else {
+                    self.parse_arr()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') if self.eat_keyword("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
@@ -354,21 +382,7 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.parse_unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
@@ -388,6 +402,43 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, or a
+    /// surrogate pair of two such escapes, leaving `pos` on the last
+    /// hex digit.
+    fn parse_unicode_escape(&mut self) -> Result<char, String> {
+        let hi = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        let code = match hi {
+            0xD800..=0xDBFF => {
+                let lo = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                    Some(b"\\u") => self.hex4(self.pos + 3)?,
+                    _ => return Err(self.err("lone surrogate in \\u escape")),
+                };
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(self.err("lone surrogate in \\u escape"));
+                }
+                self.pos += 6;
+                0x1_0000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))
+    }
+
+    /// The four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        digits.iter().try_fold(0, |code, &b| {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            Ok((code << 4) | digit)
+        })
     }
 
     fn parse_number(&mut self) -> Result<Json, String> {
@@ -480,6 +531,40 @@ mod tests {
             parse(&text).expect("parses").as_u64("seed").expect("u64"),
             u64::MAX
         );
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Objects count too. Far past the limit, on a 2 MiB test thread,
+        // this is an error and not a stack overflow.
+        for hostile in ["[".repeat(100_000), "{\"a\":[".repeat(100_000)] {
+            let err = parse(&hostile).expect_err("hostile nesting");
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_surrogates_are_rejected() {
+        // Python's `json.dumps` writes a non-BMP character as a pair.
+        let v = parse(r#""team-\ud83d\ude00""#).expect("pair decodes");
+        assert_eq!(v.as_str("s").expect("str"), "team-\u{1F600}");
+        let v = parse(r#""\uD834\uDD1E\u00e9""#).expect("upper-case hex");
+        assert_eq!(v.as_str("s").expect("str"), "\u{1D11E}\u{e9}");
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\ude0""#,
+            r#""\ude00""#,
+            r#""\u+041""#,
+        ] {
+            assert!(parse(bad).is_err(), "must reject {bad}");
+        }
     }
 
     #[test]

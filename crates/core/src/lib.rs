@@ -15,7 +15,11 @@
 //!   testing,
 //! * [`sweep`] — the sensitivity / maximum-loss sweeps (Fig. 9),
 //! * [`LinkBudget`] — the power and area budget (Figs. 10–11),
-//! * [`cost`] — the open-vs-traditional PDK cost model (Fig. 2).
+//! * [`cost`] — the open-vs-traditional PDK cost model (Fig. 2),
+//! * [`job`] / [`Session`] — the serializable job API behind one front
+//!   door, including the `openserdes-fault-schedule/1` file format
+//!   ([`job::fault_schedule_to_json`] / [`job::fault_schedule_from_json`]),
+//! * [`json`] — the workspace's one JSON parser and canonical writers.
 //!
 //! ```
 //! use openserdes_core::{Deserializer, Serializer};

@@ -14,9 +14,11 @@
 //! * [`FaultEvent`] — one fault anchored at a UI timestamp.
 //! * [`FaultSchedule`] — a seeded, ordered, serializable event list.
 //!   Same seed + same schedule ⇒ the same injected sample flips, on any
-//!   worker count, forever. Round-trips through JSON with no external
-//!   dependencies ([`FaultSchedule::to_json`] /
-//!   [`FaultSchedule::from_json`]).
+//!   worker count, forever. Its JSON lives with the workspace's one
+//!   JSON codec in `openserdes-core`: `job::fault_schedule_to_json` /
+//!   `job::fault_schedule_from_json` for `openserdes-fault-schedule/1`
+//!   files, and the same event fields inside the canonical
+//!   `Request::RunLinkWithFaults` bytes.
 //! * [`campaign`] — standard seeded campaign generators
 //!   ([`CampaignKind`]) so benches and CI exercise a stable matrix.
 //! * [`apply_stuck_at`] — rewrite a netlist so a named net is stuck at
@@ -44,8 +46,8 @@
 //!         at_ui: 500,
 //!         kind: FaultKind::SeuCdrPhase { bit: 1 },
 //!     });
-//! let json = schedule.to_json();
-//! assert_eq!(FaultSchedule::from_json(&json).unwrap(), schedule);
+//! assert_eq!(schedule.len(), 2);
+//! assert!(schedule.events()[1].kind.is_digital());
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +58,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-mod json;
 pub mod server;
 
 pub use server::{server_campaign, ServerFaultEvent, ServerFaultKind, ServerFaultPlan};
@@ -275,11 +276,9 @@ impl FaultSchedule {
     }
 }
 
-/// Errors from fault-schedule parsing and netlist fault application.
+/// Errors from netlist fault application ([`apply_stuck_at`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultError {
-    /// The JSON text could not be parsed as a fault schedule.
-    Parse(String),
     /// [`apply_stuck_at`] was asked for a net name the netlist lacks.
     UnknownNet(String),
     /// [`apply_stuck_at`] was asked to tie a net with no cell driver
@@ -293,7 +292,6 @@ pub enum FaultError {
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultError::Parse(msg) => write!(f, "fault schedule parse error: {msg}"),
             FaultError::UnknownNet(net) => write!(f, "no net named `{net}` in netlist"),
             FaultError::Undriveable(net) => {
                 write!(f, "net `{net}` has no cell driver to rewrite for stuck-at")
@@ -665,6 +663,5 @@ mod tests {
     fn error_display_is_stable() {
         let e = FaultError::UnknownNet("n42".into());
         assert_eq!(e.to_string(), "no net named `n42` in netlist");
-        assert!(FaultError::Parse("bad".into()).to_string().contains("bad"));
     }
 }

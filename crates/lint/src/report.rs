@@ -253,7 +253,7 @@ impl LintReport {
     }
 
     /// Render the report as a JSON object (no external deps: the
-    /// encoder is hand-rolled and escapes via [`json_escape`]).
+    /// encoder is hand-rolled, with its own string escaper).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256 + 160 * self.findings.len());
         s.push_str("{\"design\":\"");
@@ -337,7 +337,7 @@ impl fmt::Display for LintReport {
 }
 
 /// Escape a string for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

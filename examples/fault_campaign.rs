@@ -12,6 +12,7 @@
 //! cargo run --release --example fault_campaign
 //! ```
 
+use openserdes::core::job::{fault_schedule_from_json, fault_schedule_to_json};
 use openserdes::core::{CdrConfig, LinkConfig, PrbsGenerator, PrbsOrder, FRAME_BITS, LANES};
 use openserdes::fault::{campaign, CampaignKind, FaultEvent, FaultKind, FaultSchedule};
 use openserdes::Session;
@@ -90,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Schedules serialize to JSON for archiving and replay elsewhere.
-    let json = burst.to_json();
-    let replayed = FaultSchedule::from_json(&json)?;
+    let json = fault_schedule_to_json(&burst);
+    let replayed = fault_schedule_from_json(&json)?;
     assert_eq!(replayed.events(), burst.events());
     println!("\nschedule round-trips through JSON ({} bytes)", json.len());
     Ok(())

@@ -355,6 +355,45 @@ fn hostile_length_prefix_gets_a_typed_error_and_clean_close() {
 }
 
 #[test]
+fn hostile_nesting_gets_a_typed_error_and_the_connection_survives() {
+    // 100 000 `[` is a 100 KB frame, far under MAX_FRAME. A parser that
+    // recursed once per level would overflow the connection thread's
+    // stack and abort the whole server.
+    let stats = with_server(ServerConfig::default(), |addr| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("bounded read");
+        let mut exchange = |payload: &[u8]| {
+            wire::write_frame_blocking(&mut s, payload).expect("send frame");
+            let reply = wire::read_frame_blocking(&mut s)
+                .expect("reply")
+                .expect("frame before close");
+            wire::parse_reply(&String::from_utf8(reply).expect("utf8")).expect("reply parses")
+        };
+        match exchange("[".repeat(100_000).as_bytes()) {
+            Err(msg) => assert!(msg.contains("nesting deeper"), "typed: {msg}"),
+            Ok(other) => panic!("expected an error frame, got {other:?}"),
+        }
+        let envelope = wire::Envelope {
+            tenant: "after-the-storm".into(),
+            priority: 1,
+            seed: 5,
+            deadline_ms: None,
+            request: Request::Lint {
+                design: DesignSpec::Serializer,
+            },
+        };
+        match exchange(envelope.to_json().as_bytes()) {
+            Ok(Response::Lint(_)) => {}
+            other => panic!("expected a lint reply on the same connection, got {other:?}"),
+        }
+    });
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.conn_errors, 0);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
 fn queued_jobs_past_deadline_come_back_typed() {
     let config = ServerConfig {
         workers: 1,
