@@ -817,15 +817,14 @@ fn push_fault_event(out: &mut String, e: &FaultEvent, pretty: bool) {
 /// (a file's `schema` tag) are left to the caller.
 fn parse_fault_schedule(v: &Json) -> Result<FaultSchedule, String> {
     let obj = v.as_obj("faults")?;
-    let mut schedule = FaultSchedule::new(json::get(obj, "seed")?.as_u64("seed")?);
-    for (i, ev) in json::get(obj, "events")?
+    let seed = json::get(obj, "seed")?.as_u64("seed")?;
+    let events = json::get(obj, "events")?
         .as_arr("events")?
         .iter()
         .enumerate()
-    {
-        schedule.push(parse_fault_event(ev).map_err(|e| format!("events[{i}]: {e}"))?);
-    }
-    Ok(schedule)
+        .map(|(i, ev)| parse_fault_event(ev).map_err(|e| format!("events[{i}]: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(FaultSchedule::from_events(seed, events))
 }
 
 fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
@@ -1707,6 +1706,77 @@ mod tests {
             )
         );
         assert_eq!(key.digest, "b640346804a1723684ab6a2ce367bfd9");
+    }
+
+    #[test]
+    fn a_large_reverse_ordered_schedule_decodes_sorted_with_ties_in_order() {
+        // 200 000 events in descending `at_ui`, two per instant, each
+        // tagged with its document index: decoding sorts once, and
+        // within a tie keeps document order.
+        const N: u32 = 200_000;
+        let mut text =
+            String::from("{\"schema\":\"openserdes-fault-schedule/1\",\"seed\":5,\"events\":[");
+        for i in 0..N {
+            if i > 0 {
+                text.push(',');
+            }
+            let at_ui = (N - 1 - i) / 2;
+            let _ = write!(
+                text,
+                r#"{{"at_ui":{at_ui},"kind":"seu_cdr_phase","bit":{i}}}"#
+            );
+        }
+        text.push_str("]}");
+        let s = fault_schedule_from_json(&text).expect("parse");
+        assert_eq!(s.len(), N as usize);
+        let order: Vec<(u64, u32)> = s
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                FaultKind::SeuCdrPhase { bit } => (e.at_ui, bit),
+                ref other => panic!("unexpected kind {other:?}"),
+            })
+            .collect();
+        assert_eq!(order[0], (0, N - 2));
+        assert_eq!(order[1], (0, N - 1));
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "sorted, ties in order"
+        );
+    }
+
+    #[test]
+    fn bulk_and_pushed_schedules_encode_identically() {
+        // A shuffled schedule with ties, built by one sort and by a sort
+        // per push, gives the same canonical and file bytes.
+        let kinds: Vec<FaultKind> = sample_schedule()
+            .events()
+            .iter()
+            .map(|e| e.kind.clone())
+            .collect();
+        let events: Vec<FaultEvent> = (0..24u64)
+            .map(|k| FaultEvent {
+                at_ui: (k * 7 + 3) % 11,
+                kind: kinds[k as usize % kinds.len()].clone(),
+            })
+            .collect();
+        let bulk = FaultSchedule::from_events(13, events.clone());
+        let pushed = events
+            .into_iter()
+            .fold(FaultSchedule::new(13), FaultSchedule::with_event);
+        let request = |schedule| Request::RunLinkWithFaults {
+            config: LinkConfig::paper_default(),
+            frames: frames(1),
+            schedule,
+        };
+        assert_eq!(
+            request(bulk.clone()).to_canonical_json(),
+            request(pushed.clone()).to_canonical_json()
+        );
+        assert_eq!(
+            fault_schedule_to_json(&bulk),
+            fault_schedule_to_json(&pushed)
+        );
     }
 
     #[test]

@@ -231,6 +231,14 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
+    /// A schedule of `events`, sorted once by `at_ui`. Equal `at_ui`
+    /// keep their input order, so this is the schedule that pushing the
+    /// events one by one builds, without a sort per push.
+    pub fn from_events(seed: u64, mut events: Vec<FaultEvent>) -> Self {
+        events.sort_by_key(|e| e.at_ui);
+        FaultSchedule { seed, events }
+    }
+
     /// Add an event, keeping the list sorted by `at_ui`.
     pub fn push(&mut self, event: FaultEvent) {
         self.events.push(event);

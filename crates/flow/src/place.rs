@@ -153,38 +153,79 @@ pub fn place_greedy(netlist: &Netlist, library: &Library, floorplan: &Floorplan)
     }
 }
 
-/// Half-perimeter wirelength of one net in µm.
-fn net_hpwl(
-    placement: &Placement,
-    net: NetId,
-    fanout: &[Vec<CellId>],
-    drivers: &[Option<CellId>],
-) -> f64 {
-    let mut min_x = f64::INFINITY;
-    let mut max_x = f64::NEG_INFINITY;
-    let mut min_y = f64::INFINITY;
-    let mut max_y = f64::NEG_INFINITY;
-    let mut pins = 0usize;
-    let mut add = |(x, y): (f64, f64), pins: &mut usize| {
-        min_x = min_x.min(x);
-        max_x = max_x.max(x);
-        min_y = min_y.min(y);
-        max_y = max_y.max(y);
-        *pins += 1;
+/// The bounding box of one net's pins, the unit of the HPWL cost model.
+///
+/// Min and max are exact in floating point and independent of the order
+/// pins are added in, so a box kept up to date move by move equals a
+/// fresh scan of the same pin positions bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NetBox {
+    pub(crate) min_x: f64,
+    pub(crate) max_x: f64,
+    pub(crate) min_y: f64,
+    pub(crate) max_y: f64,
+    /// Pins counted with multiplicity (a cell reading the net on two
+    /// pins counts twice).
+    pub(crate) pins: usize,
+}
+
+impl NetBox {
+    /// The box of a net with no pins.
+    pub(crate) const EMPTY: NetBox = NetBox {
+        min_x: f64::INFINITY,
+        max_x: f64::NEG_INFINITY,
+        min_y: f64::INFINITY,
+        max_y: f64::NEG_INFINITY,
+        pins: 0,
     };
-    if let Some(driver) = drivers[net.index()] {
-        add(placement.position(driver), &mut pins);
+
+    /// Scans every pin of `net`: its driver, its I/O pin, its sinks.
+    fn scan(
+        placement: &Placement,
+        net: NetId,
+        fanout: &[Vec<CellId>],
+        drivers: &[Option<CellId>],
+    ) -> Self {
+        let mut b = Self::EMPTY;
+        if let Some(driver) = drivers[net.index()] {
+            b.add(placement.position(driver));
+        }
+        if let Some(xy) = placement.io_pin_of[net.index()] {
+            b.add(xy);
+        }
+        for &sink in &fanout[net.index()] {
+            b.add(placement.position(sink));
+        }
+        b
     }
-    if let Some(xy) = placement.io_pin_of[net.index()] {
-        add(xy, &mut pins);
+
+    /// Adds one pin at `xy`.
+    pub(crate) fn add(&mut self, xy: (f64, f64)) {
+        self.cover(xy);
+        self.pins += 1;
     }
-    for &sink in &fanout[net.index()] {
-        add(placement.position(sink), &mut pins);
+
+    /// Grows the box to cover `(x, y)` without counting a pin.
+    fn cover(&mut self, (x, y): (f64, f64)) {
+        self.min_x = self.min_x.min(x);
+        self.max_x = self.max_x.max(x);
+        self.min_y = self.min_y.min(y);
+        self.max_y = self.max_y.max(y);
     }
-    if pins < 2 {
-        0.0
-    } else {
-        (max_x - min_x) + (max_y - min_y)
+
+    /// `true` if a pin at `(x, y)` inside the box touches one of its
+    /// edges, so the box may shrink when that pin leaves.
+    fn on_edge(&self, (x, y): (f64, f64)) -> bool {
+        x == self.min_x || x == self.max_x || y == self.min_y || y == self.max_y
+    }
+
+    /// Half-perimeter wirelength in µm; 0 for nets of fewer than two pins.
+    pub(crate) fn hpwl(&self) -> f64 {
+        if self.pins < 2 {
+            0.0
+        } else {
+            (self.max_x - self.min_x) + (self.max_y - self.min_y)
+        }
     }
 }
 
@@ -194,8 +235,58 @@ pub fn hpwl(netlist: &Netlist, placement: &Placement) -> f64 {
     let drivers = netlist.driver_table();
     netlist
         .net_ids()
-        .map(|n| net_hpwl(placement, n, &fanout, &drivers))
+        .map(|net| NetBox::scan(placement, net, &fanout, &drivers).hpwl())
         .sum()
+}
+
+/// The nets each cell touches through any pin, sorted and deduplicated,
+/// each flagged `true` if the cell's position is one of the net's pins.
+/// Only a driver that [`Netlist::driver_table`] does not record (one of
+/// several on a multiply driven net) touches a net without being a pin.
+fn cell_nets(netlist: &Netlist, drivers: &[Option<CellId>]) -> Vec<Vec<(NetId, bool)>> {
+    netlist
+        .instances()
+        .map(|(id, inst)| {
+            let mut nets: Vec<(NetId, bool)> = inst.inputs.iter().map(|&n| (n, true)).collect();
+            nets.push((inst.output, drivers[inst.output.index()] == Some(id)));
+            nets.extend(inst.clock.map(|c| (c, true)));
+            // A net the cell is a pin of sorts first, so dedup keeps it.
+            nets.sort_unstable_by_key(|&(net, pin)| (net, !pin));
+            nets.dedup_by_key(|&mut (net, _)| net);
+            nets
+        })
+        .collect()
+}
+
+/// Merges the sorted net lists of two cells into `out` as
+/// `(net, on_a, on_b)`: every net either cell touches, once, in net
+/// order, with whether each cell is one of its pins.
+fn merge_nets(a: &[(NetId, bool)], b: &[(NetId, bool)], out: &mut Vec<(NetId, bool, bool)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let entry = match (a.get(i), b.get(j)) {
+            (Some(&(n, p)), Some(&(m, q))) if n == m => {
+                i += 1;
+                j += 1;
+                (n, p, q)
+            }
+            (Some(&(n, p)), Some(&(m, _))) if n < m => {
+                i += 1;
+                (n, p, false)
+            }
+            (Some(&(n, p)), None) => {
+                i += 1;
+                (n, p, false)
+            }
+            (_, Some(&(m, q))) => {
+                j += 1;
+                (m, false, q)
+            }
+            (None, None) => return,
+        };
+        out.push(entry);
+    }
 }
 
 /// Refines a placement with simulated annealing over cell-pair swaps.
@@ -203,6 +294,15 @@ pub fn hpwl(netlist: &Netlist, placement: &Placement) -> f64 {
 /// Deterministic for a given `seed`. `iterations` is the number of
 /// attempted moves; the temperature decays geometrically from an initial
 /// value derived from the starting HPWL.
+///
+/// The cost is incremental: each net's pin bounding box is scanned
+/// once, and a move re-evaluates only the nets of the two swapped cells.
+/// A net both cells are pins of keeps its box (the swap only permutes
+/// its pins). A net with one moving pin grows its box to the new spot,
+/// and is rescanned only if the old spot lay on an edge. A rejected move
+/// leaves the boxes untouched. Every move sums the same per-net values
+/// in the same net order as rescanning every touched net would, so
+/// every delta, and with it the whole run, is bit-identical to that.
 pub fn anneal(
     netlist: &Netlist,
     placement: &mut Placement,
@@ -210,7 +310,13 @@ pub fn anneal(
     iterations: usize,
 ) -> AnnealStats {
     let n = netlist.cell_count();
-    let initial = hpwl(netlist, placement);
+    let fanout = netlist.fanout_table();
+    let drivers = netlist.driver_table();
+    let mut boxes: Vec<NetBox> = netlist
+        .net_ids()
+        .map(|net| NetBox::scan(placement, net, &fanout, &drivers))
+        .collect();
+    let initial: f64 = boxes.iter().map(NetBox::hpwl).sum();
     if n < 2 || iterations == 0 {
         return AnnealStats {
             initial_hpwl: initial,
@@ -219,55 +325,57 @@ pub fn anneal(
             attempted: 0,
         };
     }
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
-    // Nets touching each cell (for incremental cost evaluation).
-    let mut cell_nets: Vec<Vec<NetId>> = vec![Vec::new(); n];
-    for (id, inst) in netlist.instances() {
-        let mut nets: Vec<NetId> = inst.inputs.clone();
-        nets.push(inst.output);
-        if let Some(c) = inst.clock {
-            nets.push(c);
-        }
-        nets.sort_unstable();
-        nets.dedup();
-        cell_nets[id.index()] = nets;
-    }
-    let cells: Vec<CellId> = netlist.cell_ids().collect();
+    let cell_nets = cell_nets(netlist, &drivers);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cost = initial;
     let mut temp = (initial / n as f64).max(1.0);
     let cooling = 0.999_f64.powf(1000.0 / iterations.max(1) as f64);
     let mut accepted = 0usize;
+    let mut touched: Vec<(NetId, bool, bool)> = Vec::new();
+    let mut fresh: Vec<NetBox> = Vec::new();
 
     for _ in 0..iterations {
-        let a = cells[rng.gen_range(0..n)];
-        let b = cells[rng.gen_range(0..n)];
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
         if a == b {
             continue;
         }
-        // Cost of affected nets before the swap.
-        let mut affected: Vec<NetId> = cell_nets[a.index()].clone();
-        affected.extend(&cell_nets[b.index()]);
-        affected.sort_unstable();
-        affected.dedup();
-        let before: f64 = affected
+        merge_nets(&cell_nets[a], &cell_nets[b], &mut touched);
+        let before: f64 = touched
             .iter()
-            .map(|&net| net_hpwl(placement, net, &fanout, &drivers))
+            .map(|&(net, ..)| boxes[net.index()].hpwl())
             .sum();
-        placement.positions.swap(a.index(), b.index());
-        let after: f64 = affected
-            .iter()
-            .map(|&net| net_hpwl(placement, net, &fanout, &drivers))
-            .sum();
+        let (pa, pb) = (placement.positions[a], placement.positions[b]);
+        placement.positions.swap(a, b);
+        fresh.clear();
+        fresh.extend(touched.iter().map(|&(net, on_a, on_b)| {
+            let cached = boxes[net.index()];
+            let (from, to) = match (on_a, on_b) {
+                (true, false) => (pa, pb),
+                (false, true) => (pb, pa),
+                // Both cells are pins, or neither: same pin positions.
+                _ => return cached,
+            };
+            if cached.on_edge(from) {
+                NetBox::scan(placement, net, &fanout, &drivers)
+            } else {
+                let mut moved = cached;
+                moved.cover(to);
+                moved
+            }
+        }));
+        let after: f64 = fresh.iter().map(NetBox::hpwl).sum();
         let delta = after - before;
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
         if accept {
             cost += delta;
             accepted += 1;
+            for (&(net, ..), &fresh) in touched.iter().zip(&fresh) {
+                boxes[net.index()] = fresh;
+            }
         } else {
-            placement.positions.swap(a.index(), b.index());
+            placement.positions.swap(a, b);
         }
         temp *= cooling;
     }
@@ -285,7 +393,8 @@ mod tests {
     use super::*;
     use openserdes_pdk::corner::Pvt;
     use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
-    use openserdes_pdk::units::AreaUm2;
+    use openserdes_pdk::units::{AreaUm2, Micron};
+    use proptest::prelude::*;
 
     fn chain(n: usize) -> Netlist {
         let mut nl = Netlist::new("chain");
@@ -385,5 +494,175 @@ mod tests {
         assert_eq!(pins.len(), 2); // one input, one output
         assert_eq!(pins[0].1 .0, 0.0);
         assert!((pins[1].1 .0 - fp.width.value()).abs() < 1e-9);
+    }
+
+    /// The full-rescan annealer the incremental one replaced, kept as
+    /// the reference: every move rescans every pin of every net either
+    /// cell touches, once before and once after the swap.
+    fn anneal_reference(
+        netlist: &Netlist,
+        placement: &mut Placement,
+        seed: u64,
+        iterations: usize,
+    ) -> AnnealStats {
+        let fanout = netlist.fanout_table();
+        let drivers = netlist.driver_table();
+        let net_hpwl = |p: &Placement, net: NetId| NetBox::scan(p, net, &fanout, &drivers).hpwl();
+        let n = netlist.cell_count();
+        let initial = hpwl(netlist, placement);
+        if n < 2 || iterations == 0 {
+            return AnnealStats {
+                initial_hpwl: initial,
+                final_hpwl: initial,
+                accepted: 0,
+                attempted: 0,
+            };
+        }
+        let mut cell_nets: Vec<Vec<NetId>> = vec![Vec::new(); n];
+        for (id, inst) in netlist.instances() {
+            let mut nets: Vec<NetId> = inst.inputs.clone();
+            nets.push(inst.output);
+            if let Some(c) = inst.clock {
+                nets.push(c);
+            }
+            nets.sort_unstable();
+            nets.dedup();
+            cell_nets[id.index()] = nets;
+        }
+        let cells: Vec<CellId> = netlist.cell_ids().collect();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cost = initial;
+        let mut temp = (initial / n as f64).max(1.0);
+        let cooling = 0.999_f64.powf(1000.0 / iterations.max(1) as f64);
+        let mut accepted = 0usize;
+
+        for _ in 0..iterations {
+            let a = cells[rng.gen_range(0..n)];
+            let b = cells[rng.gen_range(0..n)];
+            if a == b {
+                continue;
+            }
+            let mut affected: Vec<NetId> = cell_nets[a.index()].clone();
+            affected.extend(&cell_nets[b.index()]);
+            affected.sort_unstable();
+            affected.dedup();
+            let before: f64 = affected.iter().map(|&net| net_hpwl(placement, net)).sum();
+            placement.positions.swap(a.index(), b.index());
+            let after: f64 = affected.iter().map(|&net| net_hpwl(placement, net)).sum();
+            let delta = after - before;
+            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
+            if accept {
+                cost += delta;
+                accepted += 1;
+            } else {
+                placement.positions.swap(a.index(), b.index());
+            }
+            temp *= cooling;
+        }
+
+        AnnealStats {
+            initial_hpwl: initial,
+            final_hpwl: cost,
+            accepted,
+            attempted: iterations,
+        }
+    }
+
+    /// A random small netlist. A fixed skeleton holds one of each corner
+    /// of the cost model: a NAND2 reading one net on both pins, a net
+    /// that is both a primary input and a primary output, an input that
+    /// feeds nothing and an inverter whose output goes nowhere (both
+    /// single-pin nets). Each op then adds a cell reading earlier nets:
+    /// an inverter, a NAND2, a NAND2 on one net twice, a flop on the
+    /// shared clock, or a NAND2 driving an earlier net (a multiply
+    /// driven net, whose unrecorded driver touches a net without being
+    /// one of its pins). An op packs its kind and two net picks as
+    /// `kind + 5 * (p + 1000 * q)`.
+    fn random_netlist(ops: &[usize], outputs: &[usize]) -> Netlist {
+        let x1 = DriveStrength::X1;
+        let mut nl = Netlist::new("random");
+        let clk = nl.add_input("clk");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        nl.add_input("spare");
+        nl.mark_output("a_through", a);
+        let mut nets = vec![clk, a, b, nl.gate(LogicFn::Nand2, x1, &[a, a])];
+        for &op in ops {
+            let (kind, p, q) = (op % 5, op / 5 % 1000, op / 5000);
+            let (x, y) = (nets[p % nets.len()], nets[q % nets.len()]);
+            let out = match kind {
+                0 => nl.gate(LogicFn::Inv, x1, &[x]),
+                1 => nl.gate(LogicFn::Nand2, x1, &[x, y]),
+                2 => nl.gate(LogicFn::Nand2, x1, &[x, x]),
+                3 => nl.dff(x, clk, x1),
+                _ => {
+                    nl.gate_into(LogicFn::Nand2, x1, &[x, y], y);
+                    continue;
+                }
+            };
+            nets.push(out);
+        }
+        for (k, &o) in outputs.iter().enumerate() {
+            nl.mark_output(format!("y{k}"), nets[o % nets.len()]);
+        }
+        let last = *nets.last().expect("skeleton nets");
+        nl.gate(LogicFn::Inv, x1, &[last]);
+        nl
+    }
+
+    /// Greedy placement of `nl`, into a single row if `one_row` (every
+    /// cell pin then sits on a y edge of its nets' boxes).
+    fn placed(nl: &Netlist, lib: &Library, one_row: bool) -> Placement {
+        let area = openserdes_netlist::NetlistStats::compute(nl, lib).area;
+        let fp = if one_row {
+            Floorplan {
+                width: Micron::new(area.value() / ROW_HEIGHT_UM),
+                height: Micron::new(ROW_HEIGHT_UM),
+                rows: 1,
+                utilization: 1.0,
+            }
+        } else {
+            Floorplan::for_area(area, 0.6, 1.0)
+        };
+        place_greedy(nl, lib, &fp)
+    }
+
+    fn stats_bits(s: &AnnealStats) -> (u64, u64, usize, usize) {
+        (
+            s.initial_hpwl.to_bits(),
+            s.final_hpwl.to_bits(),
+            s.accepted,
+            s.attempted,
+        )
+    }
+
+    fn position_bits(p: &Placement) -> Vec<(u64, u64)> {
+        p.positions
+            .iter()
+            .map(|&(x, y)| (x.to_bits(), y.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn incremental_anneal_equals_full_rescan(
+            ops in prop::collection::vec(0usize..5_000_000, 0..40),
+            outputs in prop::collection::vec(0usize..1_000, 0..4),
+            seed in any::<u64>(),
+            iterations in prop::sample::select(vec![0usize, 1, 2, 40, 600]),
+            one_row in any::<bool>(),
+        ) {
+            let nl = random_netlist(&ops, &outputs);
+            let lib = Library::sky130(Pvt::nominal());
+            let mut fast = placed(&nl, &lib, one_row);
+            let mut full = fast.clone();
+            let got = anneal(&nl, &mut fast, seed, iterations);
+            let want = anneal_reference(&nl, &mut full, seed, iterations);
+            prop_assert_eq!(stats_bits(&got), stats_bits(&want), "{} cells", nl.cell_count());
+            prop_assert_eq!(position_bits(&fast), position_bits(&full));
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! factor, with longer nets promoted to higher (faster) metals. A simple
 //! row-based congestion metric flags over-utilized placements.
 
-use crate::place::Placement;
+use crate::place::{NetBox, Placement};
 use openserdes_netlist::{NetId, Netlist};
 use openserdes_pdk::units::{Farad, Micron, Ohm};
 use openserdes_pdk::wire::MetalLayer;
@@ -81,49 +81,36 @@ pub fn global_route(netlist: &Netlist, placement: &Placement) -> RouteResult {
     let band_h = placement.floorplan.height.value() / bands as f64;
     let mut demand = vec![0.0f64; bands];
 
+    // Fixed I/O pins by net. A net that is both a primary input and a
+    // primary output has two, and both count.
+    let mut io_pins: Vec<Vec<(f64, f64)>> = vec![Vec::new(); netlist.net_count()];
+    for (net, xy) in placement.io_pins() {
+        io_pins[net.index()].push(xy);
+    }
+
     for net in netlist.net_ids() {
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut pins = 0usize;
-        let mut add = |x: f64, y: f64, pins: &mut usize| {
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
-            *pins += 1;
-        };
+        let mut b = NetBox::EMPTY;
         if let Some(d) = drivers[net.index()] {
-            let (x, y) = placement.position(d);
-            add(x, y, &mut pins);
+            b.add(placement.position(d));
         }
-        for (n, (x, y)) in placement.io_pins() {
-            if n == net {
-                add(x, y, &mut pins);
-            }
+        for &xy in &io_pins[net.index()] {
+            b.add(xy);
         }
         for &s in &fanout[net.index()] {
-            let (x, y) = placement.position(s);
-            add(x, y, &mut pins);
+            b.add(placement.position(s));
         }
-        let hp = if pins < 2 {
-            0.0
-        } else {
-            (max_x - min_x) + (max_y - min_y)
-        };
         // Multi-pin nets need extra Steiner length: scale by pin count.
-        let steiner = if pins > 3 {
-            1.0 + 0.15 * (pins as f64 - 3.0).sqrt()
+        let steiner = if b.pins > 3 {
+            1.0 + 0.15 * (b.pins as f64 - 3.0).sqrt()
         } else {
             1.0
         };
-        let length = hp * DETOUR * steiner;
+        let length = b.hpwl() * DETOUR * steiner;
         total += length;
-        if pins >= 2 && band_h > 0.0 {
-            let lo = ((min_y / band_h).floor().max(0.0) as usize).min(bands - 1);
-            let hi = ((max_y / band_h).floor().max(0.0) as usize).min(bands - 1);
-            let width = (max_x - min_x).max(1.0);
+        if b.pins >= 2 && band_h > 0.0 {
+            let lo = ((b.min_y / band_h).floor().max(0.0) as usize).min(bands - 1);
+            let hi = ((b.max_y / band_h).floor().max(0.0) as usize).min(bands - 1);
+            let width = (b.max_x - b.min_x).max(1.0);
             for d in demand.iter_mut().take(hi + 1).skip(lo) {
                 *d += width;
             }
@@ -215,5 +202,35 @@ mod tests {
         let (_, r) = routed(15);
         let sum: f64 = r.iter().map(|n| n.length.value()).sum();
         assert!((sum - r.total_length.value()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_net_that_is_input_and_output_counts_both_io_pins() {
+        // `a` is a primary input, a primary output and the inverter's
+        // input: three pins, two of them fixed pads on opposite edges.
+        let mut nl = Netlist::new("through");
+        let a = nl.add_input("a");
+        let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
+        nl.mark_output("a_out", a);
+        nl.mark_output("y", y);
+        let lib = Library::sky130(Pvt::nominal());
+        let fp = Floorplan::for_area(NetlistStats::compute(&nl, &lib).area, 0.6, 1.0);
+        let p = place_greedy(&nl, &lib, &fp);
+        let inv = nl.cell_ids().next().expect("one cell");
+        let pins: Vec<(f64, f64)> = p
+            .io_pins()
+            .filter(|&(net, _)| net == a)
+            .map(|(_, xy)| xy)
+            .chain([p.position(inv)])
+            .collect();
+        assert_eq!(pins.len(), 3);
+        let span = |coord: fn(&(f64, f64)) -> f64| {
+            let lo = pins.iter().map(coord).fold(f64::INFINITY, f64::min);
+            let hi = pins.iter().map(coord).fold(f64::NEG_INFINITY, f64::max);
+            hi - lo
+        };
+        let want = (span(|p| p.0) + span(|p| p.1)) * DETOUR;
+        let got = global_route(&nl, &p).net(a).length.value();
+        assert_eq!(got.to_bits(), want.to_bits());
     }
 }

@@ -179,3 +179,116 @@ fn whole_chip_top_completes_the_flow() {
     assert_eq!(r.timing.hold_violations, 0);
     assert!(r.timing.fmax.ghz() > 0.8);
 }
+
+/// FNV-1a over the little-endian bit patterns of `values`: a digest
+/// that needs no second implementation to agree with.
+fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One design's placement and routing, as `f64::to_bits` and counts.
+struct LayoutPins {
+    design: openserdes::core::job::DesignSpec,
+    initial_hpwl: u64,
+    final_hpwl: u64,
+    accepted: usize,
+    /// [`fnv1a`] over every cell's final `x, y`, in cell order.
+    positions: u64,
+    route_length: u64,
+    peak_congestion: u64,
+    /// [`fnv1a`] over every routed net's length, in net order.
+    net_lengths: u64,
+}
+
+#[test]
+fn layouts_match_literals_captured_from_the_full_rescan_placer() {
+    // Independent anchors for placement and routing, captured before the
+    // annealer's cost became incremental and before routing indexed its
+    // I/O pins by net, so they hold whatever the bookkeeping looks like.
+    use openserdes::core::job::DesignSpec;
+    let pins = [
+        LayoutPins {
+            design: DesignSpec::Serializer,
+            initial_hpwl: 0x40f6_d753_a5c6_dde6,
+            final_hpwl: 0x40f2_4f6d_451c_145b,
+            accepted: 10_290,
+            positions: 0x9b2f_31ba_b663_60ea,
+            route_length: 0x40f6_5612_082c_4b1b,
+            peak_congestion: 0x4032_2cec_13b4_f47c,
+            net_lengths: 0x5b28_4454_cceb_15e2,
+        },
+        LayoutPins {
+            design: DesignSpec::Deserializer,
+            initial_hpwl: 0x40fa_5e1a_d751_7731,
+            final_hpwl: 0x40f5_6e0e_0623_05dd,
+            accepted: 9_193,
+            positions: 0x4816_00aa_712a_0219,
+            route_length: 0x40fb_3000_2dd6_d8ce,
+            peak_congestion: 0x4036_18f8_d3d3_9b0a,
+            net_lengths: 0x41e0_0b5e_6ca9_1982,
+        },
+        LayoutPins {
+            design: DesignSpec::Cdr { oversampling: 5 },
+            initial_hpwl: 0x40cc_2a1b_6cf9_cfda,
+            final_hpwl: 0x40c6_9b56_2215_51a1,
+            accepted: 8_127,
+            positions: 0x9bf6_0949_06b8_6706,
+            route_length: 0x40cd_4b1f_4234_d047,
+            peak_congestion: 0x4018_a327_0a45_4c87,
+            net_lengths: 0xa0a0_017a_5966_6b99,
+        },
+        LayoutPins {
+            design: DesignSpec::ScanChain,
+            initial_hpwl: 0x4085_fe4c_a96a_a355,
+            final_hpwl: 0x4082_1f42_1ee0_18f3,
+            accepted: 10_921,
+            positions: 0x3e53_719b_73d9_0eda,
+            route_length: 0x4087_446c_962f_6f85,
+            peak_congestion: 0x3fef_10ae_7bbe_3c02,
+            net_lengths: 0x7624_03b3_1e5f_b2bf,
+        },
+        LayoutPins {
+            design: DesignSpec::DigitalTop { oversampling: 5 },
+            initial_hpwl: 0x4113_f949_dc50_e110,
+            final_hpwl: 0x4110_4123_4713_a751,
+            accepted: 9_258,
+            positions: 0xe400_34fe_aae4_387e,
+            route_length: 0x4114_501c_72de_60fa,
+            peak_congestion: 0x4045_8de7_5a5b_fa1b,
+            net_lengths: 0xe2e7_7c7d_0dfd_4a61,
+        },
+    ];
+    let flow = Flow::new().with_config(FlowConfig::default());
+    for want in pins {
+        let r = flow.run(&want.design.build()).expect("flow runs");
+        let tag = want.design.tag();
+        let anneal = &r.anneal;
+        assert_eq!(anneal.initial_hpwl.to_bits(), want.initial_hpwl, "{tag}");
+        assert_eq!(anneal.final_hpwl.to_bits(), want.final_hpwl, "{tag}");
+        assert_eq!(anneal.accepted, want.accepted, "{tag}");
+        assert_eq!(anneal.attempted, 20_000, "{tag}");
+        let positions = r.synth.netlist.cell_ids().flat_map(|cell| {
+            let (x, y) = r.placement.position(cell);
+            [x, y]
+        });
+        assert_eq!(fnv1a(positions), want.positions, "{tag} cell positions");
+        let route = &r.route;
+        assert_eq!(
+            route.total_length.value().to_bits(),
+            want.route_length,
+            "{tag}"
+        );
+        assert_eq!(
+            route.peak_congestion.to_bits(),
+            want.peak_congestion,
+            "{tag}"
+        );
+        let lengths = route.iter().map(|net| net.length.value());
+        assert_eq!(fnv1a(lengths), want.net_lengths, "{tag} routed lengths");
+    }
+}
