@@ -2,14 +2,19 @@
 //! blocks, including gate-level equivalence of the mapped netlists
 //! against the behavioural FSMs.
 
+use openserdes::core::job::DesignSpec;
 use openserdes::core::{
     cdr_design, deserializer_design, frame_to_bits, serializer_design, Serializer, FRAME_BITS,
 };
 use openserdes::digital::CycleSim;
-use openserdes::flow::{synthesize, Flow, FlowConfig};
+use openserdes::flow::ir::Design;
+use openserdes::flow::{
+    optimize_timing, synthesize, Flow, FlowConfig, Sta, StaConfig, SynthResult,
+};
+use openserdes::netlist::Netlist;
 use openserdes::pdk::corner::{ProcessCorner, Pvt};
 use openserdes::pdk::library::Library;
-use openserdes::pdk::units::Hertz;
+use openserdes::pdk::units::{Hertz, Time};
 
 #[test]
 fn serializer_netlist_equals_behavioural_fsm() {
@@ -180,15 +185,20 @@ fn whole_chip_top_completes_the_flow() {
     assert!(r.timing.fmax.ghz() > 0.8);
 }
 
-/// FNV-1a over the little-endian bit patterns of `values`: a digest
-/// that needs no second implementation to agree with.
-fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
+/// FNV-1a over a byte stream: a digest that needs no second
+/// implementation to agree with.
+fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for byte in values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+    for byte in bytes {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// [`fnv1a_bytes`] over the little-endian bit patterns of `values`.
+fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
+    fnv1a_bytes(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// One design's placement and routing, as `f64::to_bits` and counts.
@@ -210,7 +220,6 @@ fn layouts_match_literals_captured_from_the_full_rescan_placer() {
     // Independent anchors for placement and routing, captured before the
     // annealer's cost became incremental and before routing indexed its
     // I/O pins by net, so they hold whatever the bookkeeping looks like.
-    use openserdes::core::job::DesignSpec;
     let pins = [
         LayoutPins {
             design: DesignSpec::Serializer,
@@ -291,4 +300,235 @@ fn layouts_match_literals_captured_from_the_full_rescan_placer() {
         let lengths = route.iter().map(|net| net.length.value());
         assert_eq!(fnv1a(lengths), want.net_lengths, "{tag} routed lengths");
     }
+}
+
+/// [`fnv1a_bytes`] over a netlist's content read through its public
+/// API (module name, net names, instances, ports), so the digest holds
+/// whatever else the netlist keeps beside them.
+fn netlist_digest(nl: &Netlist) -> u64 {
+    use std::fmt::Write as _;
+    let mut text = format!("{}\n", nl.name());
+    for net in nl.net_ids() {
+        let _ = writeln!(text, "{}", nl.net_name(net));
+    }
+    for (_, inst) in nl.instances() {
+        let _ = writeln!(text, "{inst:?}");
+    }
+    let _ = writeln!(text, "{:?}", nl.primary_inputs());
+    let _ = writeln!(text, "{:?}", nl.primary_outputs());
+    fnv1a_bytes(text.into_bytes())
+}
+
+/// [`fnv1a_bytes`] over a value's `Debug` text. Rust prints an `f64`
+/// in its shortest round-trip form, so the digest follows every bit.
+fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a_bytes(format!("{value:?}").into_bytes())
+}
+
+/// The rows of every signoff pin table: the five designs, with the CDR
+/// at 3, 5 and 8 samples per UI.
+const SIGNOFF_SPECS: [DesignSpec; 7] = [
+    DesignSpec::Serializer,
+    DesignSpec::Deserializer,
+    DesignSpec::Cdr { oversampling: 3 },
+    DesignSpec::Cdr { oversampling: 5 },
+    DesignSpec::Cdr { oversampling: 8 },
+    DesignSpec::ScanChain,
+    DesignSpec::DigitalTop { oversampling: 5 },
+];
+
+/// Synthesizes every [`SIGNOFF_SPECS`] row at tt, ss and ff (the
+/// columns) and checks `pin(design, pvt, library, synth)` against
+/// `want[row][column]`.
+fn check_signoff_pins<T: PartialEq + std::fmt::Debug>(
+    want: &[[T; 3]; 7],
+    pin: impl Fn(&Design, Pvt, &Library, SynthResult) -> T,
+) {
+    let corners = [
+        ("tt", Pvt::nominal()),
+        ("ss", Pvt::worst_case()),
+        ("ff", Pvt::best_case()),
+    ];
+    for (row, spec) in want.iter().zip(SIGNOFF_SPECS) {
+        let design = spec.build();
+        for (want, (corner, pvt)) in row.iter().zip(corners) {
+            let library = Library::sky130(pvt);
+            let synth = synthesize(&design, &library).expect("synthesizes");
+            let got = pin(&design, pvt, &library, synth);
+            assert_eq!(&got, want, "{spec:?} at {corner}");
+        }
+    }
+}
+
+/// A `Sta` job's configuration at `clock`: the design's multicycle
+/// exceptions and nothing else.
+fn sta_job_config(synth: &SynthResult, clock: Hertz) -> StaConfig {
+    let mut cfg = StaConfig::at_clock(clock);
+    cfg.multicycle = synth.multicycle.clone();
+    cfg
+}
+
+// The four tables below were captured at 60317b7, before high-fanout
+// buffering kept one fanout table, before the netlist kept per-net port
+// flags and before STA split into a timing graph and a retime.
+
+#[test]
+fn synthesized_netlists_match_literals() {
+    const WANT: [[u64; 3]; 7] = [
+        [0xcc0c_9060_f217_ebe2; 3],
+        [0x7dc2_9cdc_c90c_3021; 3],
+        [0x9d48_b33c_c237_7b00; 3],
+        [0x83de_474d_bd05_1b3b; 3],
+        [0x863d_f1fa_8797_039d; 3],
+        [0x88e3_a868_c193_eacb; 3],
+        [0xdfe2_990e_e888_a9a7; 3],
+    ];
+    check_signoff_pins(&WANT, |_, _, _, synth| netlist_digest(&synth.netlist));
+}
+
+#[test]
+fn sta_reports_match_literals() {
+    // The whole report's Debug text: per-net arrivals and requireds,
+    // endpoints, paths, domains and findings in order. The 150 ps
+    // transition limit adds TM004 findings to TM001's.
+    const WANT: [[u64; 3]; 7] = [
+        [
+            0x0966_6781_9ece_a4ee,
+            0x1fc6_39d0_7c9b_9bda,
+            0x67db_fd29_87db_9abc,
+        ],
+        [
+            0x9fa7_1c85_8540_378b,
+            0x4e26_2fa4_46a6_c323,
+            0x2880_8fe9_b6ec_5f89,
+        ],
+        [
+            0x403b_8b4a_8e02_7575,
+            0x0547_57ae_a12a_38e2,
+            0x67e4_8273_c070_ea66,
+        ],
+        [
+            0x55eb_4520_b4e0_e648,
+            0x667f_f215_841b_e7b0,
+            0xbdfa_9498_e4af_017c,
+        ],
+        [
+            0x9c47_888f_7986_810c,
+            0xea63_7f7e_c96c_90cb,
+            0x9def_735a_3be6_5c53,
+        ],
+        [
+            0x9ac1_448b_b81c_90e4,
+            0x20de_6f77_2164_785d,
+            0xcfac_cfca_fc6d_2aa1,
+        ],
+        [
+            0x5d44_f7ae_22f0_4fb4,
+            0x8e65_1492_84bd_724b,
+            0x0f4c_a975_390a_bf6b,
+        ],
+    ];
+    check_signoff_pins(&WANT, |_, _, library, synth| {
+        let mut cfg = sta_job_config(&synth, Hertz::from_ghz(2.0));
+        cfg.max_transition = Some(Time::from_ps(150.0));
+        let report = Sta::new()
+            .with_config(cfg)
+            .run(&synth.netlist, library, None)
+            .expect("times");
+        debug_digest(&report)
+    });
+}
+
+#[test]
+fn optimize_timing_matches_literals() {
+    // The sized netlist and the bump count, sizing against 2 GHz.
+    const WANT: [[(u64, usize); 3]; 7] = [
+        [
+            (0x2729_9522_0922_760f, 86),
+            (0x0e21_1eb1_21f4_d569, 96),
+            (0xcc0c_9060_f217_ebe2, 0),
+        ],
+        [
+            (0x790c_2e30_309a_74e8, 289),
+            (0xec55_78b7_9708_c27c, 292),
+            (0x70c7_f963_cec5_f7e7, 130),
+        ],
+        [
+            (0xbb4b_81f3_6456_37d6, 76),
+            (0x8604_4288_7463_0efb, 81),
+            (0x9d48_b33c_c237_7b00, 0),
+        ],
+        [
+            (0xa9d0_a6fd_4b47_195f, 128),
+            (0x038e_87b9_eb75_c7ba, 137),
+            (0x83de_474d_bd05_1b3b, 0),
+        ],
+        [
+            (0xb894_10e0_a71b_9a85, 248),
+            (0x35a8_d8e3_a15e_0b96, 333),
+            (0x863d_f1fa_8797_039d, 0),
+        ],
+        [(0x88e3_a868_c193_eacb, 0); 3],
+        [
+            (0x275e_3bf4_ed0e_0b2f, 317),
+            (0xc8c1_f239_32bb_fab0, 384),
+            (0xec22_0dd3_6aed_7175, 183),
+        ],
+    ];
+    check_signoff_pins(&WANT, |_, _, library, mut synth| {
+        let cfg = sta_job_config(&synth, Hertz::from_ghz(2.0));
+        let bumps = optimize_timing(&mut synth.netlist, library, &cfg);
+        (netlist_digest(&synth.netlist), bumps)
+    });
+}
+
+#[test]
+fn flow_timing_matches_literals() {
+    // `FlowResult::timing` of a `RunFlow` job: the routed signoff STA
+    // after timing-driven sizing at the default 1 GHz.
+    const WANT: [[u64; 3]; 7] = [
+        [
+            0x7dd5_14ac_c0b8_0269,
+            0x2d55_c84b_0f20_2cee,
+            0x4f91_c8b1_f31b_c440,
+        ],
+        [
+            0x3b2d_3b83_9af3_a3e4,
+            0xe4a1_9498_0556_6d13,
+            0xcf9a_130a_f320_b1e1,
+        ],
+        [
+            0x13ba_b3d8_8dda_6444,
+            0x7157_eb11_d764_1926,
+            0x9f20_4e19_39a3_a3cd,
+        ],
+        [
+            0xd55a_e150_4fae_89c1,
+            0x25ef_11b1_6c55_3827,
+            0xe243_c1d5_293f_cafc,
+        ],
+        [
+            0xc248_ec12_f55a_9f16,
+            0xe9b2_29c6_2824_e22a,
+            0xac75_ea0c_d113_2662,
+        ],
+        [
+            0xd3a2_a695_a524_b865,
+            0xda59_3084_fe5d_d679,
+            0x1e78_9212_9ea9_d1f9,
+        ],
+        [
+            0x57b1_373f_2802_56db,
+            0x0ceb_1a92_917a_1ce6,
+            0x5640_ba13_5028_141f,
+        ],
+    ];
+    check_signoff_pins(&WANT, |design, pvt, _, _| {
+        let cfg = FlowConfig {
+            pvt,
+            ..FlowConfig::default()
+        };
+        let r = Flow::new().with_config(cfg).run(design).expect("flow runs");
+        debug_digest(&r.timing)
+    });
 }
