@@ -109,10 +109,9 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
 
     // NL004 — dangling cell outputs.
     let fanout = nl.fanout_table();
-    let po_nets: HashSet<NetId> = nl.primary_outputs().iter().map(|(_, n)| *n).collect();
     let mut dangling: HashSet<CellId> = HashSet::new();
     for (id, inst) in nl.instances() {
-        if fanout[inst.output.index()].is_empty() && !po_nets.contains(&inst.output) {
+        if fanout[inst.output.index()].is_empty() && !nl.is_primary_output(inst.output) {
             dangling.insert(id);
             report.add(
                 cfg,
@@ -316,7 +315,7 @@ fn undriven_nets(nl: &Netlist) -> Vec<NetId> {
     let mut out = Vec::new();
     for ni in 0..nl.net_count() {
         let net = NetId(ni as u32);
-        let read = !fanout[ni].is_empty() || nl.primary_outputs().iter().any(|(_, n)| *n == net);
+        let read = !fanout[ni].is_empty() || nl.is_primary_output(net);
         if read && driver[ni].is_none() && !nl.is_primary_input(net) {
             out.push(net);
         }
@@ -548,7 +547,7 @@ fn is_sync_stage(
         if !visited.insert(net) {
             continue;
         }
-        if nl.primary_outputs().iter().any(|(_, n)| *n == net) {
+        if nl.is_primary_output(net) {
             return false; // Q escapes the module before resynchronizing
         }
         for &sink in &fanout[net.index()] {

@@ -24,6 +24,7 @@ use crate::error::NetlistError;
 use crate::ids::{CellId, NetId};
 use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// One placed-and-routable cell instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,13 +51,30 @@ impl Instance {
 }
 
 /// A flat gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Netlist {
     name: String,
     net_names: Vec<String>,
     instances: Vec<Instance>,
     inputs: Vec<NetId>,
     outputs: Vec<(String, NetId)>,
+    /// Per-net "is a primary input" flag, kept in step with `inputs`.
+    is_input: Vec<bool>,
+    /// Per-net "is a primary output" flag, kept in step with `outputs`.
+    is_output: Vec<bool>,
+}
+
+impl fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The port flags restate `inputs` and `outputs`; leave them out.
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("net_names", &self.net_names)
+            .field("instances", &self.instances)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .finish()
+    }
 }
 
 impl Netlist {
@@ -77,6 +95,8 @@ impl Netlist {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         let id = NetId(self.net_names.len() as u32);
         self.net_names.push(name.into());
+        self.is_input.push(false);
+        self.is_output.push(false);
         id
     }
 
@@ -84,12 +104,18 @@ impl Netlist {
     pub fn add_input(&mut self, name: impl Into<String>) -> NetId {
         let id = self.add_net(name);
         self.inputs.push(id);
+        self.is_input[id.index()] = true;
         id
     }
 
     /// Declares `net` as the primary output called `name`.
     pub fn mark_output(&mut self, name: impl Into<String>, net: NetId) {
         self.outputs.push((name.into(), net));
+        // A net id outside the arena stays unflagged; the lint reports
+        // such references.
+        if let Some(flag) = self.is_output.get_mut(net.index()) {
+            *flag = true;
+        }
     }
 
     /// Instantiates a combinational gate reading `inputs`, creating and
@@ -250,7 +276,12 @@ impl Netlist {
 
     /// `true` if `net` is a primary input.
     pub fn is_primary_input(&self, net: NetId) -> bool {
-        self.inputs.contains(&net)
+        self.is_input.get(net.index()).copied().unwrap_or(false)
+    }
+
+    /// `true` if `net` is a primary output (under any port name).
+    pub fn is_primary_output(&self, net: NetId) -> bool {
+        self.is_output.get(net.index()).copied().unwrap_or(false)
     }
 
     /// The instance driving `net`, if any.
@@ -387,6 +418,33 @@ mod tests {
         let (_, sum_net) = nl.primary_outputs()[0].clone();
         let d = nl.driver_of(sum_net).expect("sum is driven");
         assert_eq!(nl.instance(d).function, LogicFn::Xor2);
+    }
+
+    #[test]
+    fn port_flags_follow_inputs_and_outputs() {
+        let mut nl = half_adder();
+        let (a, b) = (nl.primary_inputs()[0], nl.primary_inputs()[1]);
+        let (sum, carry) = (nl.primary_outputs()[0].1, nl.primary_outputs()[1].1);
+        let spare = nl.add_net("spare");
+        nl.mark_output("a_through", a);
+        nl.mark_output("carry_again", carry);
+        for net in nl.net_ids() {
+            assert_eq!(nl.is_primary_input(net), nl.primary_inputs().contains(&net));
+            assert_eq!(
+                nl.is_primary_output(net),
+                nl.primary_outputs().iter().any(|(_, n)| *n == net)
+            );
+        }
+        assert!(nl.is_primary_input(a) && nl.is_primary_output(a));
+        assert!(nl.is_primary_input(b) && !nl.is_primary_output(b));
+        assert!(!nl.is_primary_input(sum) && nl.is_primary_output(sum));
+        assert!(!nl.is_primary_input(spare) && !nl.is_primary_output(spare));
+        let foreign = NetId(999);
+        assert!(!nl.is_primary_input(foreign) && !nl.is_primary_output(foreign));
+        nl.mark_output("foreign", foreign);
+        assert!(!nl.is_primary_output(foreign));
+        // Debug prints the ports once, as the declaration lists.
+        assert!(!format!("{nl:?}").contains("is_"));
     }
 
     #[test]
