@@ -18,7 +18,7 @@
 //! [`SynthResult`]; testbenches tie them.
 
 use crate::ir::{Design, NodeOp, Sig};
-use openserdes_netlist::{NetId, Netlist, NetlistError};
+use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
 use openserdes_pdk::units::Farad;
@@ -63,7 +63,7 @@ pub struct SynthResult {
     pub nodes_eliminated: usize,
     /// Multicycle exceptions carried over from the design, as
     /// `(flop instance, factor)`.
-    pub multicycle: Vec<(openserdes_netlist::CellId, u32)>,
+    pub multicycle: Vec<(CellId, u32)>,
 }
 
 struct Folder {
@@ -491,39 +491,97 @@ pub const MAX_FANOUT: usize = 12;
 /// OpenLANE `hfns` step): sinks are regrouped behind `Buf` cells,
 /// recursively, so no net drives more than `max_fanout` pins. Clock pins
 /// are left alone — the CTS stage owns the clock network.
+///
+/// Nets are visited in id order, and an offending net is revisited until
+/// it fits: buffering net k rewires only net k's data sinks and appends
+/// the buffers and their nets, so no earlier net changes. One fanout
+/// table serves the whole pass. After each buffering only net k's entry
+/// and the new nets' entries are rebuilt, so the pass runs in time
+/// linear in the pins it rewires.
+///
+/// The table lists a cell once per pin, so a cell reading the net on m
+/// pins yields each of its sink pins m times, and the later group's
+/// buffer wins. Below a cap of 7 that count can make a buffer net repeat
+/// its parent's sink list exactly, which used to buffer forever; such a
+/// net is left as it is (see [`regrouping_repeats`]).
 pub fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
     assert!(max_fanout >= 2, "fanout cap must be at least 2");
-    loop {
-        let fanout = netlist.fanout_table();
-        // Find one offending net whose data fanout exceeds the cap.
-        let mut offender: Option<(NetId, Vec<(openserdes_netlist::CellId, usize)>)> = None;
-        for net in netlist.net_ids() {
-            // Collect (sink cell, data-pin index) pairs; clock pins are
-            // not rewired here.
-            let mut sinks = Vec::new();
-            for &cell in &fanout[net.index()] {
-                for (pin, &input) in netlist.instance(cell).inputs.iter().enumerate() {
-                    if input == net {
-                        sinks.push((cell, pin));
-                    }
-                }
-            }
-            if sinks.len() > max_fanout {
-                offender = Some((net, sinks));
-                break;
-            }
+    let mut fanout = netlist.fanout_table();
+    let mut nets: Vec<NetId> = netlist.net_ids().collect();
+    let mut k = 0;
+    while k < nets.len() {
+        let net = nets[k];
+        let readers = &fanout[net.index()];
+        let sinks = data_sinks(netlist, readers, net);
+        if sinks.len() <= max_fanout
+            || regrouping_repeats(netlist, readers, net, &sinks, max_fanout)
+        {
+            k += 1;
+            continue;
         }
-        let Some((net, sinks)) = offender else { break };
-        // Move every sink group behind a fresh buffer: the root's new
-        // fanout is ceil(n / max_fanout), strictly smaller, so the loop
-        // terminates; oversized buffer levels recurse naturally.
+        // Move every sink group behind a fresh buffer: the net's new
+        // fanout is ceil(n / max_fanout), strictly smaller, so the
+        // revisits end; oversized buffer levels are visited in turn.
+        let first_new = netlist.net_count();
+        let mut buffers = Vec::new();
         for group in sinks.chunks(max_fanout) {
             let buffered = netlist.gate(LogicFn::Buf, DriveStrength::X4, &[net]);
+            buffers.push(netlist.cell_ids().next_back().expect("buffer cell"));
+            nets.push(buffered);
             for &(cell, pin) in group {
                 netlist.instance_mut(cell).inputs[pin] = buffered;
             }
         }
+        // The net keeps its clock-pin readers, once each, and gains the
+        // buffers; each rewired cell reads its new nets once per pin.
+        let entry = &mut fanout[net.index()];
+        entry.retain(|&cell| netlist.instance(cell).clock == Some(net));
+        entry.dedup();
+        entry.extend(buffers);
+        fanout.resize(netlist.net_count(), Vec::new());
+        let mut rewired: Vec<CellId> = sinks.iter().map(|&(cell, _)| cell).collect();
+        rewired.dedup();
+        for cell in rewired {
+            for &input in &netlist.instance(cell).inputs {
+                if input.index() >= first_new {
+                    fanout[input.index()].push(cell);
+                }
+            }
+        }
     }
+}
+
+/// `true` when regrouping `sinks` would leave every data pin of `net`
+/// behind the last group's buffer while `net` has no clock readers. That
+/// buffer's net would then have `net`'s sink list exactly, and so would
+/// each buffer after it. The pins all fit one group, so `net` already
+/// meets the cap.
+fn regrouping_repeats(
+    netlist: &Netlist,
+    readers: &[CellId],
+    net: NetId,
+    sinks: &[(CellId, usize)],
+    max_fanout: usize,
+) -> bool {
+    let (head, last) = sinks.split_at((sinks.len() - 1) / max_fanout * max_fanout);
+    head.iter().all(|sink| last.contains(sink))
+        && readers
+            .iter()
+            .all(|&cell| netlist.instance(cell).clock != Some(net))
+}
+
+/// The `(cell, data pin)` pairs reading `net`, in the order of its
+/// fanout-table entry `readers`; clock pins are not listed.
+fn data_sinks(netlist: &Netlist, readers: &[CellId], net: NetId) -> Vec<(CellId, usize)> {
+    let mut sinks = Vec::new();
+    for &cell in readers {
+        for (pin, &input) in netlist.instance(cell).inputs.iter().enumerate() {
+            if input == net {
+                sinks.push((cell, pin));
+            }
+        }
+    }
+    sinks
 }
 
 /// Up-sizes every instance until its cell's `max_load` covers the load of
@@ -778,6 +836,128 @@ mod tests {
         d.output("y", y);
         let res = synthesize(&d, &lib()).expect("ok");
         assert_eq!(res.netlist.cell_count(), 1, "no gratuitous buffers");
+    }
+
+    /// The buffering loop before the fanout table was kept: rebuild the
+    /// table and rescan from net 0 after every buffered net. Returns
+    /// `false` if it has not finished after `max_steps` buffered nets.
+    fn buffer_high_fanout_reference(
+        netlist: &mut Netlist,
+        max_fanout: usize,
+        max_steps: usize,
+    ) -> bool {
+        for _ in 0..=max_steps {
+            let fanout = netlist.fanout_table();
+            let mut offender: Option<(NetId, Vec<(CellId, usize)>)> = None;
+            for net in netlist.net_ids() {
+                let mut sinks = Vec::new();
+                for &cell in &fanout[net.index()] {
+                    for (pin, &input) in netlist.instance(cell).inputs.iter().enumerate() {
+                        if input == net {
+                            sinks.push((cell, pin));
+                        }
+                    }
+                }
+                if sinks.len() > max_fanout {
+                    offender = Some((net, sinks));
+                    break;
+                }
+            }
+            let Some((net, sinks)) = offender else {
+                return true;
+            };
+            for group in sinks.chunks(max_fanout) {
+                let buffered = netlist.gate(LogicFn::Buf, DriveStrength::X4, &[net]);
+                for &(cell, pin) in group {
+                    netlist.instance_mut(cell).inputs[pin] = buffered;
+                }
+            }
+        }
+        false
+    }
+
+    /// A random netlist with hub nets. A fixed skeleton holds a flop
+    /// clocked by data net `a` and a flop reading `clk` on its data and
+    /// clock pins. Each random cell (inverter, NAND2, MUX2, or a flop
+    /// clocked by any net) draws half its inputs from the first six
+    /// nets, so those fan out past every cap. For half the seeds the
+    /// skeleton adds a NAND2 reading `a` on both pins, and random NAND2s
+    /// and picks may read one net on several pins; for the other half
+    /// every cell reads distinct nets.
+    fn hub_netlist(seed: u64) -> Netlist {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x1 = DriveStrength::X1;
+        let twice = rng.gen_range(0..2usize) == 0;
+        let mut nl = Netlist::new("hubs");
+        let clk = nl.add_input("clk");
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let mut nets = vec![clk, a, b];
+        nets.push(nl.dff(b, a, x1));
+        nets.push(nl.dff(clk, clk, x1));
+        let nand_inputs = if twice { [a, a] } else { [a, b] };
+        nets.push(nl.gate(LogicFn::Nand2, x1, &nand_inputs));
+        for _ in 0..rng.gen_range(0..150usize) {
+            let kind = rng.gen_range(0..5usize);
+            let mut inputs = Vec::new();
+            while inputs.len() < [1, 2, 3, 2, 2][kind] {
+                let pool = if rng.gen_range(0..2usize) == 0 {
+                    6
+                } else {
+                    nets.len()
+                };
+                let net = nets[rng.gen_range(0..pool)];
+                if twice || !inputs.contains(&net) {
+                    inputs.push(net);
+                }
+            }
+            let out = match kind {
+                0 => nl.gate(LogicFn::Inv, x1, &inputs),
+                2 => nl.gate(LogicFn::Mux2, x1, &inputs),
+                3 => nl.dff(inputs[0], inputs[1], x1),
+                4 if twice => nl.gate(LogicFn::Nand2, x1, &[inputs[0], inputs[0]]),
+                _ => nl.gate(LogicFn::Nand2, x1, &inputs),
+            };
+            nets.push(out);
+        }
+        for k in 0..rng.gen_range(0..4usize) {
+            nl.mark_output(format!("y{k}"), nets[rng.gen_range(0..nets.len())]);
+        }
+        nl
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn kept_fanout_table_buffers_like_the_full_rescan(
+                seed in any::<u64>(),
+                cap in 2usize..13,
+            ) {
+                let mut fast = hub_netlist(seed);
+                let mut full = fast.clone();
+                buffer_high_fanout(&mut fast, cap);
+                if buffer_high_fanout_reference(&mut full, cap, 2_000) {
+                    prop_assert!(fast == full, "seed {} cap {}", seed, cap);
+                } else {
+                    // The rescan buffers forever here; every net of the
+                    // kept-table result reads at most `cap` distinct pins.
+                    let fanout = fast.fanout_table();
+                    for net in fast.net_ids() {
+                        let mut pins = data_sinks(&fast, &fanout[net.index()], net);
+                        pins.sort_unstable();
+                        pins.dedup();
+                        prop_assert!(pins.len() <= cap, "seed {} cap {}", seed, cap);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -245,8 +245,9 @@ impl Netlist {
             .map(|(i, inst)| (CellId(i as u32), inst))
     }
 
-    /// Iterates over all cell ids.
-    pub fn cell_ids(&self) -> impl Iterator<Item = CellId> {
+    /// Iterates over all cell ids, in order (so `next_back` is the
+    /// newest cell).
+    pub fn cell_ids(&self) -> impl DoubleEndedIterator<Item = CellId> {
         (0..self.instances.len() as u32).map(CellId)
     }
 
