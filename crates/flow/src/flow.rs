@@ -13,7 +13,7 @@ use crate::ir::Design;
 use crate::place::{anneal, place_greedy, AnnealStats, Placement};
 use crate::power::{analyze_power, PowerConfig, PowerReport};
 use crate::route::{global_route, RouteResult};
-use crate::sta::{Sta, StaConfig, StaReport};
+use crate::sta::{Sta, StaConfig, StaReport, TimingGraph};
 use crate::synth::{synthesize, SynthResult};
 use openserdes_lint::LintConfig;
 use openserdes_netlist::NetlistStats;
@@ -132,8 +132,12 @@ impl fmt::Display for FlowResult {
 /// critical path, keeping the best solution seen (a greedy resizer in
 /// the spirit of OpenLANE's `resizer timing` step). Returns the number
 /// of drive bumps retained.
+///
+/// Sizing changes drive strengths only, so every round retimes against
+/// `graph`, which must have been built from `netlist`.
 pub fn optimize_timing(
     netlist: &mut openserdes_netlist::Netlist,
+    graph: &TimingGraph,
     library: &Library,
     config: &StaConfig,
 ) -> usize {
@@ -148,9 +152,7 @@ pub fn optimize_timing(
         nl.instances().map(|(_, i)| i.drive).collect()
     };
     let sta = Sta::new().with_config(config.clone());
-    let Ok(initial) = sta.run(netlist, library, None) else {
-        return 0;
-    };
+    let initial = sta.retime(graph, netlist, library, None);
     if initial.clean() {
         return 0;
     }
@@ -168,9 +170,7 @@ pub fn optimize_timing(
         if !changed {
             break;
         }
-        let Ok(next) = sta.run(netlist, library, None) else {
-            break;
-        };
+        let next = sta.retime(graph, netlist, library, None);
         if next.wns > best_wns {
             best_wns = next.wns;
             best = drives(netlist);
@@ -325,9 +325,12 @@ impl Flow {
         // sizing (the resizer step of OpenLANE's optimization).
         let synth_span = telemetry::span("flow.synthesis");
         let mut synth = synthesize(design, &library)?;
+        // One timing graph serves sizing and signoff: from here on only
+        // drive strengths change.
+        let graph = TimingGraph::new(&synth.netlist)?;
         let mut sta_cfg = StaConfig::at_clock(config.clock);
         sta_cfg.multicycle = synth.multicycle.clone();
-        let bumps = optimize_timing(&mut synth.netlist, &library, &sta_cfg);
+        let bumps = optimize_timing(&mut synth.netlist, &graph, &library, &sta_cfg);
         let stats = NetlistStats::compute(&synth.netlist, &library);
         telemetry::counter("flow.cells", stats.cell_count as u64);
         telemetry::counter("flow.flops", stats.flop_count as u64);
@@ -415,9 +418,10 @@ impl Flow {
 
         // Stage 6: STA (OpenSTA stand-in), honouring multicycle exceptions.
         let sta_span = telemetry::span("flow.sta");
-        let timing = Sta::new()
-            .with_config(sta_cfg)
-            .run(&synth.netlist, &library, Some(&route))?;
+        let timing =
+            Sta::new()
+                .with_config(sta_cfg)
+                .retime(&graph, &synth.netlist, &library, Some(&route));
         telemetry::counter("flow.timing_violations", timing.violations as u64);
         drop(sta_span);
         log.push(format!(

@@ -55,5 +55,7 @@ pub use error::FlowError;
 pub use export::{to_def, to_verilog};
 pub use flow::{optimize_timing, CtsReport, Flow, FlowConfig, FlowResult};
 pub use power::{analyze_power, PowerConfig, PowerReport};
-pub use sta::{ClockDomain, Endpoint, PathReport, PathStage, Sta, StaConfig, StaReport};
+pub use sta::{
+    ClockDomain, Endpoint, PathReport, PathStage, Sta, StaConfig, StaReport, TimingGraph,
+};
 pub use synth::{synthesize, SynthResult};

@@ -27,6 +27,7 @@ use crate::route::RouteResult;
 use openserdes_lint::{EntityKind, Finding, LintConfig, LintReport, Rule};
 use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
 use openserdes_pdk::library::Library;
+use openserdes_pdk::stdcell::StdCell;
 use openserdes_pdk::units::{Farad, Hertz, Time};
 use openserdes_pdk::wire::WireloadModel;
 use openserdes_telemetry as telemetry;
@@ -356,21 +357,23 @@ fn trace_clock(
 
 /// Explores the fan-in cone of a capture net back to its launching
 /// flops: returns `(source flops with a through-multi-input-logic flag,
-/// reached-a-primary-input)`.
+/// reached-a-primary-input)`. A net counts as visited when its entry in
+/// `visited` equals `stamp`, so one table serves every cone.
 fn fanin_sources(
     netlist: &Netlist,
     drivers: &[Option<CellId>],
     start: NetId,
+    visited: &mut [u32],
+    stamp: u32,
 ) -> (Vec<(CellId, bool)>, bool) {
-    let mut visited = vec![false; netlist.net_count()];
     let mut stack = vec![(start, false)];
     let mut sources = Vec::new();
     let mut reached_input = false;
     while let Some((net, through_logic)) = stack.pop() {
-        if visited[net.index()] {
+        if visited[net.index()] == stamp {
             continue;
         }
-        visited[net.index()] = true;
+        visited[net.index()] = stamp;
         match drivers[net.index()] {
             Some(c) => {
                 let inst = netlist.instance(c);
@@ -390,8 +393,174 @@ fn fanin_sources(
     (sources, reached_input)
 }
 
+/// One flop's clock path: the buffer chain from its domain's root.
+#[derive(Debug, Clone)]
+struct ClockPath {
+    flop: CellId,
+    /// Clock buffers in root-to-flop order.
+    chain: Vec<CellId>,
+}
+
+/// The structural half of a [`ClockDomain`].
+#[derive(Debug, Clone)]
+struct DomainShape {
+    name: String,
+    root: NetId,
+    /// The root is a primary input (a generated clock otherwise).
+    port: bool,
+    flops: Vec<CellId>,
+}
+
+/// Everything static timing analysis needs from a netlist's structure,
+/// built once and reused while only drive strengths or the route change.
+///
+/// It holds the [`Netlist::check`] result, the topological order, one
+/// driver table and one fanout table (the order is computed from the
+/// same two), each flop's clock buffer chain, the clock domains, and the
+/// cross-domain analysis: the `TM007` findings and the flops whose data
+/// cone starts only in other domains. [`Sta::retime`] times a netlist
+/// against it; [`Sta::run`] is `TimingGraph::new` followed by a retime.
+///
+/// ```
+/// # use openserdes_flow::sta::{Sta, StaConfig, TimingGraph};
+/// # use openserdes_netlist::Netlist;
+/// # use openserdes_pdk::corner::Pvt;
+/// # use openserdes_pdk::library::Library;
+/// # use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
+/// let mut nl = Netlist::new("pipe");
+/// let clk = nl.add_input("clk");
+/// let d = nl.add_input("d");
+/// let q = nl.dff(d, clk, DriveStrength::X1);
+/// let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[q]);
+/// nl.mark_output("y", y);
+/// let library = Library::sky130(Pvt::nominal());
+/// let graph = TimingGraph::new(&nl)?;
+/// let sta = Sta::new();
+/// let before = sta.retime(&graph, &nl, &library, None);
+/// let inv = nl.cell_ids().last().expect("inverter");
+/// nl.instance_mut(inv).drive = DriveStrength::X4;
+/// let after = sta.retime(&graph, &nl, &library, None);
+/// assert_eq!(after, sta.run(&nl, &library, None)?);
+/// # let _ = before;
+/// # Ok::<(), openserdes_netlist::NetlistError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct TimingGraph {
+    cells: usize,
+    nets: usize,
+    order: Vec<CellId>,
+    drivers: Vec<Option<CellId>>,
+    fanout: Vec<Vec<CellId>>,
+    /// One per flop, in cell order.
+    clock_paths: Vec<ClockPath>,
+    /// In order of each root's first flop.
+    domains: Vec<DomainShape>,
+    /// Per cell: index into `domains` (`usize::MAX` off the flops).
+    domain_of: Vec<usize>,
+    /// Per cell: a flop whose data cone starts only in other domains.
+    cross_only: Vec<bool>,
+    /// `TM007`, in flop order and then source order.
+    cross_findings: Vec<Finding>,
+}
+
+impl TimingGraph {
+    /// Checks `netlist` and builds its timing structure.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`NetlistError`] if the netlist fails validation.
+    pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
+        let _span = telemetry::span("sta.graph");
+        netlist.check()?;
+        let drivers = netlist.driver_table();
+        let fanout = netlist.fanout_table();
+        let order = netlist.topo_order_with(&drivers, &fanout)?;
+        let n_cells = netlist.cell_count();
+
+        // Clock network: trace each flop's clock pin back to its root.
+        let mut clock_paths = Vec::new();
+        let mut domains: Vec<DomainShape> = Vec::new();
+        let mut domain_of = vec![usize::MAX; n_cells];
+        for (id, inst) in netlist.instances() {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let clk_net = inst.clock.expect("sequential cell has a clock pin");
+            let (root, chain) = trace_clock(netlist, &drivers, clk_net);
+            let domain = match domains.iter().position(|d| d.root == root) {
+                Some(i) => i,
+                None => {
+                    domains.push(DomainShape {
+                        name: netlist.net_name(root).to_string(),
+                        root,
+                        port: netlist.is_primary_input(root),
+                        flops: Vec::new(),
+                    });
+                    domains.len() - 1
+                }
+            };
+            domains[domain].flops.push(id);
+            domain_of[id.index()] = domain;
+            clock_paths.push(ClockPath { flop: id, chain });
+        }
+
+        // TM007 + cross-domain-only flops: each flop's data cone.
+        let mut visited = vec![0u32; netlist.net_count()];
+        let mut cross_only = vec![false; n_cells];
+        let mut cross_findings = Vec::new();
+        for (stamp, path) in (1..).zip(&clock_paths) {
+            let (id, di) = (path.flop, domain_of[path.flop.index()]);
+            let inst = netlist.instance(id);
+            let (sources, reached_input) =
+                fanin_sources(netlist, &drivers, inst.inputs[0], &mut visited, stamp);
+            let mut same_domain = reached_input;
+            let mut crossed = false;
+            for &(src, through_logic) in &sources {
+                if domain_of[src.index()] == di {
+                    same_domain = true;
+                    continue;
+                }
+                crossed = true;
+                let src_inst = netlist.instance(src);
+                let src_root = &domains[domain_of[src.index()]].name;
+                let dst_root = &domains[di].name;
+                let detail = if through_logic {
+                    "; data passes through multi-input logic on the way (see the NL006 synchronizer audit)"
+                } else {
+                    ""
+                };
+                cross_findings.push(
+                Finding::new(
+                    Rule::UntimedCrossDomainPath,
+                    format!(
+                        "path from flop '{}' (clock '{}') to flop '{}' (clock '{}') crosses clock domains and is untimed by default{}",
+                        src_inst.name, src_root, inst.name, dst_root, detail
+                    ),
+                )
+                .at_cell(inst.name.clone(), id.index())
+                .with_related(EntityKind::Cell, src_inst.name.clone(), src.index()),
+            );
+            }
+            cross_only[id.index()] = crossed && !same_domain;
+        }
+
+        Ok(Self {
+            cells: n_cells,
+            nets: netlist.net_count(),
+            order,
+            drivers,
+            fanout,
+            clock_paths,
+            domains,
+            domain_of,
+            cross_only,
+            cross_findings,
+        })
+    }
+}
+
 impl Sta {
-    /// Runs the analysis.
+    /// Runs the analysis: [`TimingGraph::new`], then [`Sta::retime`].
     ///
     /// When `route` is provided, per-net wire RC from the global route
     /// is used; otherwise the pre-layout wireload model estimates it.
@@ -405,18 +574,61 @@ impl Sta {
         library: &Library,
         route: Option<&RouteResult>,
     ) -> Result<StaReport, NetlistError> {
-        let config = &self.config;
         let _run_span = telemetry::span("sta.run");
-        netlist.check()?;
-        let order = netlist.topo_order()?;
-        let fanout = netlist.fanout_table();
-        let drivers = netlist.driver_table();
-        let wireload = WireloadModel::small_block();
-        let period = 1.0 / config.clock.value();
+        let graph = TimingGraph::new(netlist)?;
+        Ok(self.time(&graph, netlist, library, route))
+    }
 
-        // Per-net capacitive load (pins + wire) and wire Elmore delay.
+    /// Times `netlist` against a graph built from it, at its current
+    /// drive strengths. The report is `to_bits`-identical to
+    /// [`Sta::run`]'s on the same netlist.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `graph` was built from a netlist with a different
+    /// cell or net count. Changing anything but drive strengths after
+    /// building the graph is not detected and gives a wrong report.
+    pub fn retime(
+        &self,
+        graph: &TimingGraph,
+        netlist: &Netlist,
+        library: &Library,
+        route: Option<&RouteResult>,
+    ) -> StaReport {
+        let _run_span = telemetry::span("sta.run");
+        self.time(graph, netlist, library, route)
+    }
+
+    fn time(
+        &self,
+        graph: &TimingGraph,
+        netlist: &Netlist,
+        library: &Library,
+        route: Option<&RouteResult>,
+    ) -> StaReport {
+        let config = &self.config;
         let n_nets = netlist.net_count();
         let n_cells = netlist.cell_count();
+        assert_eq!(
+            (graph.cells, graph.nets),
+            (n_cells, n_nets),
+            "timing graph built from another netlist"
+        );
+        let (order, fanout, drivers) = (&graph.order, &graph.fanout, &graph.drivers);
+        let domain_of = &graph.domain_of;
+        let wireload = WireloadModel::small_block();
+        let period = 1.0 / config.clock.value();
+        // Each instance's library cell at its current drive.
+        let cells: Vec<&StdCell> = netlist
+            .instances()
+            .map(|(_, inst)| {
+                library
+                    .cell(inst.function, inst.drive)
+                    .expect("library cell")
+            })
+            .collect();
+
+        // Per-net capacitive load (pins + wire) and wire Elmore delay.
         let mut load = vec![0.0f64; n_nets];
         let mut wire_delay = vec![0.0f64; n_nets];
         for net in netlist.net_ids() {
@@ -424,9 +636,7 @@ impl Sta {
             let mut pin_c = 0.0;
             for &s in sinks {
                 let inst = netlist.instance(s);
-                let cell = library
-                    .cell(inst.function, inst.drive)
-                    .expect("library cell");
+                let cell = cells[s.index()];
                 pin_c += if inst.clock == Some(net) && !inst.inputs.contains(&net) {
                     cell.clock_cap.value()
                 } else {
@@ -447,63 +657,53 @@ impl Sta {
             wire_delay[net.index()] = wire_r * (0.5 * wire_c + pin_c);
         }
 
-        // Clock network: per-flop insertion delay, clock-pin slew and
-        // domain membership by tracing back to each clock root.
+        // Clock domains: periods from the configuration, insertion delay
+        // and clock-pin slew of every flop through its buffer chain.
         let mut findings: Vec<Finding> = Vec::new();
         let mut ins = vec![0.0f64; n_cells];
         let mut clk_pin_slew = vec![config.clock_slew.value(); n_cells];
-        let mut domain_of = vec![usize::MAX; n_cells];
-        let mut domains: Vec<ClockDomain> = Vec::new();
-        let mut domain_period: Vec<Option<f64>> = Vec::new();
-        for (id, inst) in netlist.instances() {
-            if !inst.is_sequential() {
-                continue;
-            }
-            let clk_net = inst.clock.expect("sequential cell has a clock pin");
-            let (root, chain) = trace_clock(netlist, &drivers, clk_net);
+        let domain_period: Vec<Option<f64>> = graph
+            .domains
+            .iter()
+            .map(|shape| {
+                let named = config
+                    .clocks
+                    .iter()
+                    .find(|(n, _)| *n == shape.name)
+                    .map(|(_, f)| 1.0 / f.value());
+                if shape.port {
+                    Some(named.unwrap_or(period))
+                } else {
+                    named
+                }
+            })
+            .collect();
+        let mut domains: Vec<ClockDomain> = graph
+            .domains
+            .iter()
+            .zip(&domain_period)
+            .map(|(shape, p)| ClockDomain {
+                name: shape.name.clone(),
+                root: shape.root,
+                period: p.map(Time::new),
+                flops: shape.flops.clone(),
+                insertion_min: Time::new(f64::INFINITY),
+                insertion_max: Time::new(0.0),
+            })
+            .collect();
+        for path in &graph.clock_paths {
+            let id = path.flop;
             let mut t = 0.0f64;
             let mut s = config.clock_slew.value();
-            for &buf in &chain {
-                let binst = netlist.instance(buf);
-                let bcell = library
-                    .cell(binst.function, binst.drive)
-                    .expect("library cell");
-                let out = binst.output.index();
-                let arc = bcell.arc(Time::new(s), Farad::new(load[out]));
+            for &buf in &path.chain {
+                let out = netlist.instance(buf).output.index();
+                let arc = cells[buf.index()].arc(Time::new(s), Farad::new(load[out]));
                 t += arc.delay.value() + wire_delay[out];
                 s = arc.out_slew.value();
             }
             ins[id.index()] = t;
             clk_pin_slew[id.index()] = s;
-            let di = match domains.iter().position(|d| d.root == root) {
-                Some(i) => i,
-                None => {
-                    let name = netlist.net_name(root).to_string();
-                    let named = config
-                        .clocks
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map(|(_, f)| 1.0 / f.value());
-                    let p = if netlist.is_primary_input(root) {
-                        Some(named.unwrap_or(period))
-                    } else {
-                        named
-                    };
-                    domains.push(ClockDomain {
-                        name,
-                        root,
-                        period: p.map(Time::new),
-                        flops: Vec::new(),
-                        insertion_min: Time::new(f64::INFINITY),
-                        insertion_max: Time::new(0.0),
-                    });
-                    domain_period.push(p);
-                    domains.len() - 1
-                }
-            };
-            domain_of[id.index()] = di;
-            let d = &mut domains[di];
-            d.flops.push(id);
+            let d = &mut domains[domain_of[id.index()]];
             if t < d.insertion_min.value() {
                 d.insertion_min = Time::new(t);
             }
@@ -592,48 +792,13 @@ impl Sta {
             }
         }
 
-        // TM007 + untimed-endpoint detection: cross-domain data cones.
+        // TM007 from the graph; a flop is untimed when its domain has no
+        // period or its data cone starts only in other domains.
+        findings.extend(graph.cross_findings.iter().cloned());
         let mut untimed_flop = vec![false; n_cells];
-        for (id, inst) in netlist.instances() {
-            if !inst.is_sequential() {
-                continue;
-            }
-            let di = domain_of[id.index()];
-            if domain_period[di].is_none() {
-                untimed_flop[id.index()] = true;
-            }
-            let (sources, reached_input) = fanin_sources(netlist, &drivers, inst.inputs[0]);
-            let mut same_domain = reached_input;
-            let mut crossed = false;
-            for &(src, through_logic) in &sources {
-                if domain_of[src.index()] == di {
-                    same_domain = true;
-                    continue;
-                }
-                crossed = true;
-                let src_inst = netlist.instance(src);
-                let src_root = &domains[domain_of[src.index()]].name;
-                let dst_root = &domains[di].name;
-                let detail = if through_logic {
-                    "; data passes through multi-input logic on the way (see the NL006 synchronizer audit)"
-                } else {
-                    ""
-                };
-                findings.push(
-                Finding::new(
-                    Rule::UntimedCrossDomainPath,
-                    format!(
-                        "path from flop '{}' (clock '{}') to flop '{}' (clock '{}') crosses clock domains and is untimed by default{}",
-                        src_inst.name, src_root, inst.name, dst_root, detail
-                    ),
-                )
-                .at_cell(inst.name.clone(), id.index())
-                .with_related(EntityKind::Cell, src_inst.name.clone(), src.index()),
-            );
-            }
-            if crossed && !same_domain {
-                untimed_flop[id.index()] = true;
-            }
+        for path in &graph.clock_paths {
+            let id = path.flop.index();
+            untimed_flop[id] = domain_period[domain_of[id]].is_none() || graph.cross_only[id];
         }
 
         // Forward (late) pass: launch arrivals then the combinational cloud.
@@ -646,9 +811,7 @@ impl Sta {
             if !inst.is_sequential() {
                 continue;
             }
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let out = inst.output.index();
             let arc = cell.arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
             let stage = config.derate_late * (arc.delay.value() + wire_delay[out]);
@@ -657,11 +820,9 @@ impl Sta {
             slew[out] = arc.out_slew.value();
             pred[out] = Some(id);
         }
-        for &id in &order {
+        for &id in order {
             let inst = netlist.instance(id);
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let mut worst_in = 0.0f64;
             let mut worst_slew = config.input_slew.value();
             for &i in &inst.inputs {
@@ -705,9 +866,7 @@ impl Sta {
 
         // TM005: load beyond the driver's characterized max capacitance.
         for (id, inst) in netlist.instances() {
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let out = inst.output;
             if load[out.index()] > cell.max_load.value() {
                 findings.push(
@@ -736,9 +895,7 @@ impl Sta {
             if !inst.is_sequential() || untimed_flop[id.index()] {
                 continue;
             }
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let setup = cell.seq.expect("flop has seq data").setup.value();
             let p = domain_period[domain_of[id.index()]].expect("timed flop has a period");
             let factor = multicycle
@@ -781,9 +938,7 @@ impl Sta {
             if !inst.is_sequential() {
                 continue;
             }
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let setup = cell.seq.expect("flop").setup.value();
             let di = domain_of[id.index()];
             let d_net = inst.inputs[0];
@@ -901,19 +1056,15 @@ impl Sta {
             if !inst.is_sequential() {
                 continue;
             }
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let out = inst.output.index();
             let arc = cell.min_arc(Time::new(clk_pin_slew[id.index()]), Farad::new(load[out]));
             min_arrival[out] = config.derate_early * (ins[id.index()] + arc.delay.value());
             min_slew[out] = arc.out_slew.value();
         }
-        for &id in &order {
+        for &id in order {
             let inst = netlist.instance(id);
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let out = inst.output.index();
             let mut best_t = f64::INFINITY;
             let mut best_slew = config.input_slew.value();
@@ -943,9 +1094,7 @@ impl Sta {
             if !inst.is_sequential() {
                 continue;
             }
-            let cell = library
-                .cell(inst.function, inst.drive)
-                .expect("library cell");
+            let cell = cells[id.index()];
             let hold = cell.seq.expect("flop").hold.value();
             let early = min_arrival[inst.inputs[0].index()];
             if early.is_finite() {
@@ -1060,7 +1209,7 @@ impl Sta {
             }
         };
 
-        Ok(StaReport {
+        StaReport {
             clock: config.clock,
             wns,
             tns: Time::new(tns),
@@ -1076,7 +1225,7 @@ impl Sta {
             findings,
             arrivals: arrival.into_iter().map(Time::new).collect(),
             requireds: required.into_iter().map(Time::new).collect(),
-        })
+        }
     }
 }
 
@@ -1548,5 +1697,75 @@ mod tests {
             r.to_lint(&LintConfig::new()).has_errors(),
             "TM002 defaults to Error"
         );
+    }
+
+    /// Every clock shape at once: two port clocks, a buffered branch of
+    /// one (skew), a generated clock off a flop, a crossing through a
+    /// NAND2 and a buffer-only crossing into a two-flop synchronizer.
+    fn clock_zoo() -> Netlist {
+        let x1 = DriveStrength::X1;
+        let mut nl = Netlist::new("zoo");
+        let clka = nl.add_input("clka");
+        let clkb = nl.add_input("clkb");
+        let d = nl.add_input("d");
+        let mut late = clka;
+        for _ in 0..3 {
+            late = nl.gate(LogicFn::Buf, x1, &[late]);
+        }
+        let qa = nl.dff(d, clka, x1);
+        let qa2 = nl.dff(qa, late, x1);
+        let mixed = nl.gate(LogicFn::Nand2, x1, &[qa2, d]);
+        let qb = nl.dff(mixed, clkb, x1);
+        let buffered = nl.gate(LogicFn::Buf, x1, &[qa]);
+        let s1 = nl.dff(buffered, clkb, x1);
+        let s2 = nl.dff(s1, clkb, x1);
+        let gen = nl.dff(qb, qb, x1);
+        let y = nl.gate(LogicFn::Xor2, x1, &[s2, gen]);
+        nl.mark_output("y", y);
+        nl.mark_output("qa2", qa2);
+        nl
+    }
+
+    #[test]
+    fn retime_after_resizing_matches_a_fresh_run() {
+        let l = lib();
+        let mut nl = clock_zoo();
+        let graph = TimingGraph::new(&nl).expect("valid netlist");
+        let mut cfg = StaConfig::at_clock(Hertz::from_ghz(2.0));
+        cfg.clocks = vec![(String::from("clkb"), Hertz::from_mhz(800.0))];
+        cfg.max_skew = Some(Time::from_ps(1.0));
+        cfg.max_transition = Some(Time::from_ps(10.0));
+        let flop = nl.cell_ids().find(|&c| nl.instance(c).is_sequential());
+        cfg.multicycle = vec![(flop.expect("flop"), 2)];
+        let sta = Sta::new().with_config(cfg);
+        let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
+        for round in 0..8 {
+            let fresh = sta.run(&nl, &l, None).expect("valid netlist");
+            let kept = sta.retime(&graph, &nl, &l, None);
+            assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "round {round}");
+            if round == 0 {
+                let rules: Vec<Rule> = fresh.findings().iter().map(|f| f.rule).collect();
+                for rule in [
+                    Rule::UnconstrainedEndpoint,
+                    Rule::ExcessiveClockSkew,
+                    Rule::UntimedCrossDomainPath,
+                    Rule::MaxTransitionViolation,
+                ] {
+                    assert!(rules.contains(&rule), "{rule:?} missing: {rules:?}");
+                }
+            }
+            let ids: Vec<CellId> = nl.cell_ids().collect();
+            for id in ids {
+                lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                nl.instance_mut(id).drive = DriveStrength::ALL[(lcg >> 61) as usize % 5];
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "timing graph built from another netlist")]
+    fn retime_rejects_a_graph_of_another_netlist() {
+        let graph = TimingGraph::new(&pipeline(3)).expect("valid netlist");
+        let _ = Sta::new().retime(&graph, &pipeline(4), &lib(), None);
     }
 }

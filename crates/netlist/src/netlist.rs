@@ -335,8 +335,23 @@ impl Netlist {
     /// Returns [`NetlistError::CombinationalLoop`] listing the cells stuck
     /// in a cycle.
     pub fn topo_order(&self) -> Result<Vec<CellId>, NetlistError> {
+        self.topo_order_with(&self.driver_table(), &self.fanout_table())
+    }
+
+    /// [`Netlist::topo_order`] over this netlist's own
+    /// [`Netlist::driver_table`] and [`Netlist::fanout_table`], for a
+    /// caller that keeps the tables.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalLoop`] listing the cells stuck
+    /// in a cycle.
+    pub fn topo_order_with(
+        &self,
+        driver: &[Option<CellId>],
+        fanout: &[Vec<CellId>],
+    ) -> Result<Vec<CellId>, NetlistError> {
         // In-degree counts only edges from combinational drivers.
-        let driver = self.driver_table();
         let comb = |id: CellId| !self.instances[id.index()].is_sequential();
         let mut indeg = vec![0usize; self.instances.len()];
         for (id, inst) in self.instances() {
@@ -355,7 +370,6 @@ impl Netlist {
             .cell_ids()
             .filter(|&id| comb(id) && indeg[id.index()] == 0)
             .collect();
-        let fanout = self.fanout_table();
         let mut order = Vec::new();
         while let Some(id) = queue.pop_front() {
             order.push(id);

@@ -9,7 +9,7 @@ use openserdes::core::{
 use openserdes::digital::CycleSim;
 use openserdes::flow::ir::Design;
 use openserdes::flow::{
-    optimize_timing, synthesize, Flow, FlowConfig, Sta, StaConfig, SynthResult,
+    optimize_timing, synthesize, Flow, FlowConfig, Sta, StaConfig, SynthResult, TimingGraph,
 };
 use openserdes::netlist::Netlist;
 use openserdes::pdk::corner::{ProcessCorner, Pvt};
@@ -477,7 +477,8 @@ fn optimize_timing_matches_literals() {
     ];
     check_signoff_pins(&WANT, |_, _, library, mut synth| {
         let cfg = sta_job_config(&synth, Hertz::from_ghz(2.0));
-        let bumps = optimize_timing(&mut synth.netlist, library, &cfg);
+        let graph = TimingGraph::new(&synth.netlist).expect("valid netlist");
+        let bumps = optimize_timing(&mut synth.netlist, &graph, library, &cfg);
         (netlist_digest(&synth.netlist), bumps)
     });
 }
