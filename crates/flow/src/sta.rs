@@ -574,9 +574,8 @@ impl Sta {
         library: &Library,
         route: Option<&RouteResult>,
     ) -> Result<StaReport, NetlistError> {
-        let _run_span = telemetry::span("sta.run");
         let graph = TimingGraph::new(netlist)?;
-        Ok(self.time(&graph, netlist, library, route))
+        Ok(self.retime(&graph, netlist, library, route))
     }
 
     /// Times `netlist` against a graph built from it, at its current
@@ -596,16 +595,6 @@ impl Sta {
         route: Option<&RouteResult>,
     ) -> StaReport {
         let _run_span = telemetry::span("sta.run");
-        self.time(graph, netlist, library, route)
-    }
-
-    fn time(
-        &self,
-        graph: &TimingGraph,
-        netlist: &Netlist,
-        library: &Library,
-        route: Option<&RouteResult>,
-    ) -> StaReport {
         let config = &self.config;
         let n_nets = netlist.net_count();
         let n_cells = netlist.cell_count();
@@ -1724,6 +1713,45 @@ mod tests {
         nl.mark_output("y", y);
         nl.mark_output("qa2", qa2);
         nl
+    }
+
+    #[test]
+    fn clock_zoo_crossings_follow_each_cone() {
+        // Flop 6 (clkb) reads flop 4 (clka) through a NAND2 that also
+        // reads input `d`, so it stays timed; flop 8 (clkb) reads flop 3
+        // (clka) through a buffer only; flop 10 is clocked by flop 6's Q
+        // and reads it. Flop 6's cone meets flop 3's at `d`.
+        let r = run(
+            &clock_zoo(),
+            &lib(),
+            StaConfig::at_clock(Hertz::from_ghz(1.0)),
+        );
+        let crossings: Vec<(&str, &str, bool)> = r
+            .findings()
+            .iter()
+            .filter(|f| f.rule == Rule::UntimedCrossDomainPath)
+            .map(|f| {
+                let dst = f.location.as_ref().expect("capture flop");
+                let through_logic = f.message.contains("multi-input logic");
+                (dst.name.as_str(), f.related[0].name.as_str(), through_logic)
+            })
+            .collect();
+        assert_eq!(
+            crossings,
+            [
+                ("u_dff_6", "u_dff_4", true),
+                ("u_dff_8", "u_dff_3", false),
+                ("u_dff_10", "u_dff_6", false),
+            ]
+        );
+        let mut untimed: Vec<&str> = r
+            .endpoints
+            .iter()
+            .filter(|e| e.untimed)
+            .map(|e| e.name.as_str())
+            .collect();
+        untimed.sort_unstable();
+        assert_eq!(untimed, ["u_dff_10", "u_dff_8"]);
     }
 
     #[test]

@@ -501,9 +501,10 @@ pub const MAX_FANOUT: usize = 12;
 ///
 /// The table lists a cell once per pin, so a cell reading the net on m
 /// pins yields each of its sink pins m times, and the later group's
-/// buffer wins. Below a cap of 7 that count can make a buffer net repeat
-/// its parent's sink list exactly, which used to buffer forever; such a
-/// net is left as it is (see [`regrouping_repeats`]).
+/// buffer wins. Below a cap of 7 that count can give a buffer net its
+/// parent's sink list exactly, so buffering would never end. A net with
+/// no clock readers whose every pin would land behind the last buffer is
+/// left as it is: its distinct pins already fit one group.
 pub fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
     assert!(max_fanout >= 2, "fanout cap must be at least 2");
     let mut fanout = netlist.fanout_table();
@@ -549,6 +550,10 @@ pub fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
             }
         }
     }
+    debug_assert!(
+        fanout == netlist.fanout_table(),
+        "kept fanout table drifted"
+    );
 }
 
 /// `true` when regrouping `sinks` would leave every data pin of `net`
@@ -926,6 +931,24 @@ mod tests {
             nl.mark_output(format!("y{k}"), nets[rng.gen_range(0..nets.len())]);
         }
         nl
+    }
+
+    #[test]
+    fn clock_readers_keep_a_net_with_repeated_pins_buffered() {
+        // A flop reading `n` on its data, reset and clock pins lists its
+        // two data pins three times each: six sinks over a cap of 4. All
+        // its pins land behind the last buffer, whose net lists them
+        // twice each (four, which fits), so the net is buffered, as the
+        // rescan does.
+        let mut nl = Netlist::new("rstn");
+        let n = nl.add_input("n");
+        let q = nl.dff_rstn(n, n, n, DriveStrength::X1);
+        nl.mark_output("q", q);
+        let mut full = nl.clone();
+        buffer_high_fanout(&mut nl, 4);
+        assert!(buffer_high_fanout_reference(&mut full, 4, 100));
+        assert_eq!(nl, full);
+        assert_eq!(nl.cell_count(), 3, "the flop and two buffers");
     }
 
     mod properties {
