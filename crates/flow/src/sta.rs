@@ -401,16 +401,6 @@ struct ClockPath {
     chain: Vec<CellId>,
 }
 
-/// The structural half of a [`ClockDomain`].
-#[derive(Debug, Clone)]
-struct DomainShape {
-    name: String,
-    root: NetId,
-    /// The root is a primary input (a generated clock otherwise).
-    port: bool,
-    flops: Vec<CellId>,
-}
-
 /// Everything static timing analysis needs from a netlist's structure,
 /// built once and reused while only drive strengths or the route change.
 ///
@@ -435,13 +425,11 @@ struct DomainShape {
 /// nl.mark_output("y", y);
 /// let library = Library::sky130(Pvt::nominal());
 /// let graph = TimingGraph::new(&nl)?;
-/// let sta = Sta::new();
-/// let before = sta.retime(&graph, &nl, &library, None);
+/// // Resizing keeps the structure, so the graph still applies.
 /// let inv = nl.cell_ids().last().expect("inverter");
 /// nl.instance_mut(inv).drive = DriveStrength::X4;
-/// let after = sta.retime(&graph, &nl, &library, None);
-/// assert_eq!(after, sta.run(&nl, &library, None)?);
-/// # let _ = before;
+/// let sta = Sta::new();
+/// assert_eq!(sta.retime(&graph, &nl, &library, None), sta.run(&nl, &library, None)?);
 /// # Ok::<(), openserdes_netlist::NetlistError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -453,8 +441,9 @@ pub struct TimingGraph {
     fanout: Vec<Vec<CellId>>,
     /// One per flop, in cell order.
     clock_paths: Vec<ClockPath>,
-    /// In order of each root's first flop.
-    domains: Vec<DomainShape>,
+    /// In order of each root's first flop, without periods or
+    /// insertion delays.
+    domains: Vec<ClockDomain>,
     /// Per cell: index into `domains` (`usize::MAX` off the flops).
     domain_of: Vec<usize>,
     /// Per cell: a flop whose data cone starts only in other domains.
@@ -479,7 +468,7 @@ impl TimingGraph {
 
         // Clock network: trace each flop's clock pin back to its root.
         let mut clock_paths = Vec::new();
-        let mut domains: Vec<DomainShape> = Vec::new();
+        let mut domains: Vec<ClockDomain> = Vec::new();
         let mut domain_of = vec![usize::MAX; n_cells];
         for (id, inst) in netlist.instances() {
             if !inst.is_sequential() {
@@ -490,11 +479,13 @@ impl TimingGraph {
             let domain = match domains.iter().position(|d| d.root == root) {
                 Some(i) => i,
                 None => {
-                    domains.push(DomainShape {
+                    domains.push(ClockDomain {
                         name: netlist.net_name(root).to_string(),
                         root,
-                        port: netlist.is_primary_input(root),
+                        period: None,
                         flops: Vec::new(),
+                        insertion_min: Time::new(f64::INFINITY),
+                        insertion_max: Time::new(0.0),
                     });
                     domains.len() - 1
                 }
@@ -651,35 +642,22 @@ impl Sta {
         let mut findings: Vec<Finding> = Vec::new();
         let mut ins = vec![0.0f64; n_cells];
         let mut clk_pin_slew = vec![config.clock_slew.value(); n_cells];
-        let domain_period: Vec<Option<f64>> = graph
-            .domains
-            .iter()
-            .map(|shape| {
-                let named = config
-                    .clocks
-                    .iter()
-                    .find(|(n, _)| *n == shape.name)
-                    .map(|(_, f)| 1.0 / f.value());
-                if shape.port {
-                    Some(named.unwrap_or(period))
-                } else {
-                    named
-                }
-            })
-            .collect();
-        let mut domains: Vec<ClockDomain> = graph
-            .domains
-            .iter()
-            .zip(&domain_period)
-            .map(|(shape, p)| ClockDomain {
-                name: shape.name.clone(),
-                root: shape.root,
-                period: p.map(Time::new),
-                flops: shape.flops.clone(),
-                insertion_min: Time::new(f64::INFINITY),
-                insertion_max: Time::new(0.0),
-            })
-            .collect();
+        let mut domains = graph.domains.clone();
+        let mut domain_period: Vec<Option<f64>> = Vec::with_capacity(domains.len());
+        for d in &mut domains {
+            let named = config
+                .clocks
+                .iter()
+                .find(|(n, _)| *n == d.name)
+                .map(|(_, f)| 1.0 / f.value());
+            let p = if netlist.is_primary_input(d.root) {
+                Some(named.unwrap_or(period))
+            } else {
+                named
+            };
+            d.period = p.map(Time::new);
+            domain_period.push(p);
+        }
         for path in &graph.clock_paths {
             let id = path.flop;
             let mut t = 0.0f64;
