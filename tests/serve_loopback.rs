@@ -1,18 +1,21 @@
 //! Loopback integration tests for `openserdes-serve`: responses over
-//! the wire are bit-identical to direct `Session::submit`, identical
-//! in-flight submissions coalesce, repeats hit the content-addressed
-//! cache, overload sheds with a typed `Response::Shed`, and a job that
-//! panics inside the engine is isolated without killing its worker.
+//! the wire are bit-identical to direct `Session::submit` (fault
+//! campaigns included, and with four tenants submitting at once),
+//! identical in-flight submissions coalesce, repeats hit the
+//! content-addressed cache, overload sheds with a typed
+//! `Response::Shed`, and a job that panics inside the engine is
+//! isolated without killing its worker.
 //!
 //! The hardening tests drive the seeded server-plane fault taxonomy
 //! from `openserdes-fault` (dropped/truncated/oversized frames,
 //! stalled readers, worker panics, deadline storms, connection
 //! floods) and assert the `serve.*` robustness counters account for
-//! every injected fault, identically at 1/2/4/8 workers.
+//! every injected fault, identically at 1/2/4/8 workers, with each
+//! event inside a fixed time budget.
 
 use openserdes::core::job::{DesignSpec, Request, Response, SweepSpec};
-use openserdes::core::LinkConfig;
-use openserdes::fault::{server_campaign, ServerFaultKind};
+use openserdes::core::{LinkConfig, FRAME_BITS};
+use openserdes::fault::{campaign, server_campaign, CampaignKind, ServerFaultKind};
 use openserdes::pdk::units::Hertz;
 use openserdes::serve::{
     wire, Client, ClientConfig, ClientError, Server, ServerConfig, ServerStats,
@@ -20,7 +23,9 @@ use openserdes::serve::{
 use openserdes::Session;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::Barrier;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Binds a loopback server, runs `body` against its address, then
 /// stops it and returns the lifetime stats.
@@ -55,17 +60,30 @@ fn quick_bathtub(bits: usize) -> Request {
     }
 }
 
-#[test]
-fn wire_responses_are_bit_identical_to_direct_submit() {
+/// The canonical reply bytes of a direct, single-threaded
+/// `Session::submit`: what the server must send for `(request, seed)`.
+fn direct_bytes(seed: u64, request: &Request) -> String {
+    Session::new()
+        .with_seed(seed)
+        .with_threads(1)
+        .submit(request)
+        .expect("direct submit")
+        .to_canonical_json()
+}
+
+/// One job of each engine family, plus two fault campaigns, each with
+/// its own envelope seed.
+fn mixed_jobs() -> Vec<(u64, Request)> {
     let stim: Vec<[u32; 8]> = (0..2)
         .map(|i| std::array::from_fn(|k| (i * 8 + k) as u32 ^ 0x0BAD_F00D))
         .collect();
-    let jobs = vec![
+    let uis = (stim.len() * FRAME_BITS) as u64;
+    let mut jobs = vec![
         (
             11u64,
             Request::RunLink {
                 config: LinkConfig::paper_default(),
-                frames: stim,
+                frames: stim.clone(),
             },
         ),
         (12, quick_bathtub(1_000)),
@@ -96,20 +114,29 @@ fn wire_responses_are_bit_identical_to_direct_submit() {
             },
         ),
     ];
+    for (seed, kind) in [(16, CampaignKind::Mixed), (17, CampaignKind::BurstNoise)] {
+        jobs.push((
+            seed,
+            Request::RunLinkWithFaults {
+                config: LinkConfig::paper_default(),
+                frames: stim.clone(),
+                schedule: campaign(kind, 17, uis),
+            },
+        ));
+    }
+    jobs
+}
 
-    let jobs_for_server = jobs.clone();
-    let stats = with_server(ServerConfig::default(), move |addr| {
+#[test]
+fn wire_responses_are_bit_identical_to_direct_submit() {
+    let jobs = mixed_jobs();
+    let stats = with_server(ServerConfig::default(), |addr| {
         let mut client = Client::connect(addr, "bit-identity").expect("connect");
-        for (seed, request) in &jobs_for_server {
+        for (seed, request) in &jobs {
             let wire_bytes = client.submit_raw(1, *seed, request).expect("served reply");
-            let direct_bytes = Session::new()
-                .with_seed(*seed)
-                .with_threads(1)
-                .submit(request)
-                .expect("direct submit")
-                .to_canonical_json();
             assert_eq!(
-                wire_bytes, direct_bytes,
+                wire_bytes,
+                direct_bytes(*seed, request),
                 "seed {seed}: served bytes must equal direct Session::submit"
             );
         }
@@ -122,6 +149,87 @@ fn wire_responses_are_bit_identical_to_direct_submit() {
 }
 
 #[test]
+fn concurrent_tenants_all_get_the_direct_bytes() {
+    // Four tenants submit the same jobs at once, each starting one job
+    // further along, so the same work meets in the queue, in flight and
+    // in the cache from different connections.
+    let jobs = mixed_jobs();
+    let direct: Vec<String> = jobs
+        .iter()
+        .map(|(seed, request)| direct_bytes(*seed, request))
+        .collect();
+    let tenants = 4;
+    let start = Barrier::new(tenants);
+    let stats = with_server(ServerConfig::default(), |addr| {
+        let (jobs, direct, start) = (&jobs, &direct, &start);
+        std::thread::scope(|s| {
+            for t in 0..tenants {
+                s.spawn(move || {
+                    start.wait();
+                    let mut client = Client::connect(addr, format!("tenant-{t}")).expect("connect");
+                    for i in (0..jobs.len()).map(|j| (j + t) % jobs.len()) {
+                        let (seed, request) = &jobs[i];
+                        let served = client.submit_raw(1, *seed, request).expect("reply");
+                        assert_eq!(
+                            served, direct[i],
+                            "tenant-{t}, seed {seed}: not direct bytes"
+                        );
+                    }
+                });
+            }
+        });
+    });
+    let unique = jobs.len() as u64;
+    assert_eq!(stats.requests, tenants as u64 * unique);
+    assert_eq!(
+        stats.completed, unique,
+        "each job runs once for all tenants"
+    );
+    assert_eq!(
+        stats.cache_hits + stats.coalesced,
+        (tenants as u64 - 1) * unique
+    );
+    assert_eq!(stats.errored, 0);
+    assert_eq!(stats.shed, 0, "the default queue holds every tenant's job");
+    assert_eq!(stats.panics_isolated, 0);
+}
+
+/// How long an occupier holds the sole worker: four times the longest
+/// window a test needs it for (two 200 ms waits in the overload test).
+const OCCUPIER_HOLD: Duration = Duration::from_millis(1_600);
+
+/// Starts a bathtub that holds the sole worker for about
+/// [`OCCUPIER_HOLD`], from its own client, and gives it time to reach
+/// the worker. A fixed size cannot: 1 000 000 bits take 0.26 s in a
+/// release build on a 2-vCPU Xeon. So the size scales a direct timing
+/// of a 100 000-bit bathtub in the same build (one sweep thread, as
+/// the server runs it).
+fn start_occupier(addr: SocketAddr, priority: u8, seed: u64) -> JoinHandle<Response> {
+    const PROBE_BITS: usize = 100_000;
+    let started = Instant::now();
+    direct_bytes(seed, &quick_bathtub(PROBE_BITS));
+    let scale = OCCUPIER_HOLD.as_secs_f64() / started.elapsed().as_secs_f64();
+    let request = quick_bathtub((PROBE_BITS as f64 * scale).ceil() as usize);
+    let occupier = std::thread::spawn(move || {
+        let mut client = Client::connect(addr, "occupier").expect("connect");
+        client.submit(priority, seed, &request).expect("slow job")
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    occupier
+}
+
+/// Fails, naming the precondition, unless the occupier is still
+/// running: `arrival` tests what it should only while the sole worker
+/// is busy.
+fn assert_occupied(occupier: &JoinHandle<Response>, arrival: &str) {
+    assert!(
+        !occupier.is_finished(),
+        "precondition: {arrival} must find the sole worker busy, but the occupier \
+         has finished; raise OCCUPIER_HOLD"
+    );
+}
+
+#[test]
 fn identical_submissions_coalesce_and_then_hit_the_cache() {
     // One worker: an occupying job serializes everything behind it, so
     // two identical submissions arriving while it runs must coalesce
@@ -131,15 +239,8 @@ fn identical_submissions_coalesce_and_then_hit_the_cache() {
         ..ServerConfig::default()
     };
     let stats = with_server(config, |addr| {
-        let occupier = std::thread::spawn(move || {
-            let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(1, 77, &quick_bathtub(1_000_000))
-                .expect("slow job")
-        });
-        // Let the occupier reach the worker before the twins arrive.
-        std::thread::sleep(Duration::from_millis(200));
-
+        let occupier = start_occupier(addr, 1, 77);
+        assert_occupied(&occupier, "the twins");
         let twins: Vec<_> = (0..2)
             .map(|i| {
                 std::thread::spawn(move || {
@@ -190,14 +291,8 @@ fn overload_sheds_with_a_typed_response() {
         ..ServerConfig::default()
     };
     let stats = with_server(config, |addr| {
-        let occupier = std::thread::spawn(move || {
-            let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(5, 177, &quick_bathtub(1_000_000))
-                .expect("slow job")
-        });
-        std::thread::sleep(Duration::from_millis(200));
-
+        let occupier = start_occupier(addr, 5, 177);
+        assert_occupied(&occupier, "the priority-3 job");
         let queued = std::thread::spawn(move || {
             let mut client = Client::connect(addr, "mid").expect("connect");
             client
@@ -207,6 +302,7 @@ fn overload_sheds_with_a_typed_response() {
         std::thread::sleep(Duration::from_millis(200));
 
         // Lower priority than anything queued: shed on arrival.
+        assert_occupied(&occupier, "the priority-1 job");
         let mut low = Client::connect(addr, "low").expect("connect");
         match low
             .submit(1, 179, &quick_bathtub(1_300))
@@ -221,6 +317,7 @@ fn overload_sheds_with_a_typed_response() {
         }
 
         // Higher priority: evicts the queued priority-3 job.
+        assert_occupied(&occupier, "the priority-9 job");
         let winner = std::thread::spawn(move || {
             let mut client = Client::connect(addr, "high").expect("connect");
             client
@@ -400,17 +497,12 @@ fn queued_jobs_past_deadline_come_back_typed() {
         ..ServerConfig::default()
     };
     let stats = with_server(config, |addr| {
-        let occupier = std::thread::spawn(move || {
-            let mut client = Client::connect(addr, "occupier").expect("connect");
-            client
-                .submit(1, 277, &quick_bathtub(1_000_000))
-                .expect("slow job")
-        });
-        std::thread::sleep(Duration::from_millis(200));
+        let occupier = start_occupier(addr, 1, 277);
 
         // Queued behind the occupier with a 1 ms deadline: by the time
         // the sole worker frees up, the deadline has long lapsed, so
         // the job is retired typed instead of burning the worker.
+        assert_occupied(&occupier, "the 1 ms-deadline job");
         let mut client = Client::connect(addr, "hurried").expect("connect");
         match client
             .submit_with_deadline(2, 278, Some(1), &quick_bathtub(1_500))
@@ -614,13 +706,19 @@ fn inject(addr: SocketAddr, kind: ServerFaultKind) {
     }
 }
 
+/// Wall budget for one chaos event. Every driver read is bounded at
+/// 500 ms and an event's sleeps add up to well under a second, so an
+/// event that takes longer is a hang even if it ends.
+const CHAOS_EVENT_BUDGET: Duration = Duration::from_secs(2);
+
 #[test]
 fn chaos_counters_are_deterministic_at_1_2_4_8_workers() {
     // Seven events: the full server-plane taxonomy, seeded. The same
     // plan runs against a fresh server at each worker count; every
-    // robustness counter must come out identical, every fault must be
-    // accounted to its contracted counter, and a survivor job must
-    // still be bit-identical to direct `Session::submit`.
+    // event must finish inside its budget, every robustness counter
+    // must come out identical, every fault must be accounted to its
+    // contracted counter, and a survivor job must still be
+    // bit-identical to direct `Session::submit`.
     let plan = server_campaign(0xC4A0_5EED, 7);
     let worker_counts = [1usize, 2, 4, 8];
     let mut all_stats: Vec<ServerStats> = Vec::new();
@@ -634,19 +732,25 @@ fn chaos_counters_are_deterministic_at_1_2_4_8_workers() {
         let plan = plan.clone();
         let stats = with_server(config, move |addr| {
             for event in plan.events() {
+                let started = Instant::now();
                 inject(addr, event.kind);
+                let took = started.elapsed();
+                assert!(
+                    took <= CHAOS_EVENT_BUDGET,
+                    "{} took {took:?} at {workers} workers, over the {CHAOS_EVENT_BUDGET:?} \
+                     budget: a hang that happened to end",
+                    event.kind.tag()
+                );
             }
             let mut client = Client::connect(addr, "survivor").expect("connect");
             let wire_bytes = client
                 .submit_raw(1, 4242, &quick_bathtub(1_000))
                 .expect("survivor job");
-            let direct_bytes = Session::new()
-                .with_seed(4242)
-                .with_threads(1)
-                .submit(&quick_bathtub(1_000))
-                .expect("direct submit")
-                .to_canonical_json();
-            assert_eq!(wire_bytes, direct_bytes, "survivor bit-identity");
+            assert_eq!(
+                wire_bytes,
+                direct_bytes(4242, &quick_bathtub(1_000)),
+                "survivor bit-identity"
+            );
             // Let async billing of the last connection events settle.
             std::thread::sleep(Duration::from_millis(100));
         });
