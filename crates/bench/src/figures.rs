@@ -1,10 +1,7 @@
 //! Data-producing routines for every figure and table of the paper.
 //!
 //! Each `figNN_*` function computes the rows/series the corresponding
-//! paper figure reports; the `src/bin/` binaries print them and the
-//! Criterion benches in `benches/figures.rs` time them. Keeping the
-//! computation here means the printed tables and the benchmarked work
-//! are exactly the same code.
+//! paper figure reports, and the `src/bin/` binaries print them.
 
 use openserdes_analog::{EyeDiagram, Waveform};
 use openserdes_core::{

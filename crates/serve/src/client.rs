@@ -1,5 +1,6 @@
 //! A small blocking client for the `openserdes-serve/1` protocol —
-//! what tests, the bench loopback matrix and the README quickstart use.
+//! what tests, the `benchmark/` serve workloads and the README
+//! quickstart use.
 //!
 //! Hardened against unlucky and hostile servers:
 //!
@@ -13,7 +14,7 @@
 //!   exact cache or coalesce hit on the server, so at-least-once
 //!   delivery costs nothing and changes no bytes.
 //! * **Accounting** — every attempt is tallied in [`RetryStats`], so
-//!   the chaos bench can prove each injected fault was either answered
+//!   the chaos test can prove each injected fault was either answered
 //!   typed or recovered by retry.
 
 use crate::wire::{self, Envelope};

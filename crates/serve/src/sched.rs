@@ -25,8 +25,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Counters accumulated over a server's lifetime, the source of truth
-/// for the serve bench and mirrored into `openserdes-telemetry` when
-/// the server shuts down.
+/// for the serve tests and benchmark workloads, and mirrored into
+/// `openserdes-telemetry` when the server shuts down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Submissions received (including coalesced, cached and shed).
