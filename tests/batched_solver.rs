@@ -10,9 +10,12 @@
 use openserdes::analog::primitives::{add_inverter_chain, InverterSize};
 use openserdes::analog::solver::{dc_sweep_with_threads, Solver, TransientConfig};
 use openserdes::analog::{
-    dc_sweep_batched, Circuit, Element, Node, PointOverride, Stimulus, Waveform,
+    dc_sweep_batched, Circuit, Element, Node, PointOverride, SolverError, Stimulus,
+    TransientResult, Waveform,
 };
+use openserdes::core::{LinkConfig, Sweep};
 use openserdes::pdk::corner::Pvt;
+use openserdes::phy::{FrontEndConfig, RxFrontEnd};
 use proptest::prelude::*;
 
 /// The batch sizes the contract is exercised at: degenerate (1), tiny,
@@ -275,11 +278,9 @@ fn point_override_diff_roundtrip() {
     assert!(PointOverride::diff(&base, &other).is_none());
 }
 
-/// The `dc_sweep_with_threads` shim must return exactly the batched
-/// engine's output, bit for bit, at every worker count — the PR 4
-/// exact-equivalence style.
-#[test]
-fn dc_sweep_shim_matches_batched_engine_exactly() {
+/// The 70-point sweep circuit: a two-stage inverter chain with its
+/// input (source 1) swept across the rail.
+fn dc_sweep_fixture() -> (Circuit, Vec<f64>) {
     let pvt = Pvt::nominal();
     let vdd_v = pvt.vdd.value();
     let mut c = Circuit::new();
@@ -290,8 +291,17 @@ fn dc_sweep_shim_matches_batched_engine_exactly() {
     let sizes = [InverterSize::unit(), InverterSize::scaled(2.0)];
     let outs = add_inverter_chain(&mut c, &pvt, &sizes, vin, vdd);
     c.capacitor(*outs.last().expect("stages"), c.gnd(), 10e-15);
+    let xs = (0..70).map(|i| vdd_v * i as f64 / 69.0).collect();
+    (c, xs)
+}
+
+/// The `dc_sweep_with_threads` shim must return exactly the batched
+/// engine's output, bit for bit, at every worker count — the PR 4
+/// exact-equivalence style.
+#[test]
+fn dc_sweep_shim_matches_batched_engine_exactly() {
     // 70 points spans three 32-point batches unevenly.
-    let xs: Vec<f64> = (0..70).map(|i| vdd_v * i as f64 / 69.0).collect();
+    let (c, xs) = dc_sweep_fixture();
     let want = dc_sweep_batched(&c, 1, &xs).expect("batched sweep");
     for threads in [1usize, 2, 4, 8] {
         let got = dc_sweep_with_threads(&c, 1, &xs, threads).expect("threaded sweep");
@@ -305,5 +315,104 @@ fn dc_sweep_shim_matches_batched_engine_exactly() {
                 );
             }
         }
+    }
+}
+
+/// FNV-1a over the little-endian bit patterns of `values`: a digest
+/// that needs no second implementation to agree with.
+fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// [`fnv1a`] over every point's samples at `nodes`, in point order,
+/// then node order.
+fn batch_digest(results: &[Result<TransientResult, SolverError>], nodes: &[Node]) -> u64 {
+    fnv1a(results.iter().flat_map(|r| {
+        let r = r.as_ref().expect("point solves");
+        nodes
+            .iter()
+            .flat_map(move |&n| r.waveform(n).samples().iter().copied())
+    }))
+}
+
+/// Independent anchors for the batch outputs, captured from the
+/// lockstep engine before it was cut down to the linear kernel, so they
+/// hold whichever path solves each batch.
+#[test]
+fn batch_outputs_match_literals_captured_from_the_lockstep_engine() {
+    let mask = 0b1011_0110;
+    let (c, nodes, t_end, dt) = rc_fixture(2_200.0, 470e-15, mask);
+    let cfg = TransientConfig::until(t_end).with_fixed_dt(dt);
+    for (np, want) in [
+        (1, 0xb633_b56e_4005_5969_u64),
+        (7, 0xea16_efac_ac5a_c397),
+        (32, 0xbee5_83b4_2bc3_a99a),
+    ] {
+        let out = Solver::new(&c).run_transient_batched(&rc_points(mask, np), &cfg);
+        assert_eq!(batch_digest(out.results(), &nodes), want, "rc, {np} points");
+    }
+    let (c, nodes, load_index, t_end, dt) = chain_fixture(0b0110, 2.0);
+    let cfg = TransientConfig::until(t_end).with_fixed_dt(dt);
+    let out =
+        Solver::new(&c).run_transient_batched(&chain_points(&c, load_index, nodes[1], 3), &cfg);
+    assert_eq!(
+        batch_digest(out.results(), &nodes),
+        0xbb66_e508_1aef_5393,
+        "chain"
+    );
+
+    let (c, xs) = dc_sweep_fixture();
+    for threads in [1usize, 2, 4, 8] {
+        let sweep = dc_sweep_with_threads(&c, 1, &xs, threads).expect("sweeps");
+        assert_eq!(
+            fnv1a(sweep.iter().flatten().copied()),
+            0xbdb2_0486_bc1f_9c98,
+            "dc sweep at {threads} workers"
+        );
+    }
+}
+
+/// The corner bias points and the corner sweep at tt/ss/ff, captured
+/// while the corner sweep still solved its biases in one lockstep DC
+/// batch.
+#[test]
+fn corner_outputs_match_literals_captured_from_the_batched_bias_pass() {
+    let corners = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()];
+    let biases = [
+        0x3fea_c27e_c3b1_0892_u64,
+        0x3fe7_fda5_051f_ad83,
+        0x3fed_7502_4e3d_be08,
+    ];
+    for (pvt, want) in corners.iter().zip(biases) {
+        let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), *pvt);
+        let bias = fe.self_bias().expect("solves").value();
+        assert_eq!(bias.to_bits(), want, "{:?} self bias {bias}", pvt.corner);
+    }
+    let points = Sweep::new()
+        .with_frames(4)
+        .with_tolerance_db(1.0)
+        .corner_sweep(&LinkConfig::paper_default())
+        .expect("corners");
+    // (max_loss_db, sensitivity) per corner, as `f64::to_bits`.
+    let want = [
+        (0x4040_e000_0000_0000_u64, 0x3fa0_54a0_458a_077f_u64),
+        (0x403d_1000_0000_0000, 0x3fa9_dde2_3cf3_2284),
+        (0x4042_4800_0000_0000, 0x3f9b_1196_6e20_8b1b),
+    ];
+    assert_eq!(points.len(), want.len());
+    for ((p, pvt), (loss, sens)) in points.iter().zip(&corners).zip(want) {
+        assert_eq!(p.pvt, *pvt);
+        assert_eq!(p.max_loss_db.to_bits(), loss, "{:?} max loss", pvt.corner);
+        assert_eq!(
+            p.sensitivity.value().to_bits(),
+            sens,
+            "{:?} sensitivity",
+            pvt.corner
+        );
     }
 }
