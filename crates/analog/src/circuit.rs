@@ -203,12 +203,10 @@ impl Circuit {
     }
 
     /// Replaces element `index` in place — the mutation primitive
-    /// behind per-point overrides in the batched multi-point solver
-    /// (see `solver::batched::PointOverride::circuit_for_point`).
-    /// Values are validated like the builder methods; topology changes
-    /// (different nodes or element kind) are allowed here but rejected
-    /// by the batched engine, which shares one stamp plan across
-    /// points.
+    /// behind per-point overrides in multi-point batches (see
+    /// `solver::batched::PointOverride::circuit_for_point`). Values are
+    /// validated like the builder methods; topology changes (different
+    /// nodes or element kind) are allowed.
     ///
     /// # Panics
     ///

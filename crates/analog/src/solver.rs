@@ -204,6 +204,37 @@ impl TransientConfig {
             StepMode::Adaptive { dt_min, .. } => dt_min,
         }
     }
+
+    /// Panics, naming the field, on a configuration whose run could
+    /// not end or could not fill a waveform grid. Every transient checks
+    /// its configuration here before it solves anything.
+    fn check(&self) {
+        assert!(
+            self.t_end.is_finite() && self.t_end >= 0.0,
+            "t_end must be finite and non-negative, got {}",
+            self.t_end
+        );
+        match self.step {
+            StepMode::Fixed(dt) => {
+                assert!(
+                    dt.is_finite() && dt > 0.0,
+                    "fixed dt must be finite and positive, got {dt}"
+                );
+            }
+            StepMode::Adaptive {
+                dt_min,
+                dt_max,
+                lte_tol,
+            } => {
+                assert!(
+                    dt_min.is_finite() && dt_min > 0.0,
+                    "dt_min must be finite and positive, got {dt_min}"
+                );
+                assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
+                assert!(lte_tol > 0.0, "lte_tol must be positive");
+            }
+        }
+    }
 }
 
 /// Counters from one or more solves, mirroring `LinkStats` on the
@@ -234,15 +265,14 @@ pub struct SolverStats {
     pub recovered_source: u64,
     /// Recoveries resolved by the dt-cut rung.
     pub recovered_dt_cut: u64,
-    /// Points that entered a batched (lockstep multi-point) solve.
+    /// Points solved by the lockstep kernel of
+    /// [`Solver::run_transient_batched`].
     pub batched_points: u64,
-    /// Points retired early from a lockstep batch (DC or step failure,
-    /// budget exhaustion) and re-solved sequentially through the full
-    /// recovery ladder.
+    /// Points the kernel retired (DC or step failure) and re-solved
+    /// sequentially through the full recovery ladder.
     pub batch_retirements: u64,
-    /// LU factorizations performed inside the batched lockstep engine
-    /// (a subset of `factorizations`). On a uniform linear batch each
-    /// one is computed once and shared across every active point.
+    /// LU factorizations performed inside the kernel (a subset of
+    /// `factorizations`); each one serves every point of the batch.
     pub batched_factorizations: u64,
     /// Wall-clock time spent inside the solver.
     pub total_time: Duration,
@@ -1362,10 +1392,17 @@ impl<'c> Solver<'c> {
     /// # Errors
     ///
     /// Returns [`SolverError`] on DC or per-step Newton failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, unless `t_end` is finite and
+    /// non-negative and the step is finite and positive (for adaptive
+    /// runs: `dt_min`, with `dt_max >= dt_min` and `lte_tol > 0`).
     pub fn run_transient(
         &mut self,
         config: &TransientConfig,
     ) -> Result<TransientResult, SolverError> {
+        config.check();
         let _span = telemetry::span("analog.transient");
         let before = self.stats;
         let started = Instant::now();
@@ -1440,9 +1477,6 @@ impl<'c> Solver<'c> {
         lte_tol: f64,
         config: &TransientConfig,
     ) -> Result<Vec<Waveform>, SolverError> {
-        assert!(dt_min > 0.0, "dt_min must be positive");
-        assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
-        assert!(lte_tol > 0.0, "lte_tol must be positive");
         let n_nodes = self.plan.n_nodes;
         let out_dt = dt_min;
         let n_out = (config.t_end / out_dt).ceil() as usize;
@@ -1876,28 +1910,15 @@ pub fn dc_sweep(
     })
 }
 
-/// Points per lockstep batch in [`dc_sweep_with_threads`] (and the
-/// chunking grain of [`batched::dc_sweep_batched`]). Fixed (not derived
-/// from the worker count) so the batch boundaries — and therefore every
-/// result — are identical for any thread count. Each point of a batch
-/// is solved by the full robust [`Solver::dc_at`] flow independently of
-/// its batchmates, so results are additionally **batch-boundary
-/// independent**.
-const DC_SWEEP_BATCH: usize = 32;
-
-/// Parallel [`dc_sweep`], now a thin shim over the batched multi-point
-/// engine: the value list is split into `DC_SWEEP_BATCH`-point
-/// chunks, each solved as one lockstep batch
-/// ([`batched::dc_sweep_batched`] semantics), fanned across `threads`
-/// workers. Results come back in input order and are bit-identical for
-/// any thread count *and* any batch boundary placement: every point
-/// runs the robust per-point DC flow on its own state plane, so its
-/// arithmetic never depends on its batchmates.
+/// [`dc_sweep`] fanned across `threads` workers. Each point is its own
+/// robust [`Solver::dc_at`] solve with source `source_index`
+/// overridden, so results come back in input order, bit-identical for
+/// any thread count and to a [`dc_operating_point`] of each point's
+/// circuit.
 ///
-/// (The sequential [`dc_sweep`] uses an unbroken continuation chain
-/// instead, which converges to the same curve but not bit-identically;
-/// compare this function against [`batched::dc_sweep_batched`] or
-/// itself across thread counts.)
+/// (The sequential [`dc_sweep`] warm-starts each point from the
+/// previous point's solution instead, which converges to the same curve
+/// but not bit-identically.)
 ///
 /// # Errors
 ///
@@ -1920,18 +1941,20 @@ pub fn dc_sweep_with_threads(
     );
     let _span = telemetry::span("analog.dc_sweep");
     let started = Instant::now();
-    let chunks: Vec<&[f64]> = values.chunks(DC_SWEEP_BATCH).collect();
-    let results = crate::par::map_with_threads(&chunks, threads, |_, chunk| {
-        batched::dc_sweep_chunk(circuit, source_index, chunk)
+    let results = crate::par::map_with_threads(values, threads, |_, &x| {
+        let mut solver = Solver::new(circuit);
+        solver.set_source_override(Some((source_index, x)));
+        solver.dc_at(0.0).map(|v| (v, solver.stats))
     });
     let mut points = Vec::with_capacity(values.len());
     let mut stats = SolverStats::default();
     for r in results {
-        let (chunk_points, chunk_stats) = r?;
-        points.extend(chunk_points);
-        stats.merge(&chunk_stats);
+        let (v, point_stats) = r?;
+        points.push(v);
+        stats.merge(&point_stats);
     }
     stats.total_time = started.elapsed();
+    stats.record_telemetry();
     Ok(DcSweepResult { points, stats })
 }
 
@@ -1979,21 +2002,98 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rc_step_response_matches_analytic() {
+    /// An ideal step of `swing` volts at t = 0 (two PWL points) into
+    /// R = 1 kΩ, C = 1 pF: τ = 1 ns.
+    fn rc_step(swing: f64) -> (Circuit, Node) {
         let mut c = Circuit::new();
         let vin = c.node("vin");
         let out = c.node("out");
-        c.vsource(vin, Stimulus::Pwl(vec![(0.0, 0.0), (1e-12, 1.0)]));
+        c.vsource(vin, Stimulus::Pwl(vec![(0.0, 0.0), (0.0, swing)]));
         c.resistor(vin, out, 1e3);
-        c.capacitor(out, c.gnd(), 1e-12); // tau = 1 ns
-        let res = transient(&c, &TransientConfig::until(5e-9).with_fixed_dt(5e-12)).expect("runs");
-        let w = res.waveform(out);
-        // After one tau: 63.2 %; after 3 tau: 95 %.
-        let v_tau = w.sample_at(1e-9);
-        assert!((v_tau - 0.632).abs() < 0.02, "v(tau) = {v_tau}");
-        let v3 = w.sample_at(3e-9);
-        assert!((v3 - 0.95).abs() < 0.02, "v(3tau) = {v3}");
+        c.capacitor(out, c.gnd(), 1e-12);
+        (c, out)
+    }
+
+    /// Asserts that `samples` follow the backward-Euler recurrence of
+    /// [`rc_step`], `v_k = (a·v_{k−1} + g·u_k)/(a + g + gmin)` with
+    /// `a = C/dt` and `g = 1/R`, from the DC point `v_0 = 0` (the
+    /// source reads 0 V at t = 0 and `swing` after).
+    fn assert_rc_recurrence(samples: &[f64], swing: f64, dt: f64, gmin: f64) {
+        let (a, g) = (1e-12 / dt, 1e-3);
+        let mut want = 0.0;
+        for (k, &got) in samples.iter().enumerate() {
+            if k > 0 {
+                want = (a * want + g * swing) / (a + g + gmin);
+            }
+            assert!(
+                (got - want).abs() <= 1e-12,
+                "dt {dt:e}, swing {swing}, sample {k}: {got:e} vs {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rc_step_response_matches_analytic() {
+        let tau = 1e-9;
+        let swings = [0.8, 1.0, 1.2];
+        let mut max_errs = Vec::new();
+        for dt in [20e-12, 10e-12, 5e-12, 2.5e-12] {
+            let cfg = TransientConfig::until(5.0 * tau).with_fixed_dt(dt);
+            let (c, out) = rc_step(1.0);
+            let res = transient(&c, &cfg).expect("runs");
+            let w = res.waveform(out).samples();
+            assert_rc_recurrence(w, 1.0, dt, cfg.gmin);
+            let err = w
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| (v - (1.0 - (-(k as f64) * dt / tau).exp())).abs())
+                .fold(0.0f64, f64::max);
+            max_errs.push(err);
+            // The batched kernel on three swing corners of the same
+            // circuit, checked against the arithmetic rather than
+            // against the sequential solver.
+            let points: Vec<batched::PointOverride> = swings
+                .iter()
+                .map(|&s| {
+                    batched::PointOverride::new()
+                        .with_source(0, Stimulus::Pwl(vec![(0.0, 0.0), (0.0, s)]))
+                })
+                .collect();
+            let batch = Solver::new(&c).run_transient_batched(&points, &cfg);
+            let stats = batch.stats();
+            assert_eq!(stats.batched_points, 3, "the kernel runs the corners");
+            assert_eq!(stats.batch_retirements, 0, "and solves every one");
+            for (r, &s) in batch.results().iter().zip(&swings) {
+                let w = r.as_ref().expect("runs").waveform(out).samples();
+                assert_rc_recurrence(w, s, dt, cfg.gmin);
+            }
+        }
+        // Backward Euler is first order: halving dt halves the error
+        // against 1 − e^(−t/τ).
+        for (pair, dt) in max_errs.windows(2).zip([20e-12, 10e-12, 5e-12]) {
+            let ratio = pair[0] / pair[1];
+            assert!(
+                (1.9..=2.1).contains(&ratio),
+                "error ratio {ratio} halving dt from {dt:e} ({:e} -> {:e})",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fixed dt must be finite and positive")]
+    fn zero_fixed_dt_panics_naming_the_field() {
+        let (c, _) = rc_step(1.0);
+        let _ = transient(&c, &TransientConfig::until(1e-9).with_fixed_dt(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "t_end must be finite and non-negative")]
+    fn infinite_t_end_panics_naming_the_field() {
+        let (c, _) = rc_step(1.0);
+        let cfg = TransientConfig::until(f64::INFINITY).with_fixed_dt(1e-12);
+        let _ = Solver::new(&c).run_transient_batched(&[batched::PointOverride::new()], &cfg);
     }
 
     fn inverter(c: &mut Circuit, vin: Node, vout: Node, vdd: Node, wn: f64, wp: f64) {

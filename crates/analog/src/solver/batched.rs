@@ -1,72 +1,42 @@
-//! Batched multi-point lockstep solver (DESIGN.md §16).
+//! Multi-point transient batches (DESIGN.md §16).
 //!
-//! Corner farms and sweeps solve the *same topology* at many nearby
-//! operating points: a VTC sweep varies one DC source, a PVT corner
-//! sweep varies device parameters and the supply, a sensitivity sweep
-//! varies an element value. The sequential engine pays the full
-//! per-solve overhead — stamp dispatch, LU factorization, Newton
-//! bookkeeping — once *per point*. This module amortizes it across the
-//! point dimension:
+//! Sweeps and corner fans solve one topology at many points. A batch
+//! names its points as value-only [`PointOverride`]s against a base
+//! circuit, and [`Solver::run_transient_batched`] solves them all.
 //!
-//! * **Structure-of-arrays state.** Voltage and history live in
-//!   point-fastest planes (`plane[node * n_points + p]`), so the inner
-//!   loop of every stamp, solve and update walks a contiguous run of
-//!   points and auto-vectorizes.
-//! * **One shared `StampPlan`.** The topology is compiled once;
-//!   per-point differences are value-only [`PointOverride`]s zipped
-//!   into the stamp list (`PVal::Shared` vs `PVal::Per`).
-//! * **Batched Newton with convergence masks.** All active points
-//!   iterate in lockstep; a point that converges drops out of the mask
-//!   and its state plane column freezes, so stragglers never perturb
-//!   finished points.
-//! * **Shared LU on uniform linear batches.** When no element is
-//!   overridden and the circuit is linear, every point's Jacobian is
-//!   bit-identical — one factorization (counted in
-//!   `SolverStats::batched_factorizations`) serves the whole batch
-//!   through the plane triangular solve.
-//! * **Retirement.** Any point whose lockstep solve fails — DC
-//!   non-convergence, a failed fixed step, an adaptive floor-step
-//!   failure or budget exhaustion — is *retired* from the batch
-//!   (counted in `SolverStats::batch_retirements`) and re-solved
-//!   sequentially from scratch, where the full PR 5 recovery ladder
-//!   (gmin/source/dt-cut stepping) applies. The batch itself never
-//!   enters the ladder, so stragglers cannot hold the lockstep.
+//! One shape pays for solving the points in lockstep: a linear circuit
+//! on a fixed step whose points differ only in their source stimuli.
+//! Every point then has the same Jacobian, so the **kernel** here
+//! factorizes once per `(dt, gmin)` key for the whole batch and runs
+//! the residuals, triangular solves and damped updates over
+//! point-fastest planes (`plane[node * n_points + p]`), whose inner
+//! loops walk contiguous runs of points. Every other batch solves each
+//! point's circuit with [`Solver::run_transient`]: on nonlinear
+//! circuits, DC solves and adaptive steps, lockstep Newton measured
+//! slower than that plain loop.
 //!
 //! # Determinism contract
 //!
-//! Fixed-step batched results are **bit-identical per point** to a
-//! sequential [`Solver::run_transient`] of that point's circuit
+//! Each point's result is **bit-identical** to a sequential
+//! [`Solver::run_transient`] of that point's circuit
 //! ([`PointOverride::circuit_for_point`]), for every batch size and
-//! composition: each point's scalar operation sequence — stamp order,
-//! damped update, LU cache decisions — is reproduced exactly on its
-//! own plane column, and retired points are literally re-solved
-//! sequentially. Batched DC (the flow behind
-//! [`dc_sweep_batched`] and `dc_sweep_with_threads`) carries the same
-//! guarantee against the sequential robust DC flow. Adaptive batched
-//! runs share one step controller across the batch (union time grid,
-//! worst-point LTE), so per-point results are not bit-identical to a
-//! sequential adaptive run — they track it within the usual LTE bound
-//! instead.
-
-// The lockstep loops walk several parallel per-point arrays (`run`,
-// `conv`, `lockstep`, per-point stats and workspaces) at once; plain
-// `p` indexing keeps those in step where multi-slice zips would bury
-// the structure.
-#![allow(clippy::needless_range_loop)]
+//! composition. The kernel applies each point's scalar operations in
+//! the sequential solver's order — stamp order, damped-update fold,
+//! the zero skips of the triangular solves — on that point's plane
+//! column. A point whose DC solve or time step fails in the kernel is
+//! *retired* (counted in `SolverStats::batch_retirements`) and re-solved
+//! sequentially from scratch, where the full recovery ladder applies.
 
 use super::{
-    factorize, lu_solve, telemetry, Circuit, DcSweepResult, Instant, PairSlots, Solver,
-    SolverError, SolverStats, StampPlan, StepMode, TransientConfig, TransientResult, Waveform,
-    ABSENT, DC_LADDER, DC_SWEEP_BATCH, SOURCE_JUMP_V,
+    factorize, telemetry, Circuit, Instant, PairSlots, Solver, SolverError, SolverStats, Stamp,
+    StampPlan, StepMode, TransientConfig, TransientResult, Waveform, ABSENT,
 };
 use crate::circuit::{Element, Stimulus};
-use openserdes_pdk::mos::MosDevice;
 
 /// Value-only deltas applied to a base circuit to form one point of a
-/// batch: replacement elements (same kind, same nodes — the batched
-/// engine shares one stamp plan, so topology is fixed) and replacement
-/// source stimuli. Built with the consuming `with_*` methods; later
-/// overrides of the same index win.
+/// batch: replacement elements and replacement source stimuli. Built
+/// with the consuming `with_*` methods; later overrides of the same
+/// index win.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PointOverride {
     elements: Vec<(usize, Element)>,
@@ -80,9 +50,7 @@ impl PointOverride {
     }
 
     /// Replaces element `index` (by position in
-    /// [`Circuit::elements`]) for this point. The replacement must
-    /// keep the element's kind, terminal nodes and (for MOS) polarity;
-    /// the batched engine panics otherwise.
+    /// [`Circuit::elements`]) for this point.
     #[must_use]
     pub fn with_element(mut self, index: usize, e: Element) -> Self {
         self.elements.push((index, e));
@@ -97,8 +65,7 @@ impl PointOverride {
         self
     }
 
-    /// Shorthand for a constant-voltage source override — the shape DC
-    /// sweeps use.
+    /// Shorthand for a constant-voltage source override.
     #[must_use]
     pub fn with_source_dc(self, index: usize, volts: f64) -> Self {
         self.with_source(index, Stimulus::Dc(volts))
@@ -110,46 +77,11 @@ impl PointOverride {
         self.elements.is_empty() && self.sources.is_empty()
     }
 
-    /// Derives the override turning `base` into `variant`, when the
-    /// two circuits share a topology: same node count, same element
-    /// kinds/terminals (MOS polarity included), same source nodes.
-    /// Returns `None` when the circuits differ structurally — the
-    /// caller should fall back to a sequential solve then. This is how
-    /// corner sweeps batch: build each corner's circuit with the
-    /// existing builders and diff it against the nominal one.
-    pub fn diff(base: &Circuit, variant: &Circuit) -> Option<Self> {
-        if base.node_count() != variant.node_count()
-            || base.elements().len() != variant.elements().len()
-            || base.sources().len() != variant.sources().len()
-        {
-            return None;
-        }
-        let mut out = PointOverride::default();
-        for (i, (b, v)) in base.elements().iter().zip(variant.elements()).enumerate() {
-            if b == v {
-                continue;
-            }
-            if !same_topology(b, v) {
-                return None;
-            }
-            out.elements.push((i, v.clone()));
-        }
-        for (i, ((nb, sb), (nv, sv))) in base.sources().iter().zip(variant.sources()).enumerate() {
-            if nb != nv {
-                return None;
-            }
-            if sb != sv {
-                out.sources.push((i, sv.clone()));
-            }
-        }
-        Some(out)
-    }
-
     /// Materializes this point's circuit: a clone of `base` with the
     /// overrides applied via [`Circuit::set_element`] /
-    /// [`Circuit::set_source_stimulus`]. This is what retirement runs
-    /// the sequential solver on, which is why batched results match
-    /// sequential solves of exactly this circuit.
+    /// [`Circuit::set_source_stimulus`]. Batches outside the kernel,
+    /// and points the kernel retires, run the sequential solver on
+    /// exactly this circuit.
     ///
     /// # Panics
     ///
@@ -167,586 +99,382 @@ impl PointOverride {
     }
 }
 
-/// Do two elements agree on kind, terminals and MOS polarity? (Values
-/// are allowed to differ — that is what overrides are for.)
-fn same_topology(base: &Element, v: &Element) -> bool {
-    match (base, v) {
-        (Element::Resistor { a: a0, b: b0, .. }, Element::Resistor { a: a1, b: b1, .. })
-        | (Element::Capacitor { a: a0, b: b0, .. }, Element::Capacitor { a: a1, b: b1, .. }) => {
-            a0 == a1 && b0 == b1
-        }
-        (
-            Element::Mos {
-                device: m0,
-                d: d0,
-                g: g0,
-                s: s0,
-            },
-            Element::Mos {
-                device: m1,
-                d: d1,
-                g: g1,
-                s: s1,
-            },
-        ) => d0 == d1 && g0 == g1 && s0 == s1 && m0.params.mos_type == m1.params.mos_type,
-        _ => false,
-    }
-}
-
-/// A per-stamp scalar that is either shared by the whole batch or
-/// overridden per point.
-#[derive(Debug, Clone)]
-enum PVal {
-    Shared(f64),
-    Per(Vec<f64>),
-}
-
-impl PVal {
-    #[inline]
-    fn at(&self, p: usize) -> f64 {
-        match self {
-            PVal::Shared(x) => *x,
-            PVal::Per(v) => v[p],
-        }
-    }
-}
-
-/// A MOS device shared or overridden per point.
-#[derive(Debug, Clone)]
-enum PDev {
-    Shared(MosDevice),
-    Per(Vec<MosDevice>),
-}
-
-impl PDev {
-    #[inline]
-    fn at(&self, p: usize) -> &MosDevice {
-        match self {
-            PDev::Shared(d) => d,
-            PDev::Per(v) => &v[p],
-        }
-    }
-}
-
-/// A source stimulus shared or overridden per point.
-#[derive(Debug, Clone)]
-enum PStim {
-    Shared(Stimulus),
-    Per(Vec<Stimulus>),
-}
-
-impl PStim {
-    fn at(&self, p: usize) -> &Stimulus {
-        match self {
-            PStim::Shared(s) => s,
-            PStim::Per(v) => &v[p],
-        }
-    }
-}
-
-/// One element's stamp widened across the point dimension. Slot order
-/// inside each variant mirrors [`super::Stamp`] exactly — per-point
-/// bit-identity rides on reproducing the sequential `+=` sequence.
-#[derive(Debug, Clone)]
-enum BStamp {
-    Cond {
-        p: PairSlots,
-        g: PVal,
-    },
-    Cap {
-        p: PairSlots,
-        farads: PVal,
-    },
-    Mos {
-        dev: PDev,
-        nmos: bool,
-        d: usize,
-        g: usize,
-        s: usize,
-        res0: usize,
-        res1: usize,
-        jac: [usize; 6],
-    },
-}
-
-/// The batched engine's working state: SoA planes over
-/// `[n_nodes × n_points]` (point-fastest), the widened stamp list, and
-/// either one shared workspace (uniform linear batches) or one
-/// [`super::Workspace`] per point replicating the sequential two-bank
-/// LU cache decisions exactly.
-struct Batch<'a> {
+/// The uniform-linear fixed-step lockstep kernel: SoA planes over
+/// `[n_nodes × n_points]` (point-fastest) and the one LU every point
+/// shares.
+struct Kernel<'a> {
     plan: &'a StampPlan,
-    stamps: Vec<BStamp>,
-    /// `(raw node index, stimulus plane)` per voltage source, in
-    /// circuit order.
-    srcs: Vec<(usize, PStim)>,
+    /// `(raw node index, one stimulus per point)` per voltage source,
+    /// in circuit order.
+    srcs: Vec<(usize, Vec<&'a Stimulus>)>,
     np: usize,
-    nn: usize,
-    nu: usize,
-    /// No element overrides *and* the plan is linear: every point's
-    /// Jacobian is bit-identical, so one factorization serves all.
-    shared_lu: bool,
     /// Voltage plane, `v[node * np + p]`.
     v: Vec<f64>,
     /// Previous-step voltage plane (backward-Euler companion).
     prev: Vec<f64>,
     /// Residual / Newton-update plane, `res[slot * np + p]`.
     res: Vec<f64>,
-    shared_ws: super::Workspace,
-    point_ws: Vec<super::Workspace>,
+    /// The shared Jacobian, LU-factorized in place, and its pivots.
+    lu: Vec<f64>,
+    piv: Vec<usize>,
+    /// The next Newton iteration is the first on a fresh factorization
+    /// (so it does not count as a reuse).
+    fresh: bool,
+    /// Points still iterating in the current Newton solve.
+    run: Vec<bool>,
     /// Per-point damped-update magnitude and damping scale.
     maxdv: Vec<f64>,
     scale: Vec<f64>,
     /// One point row (`np`) for the plane forward substitution.
     row: Vec<f64>,
-    /// One point row (`np`) staging pair-stamp currents during plane
-    /// assembly.
+    /// One point row (`np`) staging pair-stamp currents.
     cur: Vec<f64>,
-    /// One unknown column (`nu`) for per-point gather/solve.
-    scratch: Vec<f64>,
-    /// Scratch masks for the per-point LU path.
-    miss: Vec<bool>,
-    bank_of: Vec<usize>,
-    run: Vec<bool>,
     /// Batch-level counters, merged into the owning solver afterwards.
     stats: SolverStats,
     /// Per-point share of the counters that are cleanly attributable
-    /// (Newton iterations, residual builds, accepted steps, per-point
-    /// factorizations/reuses). Batch-shared work — one factorization
-    /// serving many points, plane assemblies — is counted once in
-    /// `stats`, not divided.
+    /// (Newton iterations, residual builds, reuses, accepted steps).
+    /// Each shared factorization is counted once, in `stats`.
     pstats: Vec<SolverStats>,
 }
 
-impl<'a> Batch<'a> {
-    /// Widens `plan` across `points`, validating that every override
-    /// preserves the topology.
+impl<'a> Kernel<'a> {
+    /// Lays out the planes for `points`, which override only source
+    /// stimuli of `circuit`, compiled as `plan`.
     ///
     /// # Panics
     ///
-    /// Panics when an override index is out of range, changes an
-    /// element's kind/terminals/polarity, or carries a non-positive
-    /// resistance/capacitance.
-    fn new(plan: &'a StampPlan, circuit: &Circuit, points: &[PointOverride]) -> Self {
+    /// Panics when a source override index is out of range.
+    fn new(plan: &'a StampPlan, circuit: &'a Circuit, points: &'a [PointOverride]) -> Self {
         let np = points.len();
         let nn = plan.n_nodes;
         let nu = plan.n_unknown;
-        let base_elements = circuit.elements();
-
-        // Effective override element per (element, point); later
-        // overrides of the same index win, matching
-        // `circuit_for_point`'s sequential application.
-        let mut eff: Vec<Vec<Option<&Element>>> = vec![vec![None; np]; base_elements.len()];
-        for (pi, ov) in points.iter().enumerate() {
-            for (i, e) in &ov.elements {
-                assert!(
-                    *i < base_elements.len(),
-                    "override element index {i} out of range"
-                );
-                assert!(
-                    same_topology(&base_elements[*i], e),
-                    "batched override changes the topology of element {i} \
-                     (kind, terminals and MOS polarity must match the base circuit)"
-                );
-                match e {
-                    Element::Resistor { ohms, .. } => {
-                        assert!(
-                            *ohms > 0.0 && ohms.is_finite(),
-                            "resistance must be positive"
-                        );
-                    }
-                    Element::Capacitor { farads, .. } => {
-                        assert!(
-                            *farads > 0.0 && farads.is_finite(),
-                            "capacitance must be positive"
-                        );
-                    }
-                    Element::Mos { .. } => {}
-                }
-                eff[*i][pi] = Some(e);
-            }
-        }
-
-        let mut uniform = true;
-        let stamps: Vec<BStamp> = plan
-            .stamps
-            .iter()
-            .enumerate()
-            .map(|(ei, stamp)| match *stamp {
-                super::Stamp::Conductance { g, p } => {
-                    if eff[ei].iter().all(Option::is_none) {
-                        BStamp::Cond {
-                            p,
-                            g: PVal::Shared(g),
-                        }
-                    } else {
-                        uniform = false;
-                        let vals = (0..np)
-                            .map(|pi| match eff[ei][pi] {
-                                // Same `1.0 / ohms` op the plan build
-                                // applies, for bit-identity.
-                                Some(Element::Resistor { ohms, .. }) => 1.0 / ohms,
-                                None => g,
-                                Some(_) => unreachable!("topology validated above"),
-                            })
-                            .collect();
-                        BStamp::Cond {
-                            p,
-                            g: PVal::Per(vals),
-                        }
-                    }
-                }
-                super::Stamp::Capacitor { farads, p } => {
-                    if eff[ei].iter().all(Option::is_none) {
-                        BStamp::Cap {
-                            p,
-                            farads: PVal::Shared(farads),
-                        }
-                    } else {
-                        uniform = false;
-                        let vals = (0..np)
-                            .map(|pi| match eff[ei][pi] {
-                                Some(Element::Capacitor { farads, .. }) => *farads,
-                                None => farads,
-                                Some(_) => unreachable!("topology validated above"),
-                            })
-                            .collect();
-                        BStamp::Cap {
-                            p,
-                            farads: PVal::Per(vals),
-                        }
-                    }
-                }
-                super::Stamp::Mos {
-                    ref device,
-                    nmos,
-                    d,
-                    g,
-                    s,
-                    res0,
-                    res1,
-                    jac,
-                } => {
-                    let dev = if eff[ei].iter().all(Option::is_none) {
-                        PDev::Shared(*device)
-                    } else {
-                        uniform = false;
-                        PDev::Per(
-                            (0..np)
-                                .map(|pi| match eff[ei][pi] {
-                                    Some(Element::Mos { device, .. }) => *device,
-                                    None => *device,
-                                    Some(_) => unreachable!("topology validated above"),
-                                })
-                                .collect(),
-                        )
-                    };
-                    BStamp::Mos {
-                        dev,
-                        nmos,
-                        d,
-                        g,
-                        s,
-                        res0,
-                        res1,
-                        jac,
-                    }
-                }
-            })
-            .collect();
-
         let n_sources = circuit.sources().len();
         for ov in points {
             for (i, _) in &ov.sources {
-                assert!(*i < n_sources, "override source index {i} out of range");
+                assert!(*i < n_sources, "source index out of range");
             }
         }
-        let srcs: Vec<(usize, PStim)> = circuit
+        let srcs = circuit
             .sources()
             .iter()
             .enumerate()
-            .map(|(si, (node, stim))| {
-                let any = points
+            .map(|(si, (node, base))| {
+                // The last override of a source wins, as in
+                // `circuit_for_point`.
+                let per_point = points
                     .iter()
-                    .any(|ov| ov.sources.iter().any(|(i, _)| *i == si));
-                let plane = if any {
-                    PStim::Per(
-                        points
+                    .map(|ov| {
+                        ov.sources
                             .iter()
-                            .map(|ov| {
-                                ov.sources
-                                    .iter()
-                                    .rev()
-                                    .find(|(i, _)| *i == si)
-                                    .map(|(_, s)| s.clone())
-                                    .unwrap_or_else(|| stim.clone())
-                            })
-                            .collect(),
-                    )
-                } else {
-                    PStim::Shared(stim.clone())
-                };
-                (node.index(), plane)
+                            .rev()
+                            .find(|(i, _)| *i == si)
+                            .map_or(base, |(_, s)| s)
+                    })
+                    .collect();
+                (node.index(), per_point)
             })
             .collect();
-
-        let shared_lu = uniform && plan.linear;
         Self {
             plan,
-            stamps,
             srcs,
             np,
-            nn,
-            nu,
-            shared_lu,
             v: vec![0.0; nn * np],
             prev: vec![0.0; nn * np],
             res: vec![0.0; nu * np],
-            shared_ws: super::Workspace::new(nu),
-            point_ws: if shared_lu {
-                Vec::new()
-            } else {
-                (0..np).map(|_| super::Workspace::new(nu)).collect()
-            },
+            lu: vec![0.0; nu * nu],
+            piv: vec![0; nu],
+            fresh: false,
+            run: vec![false; np],
             maxdv: vec![0.0; np],
             scale: vec![0.0; np],
             row: vec![0.0; np],
             cur: vec![0.0; np],
-            scratch: vec![0.0; nu],
-            miss: vec![false; np],
-            bank_of: vec![0; np],
-            run: vec![false; np],
             stats: SolverStats::default(),
             pstats: vec![SolverStats::default(); np],
         }
     }
 
-    /// Fills source rows of the `mask`ed columns for time `t` — the
-    /// plane counterpart of `Solver::apply_sources`.
-    fn apply_sources_cols(&mut self, t: f64, mask: &[bool]) {
+    /// Fills the ground row and every source row for time `t` — the
+    /// plane counterpart of `Solver::apply_sources`. Retired columns
+    /// are filled too; nothing reads them.
+    fn apply_sources(&mut self, t: f64) {
         let np = self.np;
-        for p in 0..np {
-            if mask[p] {
-                self.v[p] = 0.0;
-            }
-        }
-        for (node, stim) in &self.srcs {
+        self.v[..np].fill(0.0);
+        for (node, stims) in &self.srcs {
             let row = &mut self.v[node * np..node * np + np];
-            match stim {
-                PStim::Shared(s) => {
-                    let x = s.value_at(t);
-                    for (p, slot) in row.iter_mut().enumerate() {
-                        if mask[p] {
-                            *slot = x;
-                        }
-                    }
-                }
-                PStim::Per(per) => {
-                    for (p, slot) in row.iter_mut().enumerate() {
-                        if mask[p] {
-                            *slot = per[p].value_at(t);
-                        }
-                    }
-                }
+            for (x, s) in row.iter_mut().zip(stims) {
+                *x = s.value_at(t);
             }
         }
     }
 
-    /// Largest source magnitude at `t` for point `p` (seed of the
-    /// mid-supply DC guess), same fold as the sequential
-    /// `max_source_abs`.
-    fn max_source_abs_point(&self, p: usize, t: f64) -> f64 {
-        self.srcs
+    /// Assembles the shared Jacobian with [`StampPlan::assemble`] and
+    /// factorizes it in place. A linear plan's Jacobian does not depend
+    /// on the operating point, so it is assembled at zero. Returns
+    /// `false` when the matrix is singular.
+    fn factor(&mut self, dt: Option<f64>, gmin: f64) -> bool {
+        let zero = vec![0.0; self.plan.n_nodes];
+        let mut res = vec![0.0; self.plan.n_unknown];
+        self.plan.assemble(
+            &zero,
+            dt.map(|dt| (&zero[..], dt)),
+            gmin,
+            &mut res,
+            Some(&mut self.lu),
+        );
+        self.stats.jacobian_builds += 1;
+        if !factorize(&mut self.lu, &mut self.piv, self.plan.n_unknown) {
+            return false;
+        }
+        self.stats.factorizations += 1;
+        self.stats.batched_factorizations += 1;
+        self.fresh = true;
+        true
+    }
+
+    /// Retires every `live` point: each is re-solved sequentially.
+    fn retire_all(&mut self, live: &mut [bool]) {
+        for l in live.iter_mut().filter(|l| **l) {
+            *l = false;
+            self.stats.batch_retirements += 1;
+        }
+    }
+
+    /// Plane residual assembly: the batched counterpart of
+    /// [`StampPlan::assemble`] for a linear plan, in its stamp order.
+    /// Residuals are written for every column; dead columns hold values
+    /// nothing reads.
+    fn assemble_residual(&mut self, dt: Option<f64>, gmin: f64) {
+        let np = self.np;
+        self.res.fill(0.0);
+        for stamp in &self.plan.stamps {
+            match *stamp {
+                Stamp::Conductance { g, ref p } => {
+                    pair_plane(&mut self.res, &self.v, None, np, p, g, &mut self.cur);
+                }
+                Stamp::Capacitor { farads, ref p } => {
+                    if let Some(dt) = dt {
+                        let prev = Some(&self.prev[..]);
+                        pair_plane(
+                            &mut self.res,
+                            &self.v,
+                            prev,
+                            np,
+                            p,
+                            farads / dt,
+                            &mut self.cur,
+                        );
+                    }
+                }
+                Stamp::Mos { .. } => unreachable!("the kernel runs linear plans only"),
+            }
+        }
+        for &(node, slot, _) in &self.plan.gmin_rows {
+            let v = &self.v[node * np..node * np + np];
+            let res = &mut self.res[slot * np..slot * np + np];
+            for (r, &x) in res.iter_mut().zip(v) {
+                *r += gmin * x;
+            }
+        }
+    }
+
+    /// Lockstep damped Newton on the shared LU over the `live` points.
+    /// Each point stops iterating the moment its own damped update
+    /// passes `tol`; a point still iterating after `max_iter` is
+    /// retired (cleared from `live`). Per point this is
+    /// `Solver::newton_full`'s arithmetic on a linear plan.
+    fn newton(&mut self, dt: Option<f64>, gmin: f64, max_iter: usize, tol: f64, live: &mut [bool]) {
+        let np = self.np;
+        let nu = self.plan.n_unknown;
+        self.run.copy_from_slice(live);
+        for _ in 0..max_iter {
+            let n_run = self.run.iter().filter(|&&r| r).count();
+            if n_run == 0 {
+                return;
+            }
+            self.assemble_residual(dt, gmin);
+            let reused = !std::mem::take(&mut self.fresh);
+            let n = n_run as u64;
+            self.stats.newton_iterations += n;
+            self.stats.residual_builds += n;
+            if reused {
+                self.stats.factorization_reuses += n;
+            }
+            for (ps, _) in self.pstats.iter_mut().zip(&self.run).filter(|(_, &r)| r) {
+                ps.newton_iterations += 1;
+                ps.residual_builds += 1;
+                if reused {
+                    ps.factorization_reuses += 1;
+                }
+            }
+            for x in &mut self.res {
+                *x = -*x;
+            }
+            plane_lu_solve(&self.lu, &self.piv, nu, np, &mut self.res, &mut self.row);
+            // Damped update: per-point max fold in slot order, then the
+            // node-order application — the sequential sequence.
+            self.maxdv.fill(0.0);
+            for row in self.res.chunks_exact(np) {
+                for (m, &x) in self.maxdv.iter_mut().zip(row) {
+                    *m = m.max(x.abs());
+                }
+            }
+            for (s, &m) in self.scale.iter_mut().zip(&self.maxdv) {
+                *s = if m > 0.4 { 0.4 / m } else { 1.0 };
+            }
+            let all_run = n_run == np;
+            for (node, &slot) in self.plan.index.iter().enumerate() {
+                let Some(i) = slot else { continue };
+                let v = &mut self.v[node * np..node * np + np];
+                let r = &self.res[i * np..i * np + np];
+                if all_run {
+                    // Every point is live: the unmasked form applies
+                    // the identical per-column operation.
+                    for ((x, &d), &s) in v.iter_mut().zip(r).zip(&self.scale) {
+                        *x += s * d;
+                    }
+                } else {
+                    for (p, x) in v.iter_mut().enumerate() {
+                        // Branch, don't multiply by a masked zero:
+                        // adding `scale * 0.0` to a frozen column would
+                        // flip -0.0 to +0.0 and break bit-identity.
+                        if self.run[p] {
+                            *x += self.scale[p] * r[p];
+                        }
+                    }
+                }
+            }
+            for p in 0..np {
+                if self.run[p] && self.maxdv[p] * self.scale[p] < tol {
+                    self.run[p] = false;
+                }
+            }
+        }
+        for (l, &r) in live.iter_mut().zip(&self.run) {
+            if r {
+                *l = false;
+                self.stats.batch_retirements += 1;
+            }
+        }
+    }
+
+    /// The fixed-step lockstep transient: the kernel's mirror of
+    /// `Solver::transient_fixed`. Retired points come back as `None`.
+    fn run(
+        mut self,
+        dt: f64,
+        config: &TransientConfig,
+    ) -> (Vec<Option<TransientResult>>, SolverStats) {
+        let np = self.np;
+        let nn = self.plan.n_nodes;
+        let mut live = vec![true; np];
+        // DC: the direct attempt `Solver::dc_at` opens with — the
+        // mid-supply guess solved at gmin 1e-12. Its gmin ladder is
+        // the sequential retirement path's business.
+        for p in 0..np {
+            let v_mid = 0.5
+                * self
+                    .srcs
+                    .iter()
+                    .map(|(_, s)| s[p].value_at(0.0).abs())
+                    .fold(0.0f64, f64::max);
+            for node in 0..nn {
+                self.v[node * np + p] = v_mid;
+            }
+        }
+        self.apply_sources(0.0);
+        if self.factor(None, 1e-12) {
+            self.newton(None, 1e-12, 400, 1e-9, &mut live);
+        } else {
+            self.retire_all(&mut live);
+        }
+        let steps = (config.t_end / dt).ceil() as usize;
+        // One preallocated buffer per `(node, point)` waveform, in the
+        // voltage plane's `node * np + p` order: recording a step is
+        // one sweep zipping `v` against the buffers, and each buffer is
+        // handed to its `Waveform` without a copy. Retired points keep
+        // garbage past their retirement; the output skips them.
+        let mut bufs: Vec<Vec<f64>> = self
+            .v
             .iter()
-            .map(|(_, s)| s.at(p).value_at(t).abs())
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Largest source change between `t0` and `t1` over the `mask`ed
-    /// points.
-    fn source_jump_any(&self, t0: f64, t1: f64, mask: &[bool]) -> f64 {
-        let mut worst = 0.0f64;
-        for (_, s) in &self.srcs {
-            for p in 0..self.np {
-                if !mask[p] {
-                    continue;
-                }
-                let stim = s.at(p);
-                worst = worst.max((stim.value_at(t1) - stim.value_at(t0)).abs());
+            .map(|&x| {
+                let mut b = vec![0.0; steps + 1];
+                b[0] = x;
+                b
+            })
+            .collect();
+        self.prev.copy_from_slice(&self.v);
+        if live.contains(&true) && !self.factor(Some(dt), config.gmin) {
+            self.retire_all(&mut live);
+        }
+        for k in 1..=steps {
+            if !live.contains(&true) {
+                break;
+            }
+            self.apply_sources(k as f64 * dt);
+            self.newton(
+                Some(dt),
+                config.gmin,
+                config.max_newton,
+                config.tol,
+                &mut live,
+            );
+            for (buf, &x) in bufs.iter_mut().zip(&self.v) {
+                buf[k] = x;
+            }
+            self.prev.copy_from_slice(&self.v);
+            for (ps, _) in self.pstats.iter_mut().zip(&live).filter(|(_, &l)| l) {
+                ps.steps_taken += 1;
+                self.stats.steps_taken += 1;
             }
         }
-        worst
-    }
-
-    /// Drops every cached factorization (shared and per-point).
-    fn invalidate_ws(&mut self) {
-        self.shared_ws.invalidate();
-        for ws in &mut self.point_ws {
-            ws.invalidate();
-        }
-    }
-}
-
-/// Plane residual/Jacobian assembly: the batched counterpart of
-/// `StampPlan::assemble`. Residuals are written for every column (dead
-/// columns hold garbage that is never read); MOS evaluation — the
-/// expensive part — is skipped for non-`run` points. When `jacs` is
-/// non-empty, slot `p` receives point `p`'s Jacobian (the per-point LU
-/// path passes the miss points' bank matrices). The per-point `+=`
-/// order matches the sequential assembler exactly.
-#[allow(clippy::too_many_arguments)]
-fn assemble_plane(
-    stamps: &[BStamp],
-    gmin_rows: &[(usize, usize, usize)],
-    np: usize,
-    v: &[f64],
-    prev_dt: Option<(&[f64], f64)>,
-    gmin: f64,
-    run: &[bool],
-    res: &mut [f64],
-    jacs: &mut [Option<&mut [f64]>],
-    cur: &mut [f64],
-) {
-    res.fill(0.0);
-    for j in jacs.iter_mut().flatten() {
-        j.fill(0.0);
-    }
-    let add4 = |j: &mut [f64], p: &PairSlots, g: f64| {
-        // jaa, jab, jba, jbb — the historical pair-stamp order.
-        if p.jaa != ABSENT {
-            j[p.jaa] += g;
-        }
-        if p.jab != ABSENT {
-            j[p.jab] -= g;
-        }
-        if p.jba != ABSENT {
-            j[p.jba] -= g;
-        }
-        if p.jbb != ABSENT {
-            j[p.jbb] += g;
-        }
-    };
-    for stamp in stamps {
-        match stamp {
-            BStamp::Cond { p, g } => {
-                pair_plane(res, v, np, p, g, None, cur);
-                for (k, j) in jacs.iter_mut().enumerate() {
-                    if let Some(j) = j {
-                        add4(j, p, g.at(k));
-                    }
-                }
-            }
-            BStamp::Cap { p, farads } => {
-                if let Some((prev, dt)) = prev_dt {
-                    pair_plane(res, v, np, p, farads, Some((prev, dt)), cur);
-                    for (k, j) in jacs.iter_mut().enumerate() {
-                        if let Some(j) = j {
-                            add4(j, p, farads.at(k) / dt);
-                        }
-                    }
-                }
-            }
-            BStamp::Mos {
-                dev,
-                nmos,
-                d,
-                g,
-                s,
-                res0,
-                res1,
-                jac,
-            } => {
-                for k in 0..np {
-                    if !run[k] {
-                        continue;
-                    }
-                    let (vd, vg, vs) = (v[d * np + k], v[g * np + k], v[s * np + k]);
-                    let e = if *nmos {
-                        dev.at(k).eval(vg - vs, vd - vs)
-                    } else {
-                        dev.at(k).eval(vs - vg, vs - vd)
-                    };
-                    if *res0 != ABSENT {
-                        res[res0 * np + k] += e.id;
-                    }
-                    if *res1 != ABSENT {
-                        res[res1 * np + k] -= e.id;
-                    }
-                    if let Some(Some(j)) = jacs.get_mut(k) {
-                        let gsum = e.gm + e.gds;
-                        let vals = if *nmos {
-                            [e.gds, e.gm, -gsum, -e.gds, -e.gm, gsum]
-                        } else {
-                            [gsum, -e.gm, -e.gds, -gsum, e.gm, e.gds]
-                        };
-                        for (slot, val) in jac.iter().zip(vals) {
-                            if *slot != ABSENT {
-                                j[*slot] += val;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for &(node_idx, res_i, diag) in gmin_rows {
-        let base = node_idx * np;
-        let out = res_i * np;
-        for k in 0..np {
-            res[out + k] += gmin * v[base + k];
-        }
-        for j in jacs.iter_mut().flatten() {
-            j[diag] += gmin;
-        }
+        let out = (0..np)
+            .map(|p| {
+                live[p].then(|| TransientResult {
+                    waveforms: (0..nn)
+                        .map(|node| {
+                            Waveform::new(0.0, dt, std::mem::take(&mut bufs[node * np + p]))
+                        })
+                        .collect(),
+                    stats: self.pstats[p],
+                })
+            })
+            .collect();
+        (out, self.stats)
     }
 }
 
 /// Plane version of the two-terminal pair stamp: resistor current
-/// (`i = g·Δv`) or capacitor companion current
-/// (`i = (C/dt)·(Δv − Δv_prev)`), accumulated into the residual rows
-/// in the historical order (`res_a += i` then `res_b -= i`).
+/// (`i = g·Δv`, `prev` is `None`) or capacitor companion current
+/// (`i = g·(Δv − Δv_prev)` with `g = C/dt`), accumulated into the
+/// residual rows in the sequential order (`res_a += i` then
+/// `res_b -= i`).
 ///
-/// The per-point currents are staged in `cur` (length `np`) so every
+/// The per-point currents are staged in `cur` (length `np`), so every
 /// inner loop is a straight slice-to-slice pass the compiler can
-/// vectorize — the value/companion dispatch happens once per stamp,
-/// not once per point. The arithmetic per point is exactly the scalar
-/// stamp's (`dv * g`, `g * (dv - dv_prev)`), keeping bit-identity.
+/// vectorize. The arithmetic per point is exactly the scalar stamp's.
 fn pair_plane(
     res: &mut [f64],
     v: &[f64],
+    prev: Option<&[f64]>,
     np: usize,
     p: &PairSlots,
-    val: &PVal,
-    cap: Option<(&[f64], f64)>,
+    g: f64,
     cur: &mut [f64],
 ) {
     let va = &v[p.a * np..p.a * np + np];
     let vb = &v[p.b * np..p.b * np + np];
-    match (val, cap) {
-        (PVal::Shared(g), None) => {
-            let g = *g;
-            for k in 0..np {
-                cur[k] = (va[k] - vb[k]) * g;
+    match prev {
+        None => {
+            for ((c, &a), &b) in cur.iter_mut().zip(va).zip(vb) {
+                *c = (a - b) * g;
             }
         }
-        (PVal::Per(gs), None) => {
-            for k in 0..np {
-                cur[k] = (va[k] - vb[k]) * gs[k];
-            }
-        }
-        (PVal::Shared(c), Some((prev, dt))) => {
-            let g = *c / dt;
+        Some(prev) => {
             let pa = &prev[p.a * np..p.a * np + np];
             let pb = &prev[p.b * np..p.b * np + np];
             for k in 0..np {
                 cur[k] = g * ((va[k] - vb[k]) - (pa[k] - pb[k]));
-            }
-        }
-        (PVal::Per(cs), Some((prev, dt))) => {
-            let pa = &prev[p.a * np..p.a * np + np];
-            let pb = &prev[p.b * np..p.b * np + np];
-            for k in 0..np {
-                cur[k] = (cs[k] / dt) * ((va[k] - vb[k]) - (pa[k] - pb[k]));
             }
         }
     }
@@ -764,60 +492,12 @@ fn pair_plane(
     }
 }
 
-/// Assembles the *shared* Jacobian of a uniform linear batch (scalar,
-/// value-independent of `v`): conductances, capacitor companions and
-/// the gmin diagonal, in the sequential assembly order. Only legal
-/// when every stamp value is `PVal::Shared`.
-fn assemble_shared_jac(
-    stamps: &[BStamp],
-    gmin_rows: &[(usize, usize, usize)],
-    dt: Option<f64>,
-    gmin: f64,
-    jac: &mut [f64],
-) {
-    jac.fill(0.0);
-    let add4 = |j: &mut [f64], p: &PairSlots, g: f64| {
-        if p.jaa != ABSENT {
-            j[p.jaa] += g;
-        }
-        if p.jab != ABSENT {
-            j[p.jab] -= g;
-        }
-        if p.jba != ABSENT {
-            j[p.jba] -= g;
-        }
-        if p.jbb != ABSENT {
-            j[p.jbb] += g;
-        }
-    };
-    for stamp in stamps {
-        match stamp {
-            BStamp::Cond { p, g } => match g {
-                PVal::Shared(g) => add4(jac, p, *g),
-                PVal::Per(_) => unreachable!("shared LU requires a uniform batch"),
-            },
-            BStamp::Cap { p, farads } => {
-                if let Some(dt) = dt {
-                    match farads {
-                        PVal::Shared(c) => add4(jac, p, *c / dt),
-                        PVal::Per(_) => unreachable!("shared LU requires a uniform batch"),
-                    }
-                }
-            }
-            BStamp::Mos { .. } => unreachable!("shared LU requires a linear plan"),
-        }
-    }
-    for &(_, _, diag) in gmin_rows {
-        jac[diag] += gmin;
-    }
-}
-
 /// Triangular solve of one shared LU against the whole residual plane
 /// (`b[slot * np + k]`), columns in lockstep. Per point this applies
-/// the exact scalar operation sequence of [`lu_solve`] — pivot swaps
+/// the exact scalar operation sequence of `lu_solve` — pivot swaps
 /// first, zero-skipping column-major forward substitution, then back
-/// substitution — so shared-LU batches stay bit-identical to scalar
-/// solves against the same factors.
+/// substitution — so the kernel stays bit-identical to scalar solves
+/// against the same factors.
 fn plane_lu_solve(a: &[f64], piv: &[usize], nu: usize, np: usize, b: &mut [f64], row: &mut [f64]) {
     for (col, &p) in piv.iter().enumerate() {
         if p != col {
@@ -860,873 +540,9 @@ fn plane_lu_solve(a: &[f64], piv: &[usize], nu: usize, np: usize, b: &mut [f64],
     }
 }
 
-/// Pushes one plane sample per `mask`ed point into its per-node buffers.
-fn push_plane(bufs: &mut [Vec<Vec<f64>>], v: &[f64], mask: &[bool], np: usize) {
-    for (p, pb) in bufs.iter_mut().enumerate() {
-        if !mask[p] {
-            continue;
-        }
-        for (node, buf) in pb.iter_mut().enumerate() {
-            buf.push(v[node * np + p]);
-        }
-    }
-}
-
-/// Plane counterpart of the adaptive loop's `emit` closure: linearly
-/// resamples the accepted span `t0..t1` (planes `va` → `vb`) onto the
-/// shared `out_dt` grid for every `mask`ed point.
-#[allow(clippy::too_many_arguments)]
-fn emit_plane(
-    bufs: &mut [Vec<Vec<f64>>],
-    next_out: &mut usize,
-    n_out: usize,
-    out_dt: f64,
-    t0: f64,
-    va: &[f64],
-    t1: f64,
-    vb: &[f64],
-    mask: &[bool],
-    np: usize,
-) {
-    while *next_out <= n_out {
-        let tg = *next_out as f64 * out_dt;
-        if tg > t1 + 1e-9 * out_dt {
-            break;
-        }
-        let alpha = if t1 > t0 {
-            ((tg - t0) / (t1 - t0)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        for (p, pb) in bufs.iter_mut().enumerate() {
-            if !mask[p] {
-                continue;
-            }
-            for (node, buf) in pb.iter_mut().enumerate() {
-                let a = va[node * np + p];
-                let b = vb[node * np + p];
-                buf.push(a + alpha * (b - a));
-            }
-        }
-        *next_out += 1;
-    }
-}
-
-impl Batch<'_> {
-    /// Lockstep damped Newton over the `run_init` points: all active
-    /// points iterate together; each point drops out of the running
-    /// mask the moment its own damped update passes the tolerance
-    /// (recorded in `conv`). Points still running at `max_iter` — or
-    /// hit by a singular factorization — are left with `conv[p] ==
-    /// false`; the caller decides whether that is a retirement or a
-    /// batch-wide step rejection.
-    ///
-    /// Per point this reproduces `Solver::newton_full`'s scalar
-    /// arithmetic exactly: same assembly order, same damping fold,
-    /// same LU-cache decisions (per-point workspaces replicate the
-    /// two-bank policy; the shared-LU fast path factorizes the
-    /// Jacobian every point would have produced bit-identically).
-    fn newton_lockstep(
-        &mut self,
-        run_init: &[bool],
-        prev_dt: Option<f64>,
-        gmin: f64,
-        max_iter: usize,
-        tol: f64,
-        conv: &mut [bool],
-    ) {
-        let np = self.np;
-        let nu = self.nu;
-        let dt_key = prev_dt.unwrap_or(0.0).to_bits();
-        let gmin_key = gmin.to_bits();
-        self.run.copy_from_slice(run_init);
-        for p in 0..np {
-            if self.run[p] {
-                conv[p] = false;
-            }
-        }
-        for _iter in 0..max_iter {
-            let n_run = self.run.iter().filter(|&&r| r).count() as u64;
-            if n_run == 0 {
-                return;
-            }
-            self.stats.newton_iterations += n_run;
-            if !self.shared_lu {
-                for p in 0..np {
-                    if self.run[p] {
-                        self.pstats[p].newton_iterations += 1;
-                    }
-                }
-            }
-            if self.shared_lu {
-                let hit = self.shared_ws.matching(dt_key, gmin_key);
-                let reused = hit.is_some();
-                let bank = match hit {
-                    Some(i) => {
-                        self.shared_ws.mru = i;
-                        self.stats.factorization_reuses += n_run;
-                        i
-                    }
-                    None => {
-                        let b = self.shared_ws.evict_target(dt_key, gmin_key);
-                        assemble_shared_jac(
-                            &self.stamps,
-                            &self.plan.gmin_rows,
-                            prev_dt,
-                            gmin,
-                            &mut self.shared_ws.banks[b].a,
-                        );
-                        self.stats.jacobian_builds += 1;
-                        let bk = &mut self.shared_ws.banks[b];
-                        if !factorize(&mut bk.a, &mut bk.piv, nu) {
-                            bk.valid = false;
-                            // The matrix is shared: every running point
-                            // fails exactly as its sequential solve
-                            // would on the same singular Jacobian.
-                            for r in self.run.iter_mut() {
-                                *r = false;
-                            }
-                            return;
-                        }
-                        self.stats.factorizations += 1;
-                        self.stats.batched_factorizations += 1;
-                        bk.valid = true;
-                        bk.dt = dt_key;
-                        bk.gmin = gmin_key;
-                        self.shared_ws.mru = b;
-                        b
-                    }
-                };
-                let prev_plane = prev_dt.map(|dt| (&self.prev[..], dt));
-                assemble_plane(
-                    &self.stamps,
-                    &self.plan.gmin_rows,
-                    np,
-                    &self.v,
-                    prev_plane,
-                    gmin,
-                    &self.run,
-                    &mut self.res,
-                    &mut [],
-                    &mut self.cur,
-                );
-                self.stats.residual_builds += n_run;
-                // One pass over the per-point stats covers this
-                // iteration's counters; increment order within an
-                // iteration is unobservable.
-                for p in 0..np {
-                    if self.run[p] {
-                        let ps = &mut self.pstats[p];
-                        ps.newton_iterations += 1;
-                        ps.residual_builds += 1;
-                        if reused {
-                            ps.factorization_reuses += 1;
-                        }
-                    }
-                }
-                for x in self.res.iter_mut() {
-                    *x = -*x;
-                }
-                let bk = &self.shared_ws.banks[bank];
-                plane_lu_solve(&bk.a, &bk.piv, nu, np, &mut self.res, &mut self.row);
-                // Damped update: per-point max fold in slot order, then
-                // the node-order application — the sequential sequence.
-                self.maxdv.fill(0.0);
-                let maxdv = &mut self.maxdv[..np];
-                for row in self.res.chunks_exact(np) {
-                    for p in 0..np {
-                        maxdv[p] = maxdv[p].max(row[p].abs());
-                    }
-                }
-                for p in 0..np {
-                    self.scale[p] = if self.maxdv[p] > 0.4 {
-                        0.4 / self.maxdv[p]
-                    } else {
-                        1.0
-                    };
-                }
-                let all_run = n_run == np as u64;
-                for (node, &slot) in self.plan.index.iter().enumerate() {
-                    if let Some(i) = slot {
-                        let vrow = node * np;
-                        let rrow = i * np;
-                        if all_run {
-                            // Every point is live: the unmasked form
-                            // vectorizes and applies the identical
-                            // per-column operation.
-                            let v = &mut self.v[vrow..vrow + np];
-                            let r = &self.res[rrow..rrow + np];
-                            for p in 0..np {
-                                v[p] += self.scale[p] * r[p];
-                            }
-                        } else {
-                            for p in 0..np {
-                                // Branch, don't multiply by a masked
-                                // zero: adding `scale * 0.0` to a
-                                // frozen column would flip -0.0 to
-                                // +0.0 and break bit-identity.
-                                if self.run[p] {
-                                    self.v[vrow + p] += self.scale[p] * self.res[rrow + p];
-                                }
-                            }
-                        }
-                    }
-                }
-                for p in 0..np {
-                    if self.run[p] && self.maxdv[p] * self.scale[p] < tol {
-                        self.run[p] = false;
-                        conv[p] = true;
-                    }
-                }
-            } else {
-                // Per-point LU path: replicate each point's own
-                // two-bank cache decisions, then do one plane-wide
-                // assembly pass that fills every miss point's bank.
-                self.miss.fill(false);
-                for p in 0..np {
-                    if !self.run[p] {
-                        continue;
-                    }
-                    let ws = &mut self.point_ws[p];
-                    let hit = if self.plan.linear {
-                        ws.matching(dt_key, gmin_key)
-                    } else {
-                        None
-                    };
-                    match hit {
-                        Some(i) => {
-                            ws.mru = i;
-                            self.bank_of[p] = i;
-                            self.stats.factorization_reuses += 1;
-                            self.pstats[p].factorization_reuses += 1;
-                        }
-                        None => {
-                            self.miss[p] = true;
-                            self.bank_of[p] = ws.evict_target(dt_key, gmin_key);
-                            self.stats.jacobian_builds += 1;
-                            self.pstats[p].jacobian_builds += 1;
-                        }
-                    }
-                }
-                {
-                    let prev_plane = prev_dt.map(|dt| (&self.prev[..], dt));
-                    let miss = &self.miss;
-                    let bank_of = &self.bank_of;
-                    let mut jacs: Vec<Option<&mut [f64]>> = self
-                        .point_ws
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(p, w)| {
-                            if miss[p] {
-                                Some(&mut w.banks[bank_of[p]].a[..])
-                            } else {
-                                None
-                            }
-                        })
-                        .collect();
-                    assemble_plane(
-                        &self.stamps,
-                        &self.plan.gmin_rows,
-                        np,
-                        &self.v,
-                        prev_plane,
-                        gmin,
-                        &self.run,
-                        &mut self.res,
-                        &mut jacs,
-                        &mut self.cur,
-                    );
-                }
-                self.stats.residual_builds += n_run;
-                for p in 0..np {
-                    if self.run[p] {
-                        self.pstats[p].residual_builds += 1;
-                    }
-                }
-                for p in 0..np {
-                    if !self.miss[p] {
-                        continue;
-                    }
-                    let b = self.bank_of[p];
-                    let ws = &mut self.point_ws[p];
-                    let bk = &mut ws.banks[b];
-                    if !factorize(&mut bk.a, &mut bk.piv, nu) {
-                        bk.valid = false;
-                        // Fails exactly like the sequential
-                        // `SingularMatrix` path for this one point.
-                        self.run[p] = false;
-                        continue;
-                    }
-                    self.stats.factorizations += 1;
-                    self.stats.batched_factorizations += 1;
-                    self.pstats[p].factorizations += 1;
-                    bk.valid = true;
-                    bk.dt = dt_key;
-                    bk.gmin = gmin_key;
-                    ws.mru = b;
-                }
-                for p in 0..np {
-                    if !self.run[p] {
-                        continue;
-                    }
-                    for slot in 0..nu {
-                        self.scratch[slot] = -self.res[slot * np + p];
-                    }
-                    let bk = &self.point_ws[p].banks[self.bank_of[p]];
-                    lu_solve(&bk.a, &bk.piv, nu, &mut self.scratch);
-                    let max_dv = self.scratch.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-                    let scale = if max_dv > 0.4 { 0.4 / max_dv } else { 1.0 };
-                    for (node, &slot) in self.plan.index.iter().enumerate() {
-                        if let Some(i) = slot {
-                            self.v[node * np + p] += scale * self.scratch[i];
-                        }
-                    }
-                    if max_dv * scale < tol {
-                        self.run[p] = false;
-                        conv[p] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Lockstep robust DC at time `t`, mirroring `Solver::dc_at` per
-    /// column: mid-supply then zero initial guesses, each with a direct
-    /// attempt, the full gmin ladder (every rung runs even after a rung
-    /// fails, exactly like the sequential flow) and a final direct
-    /// attempt. `solved[p]` reports which `eligible` points converged;
-    /// the rest are the caller's retirements.
-    fn dc_lockstep(&mut self, t: f64, eligible: &[bool], solved: &mut [bool]) {
-        let np = self.np;
-        for s in solved.iter_mut() {
-            *s = false;
-        }
-        let mut pending: Vec<bool> = eligible.to_vec();
-        let mut conv = vec![false; np];
-        let mut ladder = vec![false; np];
-        let mut ladder_ok = vec![false; np];
-        for round in 0..2 {
-            if !pending.iter().any(|&x| x) {
-                break;
-            }
-            for p in 0..np {
-                if !pending[p] {
-                    continue;
-                }
-                let guess = if round == 0 {
-                    0.5 * self.max_source_abs_point(p, t)
-                } else {
-                    0.0
-                };
-                for node in 0..self.nn {
-                    self.v[node * np + p] = guess;
-                }
-            }
-            self.apply_sources_cols(t, &pending);
-            self.newton_lockstep(&pending, None, 1e-12, 400, 1e-9, &mut conv);
-            for p in 0..np {
-                ladder[p] = pending[p] && !conv[p];
-                if pending[p] && conv[p] {
-                    solved[p] = true;
-                    pending[p] = false;
-                }
-            }
-            if !ladder.iter().any(|&x| x) {
-                continue;
-            }
-            ladder_ok.copy_from_slice(&ladder);
-            for gmin in DC_LADDER {
-                self.newton_lockstep(&ladder, None, gmin, 400, 1e-9, &mut conv);
-                for p in 0..np {
-                    if ladder[p] && !conv[p] {
-                        ladder_ok[p] = false;
-                    }
-                }
-            }
-            for p in 0..np {
-                if ladder[p] && ladder_ok[p] {
-                    solved[p] = true;
-                    pending[p] = false;
-                    ladder[p] = false;
-                }
-            }
-            if !ladder.iter().any(|&x| x) {
-                continue;
-            }
-            // Final ladder rung failed but earlier ones may have landed
-            // close: one more direct attempt from wherever each column
-            // is.
-            self.newton_lockstep(&ladder, None, 1e-12, 400, 1e-9, &mut conv);
-            for p in 0..np {
-                if ladder[p] && conv[p] {
-                    solved[p] = true;
-                    pending[p] = false;
-                }
-            }
-        }
-    }
-
-    /// Retires every `mask`ed point that did not converge: drops it
-    /// from the lockstep, counts the retirement and discards its
-    /// partial sample buffers.
-    fn retire_failures(
-        &mut self,
-        lockstep: &mut [bool],
-        conv: &[bool],
-        bufs: &mut [Vec<Vec<f64>>],
-    ) {
-        for p in 0..self.np {
-            if lockstep[p] && !conv[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-                bufs[p].clear();
-            }
-        }
-    }
-
-    /// Fixed-step lockstep transient: the batched mirror of
-    /// `Solver::transient_fixed`. Points whose DC or step solve fails
-    /// are retired (`None` in the returned vector) — the sequential
-    /// fallback owns the recovery ladder.
-    fn run_fixed(
-        &mut self,
-        dt: f64,
-        config: &TransientConfig,
-        lockstep: &mut [bool],
-    ) -> Vec<Option<TransientResult>> {
-        let np = self.np;
-        let nn = self.nn;
-        let mut solved = vec![false; np];
-        self.dc_lockstep(0.0, lockstep, &mut solved);
-        for p in 0..np {
-            if lockstep[p] && !solved[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-            }
-        }
-        let steps = (config.t_end / dt).ceil() as usize;
-        let rows = steps + 1;
-        // One preallocated `rows`-long buffer per `(node, point)`
-        // waveform, in the same `node * np + p` order as the voltage
-        // plane — recording a step is a single sweep zipping `v`
-        // against the buffers, with no per-sample `Vec` bookkeeping,
-        // and each buffer is handed to its `Waveform` without a copy.
-        // Retired points keep their buffers (garbage past retirement);
-        // the output loop skips them.
-        let mut bufs: Vec<Vec<f64>> = (0..nn * np).map(|_| vec![0.0; rows]).collect();
-        self.prev.copy_from_slice(&self.v);
-        let mut conv = vec![false; np];
-        {
-            // Flat slice views over the buffers, hoisted out of the step
-            // loop: the recording sweep then reads (ptr, len) pairs from
-            // one contiguous array instead of chasing a `Vec` header per
-            // waveform per step.
-            let mut views: Vec<&mut [f64]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
-            for (s, &vi) in views.iter_mut().zip(self.v.iter()) {
-                s[0] = vi;
-            }
-            for k in 1..=steps {
-                if !lockstep.iter().any(|&x| x) {
-                    break;
-                }
-                let t = k as f64 * dt;
-                self.apply_sources_cols(t, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(dt),
-                    config.gmin,
-                    config.max_newton,
-                    config.tol,
-                    &mut conv,
-                );
-                for p in 0..np {
-                    if lockstep[p] && !conv[p] {
-                        lockstep[p] = false;
-                        self.stats.batch_retirements += 1;
-                    }
-                }
-                for (s, &vi) in views.iter_mut().zip(self.v.iter()) {
-                    s[k] = vi;
-                }
-                self.prev.copy_from_slice(&self.v);
-                for p in 0..np {
-                    if lockstep[p] {
-                        self.stats.steps_taken += 1;
-                        self.pstats[p].steps_taken += 1;
-                    }
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(np);
-        for p in 0..np {
-            if !lockstep[p] {
-                out.push(None);
-                continue;
-            }
-            let waveforms = (0..nn)
-                .map(|node| Waveform::new(0.0, dt, std::mem::take(&mut bufs[node * np + p])))
-                .collect();
-            out.push(Some(TransientResult {
-                waveforms,
-                stats: self.pstats[p],
-            }));
-        }
-        out
-    }
-
-    /// Adaptive lockstep transient on the union time grid: one shared
-    /// step controller (candidate `h`, budget, floor streak) drives the
-    /// whole batch, each candidate step is accepted or rejected on the
-    /// **worst point's** LTE, and per-point masks handle convergence
-    /// inside each Newton solve. A Newton failure above the floor
-    /// rejects the step for the whole batch (retry at smaller `h`); a
-    /// failure *at* the floor retires just the failing points, since
-    /// every converged column is independently valid. Because the
-    /// controller is shared, per-point results are not bit-identical to
-    /// sequential adaptive runs — they agree within the LTE bound.
-    fn run_adaptive(
-        &mut self,
-        dt_min: f64,
-        dt_max: f64,
-        lte_tol: f64,
-        config: &TransientConfig,
-        lockstep: &mut [bool],
-    ) -> Vec<Option<TransientResult>> {
-        assert!(dt_min > 0.0, "dt_min must be positive");
-        assert!(dt_max >= dt_min, "dt_max must be >= dt_min");
-        assert!(lte_tol > 0.0, "lte_tol must be positive");
-        let np = self.np;
-        let nn = self.nn;
-        let out_dt = dt_min;
-        let n_out = (config.t_end / out_dt).ceil() as usize;
-        let t_stop = n_out as f64 * out_dt;
-
-        let mut solved = vec![false; np];
-        self.dc_lockstep(0.0, lockstep, &mut solved);
-        for p in 0..np {
-            if lockstep[p] && !solved[p] {
-                lockstep[p] = false;
-                self.stats.batch_retirements += 1;
-            }
-        }
-        let mut bufs: Vec<Vec<Vec<f64>>> = (0..np)
-            .map(|p| {
-                if lockstep[p] {
-                    (0..nn).map(|_| Vec::with_capacity(n_out + 1)).collect()
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        push_plane(&mut bufs, &self.v, lockstep, np);
-        let mut next_out = 1usize;
-        let mut t = 0.0f64;
-        let mut h = dt_min;
-        let mut floor_streak = 0usize;
-        let mut h_prev = 0.0f64;
-        let mut budget: u64 = 16 * n_out as u64 + 4096;
-        let mut v_cur = self.v.clone();
-        let mut v_big = vec![0.0; nn * np];
-        let mut v_half = vec![0.0; nn * np];
-        let mut v_prevstep = vec![0.0; nn * np];
-        let mut conv = vec![false; np];
-        let any_failed =
-            |lockstep: &[bool], conv: &[bool]| lockstep.iter().zip(conv).any(|(&l, &c)| l && !c);
-
-        while next_out <= n_out && lockstep.iter().any(|&x| x) {
-            if t_stop - t < 0.5 * out_dt * 1e-6 {
-                break;
-            }
-            budget = budget.saturating_sub(1);
-            if budget == 0 {
-                // The shared controller is out of steps: retire the
-                // whole remaining batch; each fallback re-runs with its
-                // own sequential budget (and error reporting).
-                for p in 0..np {
-                    if lockstep[p] {
-                        lockstep[p] = false;
-                        self.stats.batch_retirements += 1;
-                    }
-                }
-                break;
-            }
-            let h_eff = h.min(t_stop - t);
-            if self.source_jump_any(t, t + h_eff, lockstep) > SOURCE_JUMP_V {
-                self.invalidate_ws();
-            }
-            let ntol = config.tol.max(0.03 * lte_tol);
-            let ntol_big = config.tol.max(0.1 * lte_tol);
-            if h_eff <= dt_min * (1.0 + 1e-9) {
-                // Floor step: accept whatever converges; failures here
-                // have no smaller step to retry at, so they retire.
-                v_cur.copy_from_slice(&self.v);
-                self.prev.copy_from_slice(&v_cur);
-                self.apply_sources_cols(t + h_eff, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(h_eff),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    &mut conv,
-                );
-                self.retire_failures(lockstep, &conv, &mut bufs);
-                for p in 0..np {
-                    if lockstep[p] {
-                        self.stats.steps_taken += 1;
-                        self.pstats[p].steps_taken += 1;
-                    }
-                }
-                emit_plane(
-                    &mut bufs,
-                    &mut next_out,
-                    n_out,
-                    out_dt,
-                    t,
-                    &v_cur,
-                    t + h_eff,
-                    &self.v,
-                    lockstep,
-                    np,
-                );
-                v_prevstep.copy_from_slice(&v_cur);
-                h_prev = h_eff;
-                t += h_eff;
-                floor_streak += 1;
-                if floor_streak >= 4 {
-                    h = (2.0 * dt_min).min(dt_max);
-                    floor_streak = 0;
-                }
-                continue;
-            }
-            floor_streak = 0;
-            if h_prev > 0.0 {
-                // Plain step with the divided-difference LTE.
-                v_cur.copy_from_slice(&self.v);
-                for i in 0..nn * np {
-                    // Warm start: linear extrapolation of the last
-                    // span (source rows get overwritten below).
-                    self.v[i] = v_cur[i] + (v_cur[i] - v_prevstep[i]) * (h_eff / h_prev);
-                }
-                self.prev.copy_from_slice(&v_cur);
-                self.apply_sources_cols(t + h_eff, lockstep);
-                self.newton_lockstep(
-                    lockstep,
-                    Some(h_eff),
-                    config.gmin,
-                    config.max_newton,
-                    ntol,
-                    &mut conv,
-                );
-                if any_failed(lockstep, &conv) {
-                    // One straggler rejects the step for everyone —
-                    // above the floor this is a retry, not a failure.
-                    self.v.copy_from_slice(&v_cur);
-                    self.invalidate_ws();
-                    self.stats.steps_rejected += 1;
-                    h = (0.5 * h_eff).max(dt_min);
-                    continue;
-                }
-                let mut lte_worst = 0.0f64;
-                for p in 0..np {
-                    if !lockstep[p] {
-                        continue;
-                    }
-                    for node in 0..nn {
-                        let i = node * np + p;
-                        let d1 = (self.v[i] - v_cur[i]) / h_eff;
-                        let d0 = (v_cur[i] - v_prevstep[i]) / h_prev;
-                        let vpp = 2.0 * (d1 - d0) / (h_eff + h_prev);
-                        lte_worst = lte_worst.max((0.25 * h_eff * h_eff * vpp).abs());
-                    }
-                }
-                if lte_worst <= lte_tol {
-                    for p in 0..np {
-                        if lockstep[p] {
-                            self.stats.steps_taken += 1;
-                            self.pstats[p].steps_taken += 1;
-                        }
-                    }
-                    emit_plane(
-                        &mut bufs,
-                        &mut next_out,
-                        n_out,
-                        out_dt,
-                        t,
-                        &v_cur,
-                        t + h_eff,
-                        &self.v,
-                        lockstep,
-                        np,
-                    );
-                    v_prevstep.copy_from_slice(&v_cur);
-                    h_prev = h_eff;
-                    t += h_eff;
-                    h = if lte_worst < 0.25 * lte_tol {
-                        (2.0 * h_eff).min(dt_max)
-                    } else if lte_worst < 0.6 * lte_tol {
-                        h_eff.min(dt_max)
-                    } else {
-                        (0.8 * h_eff).max(dt_min)
-                    };
-                } else {
-                    self.stats.steps_rejected += 1;
-                    self.v.copy_from_slice(&v_cur);
-                    let shrink = (0.9 * (lte_tol / lte_worst).sqrt()).clamp(0.1, 0.5);
-                    h = (shrink * h_eff).max(dt_min);
-                }
-                continue;
-            }
-            // History-less: rigorous step-doubling probe (one big step
-            // against two half steps; their gap bounds the LTE).
-            let half = 0.5 * h_eff;
-            v_cur.copy_from_slice(&self.v);
-            self.prev.copy_from_slice(&v_cur);
-            self.apply_sources_cols(t + h_eff, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(h_eff),
-                config.gmin,
-                config.max_newton,
-                ntol_big,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            v_big.copy_from_slice(&self.v);
-            for i in 0..nn * np {
-                self.v[i] = 0.5 * (v_cur[i] + v_big[i]);
-            }
-            self.prev.copy_from_slice(&v_cur);
-            self.apply_sources_cols(t + half, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(half),
-                config.gmin,
-                config.max_newton,
-                ntol,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            v_half.copy_from_slice(&self.v);
-            self.v.copy_from_slice(&v_big);
-            self.prev.copy_from_slice(&v_half);
-            self.apply_sources_cols(t + h_eff, lockstep);
-            self.newton_lockstep(
-                lockstep,
-                Some(half),
-                config.gmin,
-                config.max_newton,
-                ntol,
-                &mut conv,
-            );
-            if any_failed(lockstep, &conv) {
-                self.v.copy_from_slice(&v_cur);
-                self.invalidate_ws();
-                self.stats.steps_rejected += 1;
-                h = (0.5 * h_eff).max(dt_min);
-                continue;
-            }
-            let mut lte_worst = 0.0f64;
-            for p in 0..np {
-                if !lockstep[p] {
-                    continue;
-                }
-                for node in 0..nn {
-                    let i = node * np + p;
-                    lte_worst = lte_worst.max((v_big[i] - self.v[i]).abs());
-                }
-            }
-            if lte_worst <= lte_tol {
-                for p in 0..np {
-                    if lockstep[p] {
-                        self.stats.steps_taken += 2;
-                        self.pstats[p].steps_taken += 2;
-                    }
-                }
-                emit_plane(
-                    &mut bufs,
-                    &mut next_out,
-                    n_out,
-                    out_dt,
-                    t,
-                    &v_cur,
-                    t + half,
-                    &v_half,
-                    lockstep,
-                    np,
-                );
-                emit_plane(
-                    &mut bufs,
-                    &mut next_out,
-                    n_out,
-                    out_dt,
-                    t + half,
-                    &v_half,
-                    t + h_eff,
-                    &self.v,
-                    lockstep,
-                    np,
-                );
-                v_prevstep.copy_from_slice(&v_cur);
-                h_prev = h_eff;
-                t += h_eff;
-                h = if lte_worst < 0.25 * lte_tol {
-                    (2.0 * h_eff).min(dt_max)
-                } else if lte_worst < 0.6 * lte_tol {
-                    h_eff.min(dt_max)
-                } else {
-                    (0.8 * h_eff).max(dt_min)
-                };
-            } else {
-                self.stats.steps_rejected += 1;
-                self.v.copy_from_slice(&v_cur);
-                let shrink = (0.9 * (lte_tol / lte_worst).sqrt()).clamp(0.1, 0.5);
-                h = (shrink * h_eff).max(dt_min);
-            }
-        }
-        // Float drift can leave the last grid points unfilled; hold the
-        // final value, like the sequential loop.
-        let mut out = Vec::with_capacity(np);
-        for p in 0..np {
-            if !lockstep[p] {
-                out.push(None);
-                continue;
-            }
-            let mut pb = std::mem::take(&mut bufs[p]);
-            for buf in pb.iter_mut() {
-                while buf.len() < n_out + 1 {
-                    let last = *buf.last().expect("has the DC sample");
-                    buf.push(last);
-                }
-            }
-            let waveforms = pb
-                .into_iter()
-                .map(|samples| Waveform::new(0.0, out_dt, samples))
-                .collect();
-            out.push(Some(TransientResult {
-                waveforms,
-                stats: self.pstats[p],
-            }));
-        }
-        out
-    }
-}
-
 /// Per-point outcomes of [`Solver::run_transient_batched`]: one
 /// `Result` per input [`PointOverride`], in input order, plus the
-/// merged batch statistics (lockstep work and retirement fallbacks
+/// merged batch statistics (kernel work and per-point solves
 /// combined).
 #[derive(Debug)]
 pub struct BatchedTransientResult {
@@ -1745,53 +561,33 @@ impl BatchedTransientResult {
         self.results
     }
 
-    /// Statistics for the whole batch (lockstep plus fallbacks). The
-    /// batched counters (`batched_points`, `batch_retirements`,
+    /// Statistics for the whole batch (kernel plus per-point solves).
+    /// The kernel's counters (`batched_points`, `batch_retirements`,
     /// `batched_factorizations`) live here.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
     }
 }
 
-/// Per-point outcomes of [`Solver::dc_batched`]: node-voltage vectors
-/// in input order plus merged batch statistics.
-#[derive(Debug)]
-pub struct BatchedDcResult {
-    results: Vec<Result<Vec<f64>, SolverError>>,
-    stats: SolverStats,
-}
-
-impl BatchedDcResult {
-    /// The per-point node-voltage vectors, in input order.
-    pub fn results(&self) -> &[Result<Vec<f64>, SolverError>] {
-        &self.results
-    }
-
-    /// Consumes the batch, yielding the per-point vectors.
-    pub fn into_results(self) -> Vec<Result<Vec<f64>, SolverError>> {
-        self.results
-    }
-
-    /// Statistics for the whole batch (lockstep plus fallbacks).
-    pub fn stats(&self) -> &SolverStats {
-        &self.stats
-    }
-}
-
 impl Solver<'_> {
-    /// Solves one transient per [`PointOverride`] in lockstep against
-    /// this solver's circuit and compiled plan. Results come back in
-    /// input order; each point's entry is exactly what a sequential
+    /// Solves one transient per [`PointOverride`] against this
+    /// solver's circuit. Results come back in input order, and each
+    /// point's entry is bit for bit what a sequential
     /// [`Solver::run_transient`] of
-    /// [`PointOverride::circuit_for_point`] would return — bit-identical
-    /// in `Fixed` mode (retired points literally run that fallback,
-    /// recovery ladder included), LTE-bounded in `Adaptive` mode.
+    /// [`PointOverride::circuit_for_point`] returns.
+    ///
+    /// The lockstep kernel runs the batch when the circuit is linear,
+    /// the step is [`StepMode::Fixed`] and every override replaces only
+    /// source stimuli: one factorization per `(dt, gmin)` then serves
+    /// every point. Any other batch solves each point's circuit with
+    /// [`Solver::run_transient`].
     ///
     /// # Panics
     ///
     /// Panics if a source override is set (encode sweep values as
-    /// [`PointOverride`] sources instead), or if an override breaks the
-    /// shared topology.
+    /// [`PointOverride`] sources instead), if an override index is out
+    /// of range, or if `config` fails the transient checks of
+    /// [`Solver::run_transient`].
     pub fn run_transient_batched(
         &mut self,
         points: &[PointOverride],
@@ -1802,180 +598,43 @@ impl Solver<'_> {
             "run_transient_batched does not compose with set_source_override; \
              encode per-point sweep values as PointOverride sources"
         );
-        let np = points.len();
-        if np == 0 {
-            return BatchedTransientResult {
-                results: Vec::new(),
-                stats: SolverStats::default(),
-            };
-        }
+        config.check();
         let _span = telemetry::span("analog.batched_transient");
         let before = self.stats;
-        let started = Instant::now();
-        self.stats.batched_points += np as u64;
-        let mut lockstep = vec![true; np];
-        let (partial, bstats) = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points);
-            let out = match config.step {
-                StepMode::Fixed(dt) => batch.run_fixed(dt, config, &mut lockstep),
-                StepMode::Adaptive {
-                    dt_min,
-                    dt_max,
-                    lte_tol,
-                } => batch.run_adaptive(dt_min, dt_max, lte_tol, config, &mut lockstep),
-            };
-            (out, batch.stats)
-        };
-        self.stats.merge(&bstats);
-        self.stats.total_time += started.elapsed();
-        // Emit the lockstep share now: each retirement fallback below
-        // runs `run_transient`, which emits its own telemetry delta —
-        // emitting once at the end would double-count them.
-        self.stats.since(&before).record_telemetry();
-        let mut results = Vec::with_capacity(np);
-        for (p, out) in partial.into_iter().enumerate() {
-            match out {
-                Some(r) => results.push(Ok(r)),
+        let mut solved: Vec<Option<TransientResult>> = vec![None; points.len()];
+        match config.step {
+            StepMode::Fixed(dt)
+                if self.plan.linear
+                    && !points.is_empty()
+                    && points.iter().all(|p| p.elements.is_empty()) =>
+            {
+                let started = Instant::now();
+                self.stats.batched_points += points.len() as u64;
+                let (out, kstats) = Kernel::new(&self.plan, self.circuit, points).run(dt, config);
+                solved = out;
+                self.stats.merge(&kstats);
+                self.stats.total_time += started.elapsed();
+                // Emit the kernel's share now: each per-point solve
+                // below runs `run_transient`, which emits its own.
+                self.stats.since(&before).record_telemetry();
+            }
+            _ => {}
+        }
+        let results = solved
+            .into_iter()
+            .zip(points)
+            .map(|(out, ov)| match out {
+                Some(r) => Ok(r),
                 None => {
-                    let pc = points[p].circuit_for_point(self.circuit);
+                    let pc = ov.circuit_for_point(self.circuit);
                     let mut seq = Solver::new(&pc);
                     let r = seq.run_transient(config);
                     self.stats.merge(&seq.stats);
-                    results.push(r);
+                    r
                 }
-            }
-        }
+            })
+            .collect();
         let stats = self.stats.since(&before);
         BatchedTransientResult { results, stats }
     }
-
-    /// Solves one DC operating point per [`PointOverride`] in lockstep.
-    /// Per point the flow (and in the uniform fixed-topology case, the
-    /// arithmetic) is the sequential robust DC solve; points the
-    /// lockstep cannot converge are retired to
-    /// [`super::dc_operating_point`] on their materialized circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source override is set or an override breaks the
-    /// shared topology.
-    pub fn dc_batched(&mut self, points: &[PointOverride]) -> BatchedDcResult {
-        assert!(
-            self.source_override.is_none(),
-            "dc_batched does not compose with set_source_override; \
-             encode per-point sweep values as PointOverride sources"
-        );
-        let np = points.len();
-        if np == 0 {
-            return BatchedDcResult {
-                results: Vec::new(),
-                stats: SolverStats::default(),
-            };
-        }
-        let _span = telemetry::span("analog.batched_dc");
-        let before = self.stats;
-        let started = Instant::now();
-        self.stats.batched_points += np as u64;
-        let (cols, bstats) = {
-            let mut batch = Batch::new(&self.plan, self.circuit, points);
-            let eligible = vec![true; np];
-            let mut solved = vec![false; np];
-            batch.dc_lockstep(0.0, &eligible, &mut solved);
-            let mut cols: Vec<Option<Vec<f64>>> = Vec::with_capacity(np);
-            for p in 0..np {
-                if solved[p] {
-                    cols.push(Some(
-                        (0..batch.nn).map(|node| batch.v[node * np + p]).collect(),
-                    ));
-                } else {
-                    batch.stats.batch_retirements += 1;
-                    cols.push(None);
-                }
-            }
-            (cols, batch.stats)
-        };
-        self.stats.merge(&bstats);
-        self.stats.total_time += started.elapsed();
-        // Lockstep share only — retirement fallbacks emit their own.
-        self.stats.since(&before).record_telemetry();
-        let mut results = Vec::with_capacity(np);
-        for (p, col) in cols.into_iter().enumerate() {
-            match col {
-                Some(v) => results.push(Ok(v)),
-                None => {
-                    let pc = points[p].circuit_for_point(self.circuit);
-                    match super::dc_operating_point(&pc) {
-                        Ok(sol) => {
-                            self.stats.merge(sol.stats());
-                            results.push(Ok(sol.into_voltages()));
-                        }
-                        Err(e) => results.push(Err(e)),
-                    }
-                }
-            }
-        }
-        let stats = self.stats.since(&before);
-        BatchedDcResult { results, stats }
-    }
-}
-
-/// One `DC_SWEEP_BATCH`-sized chunk of a batched DC sweep, as one
-/// lockstep batch. This is the worker body of
-/// [`super::dc_sweep_with_threads`]; exposed to the parent module so
-/// the shim and [`dc_sweep_batched`] share one code path.
-pub(super) fn dc_sweep_chunk(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-) -> Result<(Vec<Vec<f64>>, SolverStats), SolverError> {
-    let overrides: Vec<PointOverride> = values
-        .iter()
-        .map(|&x| PointOverride::new().with_source_dc(source_index, x))
-        .collect();
-    let mut solver = Solver::new(circuit);
-    let out = solver.dc_batched(&overrides);
-    let stats = out.stats;
-    let mut points = Vec::with_capacity(values.len());
-    for r in out.results {
-        points.push(r?);
-    }
-    Ok((points, stats))
-}
-
-/// Batched DC sweep: overrides source `source_index` across `values`,
-/// solving `DC_SWEEP_BATCH`-point lockstep batches, and returns the
-/// full node-voltage vector per point in input order. Point results are
-/// batch-boundary independent (each point runs the robust per-point DC
-/// flow on its own state plane), so this returns exactly what
-/// [`super::dc_sweep_with_threads`] returns at any thread count.
-///
-/// # Errors
-///
-/// Returns the first solver failure in input order.
-///
-/// # Panics
-///
-/// Panics if `source_index` is out of range, or (in debug builds) if
-/// the circuit fails the [`crate::drc`] gate.
-pub fn dc_sweep_batched(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-) -> Result<DcSweepResult, SolverError> {
-    crate::drc::debug_check(circuit);
-    assert!(
-        source_index < circuit.sources().len(),
-        "source index out of range"
-    );
-    let _span = telemetry::span("analog.dc_sweep");
-    let started = Instant::now();
-    let mut points = Vec::with_capacity(values.len());
-    let mut stats = SolverStats::default();
-    for chunk in values.chunks(DC_SWEEP_BATCH) {
-        let (chunk_points, chunk_stats) = dc_sweep_chunk(circuit, source_index, chunk)?;
-        points.extend(chunk_points);
-        stats.merge(&chunk_stats);
-    }
-    stats.total_time = started.elapsed();
-    Ok(DcSweepResult { points, stats })
 }

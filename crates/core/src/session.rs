@@ -345,8 +345,8 @@ impl Session {
     }
 
     /// Maximum channel loss and front-end sensitivity at the tt/ss/ff
-    /// corners. The corner bias points are solved in one batched
-    /// lockstep DC solve before the loss bisections fan out.
+    /// corners, one isolated work item per corner (see
+    /// [`Sweep::corner_sweep`]).
     ///
     /// # Errors
     ///

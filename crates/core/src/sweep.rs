@@ -467,10 +467,8 @@ impl Sweep {
 
     /// Maximum channel loss and front-end sensitivity at the three
     /// classic PVT corners, in `[nominal, worst_case, best_case]`
-    /// order. The per-corner bias points are solved as one lockstep
-    /// batch in the analog engine's batched multi-point DC solver (the
-    /// corner circuits share a topology, so they share a stamp plan)
-    /// before the loss bisections fan out.
+    /// order. The corners fan out as isolated items; each one solves
+    /// its own front-end bias point and bisects its own loss budget.
     ///
     /// This is [`Sweep::try_corner_sweep`] with the first failed
     /// corner, in corner order, raised as the whole call's failure.

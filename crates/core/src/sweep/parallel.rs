@@ -110,55 +110,25 @@ pub struct CornerPoint {
     pub pvt: Pvt,
     /// Maximum error-free channel attenuation at that corner.
     pub max_loss_db: f64,
-    /// Behavioural front-end sensitivity at the base data rate. The
-    /// corner bias points behind this come from **one** batched DC
-    /// solve (`RxFrontEnd::self_bias_batched`): the corner circuits
-    /// differ only in device parameters, so they share a stamp plan and
-    /// iterate in lockstep.
+    /// Behavioural front-end sensitivity at the base data rate:
+    /// [`RxFrontEnd::sensitivity`] of the corner's own front end, whose
+    /// bias point is one sequential DC solve.
     pub sensitivity: Volt,
-}
-
-/// The batched corner pre-pass: every corner's front-end bias in one
-/// lockstep DC solve, then the solver-free sensitivity evaluation per
-/// corner. Returns `None` per corner on solver failure so each corner
-/// can retry inside its isolated work item.
-fn corner_sensitivities(base: &LinkConfig, corners: &[Pvt]) -> Vec<Option<Volt>> {
-    let fes: Vec<RxFrontEnd> = corners
-        .iter()
-        .map(|&pvt| RxFrontEnd::new(FrontEndConfig::paper_default(), pvt))
-        .collect();
-    match RxFrontEnd::self_bias_batched(&fes) {
-        Ok(biases) => fes
-            .iter()
-            .zip(biases)
-            .map(|(fe, bias)| {
-                Some(fe.sensitivity_with(&fe.small_signal_with_bias(bias), base.data_rate))
-            })
-            .collect(),
-        Err(_) => vec![None; corners.len()],
-    }
 }
 
 /// The corner-sweep fan-out over the three classic PVT corners
 /// (tt/ss/ff), one isolated item per corner in
-/// `[nominal, worst_case, best_case]` order. The batched bias pre-pass
-/// is shared; if it fails, each corner re-solves its own sensitivity
-/// inside its isolated item.
+/// `[nominal, worst_case, best_case]` order. Each item characterizes
+/// its own front end and bisects its own loss budget.
 pub(crate) fn corner_sweep(sweep: &Sweep, base: &LinkConfig) -> Vec<Slot<CornerPoint>> {
     let _span = telemetry::span("sweep.corner_sweep");
     let corners = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()];
-    let sens = corner_sensitivities(base, &corners);
-    let items: Vec<(Pvt, Option<Volt>)> = corners.into_iter().zip(sens).collect();
-    try_map_with_threads(&items, sweep.threads, |_, &(pvt, sens)| {
+    try_map_with_threads(&corners, sweep.threads, |_, &pvt| {
         telemetry::counter("sweep.corner_points", 1);
         let mut cfg = base.clone();
         cfg.pvt = pvt;
-        let sensitivity = match sens {
-            Some(v) => v,
-            None => {
-                RxFrontEnd::new(FrontEndConfig::paper_default(), pvt).sensitivity(base.data_rate)?
-            }
-        };
+        let sensitivity =
+            RxFrontEnd::new(FrontEndConfig::paper_default(), pvt).sensitivity(base.data_rate)?;
         Ok(CornerPoint {
             pvt,
             max_loss_db: super::max_loss_impl(&cfg, sweep.frames, sweep.tol_db)?,
@@ -249,16 +219,15 @@ mod tests {
             pts[1].max_loss_db,
             pts[0].max_loss_db
         );
-        // The batched bias pre-pass must agree with a per-corner
-        // sequential characterization.
-        use openserdes_phy::{FrontEndConfig, RxFrontEnd};
+        // Each corner reports its own front end's characterization.
         for p in &pts {
             let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), p.pvt);
             let want = fe.sensitivity(base.data_rate).expect("solves").value();
             let got = p.sensitivity.value();
-            assert!(
-                (got - want).abs() <= 1e-9 * want.max(1e-6),
-                "corner {:?}: batched sensitivity {got} vs sequential {want}",
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "corner {:?}: sweep sensitivity {got} vs direct {want}",
                 p.pvt
             );
         }

@@ -21,10 +21,10 @@ use openserdes_analog::primitives::{
     add_inverter, add_resistive_feedback_inverter, FeedbackKind, InverterSize,
 };
 use openserdes_analog::solver::{
-    dc_operating_point, dc_sweep, dc_sweep_with_threads, reference, transient, Solver, SolverError,
+    dc_operating_point, dc_sweep, dc_sweep_with_threads, reference, transient, SolverError,
     SolverStats, TransientConfig, TransientResult,
 };
-use openserdes_analog::{Circuit, Node, PointOverride, Stimulus, Waveform};
+use openserdes_analog::{Circuit, Node, Stimulus, Waveform};
 use openserdes_lint::{LintConfig, LintReport};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::mos::{MosDevice, MosParams};
@@ -265,48 +265,6 @@ impl RxFrontEnd {
         Ok(Volt::new(v[vin.index()]))
     }
 
-    /// Self-bias points of several front-end variants solved as **one
-    /// lockstep batch**: each variant's bias circuit is diffed against
-    /// the first one's ([`PointOverride::diff`]), so PVT corners —
-    /// which change device parameters and parasitic values but not
-    /// topology — share a single stamp plan and Newton iteration loop
-    /// in the batched DC engine. A variant that differs structurally
-    /// (e.g. a different feedback kind) falls back to its own
-    /// sequential [`RxFrontEnd::self_bias`] solve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first solver failure in input order.
-    pub fn self_bias_batched(fes: &[RxFrontEnd]) -> Result<Vec<Volt>, SolverError> {
-        let Some(first) = fes.first() else {
-            return Ok(Vec::new());
-        };
-        let mut base = Circuit::new();
-        let vin = first.bias_setup(&mut base);
-        let mut out: Vec<Option<Volt>> = vec![None; fes.len()];
-        let mut indices = Vec::with_capacity(fes.len());
-        let mut points = Vec::with_capacity(fes.len());
-        for (i, fe) in fes.iter().enumerate() {
-            let mut c = Circuit::new();
-            fe.bias_setup(&mut c);
-            match PointOverride::diff(&base, &c) {
-                Some(ov) => {
-                    indices.push(i);
-                    points.push(ov);
-                }
-                None => out[i] = Some(fe.self_bias()?),
-            }
-        }
-        let res = Solver::new(&base).dc_batched(&points);
-        for (i, r) in indices.into_iter().zip(res.into_results()) {
-            out[i] = Some(Volt::new(r?[vin.index()]));
-        }
-        Ok(out
-            .into_iter()
-            .map(|v| v.expect("every point solved or retired"))
-            .collect())
-    }
-
     /// Builds the bare gain-stage inverter VTC circuit; returns
     /// `(circuit, vout, sweep points)`. The swept source is index 1.
     fn vtc_setup(&self, points: usize) -> (Circuit, Node, Vec<f64>) {
@@ -346,14 +304,12 @@ impl RxFrontEnd {
             .collect())
     }
 
-    /// [`RxFrontEnd::vtc`] fanned across `threads` workers. Each
-    /// fixed-width chunk is solved by the batched multi-point DC engine
-    /// (all points of a chunk iterate in lockstep on one stamp plan),
-    /// so the result is worker-count-independent **and** bit-identical
-    /// to `openserdes_analog::dc_sweep_batched` on the same grid.
-    /// Individual points may still differ from the sequential
-    /// [`RxFrontEnd::vtc`], which warm-starts each point from its
-    /// neighbour (continuation).
+    /// [`RxFrontEnd::vtc`] fanned across `threads` workers. Each point
+    /// is its own robust DC solve, so the result is
+    /// worker-count-independent **and** bit-identical to a DC operating
+    /// point of the circuit at each input. Individual points may still
+    /// differ from the sequential [`RxFrontEnd::vtc`], which
+    /// warm-starts each point from its neighbour (continuation).
     ///
     /// # Errors
     ///
@@ -381,9 +337,8 @@ impl RxFrontEnd {
     }
 
     /// Small-signal characterization at a *known* bias point — the
-    /// solver-free half of [`RxFrontEnd::small_signal`], for when the
-    /// bias came out of a batched corner solve
-    /// ([`RxFrontEnd::self_bias_batched`]).
+    /// solver-free half of [`RxFrontEnd::small_signal`], for callers
+    /// that already hold the bias from [`RxFrontEnd::self_bias`].
     pub fn small_signal_with_bias(&self, bias: Volt) -> SmallSignal {
         let bias = bias.value();
         let vdd = self.pvt.vdd.value();
@@ -729,33 +684,6 @@ mod tests {
         // at least as good as the behavioural model's number.
         let model = f.sensitivity(rate).expect("characterizes");
         assert!(s1.value() <= model.value());
-    }
-
-    #[test]
-    fn batched_self_bias_matches_sequential_per_corner() {
-        // The three classic corners differ only in device parameters
-        // and parasitic values, so they batch onto one stamp plan; the
-        // retirement contract makes each point equal its own
-        // sequential solve.
-        let fes: Vec<RxFrontEnd> = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()]
-            .into_iter()
-            .map(|pvt| RxFrontEnd::new(FrontEndConfig::paper_default(), pvt))
-            .collect();
-        let batched = RxFrontEnd::self_bias_batched(&fes).expect("batch solves");
-        assert_eq!(batched.len(), fes.len());
-        for (fe, got) in fes.iter().zip(&batched) {
-            let want = fe.self_bias().expect("solves");
-            assert!(
-                (got.value() - want.value()).abs() < 1e-9,
-                "corner {:?}: batched {} vs sequential {}",
-                fe.pvt.corner,
-                got.value(),
-                want.value()
-            );
-        }
-        assert!(RxFrontEnd::self_bias_batched(&[])
-            .expect("empty")
-            .is_empty());
     }
 
     #[test]

@@ -87,12 +87,18 @@ def check(inst, sch, root, path="$"):
 
 
 def analog(doc):
-    """Both bit-identity proofs, a batch of at least 16 points, and on
-    full (non-smoke) runs, where the bin enforces them, the >=5x headline
-    and >=3x batched-kernel floors."""
+    """Both bit-identity proofs, a batch of at least 16 points that the
+    lockstep kernel really ran, and on full (non-smoke) runs, where the
+    bin enforces them, the >=5x headline and >=3x batched-kernel floors."""
     batched = doc["kernels"]["batched_vs_loop"]
     assert batched["bit_identical"] is True
     assert batched["points"] >= 16, "the batched kernel must run a real corner fan"
+    # Smoke runs skip the speed floor, so these are what catch a batch
+    # that fell out of the kernel into the per-point loop.
+    assert batched["batch_retirements"] == 0, (
+        f"{batched['batch_retirements']} points left the batched kernel"
+    )
+    assert batched["batched_factorizations"] >= 1, "the batched kernel never factorized"
     assert doc["kernels"]["fixed_step_stamped_vs_dense"]["bit_identical"] is True
     if not doc["smoke"]:
         # Full runs assert these floors in-process; re-check the

@@ -1,16 +1,16 @@
-//! Contract of the batched multi-point lockstep solver (DESIGN.md §16):
-//! on random circuits and batch compositions, `run_transient_batched`
-//! in `Fixed` mode must be **bit-identical per point** to a sequential
-//! solve of that point's materialized circuit — including batches where
-//! some points retire into the sequential recovery ladder — and in
-//! `Adaptive` mode must track the sequential adaptive run within a
-//! small multiple of `lte_tol`. The `dc_sweep` shim must return exactly
-//! the batched engine's output at every thread count.
+//! Contract of multi-point transient batches (DESIGN.md §16): on
+//! random circuits and batch compositions, `run_transient_batched` must
+//! be **bit-identical per point** to a sequential solve of that point's
+//! materialized circuit, in `Fixed` and `Adaptive` mode, including
+//! batches where the lockstep kernel retires points into the sequential
+//! recovery ladder. Only uniform linear fixed-step batches may take the
+//! kernel. `dc_sweep_with_threads` must return exactly the per-point DC
+//! operating points at every thread count.
 
 use openserdes::analog::primitives::{add_inverter_chain, InverterSize};
 use openserdes::analog::solver::{dc_sweep_with_threads, Solver, TransientConfig};
 use openserdes::analog::{
-    dc_sweep_batched, Circuit, Element, Node, PointOverride, SolverError, Stimulus,
+    dc_operating_point, Circuit, Element, Node, PointOverride, SolverError, Stimulus,
     TransientResult, Waveform,
 };
 use openserdes::core::{LinkConfig, Sweep};
@@ -29,8 +29,8 @@ fn pattern(mask: u8, n: usize) -> Vec<bool> {
 }
 
 /// A single-pole RC low-pass driven by an NRZ source. Stimulus-only
-/// overrides (per-point swing) keep the topology uniform and linear —
-/// the shared-LU lockstep fast path.
+/// overrides (per-point swing) keep the batch uniform and linear: the
+/// shape the lockstep kernel runs.
 fn rc_fixture(r_ohms: f64, c_farads: f64, mask: u8) -> (Circuit, Vec<Node>, f64, f64) {
     let bits = pattern(mask, 4);
     let ui = 200e-12;
@@ -59,9 +59,9 @@ fn rc_points(mask: u8, np: usize) -> Vec<PointOverride> {
         .collect()
 }
 
-/// A two-stage inverter chain into a load cap. Element overrides
-/// (per-point load) force the per-point-LU lockstep path through the
-/// nonlinear MOS stamps.
+/// A two-stage inverter chain into a load cap. Its MOS stamps (and the
+/// per-point load overrides) keep the batch out of the kernel: every
+/// point runs its own sequential solve.
 fn chain_fixture(mask: u8, scale: f64) -> (Circuit, Vec<Node>, usize, f64, f64) {
     let pvt = Pvt::nominal();
     let bits = pattern(mask, 4);
@@ -100,17 +100,24 @@ fn chain_points(base: &Circuit, load_index: usize, out: Node, np: usize) -> Vec<
 }
 
 /// Asserts every batched point's waveforms match a sequential
-/// `run_transient` of the materialized circuit bit for bit at `nodes`.
+/// `run_transient` of the materialized circuit bit for bit at `nodes`,
+/// and that the batch took the kernel exactly when `kernel` says so.
 fn assert_batched_bit_identical(
     base: &Circuit,
     points: &[PointOverride],
     cfg: &TransientConfig,
     nodes: &[Node],
+    kernel: bool,
 ) {
     let mut solver = Solver::new(base);
     let batched = solver.run_transient_batched(points, cfg);
     assert_eq!(batched.results().len(), points.len());
-    assert_eq!(batched.stats().batched_points, points.len() as u64);
+    let kernel_points = if kernel { points.len() as u64 } else { 0 };
+    assert_eq!(
+        batched.stats().batched_points,
+        kernel_points,
+        "kernel selection"
+    );
     for (p, (ov, got)) in points.iter().zip(batched.results()).enumerate() {
         let pc = ov.circuit_for_point(base);
         let want = Solver::new(&pc).run_transient(cfg);
@@ -140,8 +147,8 @@ fn assert_batched_bit_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Shared-LU path: uniform linear batches are bit-identical to the
-    /// sequential solver at every batch size.
+    /// The kernel: uniform linear fixed-step batches are bit-identical
+    /// to the sequential solver at every batch size.
     #[test]
     fn fixed_batched_rc_bit_identical(
         r in 100.0f64..10_000.0,
@@ -152,11 +159,11 @@ proptest! {
         let np = BATCH_SIZES[bs_idx];
         let (c, nodes, t_end, dt) = rc_fixture(r, cap_ff * 1e-15, mask);
         let cfg = TransientConfig::until(t_end).with_fixed_dt(dt);
-        assert_batched_bit_identical(&c, &rc_points(mask, np), &cfg, &nodes);
+        assert_batched_bit_identical(&c, &rc_points(mask, np), &cfg, &nodes, true);
     }
 
-    /// Per-point-LU path: element-overridden nonlinear batches are
-    /// bit-identical to the sequential solver at every batch size.
+    /// Nonlinear batches with element overrides solve per point, bit
+    /// for bit as the sequential solver does.
     #[test]
     fn fixed_batched_chain_bit_identical(
         mask in any::<u8>(),
@@ -167,14 +174,14 @@ proptest! {
         let (c, nodes, load_index, t_end, dt) = chain_fixture(mask, scale);
         let cfg = TransientConfig::until(t_end).with_fixed_dt(dt);
         let points = chain_points(&c, load_index, nodes[1], np);
-        assert_batched_bit_identical(&c, &points, &cfg, &nodes);
+        assert_batched_bit_identical(&c, &points, &cfg, &nodes, false);
     }
 
-    /// Adaptive lockstep shares one step controller, so it is not
-    /// bit-identical — but every point must stay within a small
-    /// multiple of `lte_tol` of its own sequential adaptive solve.
+    /// Adaptive batches solve per point, so they are bit-identical to
+    /// sequential adaptive runs too, even on a linear circuit the
+    /// kernel would take at a fixed step.
     #[test]
-    fn adaptive_batched_tracks_sequential(
+    fn adaptive_batched_rc_bit_identical(
         r in 100.0f64..10_000.0,
         cap_ff in 100.0f64..5_000.0,
         mask in any::<u8>(),
@@ -183,56 +190,41 @@ proptest! {
         let np = BATCH_SIZES[bs_idx];
         let (c, nodes, t_end, dt) = rc_fixture(r, cap_ff * 1e-15, mask);
         let cfg = TransientConfig::until(t_end).with_adaptive_steps(dt, 64.0 * dt, LTE_TOL);
-        let points = rc_points(mask, np);
-        let mut solver = Solver::new(&c);
-        let batched = solver.run_transient_batched(&points, &cfg);
-        // Compare solved nodes only: the emitted waveform at a *source*
-        // node lerps the stimulus across accepted steps, so two runs on
-        // different step grids smear NRZ edges differently — a grid
-        // artifact, not solver error.
-        let vout = nodes[1];
-        for (p, (ov, got)) in points.iter().zip(batched.results()).enumerate() {
-            let got = got.as_ref().expect("batched adaptive converges");
-            let pc = ov.circuit_for_point(&c);
-            let want = Solver::new(&pc).run_transient(&cfg).expect("sequential converges");
-            let dev = got.waveform(vout).max_abs_diff(want.waveform(vout));
-            prop_assert!(
-                dev <= 10.0 * LTE_TOL,
-                "point {p}, node {vout}: adaptive deviation {dev:.2e} V"
-            );
-        }
+        assert_batched_bit_identical(&c, &rc_points(mask, np), &cfg, &nodes, false);
     }
 }
 
-/// A batch where some points retire into the recovery ladder and others
-/// don't: a starved Newton budget makes the sharp-edged points fail
-/// their lockstep steps while the DC-driven points never break a sweat.
-/// Every point — retired or not — must still match its sequential solve
-/// bit for bit, and the retirements must be counted.
+/// A kernel batch where some points retire into the recovery ladder
+/// and others don't: with one Newton iteration per step, the
+/// sharp-edged points cannot converge at their edges, while the flat
+/// drives sit at their operating point and converge at once. Every
+/// point — retired or not — must still match its sequential solve bit
+/// for bit, and the retirements must be counted.
 #[test]
 fn mixed_recovery_batch_stays_bit_identical() {
-    let (c, nodes, _load_index, t_end, dt) = chain_fixture(0b0101, 2.0);
-    let vdd_v = Pvt::nominal().vdd.value();
-    // Sharp edges (fast NRZ) vs flat drives: with max_newton = 2 the
-    // former blow the lockstep budget at the edges, the latter do not.
-    let sharp = Waveform::nrz(&[true, false, true, false], 200e-12, 5e-12, 0.0, vdd_v, 32);
+    let (c, nodes, t_end, dt) = rc_fixture(1e3, 1e-12, 0b0101);
+    let sharp = Waveform::nrz(&[true, false, true, false], 200e-12, 5e-12, 0.0, 1.8, 32);
     let points = vec![
-        PointOverride::new().with_source_dc(1, 0.0),
-        PointOverride::new().with_source(1, Stimulus::Wave(sharp.clone())),
-        PointOverride::new().with_source_dc(1, vdd_v),
-        PointOverride::new().with_source(1, Stimulus::Wave(sharp)),
+        PointOverride::new().with_source_dc(0, 0.0),
+        PointOverride::new().with_source(0, Stimulus::Wave(sharp.clone())),
+        PointOverride::new().with_source_dc(0, 1.8),
+        PointOverride::new().with_source(0, Stimulus::Wave(sharp)),
     ];
     let cfg = TransientConfig::until(t_end)
         .with_fixed_dt(dt)
-        .with_max_newton(2);
+        .with_max_newton(1);
     let mut solver = Solver::new(&c);
     let batched = solver.run_transient_batched(&points, &cfg);
-    assert!(
-        batched.stats().batch_retirements > 0,
-        "expected the sharp-edged points to retire (stats: {:?})",
-        batched.stats()
+    let stats = batched.stats();
+    assert_eq!(
+        stats.batch_retirements, 2,
+        "expected exactly the sharp-edged points to retire (stats: {stats:?})"
     );
-    assert_batched_bit_identical(&c, &points, &cfg, &nodes);
+    assert!(
+        stats.recovery_attempts > 0,
+        "the retired points must have run the recovery ladder (stats: {stats:?})"
+    );
+    assert_batched_bit_identical(&c, &points, &cfg, &nodes, true);
 }
 
 /// The identity override on an empty batch and a one-point batch both
@@ -247,35 +239,7 @@ fn empty_and_identity_batches() {
     assert_eq!(empty.stats().batched_points, 0);
     let ov = PointOverride::new();
     assert!(ov.is_identity());
-    assert_batched_bit_identical(&c, &[ov], &cfg, &nodes);
-}
-
-/// `PointOverride::diff` recovers value-only deltas and rejects
-/// topology changes.
-#[test]
-fn point_override_diff_roundtrip() {
-    let (base, _nodes, load_index, _t_end, _dt) = chain_fixture(0b0101, 2.0);
-    let mut variant = base.clone();
-    variant.set_element(
-        load_index,
-        match base.elements()[load_index] {
-            Element::Capacitor { a, b, .. } => Element::Capacitor {
-                a,
-                b,
-                farads: 123e-15,
-            },
-            _ => unreachable!("load is a capacitor"),
-        },
-    );
-    variant.set_source_stimulus(0, Stimulus::Dc(1.65));
-    let ov = PointOverride::diff(&base, &variant).expect("same topology");
-    assert!(!ov.is_identity());
-    let rebuilt = ov.circuit_for_point(&base);
-    assert_eq!(rebuilt.elements(), variant.elements());
-    // A structurally different circuit has no override.
-    let mut other = base.clone();
-    other.capacitor(other.gnd(), other.gnd(), 1e-15);
-    assert!(PointOverride::diff(&base, &other).is_none());
+    assert_batched_bit_identical(&c, &[ov], &cfg, &nodes, true);
 }
 
 /// The 70-point sweep circuit: a two-stage inverter chain with its
@@ -295,18 +259,26 @@ fn dc_sweep_fixture() -> (Circuit, Vec<f64>) {
     (c, xs)
 }
 
-/// The `dc_sweep_with_threads` shim must return exactly the batched
-/// engine's output, bit for bit, at every worker count — the PR 4
-/// exact-equivalence style.
+/// `dc_sweep_with_threads` must return exactly the DC operating point
+/// of each point's materialized circuit, bit for bit, at every worker
+/// count.
 #[test]
-fn dc_sweep_shim_matches_batched_engine_exactly() {
-    // 70 points spans three 32-point batches unevenly.
+fn dc_sweep_with_threads_matches_per_point_dc_exactly() {
     let (c, xs) = dc_sweep_fixture();
-    let want = dc_sweep_batched(&c, 1, &xs).expect("batched sweep");
+    let want: Vec<Vec<f64>> = xs
+        .iter()
+        .map(|&x| {
+            let pc = PointOverride::new()
+                .with_source_dc(1, x)
+                .circuit_for_point(&c);
+            dc_operating_point(&pc).expect("solves").into_voltages()
+        })
+        .collect();
     for threads in [1usize, 2, 4, 8] {
         let got = dc_sweep_with_threads(&c, 1, &xs, threads).expect("threaded sweep");
         assert_eq!(got.len(), want.len());
-        for (i, (gp, wp)) in got.iter().zip(want.iter()).enumerate() {
+        for (i, (gp, wp)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(gp.len(), wp.len());
             for (j, (a, b)) in gp.iter().zip(wp).enumerate() {
                 assert_eq!(
                     a.to_bits(),
