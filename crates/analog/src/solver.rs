@@ -265,8 +265,8 @@ pub struct SolverStats {
     pub recovered_source: u64,
     /// Recoveries resolved by the dt-cut rung.
     pub recovered_dt_cut: u64,
-    /// Points solved by the lockstep kernel of
-    /// [`Solver::run_transient_batched`].
+    /// Points that entered the lockstep kernel of
+    /// [`Solver::run_transient_batched`] (retired ones included).
     pub batched_points: u64,
     /// Points the kernel retired (DC or step failure) and re-solved
     /// sequentially through the full recovery ladder.
