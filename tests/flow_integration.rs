@@ -201,9 +201,8 @@ fn fnv1a(values: impl IntoIterator<Item = f64>) -> u64 {
     fnv1a_bytes(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
-/// One design's placement and routing, as `f64::to_bits` and counts.
+/// One flow's placement and routing, as `f64::to_bits` and counts.
 struct LayoutPins {
-    design: openserdes::core::job::DesignSpec,
     initial_hpwl: u64,
     final_hpwl: u64,
     accepted: usize,
@@ -217,88 +216,214 @@ struct LayoutPins {
 
 #[test]
 fn layouts_match_literals_captured_from_the_full_rescan_placer() {
-    // Independent anchors for placement and routing, captured before the
-    // annealer's cost became incremental and before routing indexed its
-    // I/O pins by net, so they hold whatever the bookkeeping looks like.
-    let pins = [
-        LayoutPins {
-            design: DesignSpec::Serializer,
-            initial_hpwl: 0x40f6_d753_a5c6_dde6,
-            final_hpwl: 0x40f2_4f6d_451c_145b,
-            accepted: 10_290,
-            positions: 0x9b2f_31ba_b663_60ea,
-            route_length: 0x40f6_5612_082c_4b1b,
-            peak_congestion: 0x4032_2cec_13b4_f47c,
-            net_lengths: 0x5b28_4454_cceb_15e2,
-        },
-        LayoutPins {
-            design: DesignSpec::Deserializer,
-            initial_hpwl: 0x40fa_5e1a_d751_7731,
-            final_hpwl: 0x40f5_6e0e_0623_05dd,
-            accepted: 9_193,
-            positions: 0x4816_00aa_712a_0219,
-            route_length: 0x40fb_3000_2dd6_d8ce,
-            peak_congestion: 0x4036_18f8_d3d3_9b0a,
-            net_lengths: 0x41e0_0b5e_6ca9_1982,
-        },
-        LayoutPins {
-            design: DesignSpec::Cdr { oversampling: 5 },
-            initial_hpwl: 0x40cc_2a1b_6cf9_cfda,
-            final_hpwl: 0x40c6_9b56_2215_51a1,
-            accepted: 8_127,
-            positions: 0x9bf6_0949_06b8_6706,
-            route_length: 0x40cd_4b1f_4234_d047,
-            peak_congestion: 0x4018_a327_0a45_4c87,
-            net_lengths: 0xa0a0_017a_5966_6b99,
-        },
-        LayoutPins {
-            design: DesignSpec::ScanChain,
-            initial_hpwl: 0x4085_fe4c_a96a_a355,
-            final_hpwl: 0x4082_1f42_1ee0_18f3,
-            accepted: 10_921,
-            positions: 0x3e53_719b_73d9_0eda,
-            route_length: 0x4087_446c_962f_6f85,
-            peak_congestion: 0x3fef_10ae_7bbe_3c02,
-            net_lengths: 0x7624_03b3_1e5f_b2bf,
-        },
-        LayoutPins {
-            design: DesignSpec::DigitalTop { oversampling: 5 },
-            initial_hpwl: 0x4113_f949_dc50_e110,
-            final_hpwl: 0x4110_4123_4713_a751,
-            accepted: 9_258,
-            positions: 0xe400_34fe_aae4_387e,
-            route_length: 0x4114_501c_72de_60fa,
-            peak_congestion: 0x4045_8de7_5a5b_fa1b,
-            net_lengths: 0xe2e7_7c7d_0dfd_4a61,
-        },
+    // Independent anchors for placement and routing. The tt column was
+    // captured before the annealer's cost became incremental and before
+    // routing indexed its I/O pins by net; the ss and ff columns were
+    // captured at 57e2e3a, before the annealer read flat per-net pin
+    // records. So they hold whatever the bookkeeping looks like. These
+    // are the 15 flows a `signoff` round runs (`RunFlow` at the default
+    // config). Timing-driven sizing changes cell widths, and with them
+    // the placement, only for the deserializer and the top at ss.
+    let pins: [(DesignSpec, [LayoutPins; 3]); 5] = [
+        (
+            DesignSpec::Serializer,
+            [
+                LayoutPins {
+                    initial_hpwl: 0x40f6_d753_a5c6_dde6,
+                    final_hpwl: 0x40f2_4f6d_451c_145b,
+                    accepted: 10_290,
+                    positions: 0x9b2f_31ba_b663_60ea,
+                    route_length: 0x40f6_5612_082c_4b1b,
+                    peak_congestion: 0x4032_2cec_13b4_f47c,
+                    net_lengths: 0x5b28_4454_cceb_15e2,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40f6_d753_a5c6_dde6,
+                    final_hpwl: 0x40f2_4f6d_451c_145b,
+                    accepted: 10_290,
+                    positions: 0x9b2f_31ba_b663_60ea,
+                    route_length: 0x40f6_5612_082c_4b1b,
+                    peak_congestion: 0x4032_2cec_13b4_f47c,
+                    net_lengths: 0x5b28_4454_cceb_15e2,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40f6_d753_a5c6_dde6,
+                    final_hpwl: 0x40f2_4f6d_451c_145b,
+                    accepted: 10_290,
+                    positions: 0x9b2f_31ba_b663_60ea,
+                    route_length: 0x40f6_5612_082c_4b1b,
+                    peak_congestion: 0x4032_2cec_13b4_f47c,
+                    net_lengths: 0x5b28_4454_cceb_15e2,
+                },
+            ],
+        ),
+        (
+            DesignSpec::Deserializer,
+            [
+                LayoutPins {
+                    initial_hpwl: 0x40fa_5e1a_d751_7731,
+                    final_hpwl: 0x40f5_6e0e_0623_05dd,
+                    accepted: 9_193,
+                    positions: 0x4816_00aa_712a_0219,
+                    route_length: 0x40fb_3000_2dd6_d8ce,
+                    peak_congestion: 0x4036_18f8_d3d3_9b0a,
+                    net_lengths: 0x41e0_0b5e_6ca9_1982,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40fb_8ded_9aa6_6aaf,
+                    final_hpwl: 0x40f5_83c6_4929_ac5d,
+                    accepted: 9_233,
+                    positions: 0xaed5_dc64_64a5_bd99,
+                    route_length: 0x40fb_4dc0_4ba5_325a,
+                    peak_congestion: 0x4036_df7c_fe48_5245,
+                    net_lengths: 0xcca7_018c_848a_926b,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40fa_5e1a_d751_7731,
+                    final_hpwl: 0x40f5_6e0e_0623_05dd,
+                    accepted: 9_193,
+                    positions: 0x4816_00aa_712a_0219,
+                    route_length: 0x40fb_3000_2dd6_d8ce,
+                    peak_congestion: 0x4036_18f8_d3d3_9b0a,
+                    net_lengths: 0x41e0_0b5e_6ca9_1982,
+                },
+            ],
+        ),
+        (
+            DesignSpec::Cdr { oversampling: 5 },
+            [
+                LayoutPins {
+                    initial_hpwl: 0x40cc_2a1b_6cf9_cfda,
+                    final_hpwl: 0x40c6_9b56_2215_51a1,
+                    accepted: 8_127,
+                    positions: 0x9bf6_0949_06b8_6706,
+                    route_length: 0x40cd_4b1f_4234_d047,
+                    peak_congestion: 0x4018_a327_0a45_4c87,
+                    net_lengths: 0xa0a0_017a_5966_6b99,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40cc_2a1b_6cf9_cfda,
+                    final_hpwl: 0x40c6_9b56_2215_51a1,
+                    accepted: 8_127,
+                    positions: 0x9bf6_0949_06b8_6706,
+                    route_length: 0x40cd_4b1f_4234_d047,
+                    peak_congestion: 0x4018_a327_0a45_4c87,
+                    net_lengths: 0xa0a0_017a_5966_6b99,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x40cc_2a1b_6cf9_cfda,
+                    final_hpwl: 0x40c6_9b56_2215_51a1,
+                    accepted: 8_127,
+                    positions: 0x9bf6_0949_06b8_6706,
+                    route_length: 0x40cd_4b1f_4234_d047,
+                    peak_congestion: 0x4018_a327_0a45_4c87,
+                    net_lengths: 0xa0a0_017a_5966_6b99,
+                },
+            ],
+        ),
+        (
+            DesignSpec::ScanChain,
+            [
+                LayoutPins {
+                    initial_hpwl: 0x4085_fe4c_a96a_a355,
+                    final_hpwl: 0x4082_1f42_1ee0_18f3,
+                    accepted: 10_921,
+                    positions: 0x3e53_719b_73d9_0eda,
+                    route_length: 0x4087_446c_962f_6f85,
+                    peak_congestion: 0x3fef_10ae_7bbe_3c02,
+                    net_lengths: 0x7624_03b3_1e5f_b2bf,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x4085_fe4c_a96a_a355,
+                    final_hpwl: 0x4082_1f42_1ee0_18f3,
+                    accepted: 10_921,
+                    positions: 0x3e53_719b_73d9_0eda,
+                    route_length: 0x4087_446c_962f_6f85,
+                    peak_congestion: 0x3fef_10ae_7bbe_3c02,
+                    net_lengths: 0x7624_03b3_1e5f_b2bf,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x4085_fe4c_a96a_a355,
+                    final_hpwl: 0x4082_1f42_1ee0_18f3,
+                    accepted: 10_921,
+                    positions: 0x3e53_719b_73d9_0eda,
+                    route_length: 0x4087_446c_962f_6f85,
+                    peak_congestion: 0x3fef_10ae_7bbe_3c02,
+                    net_lengths: 0x7624_03b3_1e5f_b2bf,
+                },
+            ],
+        ),
+        (
+            DesignSpec::DigitalTop { oversampling: 5 },
+            [
+                LayoutPins {
+                    initial_hpwl: 0x4113_f949_dc50_e110,
+                    final_hpwl: 0x4110_4123_4713_a751,
+                    accepted: 9_258,
+                    positions: 0xe400_34fe_aae4_387e,
+                    route_length: 0x4114_501c_72de_60fa,
+                    peak_congestion: 0x4045_8de7_5a5b_fa1b,
+                    net_lengths: 0xe2e7_7c7d_0dfd_4a61,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x4114_2067_aee6_7264,
+                    final_hpwl: 0x4110_57c8_2620_c498,
+                    accepted: 9_294,
+                    positions: 0xa43f_b859_3539_a043,
+                    route_length: 0x4114_6866_752c_ba48,
+                    peak_congestion: 0x4045_2bd8_e017_4894,
+                    net_lengths: 0xe979_7ff1_b039_d8ec,
+                },
+                LayoutPins {
+                    initial_hpwl: 0x4113_f949_dc50_e110,
+                    final_hpwl: 0x4110_4123_4713_a751,
+                    accepted: 9_258,
+                    positions: 0xe400_34fe_aae4_387e,
+                    route_length: 0x4114_501c_72de_60fa,
+                    peak_congestion: 0x4045_8de7_5a5b_fa1b,
+                    net_lengths: 0xe2e7_7c7d_0dfd_4a61,
+                },
+            ],
+        ),
     ];
-    let flow = Flow::new().with_config(FlowConfig::default());
-    for want in pins {
-        let r = flow.run(&want.design.build()).expect("flow runs");
-        let tag = want.design.tag();
-        let anneal = &r.anneal;
-        assert_eq!(anneal.initial_hpwl.to_bits(), want.initial_hpwl, "{tag}");
-        assert_eq!(anneal.final_hpwl.to_bits(), want.final_hpwl, "{tag}");
-        assert_eq!(anneal.accepted, want.accepted, "{tag}");
-        assert_eq!(anneal.attempted, 20_000, "{tag}");
-        let positions = r.synth.netlist.cell_ids().flat_map(|cell| {
-            let (x, y) = r.placement.position(cell);
-            [x, y]
-        });
-        assert_eq!(fnv1a(positions), want.positions, "{tag} cell positions");
-        let route = &r.route;
-        assert_eq!(
-            route.total_length.value().to_bits(),
-            want.route_length,
-            "{tag}"
-        );
-        assert_eq!(
-            route.peak_congestion.to_bits(),
-            want.peak_congestion,
-            "{tag}"
-        );
-        let lengths = route.iter().map(|net| net.length.value());
-        assert_eq!(fnv1a(lengths), want.net_lengths, "{tag} routed lengths");
+    let corners = [
+        ("tt", Pvt::nominal()),
+        ("ss", Pvt::worst_case()),
+        ("ff", Pvt::best_case()),
+    ];
+    for (design, row) in pins {
+        let built = design.build();
+        for (want, (corner, pvt)) in row.iter().zip(corners) {
+            let cfg = FlowConfig {
+                pvt,
+                ..FlowConfig::default()
+            };
+            let r = Flow::new().with_config(cfg).run(&built).expect("flow runs");
+            let tag = format!("{} at {corner}", design.tag());
+            let anneal = &r.anneal;
+            assert_eq!(anneal.initial_hpwl.to_bits(), want.initial_hpwl, "{tag}");
+            assert_eq!(anneal.final_hpwl.to_bits(), want.final_hpwl, "{tag}");
+            assert_eq!(anneal.accepted, want.accepted, "{tag}");
+            assert_eq!(anneal.attempted, 20_000, "{tag}");
+            let positions = r.synth.netlist.cell_ids().flat_map(|cell| {
+                let (x, y) = r.placement.position(cell);
+                [x, y]
+            });
+            assert_eq!(fnv1a(positions), want.positions, "{tag} cell positions");
+            let route = &r.route;
+            assert_eq!(
+                route.total_length.value().to_bits(),
+                want.route_length,
+                "{tag}"
+            );
+            assert_eq!(
+                route.peak_congestion.to_bits(),
+                want.peak_congestion,
+                "{tag}"
+            );
+            let lengths = route.iter().map(|net| net.length.value());
+            assert_eq!(fnv1a(lengths), want.net_lengths, "{tag} routed lengths");
+        }
     }
 }
 
