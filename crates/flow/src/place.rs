@@ -179,26 +179,6 @@ impl NetBox {
         pins: 0,
     };
 
-    /// Scans every pin of `net`: its driver, its I/O pin, its sinks.
-    fn scan(
-        placement: &Placement,
-        net: NetId,
-        fanout: &[Vec<CellId>],
-        drivers: &[Option<CellId>],
-    ) -> Self {
-        let mut b = Self::EMPTY;
-        if let Some(driver) = drivers[net.index()] {
-            b.add(placement.position(driver));
-        }
-        if let Some(xy) = placement.io_pin_of[net.index()] {
-            b.add(xy);
-        }
-        for &sink in &fanout[net.index()] {
-            b.add(placement.position(sink));
-        }
-        b
-    }
-
     /// Adds one pin at `xy`.
     pub(crate) fn add(&mut self, xy: (f64, f64)) {
         self.cover(xy);
@@ -229,14 +209,99 @@ impl NetBox {
     }
 }
 
+/// Pins up to which a net's [`NetRecord`] holds the net's pins itself.
+const SMALL_NET: usize = 4;
+
+/// A placement as flat arrays: every cell position, then one fixed
+/// pseudo-cell per I/O pad, and each net's pins as indices into them.
+struct PinMap {
+    /// Cell positions in `CellId` order, then the pads.
+    xy: Vec<(f64, f64)>,
+    /// Net `k`'s pins are `pins[start[k]..start[k + 1]]`.
+    start: Vec<u32>,
+    /// Per net: its recorded driver, its I/O pad, then its sinks, one
+    /// entry per pin (a cell reading the net on two pins is listed twice).
+    pins: Vec<u32>,
+}
+
+impl PinMap {
+    fn new(netlist: &Netlist, placement: &Placement, drivers: &[Option<CellId>]) -> Self {
+        let mut xy = placement.positions.clone();
+        let mut start = vec![0];
+        let mut pins = Vec::new();
+        for (k, sinks) in netlist.fanout_table().iter().enumerate() {
+            pins.extend(drivers[k].map(|driver| driver.index() as u32));
+            if let Some(pad) = placement.io_pin_of[k] {
+                pins.push(xy.len() as u32);
+                xy.push(pad);
+            }
+            pins.extend(sinks.iter().map(|sink| sink.index() as u32));
+            start.push(pins.len() as u32);
+        }
+        Self { xy, start, pins }
+    }
+
+    /// Net `k`'s pin indices.
+    fn pins(&self, k: usize) -> &[u32] {
+        &self.pins[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+
+    /// The box of every pin of net `k`.
+    fn scan(&self, k: usize) -> NetBox {
+        let mut b = NetBox::EMPTY;
+        for &pin in self.pins(k) {
+            b.add(self.xy[pin as usize]);
+        }
+        b
+    }
+
+    /// The box of a net of `pins` pins, 1 to [`SMALL_NET`] of them,
+    /// from its padded pin list: a fixed number of gathers and no edge
+    /// test. A pin read twice changes no min or max.
+    fn gather(&self, small: &[u32; SMALL_NET], pins: usize) -> NetBox {
+        let mut b = NetBox {
+            pins,
+            ..NetBox::EMPTY
+        };
+        for &pin in small {
+            b.cover(self.xy[pin as usize]);
+        }
+        b
+    }
+}
+
+/// One net as the annealer keeps it, in one 64-byte record: the box of
+/// its pins, that box's HPWL, and for a net of at most [`SMALL_NET`]
+/// pins those pins, cycled to fill the array.
+#[derive(Debug, Clone, Copy)]
+struct NetRecord {
+    bbox: NetBox,
+    hpwl: f64,
+    small: [u32; SMALL_NET],
+}
+
+impl NetRecord {
+    fn new(map: &PinMap, k: usize) -> Self {
+        let bbox = map.scan(k);
+        let pins = map.pins(k);
+        let mut small = [0; SMALL_NET];
+        if (1..=SMALL_NET).contains(&pins.len()) {
+            for (i, slot) in small.iter_mut().enumerate() {
+                *slot = pins[i % pins.len()];
+            }
+        }
+        Self {
+            bbox,
+            hpwl: bbox.hpwl(),
+            small,
+        }
+    }
+}
+
 /// Total HPWL of the placement in µm.
 pub fn hpwl(netlist: &Netlist, placement: &Placement) -> f64 {
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
-    netlist
-        .net_ids()
-        .map(|net| NetBox::scan(placement, net, &fanout, &drivers).hpwl())
-        .sum()
+    let map = PinMap::new(netlist, placement, &netlist.driver_table());
+    (0..netlist.net_count()).map(|k| map.scan(k).hpwl()).sum()
 }
 
 /// The nets each cell touches through any pin, sorted and deduplicated,
@@ -295,14 +360,19 @@ fn merge_nets(a: &[(NetId, bool)], b: &[(NetId, bool)], out: &mut Vec<(NetId, bo
 /// attempted moves; the temperature decays geometrically from an initial
 /// value derived from the starting HPWL.
 ///
-/// The cost is incremental: each net's pin bounding box is scanned
-/// once, and a move re-evaluates only the nets of the two swapped cells.
-/// A net both cells are pins of keeps its box (the swap only permutes
-/// its pins). A net with one moving pin grows its box to the new spot,
-/// and is rescanned only if the old spot lay on an edge. A rejected move
-/// leaves the boxes untouched. Every move sums the same per-net values
-/// in the same net order as rescanning every touched net would, so
-/// every delta, and with it the whole run, is bit-identical to that.
+/// The cost is incremental. The run works on flat arrays built once:
+/// the cell positions with the I/O pads appended as fixed pseudo-cells,
+/// one pin list per net, and one 64-byte record per net holding its
+/// box, its HPWL and, for a net of at most four pins, those pins. A move
+/// re-evaluates only the nets of the two swapped cells. A net both
+/// cells are pins of keeps its box (the swap only permutes its pins).
+/// A small net with one moving pin is rescanned from its record: four
+/// gathers, no edge test. A larger one grows its box to the pin's new
+/// spot, and is rescanned only if the old spot lay on an edge. A
+/// rejected move leaves the records untouched. Every move sums the same
+/// per-net values in the same net order as rescanning every touched net
+/// would, so every delta, and with it the whole run, is bit-identical
+/// to that.
 pub fn anneal(
     netlist: &Netlist,
     placement: &mut Placement,
@@ -310,13 +380,12 @@ pub fn anneal(
     iterations: usize,
 ) -> AnnealStats {
     let n = netlist.cell_count();
-    let fanout = netlist.fanout_table();
     let drivers = netlist.driver_table();
-    let mut boxes: Vec<NetBox> = netlist
-        .net_ids()
-        .map(|net| NetBox::scan(placement, net, &fanout, &drivers))
+    let mut map = PinMap::new(netlist, placement, &drivers);
+    let mut records: Vec<NetRecord> = (0..netlist.net_count())
+        .map(|k| NetRecord::new(&map, k))
         .collect();
-    let initial: f64 = boxes.iter().map(NetBox::hpwl).sum();
+    let initial: f64 = records.iter().map(|r| r.hpwl).sum();
     if n < 2 || iterations == 0 {
         return AnnealStats {
             initial_hpwl: initial,
@@ -333,7 +402,7 @@ pub fn anneal(
     let cooling = 0.999_f64.powf(1000.0 / iterations.max(1) as f64);
     let mut accepted = 0usize;
     let mut touched: Vec<(NetId, bool, bool)> = Vec::new();
-    let mut fresh: Vec<NetBox> = Vec::new();
+    let mut fresh: Vec<(NetBox, f64)> = Vec::new();
 
     for _ in 0..iterations {
         let a = rng.gen_range(0..n);
@@ -344,42 +413,56 @@ pub fn anneal(
         merge_nets(&cell_nets[a], &cell_nets[b], &mut touched);
         let before: f64 = touched
             .iter()
-            .map(|&(net, ..)| boxes[net.index()].hpwl())
+            .map(|&(net, ..)| records[net.index()].hpwl)
             .sum();
-        let (pa, pb) = (placement.positions[a], placement.positions[b]);
-        placement.positions.swap(a, b);
+        let (pa, pb) = (map.xy[a], map.xy[b]);
+        map.xy.swap(a, b);
         fresh.clear();
         fresh.extend(touched.iter().map(|&(net, on_a, on_b)| {
-            let cached = boxes[net.index()];
-            let (from, to) = match (on_a, on_b) {
-                (true, false) => (pa, pb),
-                (false, true) => (pb, pa),
+            let record = &records[net.index()];
+            if on_a == on_b {
                 // Both cells are pins, or neither: same pin positions.
-                _ => return cached,
-            };
-            if cached.on_edge(from) {
-                NetBox::scan(placement, net, &fanout, &drivers)
-            } else {
-                let mut moved = cached;
-                moved.cover(to);
-                moved
+                return (record.bbox, record.hpwl);
             }
+            let bbox = if record.bbox.pins <= SMALL_NET {
+                map.gather(&record.small, record.bbox.pins)
+            } else {
+                let (from, to) = if on_a { (pa, pb) } else { (pb, pa) };
+                if record.bbox.on_edge(from) {
+                    map.scan(net.index())
+                } else {
+                    let mut grown = record.bbox;
+                    grown.cover(to);
+                    grown
+                }
+            };
+            (bbox, bbox.hpwl())
         }));
-        let after: f64 = fresh.iter().map(NetBox::hpwl).sum();
+        let after: f64 = fresh.iter().map(|&(_, hpwl)| hpwl).sum();
         let delta = after - before;
         let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
         if accept {
             cost += delta;
             accepted += 1;
-            for (&(net, ..), &fresh) in touched.iter().zip(&fresh) {
-                boxes[net.index()] = fresh;
+            for (&(net, ..), &(bbox, hpwl)) in touched.iter().zip(&fresh) {
+                let record = &mut records[net.index()];
+                record.bbox = bbox;
+                record.hpwl = hpwl;
             }
         } else {
-            placement.positions.swap(a, b);
+            map.xy.swap(a, b);
         }
         temp *= cooling;
     }
 
+    placement.positions.copy_from_slice(&map.xy[..n]);
+    debug_assert!(
+        records
+            .iter()
+            .enumerate()
+            .all(|(k, r)| r.bbox == map.scan(k) && r.hpwl.to_bits() == r.bbox.hpwl().to_bits()),
+        "cached net boxes drifted from the final positions"
+    );
     AnnealStats {
         initial_hpwl: initial,
         final_hpwl: cost,
@@ -496,9 +579,31 @@ mod tests {
         assert!((pins[1].1 .0 - fp.width.value()).abs() < 1e-9);
     }
 
+    /// The box of every pin of `net`, read straight from the netlist:
+    /// its recorded driver, its I/O pin, its sinks.
+    fn full_scan(
+        placement: &Placement,
+        net: NetId,
+        fanout: &[Vec<CellId>],
+        drivers: &[Option<CellId>],
+    ) -> NetBox {
+        let mut b = NetBox::EMPTY;
+        if let Some(driver) = drivers[net.index()] {
+            b.add(placement.position(driver));
+        }
+        if let Some(xy) = placement.io_pin_of[net.index()] {
+            b.add(xy);
+        }
+        for &sink in &fanout[net.index()] {
+            b.add(placement.position(sink));
+        }
+        b
+    }
+
     /// The full-rescan annealer the incremental one replaced, kept as
     /// the reference: every move rescans every pin of every net either
-    /// cell touches, once before and once after the swap.
+    /// cell touches, once before and once after the swap, through
+    /// [`full_scan`] rather than the annealer's pin lists.
     fn anneal_reference(
         netlist: &Netlist,
         placement: &mut Placement,
@@ -507,9 +612,9 @@ mod tests {
     ) -> AnnealStats {
         let fanout = netlist.fanout_table();
         let drivers = netlist.driver_table();
-        let net_hpwl = |p: &Placement, net: NetId| NetBox::scan(p, net, &fanout, &drivers).hpwl();
+        let net_hpwl = |p: &Placement, net: NetId| full_scan(p, net, &fanout, &drivers).hpwl();
         let n = netlist.cell_count();
-        let initial = hpwl(netlist, placement);
+        let initial: f64 = netlist.net_ids().map(|net| net_hpwl(placement, net)).sum();
         if n < 2 || iterations == 0 {
             return AnnealStats {
                 initial_hpwl: initial,
@@ -573,21 +678,34 @@ mod tests {
     /// of the cost model: a NAND2 reading one net on both pins, a net
     /// that is both a primary input and a primary output, an input that
     /// feeds nothing and an inverter whose output goes nowhere (both
-    /// single-pin nets). Each op then adds a cell reading earlier nets:
-    /// an inverter, a NAND2, a NAND2 on one net twice, a flop on the
-    /// shared clock, or a NAND2 driving an earlier net (a multiply
-    /// driven net, whose unrecorded driver touches a net without being
-    /// one of its pins). An op packs its kind and two net picks as
-    /// `kind + 5 * (p + 1000 * q)`.
+    /// single-pin nets). Around the annealer's small-net bound it holds
+    /// a net of exactly four pins and one of exactly five (ops never
+    /// read either), and five flops on the shared clock, each reading
+    /// one input: two nets with an I/O pin and five sinks. Each op then
+    /// adds a cell reading earlier nets: an inverter, a NAND2, a NAND2
+    /// on one net twice, a flop on the shared clock, or a NAND2 driving
+    /// an earlier net (a multiply driven net, whose unrecorded driver
+    /// touches a net without being one of its pins). An op packs its
+    /// kind and two net picks as `kind + 5 * (p + 1000 * q)`.
     fn random_netlist(ops: &[usize], outputs: &[usize]) -> Netlist {
         let x1 = DriveStrength::X1;
         let mut nl = Netlist::new("random");
         let clk = nl.add_input("clk");
         let a = nl.add_input("a");
         let b = nl.add_input("b");
+        let fan = nl.add_input("fan");
         nl.add_input("spare");
         nl.mark_output("a_through", a);
-        let mut nets = vec![clk, a, b, nl.gate(LogicFn::Nand2, x1, &[a, a])];
+        let mut nets = vec![clk, a, b, fan, nl.gate(LogicFn::Nand2, x1, &[a, a])];
+        let flops: Vec<NetId> = (0..5).map(|_| nl.dff(fan, clk, x1)).collect();
+        // A driver and three sinks, and a driver and four.
+        let four = nl.gate(LogicFn::Inv, x1, &[flops[0]]);
+        let five = nl.gate(LogicFn::Inv, x1, &[flops[1]]);
+        for _ in 0..3 {
+            nets.push(nl.gate(LogicFn::Nand2, x1, &[four, five]));
+        }
+        nets.push(nl.gate(LogicFn::Inv, x1, &[five]));
+        nets.extend(flops);
         for &op in ops {
             let (kind, p, q) = (op % 5, op / 5 % 1000, op / 5000);
             let (x, y) = (nets[p % nets.len()], nets[q % nets.len()]);
@@ -609,6 +727,26 @@ mod tests {
         let last = *nets.last().expect("skeleton nets");
         nl.gate(LogicFn::Inv, x1, &[last]);
         nl
+    }
+
+    #[test]
+    fn random_skeleton_straddles_the_small_net_bound() {
+        let nl = random_netlist(&[], &[]);
+        let lib = Library::sky130(Pvt::nominal());
+        let p = placed(&nl, &lib, false);
+        let fanout = nl.fanout_table();
+        let drivers = nl.driver_table();
+        let pins: Vec<usize> = nl
+            .net_ids()
+            .map(|net| full_scan(&p, net, &fanout, &drivers).pins)
+            .collect();
+        assert!(pins.contains(&SMALL_NET) && pins.contains(&(SMALL_NET + 1)));
+        assert!(nl
+            .net_ids()
+            .any(|net| p.io_pin_of[net.index()].is_some() && fanout[net.index()].len() >= 5));
+        let clk = nl.primary_inputs()[0];
+        let clocked = nl.instances().filter(|(_, i)| i.clock == Some(clk));
+        assert!(clocked.count() >= 5);
     }
 
     /// Greedy placement of `nl`, into a single row if `one_row` (every
@@ -652,7 +790,7 @@ mod tests {
             ops in prop::collection::vec(0usize..5_000_000, 0..40),
             outputs in prop::collection::vec(0usize..1_000, 0..4),
             seed in any::<u64>(),
-            iterations in prop::sample::select(vec![0usize, 1, 2, 40, 600]),
+            iterations in prop::sample::select(vec![0usize, 1, 2, 40, 600, 3_000]),
             one_row in any::<bool>(),
         ) {
             let nl = random_netlist(&ops, &outputs);
