@@ -2002,6 +2002,90 @@ mod tests {
         );
     }
 
+    /// The most a DC solve can move any node of a linear resistive
+    /// network away from its gmin-free closed form. `dc_operating_point`
+    /// solves (G + gmin·I)·v' = G·v, where v is the exact solution and
+    /// G the nodal conductance matrix of the `nodes` unknown nodes. So
+    /// v − v' = gmin·(G + gmin·I)⁻¹·v. That inverse is entrywise
+    /// nonnegative and at most G⁻¹, whose entries are transfer
+    /// resistances, each at most a driving-point resistance, which is
+    /// at most the resistance `r_sum` of all resistors in series. So
+    /// 0 ≤ v − v' ≤ nodes·gmin·r_sum·v_max at every node. Rounding in
+    /// the LU solve is of order nodes·ε·v_max, nine orders below.
+    fn gmin_bound(nodes: usize, r_sum: f64, v_max: f64) -> f64 {
+        // The gmin `dc_at` solves at.
+        const DC_GMIN: f64 = 1e-12;
+        nodes as f64 * DC_GMIN * r_sum * v_max
+    }
+
+    /// Asserts `got` sits at or below `want` by at most `bound`: gmin
+    /// to ground only pulls a positive node toward 0 V.
+    fn assert_gmin_close(name: &str, got: f64, want: f64, bound: f64) {
+        assert!(
+            (0.0..=bound).contains(&(want - got)),
+            "{name}: {got:e} vs closed form {want:e} (bound {bound:e})"
+        );
+    }
+
+    #[test]
+    fn r2r_ladder_halves_at_every_node() {
+        // Source → R → n1 → R → n2 … → n8, a 2R shunt at every node and
+        // a 2R terminator at n8. Every node looks into R toward ground
+        // (2R ‖ 2R at n8, then 2R ‖ (R + R) upward), so each series R
+        // halves the voltage: n_k = VDD / 2^k.
+        const R: f64 = 1e3;
+        const RUNGS: usize = 8;
+        let mut c = Circuit::new();
+        let top = c.node("top");
+        c.vsource(top, Stimulus::Dc(VDD));
+        let mut nodes = Vec::new();
+        let mut above = top;
+        for k in 1..=RUNGS {
+            let node = c.node(format!("n{k}"));
+            c.resistor(above, node, R);
+            c.resistor(node, c.gnd(), 2.0 * R);
+            nodes.push(node);
+            above = node;
+        }
+        c.resistor(above, c.gnd(), 2.0 * R);
+        let v = dc_operating_point(&c).expect("solves");
+        let r_sum = RUNGS as f64 * 3.0 * R + 2.0 * R;
+        let bound = gmin_bound(RUNGS, r_sum, VDD);
+        for (k, node) in nodes.iter().enumerate() {
+            let want = VDD / f64::from(1u32 << (k + 1));
+            assert_gmin_close(&format!("n{}", k + 1), v[node.index()], want, bound);
+        }
+    }
+
+    #[test]
+    fn unbalanced_wheatstone_bridge_dc() {
+        // Arms R1 (top–a), R2 (a–gnd), R3 (top–b), R4 (b–gnd), bridge
+        // R5 (a–b), with R1/R2 ≠ R3/R4. The closed form is Thévenin's:
+        // each arm is a source of V·R2/(R1+R2) behind R1‖R2 (and
+        // likewise for b), and the bridge current runs through the two
+        // Thévenin resistances and R5 in series.
+        let (r1, r2, r3, r4, r5) = (1e3, 2e3, 2.2e3, 1.5e3, 470.0);
+        let mut c = Circuit::new();
+        let top = c.node("top");
+        let a = c.node("a");
+        let b = c.node("b");
+        c.vsource(top, Stimulus::Dc(VDD));
+        c.resistor(top, a, r1);
+        c.resistor(a, c.gnd(), r2);
+        c.resistor(top, b, r3);
+        c.resistor(b, c.gnd(), r4);
+        c.resistor(a, b, r5);
+        let v = dc_operating_point(&c).expect("solves");
+
+        let (va_open, ra) = (VDD * r2 / (r1 + r2), r1 * r2 / (r1 + r2));
+        let (vb_open, rb) = (VDD * r4 / (r3 + r4), r3 * r4 / (r3 + r4));
+        let bridge = (va_open - vb_open) / (ra + r5 + rb);
+        let bound = gmin_bound(2, r1 + r2 + r3 + r4 + r5, VDD);
+        assert_gmin_close("a", v[a.index()], va_open - bridge * ra, bound);
+        assert_gmin_close("b", v[b.index()], vb_open + bridge * rb, bound);
+        assert!(bridge > 1e-5, "the bridge must carry current: {bridge:e} A");
+    }
+
     /// An ideal step of `swing` volts at t = 0 (two PWL points) into
     /// R = 1 kΩ, C = 1 pF: τ = 1 ns.
     fn rc_step(swing: f64) -> (Circuit, Node) {
