@@ -273,7 +273,7 @@ impl PinMap {
 /// One net as the annealer keeps it, in one 64-byte record: the box of
 /// its pins, that box's HPWL, and for a net of at most [`SMALL_NET`]
 /// pins those pins, cycled to fill the array.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct NetRecord {
     bbox: NetBox,
     hpwl: f64,
