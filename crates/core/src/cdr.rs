@@ -338,6 +338,13 @@ pub fn oversample_bits(
 }
 
 /// Packed fast path of [`oversample_bits`]: same stream, bit for bit.
+///
+/// Edge `e` (the start of bit `e`) moves by the Box–Muller draw
+/// `√(−2 ln u1)·cos(2π·u2)·σ` from the `e`-th pair of uniforms of a
+/// generator seeded with `seed`. Most samples sit farther from both
+/// edges of their bit than any draw can reach, and a sample exactly on
+/// an edge needs only the sign of its draw, so the draw is evaluated
+/// only where neither bound decides (see [`EdgeJitter`]).
 pub fn oversample_bits_packed(
     bits: &BitVec,
     n: usize,
@@ -345,43 +352,177 @@ pub fn oversample_bits_packed(
     rj_sigma_ui: f64,
     seed: u64,
 ) -> BitVec {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jitter: Vec<f64> = (0..=bits.len())
-        .map(|_| {
-            if rj_sigma_ui <= 0.0 {
-                0.0
-            } else {
-                let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let u2: f64 = rng.gen::<f64>();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * rj_sigma_ui
-            }
-        })
-        .collect();
     let len = bits.len();
+    let mut edges = EdgeJitter::new(rj_sigma_ui, seed);
+    // A sample with `reach <= frac < 1 - 2·reach` keeps its own bit.
+    // NaN and infinite sigmas give an empty range.
+    let reach = edges.reach();
+    let far_hi = 1.0 - 2.0 * reach;
+    let by_sign = edges.sign_decides();
+    let offsets: Vec<f64> = (0..n).map(|j| (j as f64 + 0.5) / n as f64).collect();
     let mut out = BitVec::with_capacity(len * n);
+    let (mut word, mut fill) = (0u64, 0usize);
     for i in 0..len {
-        for j in 0..n {
+        for &offset in &offsets {
             // Sample time in UI units, then locate the governing bit.
-            let t = i as f64 + (j as f64 + 0.5) / n as f64 + phase_frac;
-            let idx = t.floor() as isize;
+            let t = i as f64 + offset + phase_frac;
+            // Truncation is `floor` for `t >= 0`, saturation included.
+            let idx = if t >= 0.0 {
+                t as isize
+            } else {
+                t.floor() as isize
+            };
             let frac = t - idx as f64;
             let idx = idx.clamp(0, len as isize - 1) as usize;
             // The edge at the start of bit `idx` moves by jitter[idx],
             // the one at its end by jitter[idx + 1]; either can hand the
             // sample to a neighbouring bit.
-            let bit = if idx > 0 && frac < jitter[idx] {
+            let bit = if reach <= frac && frac < far_hi {
+                bits.get(idx)
+            } else if frac == 0.0 && by_sign {
+                // On the leading edge: the trailing edge is out of reach,
+                // so only the sign of this edge's draw matters.
+                if idx > 0 && edges.is_late(idx) {
+                    bits.get(idx - 1)
+                } else {
+                    bits.get(idx)
+                }
+            } else if idx > 0 && frac < edges.jitter(idx) {
                 bits.get(idx - 1)
-            } else if idx + 1 < len && frac >= 1.0 + jitter[idx + 1] {
+            } else if idx + 1 < len && frac >= 1.0 + edges.jitter(idx + 1) {
                 bits.get(idx + 1)
             } else {
                 bits.get(idx)
             };
-            out.push(bit);
+            word |= u64::from(bit) << fill;
+            fill += 1;
+            if fill == 64 {
+                out.push_word(word, 64);
+                (word, fill) = (0, 0);
+            }
         }
     }
+    out.push_word(word, fill);
     out
+}
+
+/// `√(−2 ln ε)`: the largest radius a Box–Muller draw reaches with
+/// `u1` drawn from `[ε, 1)`, evaluated as the draw evaluates it.
+pub(crate) fn max_gauss_radius() -> f64 {
+    (-2.0 * f64::EPSILON.ln()).sqrt()
+}
+
+/// Relative padding on the jitter bounds. One radius, one cosine and
+/// two products round to within a few ulps of the bound; this is
+/// nine orders of magnitude more.
+pub(crate) const BOUND_PAD: f64 = 1.0 + 1e-9;
+
+/// Half-width of the bands around `u2 = 1/4` and `u2 = 3/4` where the
+/// sign of `cos(2π·u2)` is taken from the cosine itself. The argument
+/// `2π·u2` rounds by under 1e-15, and `2π·0.25` lands just below π/2
+/// (its cosine is positive), so `u2 < 1/4` alone would misread it.
+const SIGN_BAND: f64 = 1.0 / 17_592_186_044_416.0; // 2^-44
+
+/// Smallest sigma whose draws keep their sign. Outside the bands
+/// `|√(−2 ln u1)·cos(2π·u2)| > 5e-21`, so the product with any sigma
+/// from here up is a normal number, never an underflowed zero.
+const SIGN_SIGMA_MIN: f64 = 1e-280;
+
+/// One Box–Muller edge offset, `√(−2 ln u1)·cos(2π·u2)·σ`.
+fn box_muller(u1: f64, u2: f64, sigma: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * sigma
+}
+
+/// The sign of `cos(2π·u2)` for `u2` in `[0, 1)`, or `None` inside the
+/// bands around its zeros, where the rounded argument decides.
+fn cos_turn_sign(u2: f64) -> Option<bool> {
+    let near = |zero: f64| (zero - SIGN_BAND..=zero + SIGN_BAND).contains(&u2);
+    if near(0.25) || near(0.75) {
+        None
+    } else {
+        Some(!(0.25..0.75).contains(&u2))
+    }
+}
+
+/// `0.0 < box_muller(u1, u2, sigma)` for `u1` in `[ε, 1)` and `u2` in
+/// `[0, 1)`: the sign of the cosine where it is certain and `sigma`
+/// cannot underflow the product, the full draw otherwise.
+fn draw_is_positive(u1: f64, u2: f64, sigma: f64) -> bool {
+    match cos_turn_sign(u2) {
+        Some(positive) if sigma >= SIGN_SIGMA_MIN => positive,
+        _ => 0.0 < box_muller(u1, u2, sigma),
+    }
+}
+
+/// The per-edge jitter of [`oversample_bits_packed`], drawn lazily.
+///
+/// Edge `e` owns the generator's `e`-th `(u1, u2)` pair, so edges are
+/// drawn in order and only the last two are kept: samples never move
+/// backwards, and one sample reads at most its bit's two edges. The
+/// generator is local, so leaving trailing pairs undrawn changes
+/// nothing.
+struct EdgeJitter {
+    sigma: f64,
+    rng: rand::rngs::StdRng,
+    drawn: usize,
+    /// Edge `e`'s uniforms and, once evaluated, its jitter, at `e % 2`.
+    last: [(f64, f64, Option<f64>); 2],
+}
+
+impl EdgeJitter {
+    fn new(sigma: f64, seed: u64) -> Self {
+        use rand::SeedableRng;
+        Self {
+            sigma,
+            rng: rand::rngs::StdRng::seed_from_u64(seed),
+            drawn: 0,
+            last: [(0.0, 0.0, None); 2],
+        }
+    }
+
+    /// A bound on `|jitter|` over every possible draw: `J = |σ|·√(−2 ln ε)`,
+    /// padded. NaN or infinite for a NaN or infinite sigma.
+    fn reach(&self) -> f64 {
+        self.sigma.abs() * max_gauss_radius() * BOUND_PAD
+    }
+
+    /// Whether a sample exactly on an edge is decided by that edge's
+    /// sign alone: a positive sigma (a non-positive one draws no
+    /// jitter) with the next edge out of its reach (`J < 1/2`).
+    fn sign_decides(&self) -> bool {
+        self.sigma > 0.0 && 1.0 - 2.0 * self.reach() > 0.0
+    }
+
+    /// Edge `e`'s slot, drawing forward to it.
+    fn slot(&mut self, e: usize) -> &mut (f64, f64, Option<f64>) {
+        use rand::Rng;
+        debug_assert!(e + 2 >= self.drawn, "edges are read in order");
+        while self.drawn <= e {
+            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = self.rng.gen::<f64>();
+            self.last[self.drawn % 2] = (u1, u2, None);
+            self.drawn += 1;
+        }
+        &mut self.last[e % 2]
+    }
+
+    /// Edge `e`'s offset in UI, exactly as drawn (zero for `σ <= 0`).
+    fn jitter(&mut self, e: usize) -> f64 {
+        if self.sigma <= 0.0 {
+            return 0.0;
+        }
+        let sigma = self.sigma;
+        let (u1, u2, jitter) = self.slot(e);
+        *jitter.get_or_insert_with(|| box_muller(*u1, *u2, sigma))
+    }
+
+    /// `0.0 < jitter(e)`. Only for sigmas that pass
+    /// [`Self::sign_decides`].
+    fn is_late(&mut self, e: usize) -> bool {
+        let sigma = self.sigma;
+        let (u1, u2, _) = *self.slot(e);
+        draw_is_positive(u1, u2, sigma)
+    }
 }
 
 /// Emits the CDR decision datapath as synthesizable RTL (for the area
@@ -696,6 +837,51 @@ mod tests {
         assert!((0.5..2.0).contains(&ratio), "early/late = {early}/{late}");
     }
 
+    /// The sampler as first written, kept as the oracle for
+    /// [`oversample_bits_packed`]: one Box–Muller draw per edge into a
+    /// jitter vector, then `floor` and one bit per sample.
+    fn oversample_reference(
+        bits: &[bool],
+        n: usize,
+        phase_frac: f64,
+        rj_sigma_ui: f64,
+        seed: u64,
+    ) -> Vec<bool> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let jitter: Vec<f64> = (0..=bits.len())
+            .map(|_| {
+                if rj_sigma_ui <= 0.0 {
+                    0.0
+                } else {
+                    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+                    let u2: f64 = rng.gen::<f64>();
+                    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * rj_sigma_ui
+                }
+            })
+            .collect();
+        let len = bits.len();
+        let mut out = Vec::with_capacity(len * n);
+        for i in 0..len {
+            for j in 0..n {
+                let t = i as f64 + (j as f64 + 0.5) / n as f64 + phase_frac;
+                let idx = t.floor() as isize;
+                let frac = t - idx as f64;
+                let idx = idx.clamp(0, len as isize - 1) as usize;
+                let bit = if idx > 0 && frac < jitter[idx] {
+                    bits[idx - 1]
+                } else if idx + 1 < len && frac >= 1.0 + jitter[idx + 1] {
+                    bits[idx + 1]
+                } else {
+                    bits[idx]
+                };
+                out.push(bit);
+            }
+        }
+        out
+    }
+
     #[test]
     fn packed_recover_matches_bool_path() {
         let bits = prbs_bits(2_000);
@@ -707,7 +893,11 @@ mod tests {
             0.04,
             11,
         );
-        assert_eq!(packed.to_bools(), stream, "samplers agree bit for bit");
+        assert_eq!(
+            stream,
+            oversample_reference(&bits, 5, 0.23, 0.04, 11),
+            "the sampler agrees with the reference bit for bit"
+        );
         let mut a = OversamplingCdr::new(CdrConfig::paper_default());
         let mut b = OversamplingCdr::new(CdrConfig::paper_default());
         let out_a = a.recover(&stream);
@@ -779,9 +969,129 @@ mod tests {
         assert_eq!(&s[4..8], &[false; 4]);
     }
 
+    /// The `u2` values the sign rule is checked on: the `2^16`
+    /// consecutive doubles on each side of 1/4 and of 3/4, and the first
+    /// and last `2^16` doubles of `[0, 1)`.
+    fn sign_rule_inputs() -> impl Iterator<Item = f64> {
+        const K: u64 = 1 << 16;
+        let around = |x: f64| (x.to_bits() - K..=x.to_bits() + K).map(f64::from_bits);
+        let one = 1.0f64.to_bits();
+        around(0.25)
+            .chain(around(0.75))
+            .chain((0..K).map(f64::from_bits))
+            .chain((one - K..one).map(f64::from_bits))
+    }
+
+    #[test]
+    fn sign_rule_matches_the_full_draw_exhaustively() {
+        // 2π·0.25 rounds to just below π/2, where the cosine is still
+        // positive: a rule without a band would call u2 = 0.25 early.
+        assert!(0.0 < box_muller(0.5, 0.25, 0.003));
+        let largest_below_one = 1.0 - f64::EPSILON / 2.0;
+        // At 1e-300 the product can underflow and the full draw
+        // decides; at the smallest subnormal most products do.
+        for sigma in [0.003, 1e-300, 5e-324] {
+            for u1 in [f64::EPSILON, 0.5, largest_below_one] {
+                for u2 in sign_rule_inputs() {
+                    assert_eq!(
+                        draw_is_positive(u1, u2, sigma),
+                        0.0 < box_muller(u1, u2, sigma),
+                        "u1 = {u1:e}, u2 = {u2:e}, sigma = {sigma:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reach_bounds_every_draw() {
+        let largest_below_one = 1.0 - f64::EPSILON / 2.0;
+        let u2s = (0..4_096)
+            .map(|k| f64::from(k) / 4_096.0)
+            .chain(sign_rule_inputs());
+        let u2s: Vec<f64> = u2s.collect();
+        for sigma in [0.003, 0.2, -0.003, 1e-300, 5e-324, 1e300] {
+            let reach = EdgeJitter::new(sigma, 0).reach();
+            for u1 in [f64::EPSILON, largest_below_one] {
+                for &u2 in &u2s {
+                    let jitter = box_muller(u1, u2, sigma);
+                    assert!(
+                        jitter.abs() <= reach,
+                        "|{jitter:e}| > {reach:e} at u1 = {u1:e}, u2 = {u2:e}"
+                    );
+                    // The bathtub bounds the unscaled draw by the radius.
+                    assert!(box_muller(u1, u2, 1.0).abs() <= max_gauss_radius());
+                }
+            }
+        }
+        assert!((max_gauss_radius() - 8.49).abs() < 0.01);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        /// Phases and sigmas the samplers must agree on beyond random
+        /// ones: samples exactly on an edge (0.3 at n = 5, 0.25 at
+        /// n = 2, 0.125 at n = 4), negative, NaN, infinite and huge
+        /// values, and sigmas that underflow or reach past half a UI.
+        const PHASES: [f64; 12] = [
+            0.0,
+            0.3,
+            -0.3,
+            1.5,
+            0.25,
+            0.125,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+        ];
+        const SIGMAS: [f64; 13] = [
+            0.0,
+            -0.0,
+            0.003,
+            0.2,
+            -0.003,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-300,
+            5e-324,
+            0.45,
+            0.26,
+            0.03,
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(600))]
+
+            #[test]
+            fn packed_sampler_matches_reference(
+                len in 0usize..160,
+                n in 1usize..12,
+                phase_pick in 0usize..18,
+                phase_rand in -2.0f64..2.0,
+                sigma_pick in 0usize..20,
+                sigma_rand in 0.0f64..0.3,
+                seed in any::<u64>(),
+            ) {
+                use rand::{Rng, SeedableRng};
+                let phase = PHASES.get(phase_pick).copied().unwrap_or(phase_rand);
+                let sigma = SIGMAS.get(sigma_pick).copied().unwrap_or(sigma_rand);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
+                let bits: Vec<bool> = (0..len).map(|_| rng.gen::<bool>()).collect();
+                let got = oversample_bits_packed(&BitVec::from_bools(&bits), n, phase, sigma, seed);
+                prop_assert_eq!(
+                    got.to_bools(),
+                    oversample_reference(&bits, n, phase, sigma, seed),
+                    "len {}, n {}, phase {:e}, sigma {:e}, seed {}",
+                    len, n, phase, sigma, seed
+                );
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]

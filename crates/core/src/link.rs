@@ -217,6 +217,31 @@ fn score_frames(
     correct
 }
 
+/// The statistical PHY of the fast path: statistics from the analog
+/// models at `config`'s operating point, then the serialized `bits`
+/// oversampled with a deliberate phase offset (the reference clock is
+/// not aligned to the data — the CDR's whole job), edge jitter and
+/// per-sample noise flips.
+fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitVec, LinkError> {
+    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
+    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
+    let ui = 1.0 / config.data_rate.value();
+    let jitter_frac = config.channel.rj_sigma.value() / ui;
+    let n = config.cdr.oversampling;
+    let mut stream = oversample_bits_packed(bits, n, 0.3, jitter_frac, seed ^ 0x0511);
+    // No draw falls below a flip probability that is 0 or NaN.
+    let flip_prob = beh.flip_probability_jitter_eroded();
+    if flip_prob > 0.0 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for s in 0..stream.len() {
+            if rng.gen::<f64>() < flip_prob {
+                stream.toggle(s);
+            }
+        }
+    }
+    Ok(stream)
+}
+
 /// The fast-path link engine: serializer → statistical PHY → CDR →
 /// deserializer → scoring, at `config`'s operating point. This is the
 /// engine behind `Session::run_link`.
@@ -241,26 +266,9 @@ pub fn run_frames(
     drop(t_ser_span);
     let serialize_time = t_start.elapsed();
 
-    // PHY statistics from the analog models at this operating point.
     let t_phy = Instant::now();
     let phy_span = telemetry::span("link.phy");
-    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
-    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
-    let ui = 1.0 / config.data_rate.value();
-    let jitter_frac = config.channel.rj_sigma.value() / ui;
-    let flip_prob = beh.flip_probability_jitter_eroded();
-
-    // Oversample with a deliberate phase offset (the reference clock
-    // is not aligned to the data — the CDR's whole job), plus edge
-    // jitter and per-sample noise flips.
-    let n = config.cdr.oversampling;
-    let mut stream = oversample_bits_packed(&bits, n, 0.3, jitter_frac, seed ^ 0x0511);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for s in 0..stream.len() {
-        if rng.gen::<f64>() < flip_prob {
-            stream.toggle(s);
-        }
-    }
+    let stream = statistical_phy(config, &bits, seed)?;
     drop(phy_span);
     let phy_time = t_phy.elapsed();
 
@@ -472,28 +480,13 @@ pub fn run_frames_with_faults(
     drop(t_ser_span);
     let serialize_time = t_start.elapsed();
 
-    // PHY statistics from the analog models — identical to the
-    // fault-free path, including the RNG stream the noise flips draw.
+    // The fault-free path's PHY, then fault injection on the sampled
+    // stream: clock faults first (they move *when* everything else is
+    // seen), then amplitude faults at their scheduled UIs.
     let t_phy = Instant::now();
     let phy_span = telemetry::span("link.phy");
-    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
-    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
-    let ui = 1.0 / config.data_rate.value();
-    let jitter_frac = config.channel.rj_sigma.value() / ui;
-    let flip_prob = beh.flip_probability_jitter_eroded();
-
+    let mut stream = statistical_phy(config, &bits, seed)?;
     let n = config.cdr.oversampling;
-    let mut stream = oversample_bits_packed(&bits, n, 0.3, jitter_frac, seed ^ 0x0511);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for s in 0..stream.len() {
-        if rng.gen::<f64>() < flip_prob {
-            stream.toggle(s);
-        }
-    }
-
-    // Fault injection on the sampled stream: clock faults first (they
-    // move *when* everything else is seen), then amplitude faults at
-    // their scheduled UIs.
     let uis = (stream.len() / n) as u64;
     let mut injected_clock = 0;
     let mut injected_channel = 0;

@@ -20,6 +20,8 @@ use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Volt};
 use openserdes_phy::{ChannelModel, FrontEndConfig, RxFrontEnd};
 use openserdes_telemetry as telemetry;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 pub mod parallel;
 
@@ -128,6 +130,21 @@ struct BathtubModel {
     blur_ui: f64,
 }
 
+impl BathtubModel {
+    /// Whether `phase` lies farther from both edges of the UI than the
+    /// blur half-width plus the largest jitter a bit can draw
+    /// (`|rj|·√(−2 ln ε) + |dj|`), padded for rounding. Every bit of a
+    /// clear phase samples its own value without a blur coin. NaN or
+    /// infinite jitter is never clear.
+    fn is_clear(&self, phase: f64) -> bool {
+        let reach = (0.5 * self.blur_ui
+            + self.rj_ui.abs() * crate::cdr::max_gauss_radius()
+            + self.dj_ui.abs())
+            * crate::cdr::BOUND_PAD;
+        phase > reach && 1.0 - phase > reach
+    }
+}
+
 fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubModel), LinkError> {
     use crate::prbs::{PrbsGenerator, PrbsOrder};
     use openserdes_phy::{AnalogLink, BehavioralLink};
@@ -161,13 +178,39 @@ fn bathtub_point(
     phases: usize,
     seed: u64,
 ) -> BathtubPoint {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
     let _span = telemetry::span("sweep.eye_phase");
     telemetry::counter("sweep.eye_phases", 1);
     let phase = (k as f64 + 0.5) / phases as f64;
     let mut rng = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
+    let errors = if !model.is_clear(phase) {
+        jittered_errors(bits, model, phase, &mut rng)
+    } else if model.flip > 0.0 {
+        // Every bit samples its own value, so only noise flips err. Each
+        // bit still steps the generator past its two jitter uniforms.
+        let mut errors = 0u64;
+        for _ in 1..bits.len() {
+            rng.next_u64();
+            rng.next_u64();
+            if rng.gen::<f64>() < model.flip {
+                errors += 1;
+            }
+        }
+        errors
+    } else {
+        // No draw falls below a flip probability that is 0 or NaN.
+        0
+    };
+    telemetry::record_value("sweep.phase_errors", errors);
+    BathtubPoint {
+        phase_ui: phase,
+        ber: errors as f64 / (bits.len() - 1) as f64,
+    }
+}
+
+/// Bit errors at `phase` with every edge jittered by a Box–Muller RJ
+/// draw plus the sinusoidal DJ, a coin inside the blur window and a
+/// noise flip per bit.
+fn jittered_errors(bits: &BitVec, model: &BathtubModel, phase: f64, rng: &mut StdRng) -> u64 {
     let mut errors = 0u64;
     for i in 1..bits.len() {
         // The edge ahead of bit i sits at offset `jitter` into the UI.
@@ -195,11 +238,7 @@ fn bathtub_point(
             errors += 1;
         }
     }
-    telemetry::record_value("sweep.phase_errors", errors);
-    BathtubPoint {
-        phase_ui: phase,
-        ber: errors as f64 / (bits.len() - 1) as f64,
-    }
+    errors
 }
 
 /// The outcome of a fault-isolated sweep: every input item lands in
@@ -576,6 +615,106 @@ pub fn eye_width_at(curve: &[BathtubPoint], target: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bathtub phase as first written, kept as the oracle for
+    /// [`bathtub_point`]: a Box–Muller draw, a blur coin where the edge
+    /// is near and a noise draw on every bit of every phase.
+    fn bathtub_point_reference(
+        bits: &BitVec,
+        model: &BathtubModel,
+        k: usize,
+        phases: usize,
+        seed: u64,
+    ) -> BathtubPoint {
+        let phase = (k as f64 + 0.5) / phases as f64;
+        let mut rng = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
+        let mut errors = 0u64;
+        for i in 1..bits.len() {
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen::<f64>();
+            let gauss = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            let jitter = model.rj_ui * gauss
+                + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
+            let lead = (bits.get(i - 1) != bits.get(i)).then_some(phase - jitter);
+            let trail = (i + 1 < bits.len() && bits.get(i) != bits.get(i + 1))
+                .then_some(phase - (1.0 + jitter));
+            let in_blur = |d: f64| d.abs() < model.blur_ui / 2.0;
+            let sampled = match (lead, trail) {
+                (Some(d), _) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i - 1)),
+                (_, Some(d)) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i + 1)),
+                (Some(d), _) if d < 0.0 => Some(bits.get(i - 1)),
+                (_, Some(d)) if d > 0.0 => Some(bits.get(i + 1)),
+                _ => Some(bits.get(i)),
+            };
+            let sampled = sampled.unwrap_or_else(|| bits.get(i));
+            let noise_flip = rng.gen::<f64>() < model.flip;
+            if (sampled != bits.get(i)) ^ noise_flip {
+                errors += 1;
+            }
+        }
+        BathtubPoint {
+            phase_ui: phase,
+            ber: errors as f64 / (bits.len() - 1) as f64,
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Jitter amplitudes (UI) beyond random ones: the paper
+        /// channel's 0.003, negative, NaN, infinite, underflowing and
+        /// eye-closing values.
+        const JITTERS: [f64; 11] = [
+            0.0,
+            0.003,
+            -0.003,
+            -0.02,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-300,
+            0.05,
+            0.3,
+            -1e300,
+        ];
+        const FLIPS: [f64; 5] = [0.0, -0.1, f64::NAN, 1e-3, 0.3];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(300))]
+
+            #[test]
+            fn bathtub_point_matches_reference(
+                phases in 1usize..40,
+                nbits in 2usize..300,
+                rj_pick in 0usize..14,
+                rj_rand in 0.0f64..0.05,
+                dj_pick in 0usize..14,
+                dj_rand in 0.0f64..0.05,
+                flip_pick in 0usize..7,
+                flip_rand in 0.0f64..0.01,
+                seed in any::<u64>(),
+            ) {
+                let model = BathtubModel {
+                    flip: FLIPS.get(flip_pick).copied().unwrap_or(flip_rand),
+                    rj_ui: JITTERS.get(rj_pick).copied().unwrap_or(rj_rand),
+                    dj_ui: JITTERS.get(dj_pick).copied().unwrap_or(dj_rand),
+                    blur_ui: 0.15,
+                };
+                let mut rng = StdRng::seed_from_u64(!seed);
+                let bits: BitVec = (0..nbits).map(|_| rng.gen::<bool>()).collect();
+                for k in 0..phases {
+                    let got = bathtub_point(&bits, &model, k, phases, seed);
+                    let want = bathtub_point_reference(&bits, &model, k, phases, seed);
+                    prop_assert_eq!(
+                        (got.phase_ui.to_bits(), got.ber.to_bits()),
+                        (want.phase_ui.to_bits(), want.ber.to_bits()),
+                        "phase {} of {}, {:?}", k, phases, model
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn fig9_shapes_hold() {
