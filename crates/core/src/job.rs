@@ -556,12 +556,30 @@ fn push_sweep_spec(out: &mut String, s: &SweepSpec) {
     out.push('}');
 }
 
+/// The largest sweep counts a decoded request may carry. Every caller
+/// in the workspace stays within 100 000 bits, 32 phases and 8 frames.
+/// The caps leave ten times that and more, and hold each buffer a sweep
+/// sizes from them to a few MiB (128 KiB of bathtub bits, 16 KiB of
+/// phase points, 2 MiB of samples for a 1 024-frame probe at 64×), so
+/// no request can ask for an allocation whose failure aborts the
+/// process.
+const MAX_SWEEP_BITS: usize = 1 << 20;
+const MAX_SWEEP_PHASES: usize = 1 << 10;
+const MAX_SWEEP_FRAMES: usize = 1 << 10;
+
 fn parse_sweep_spec(v: &Json) -> Result<SweepSpec, String> {
     let obj = v.as_obj("sweep")?;
+    let count = |field: &str, max: usize| -> Result<usize, String> {
+        let n = json::get(obj, field)?.as_usize(field)?;
+        if n > max {
+            return Err(format!("sweep: {field} {n} above the limit of {max}"));
+        }
+        Ok(n)
+    };
     // A bathtub scores bits 1..n against their predecessors, so it needs
     // two bits; a bisection to a non-positive or NaN tolerance never
     // (or trivially) ends.
-    let bits = json::get(obj, "bits")?.as_usize("bits")?;
+    let bits = count("bits", MAX_SWEEP_BITS)?;
     if bits < 2 {
         return Err(format!("sweep: bits {bits} below 2"));
     }
@@ -573,8 +591,8 @@ fn parse_sweep_spec(v: &Json) -> Result<SweepSpec, String> {
     }
     Ok(SweepSpec {
         bits,
-        phases: json::get(obj, "phases")?.as_usize("phases")?,
-        frames: json::get(obj, "frames")?.as_usize("frames")?,
+        phases: count("phases", MAX_SWEEP_PHASES)?,
+        frames: count("frames", MAX_SWEEP_FRAMES)?,
         tol_db,
     })
 }

@@ -49,11 +49,15 @@ fn with_server(config: ServerConfig, body: impl FnOnce(std::net::SocketAddr)) ->
 }
 
 fn quick_bathtub(bits: usize) -> Request {
+    bathtub(bits, 8)
+}
+
+fn bathtub(bits: usize, phases: usize) -> Request {
     Request::Bathtub {
         config: LinkConfig::paper_default(),
         sweep: SweepSpec {
             bits,
-            phases: 8,
+            phases,
             frames: 2,
             tol_db: 1.0,
         },
@@ -200,16 +204,20 @@ const OCCUPIER_HOLD: Duration = Duration::from_millis(1_600);
 
 /// Starts a bathtub that holds the sole worker for about
 /// [`OCCUPIER_HOLD`], from its own client, and gives it time to reach
-/// the worker. A fixed size cannot: 1 000 000 bits take 0.26 s in a
-/// release build on a 2-vCPU Xeon. So the size scales a direct timing
-/// of a 100 000-bit bathtub in the same build (one sweep thread, as
-/// the server runs it).
+/// the worker. A fixed size cannot: how long a bathtub takes depends
+/// on the host and the build. So the size scales a direct timing of a
+/// 100 000-bit bathtub in the same build (one sweep thread, as the
+/// server runs it): the bits grow to the decode limit of 2^20, then
+/// the phases.
 fn start_occupier(addr: SocketAddr, priority: u8, seed: u64) -> JoinHandle<Response> {
     const PROBE_BITS: usize = 100_000;
+    const PROBE_PHASES: usize = 8;
     let started = Instant::now();
-    direct_bytes(seed, &quick_bathtub(PROBE_BITS));
+    direct_bytes(seed, &bathtub(PROBE_BITS, PROBE_PHASES));
     let scale = OCCUPIER_HOLD.as_secs_f64() / started.elapsed().as_secs_f64();
-    let request = quick_bathtub((PROBE_BITS as f64 * scale).ceil() as usize);
+    let bits = ((PROBE_BITS as f64 * scale).ceil() as usize).min(1 << 20);
+    let phases = (PROBE_PHASES as f64 * scale * PROBE_BITS as f64 / bits as f64).ceil();
+    let request = bathtub(bits, phases as usize);
     let occupier = std::thread::spawn(move || {
         let mut client = Client::connect(addr, "occupier").expect("connect");
         client.submit(priority, seed, &request).expect("slow job")
@@ -486,6 +494,55 @@ fn hostile_nesting_gets_a_typed_error_and_the_connection_survives() {
         }
     });
     assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.conn_errors, 0);
+    assert_eq!(stats.completed, 1);
+}
+
+#[test]
+fn oversized_sweep_gets_a_typed_error_and_the_server_keeps_serving() {
+    // 2^40 phases used to decode, and the bathtub's phase list then
+    // failed an 8 TiB allocation: an abort that no `catch_unwind` in
+    // the worker can isolate, taking the whole server down.
+    let stats = with_server(ServerConfig::default(), |addr| {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("bounded read");
+        let mut exchange = |payload: &[u8]| {
+            wire::write_frame_blocking(&mut s, payload).expect("send frame");
+            let reply = wire::read_frame_blocking(&mut s)
+                .expect("reply")
+                .expect("frame before close");
+            wire::parse_reply(&String::from_utf8(reply).expect("utf8")).expect("reply parses")
+        };
+        let envelope = |request: Request| wire::Envelope {
+            tenant: "greedy".into(),
+            priority: 1,
+            seed: 5,
+            deadline_ms: None,
+            request,
+        };
+        let json = envelope(quick_bathtub(500)).to_json();
+        for (from, to) in [
+            ("\"phases\":8", "\"phases\":1099511627776"),
+            ("\"bits\":500", "\"bits\":1099511627776"),
+        ] {
+            let hostile = json.replace(from, to);
+            assert_ne!(hostile, json, "the edit must hit the sweep");
+            match exchange(hostile.as_bytes()) {
+                Err(msg) => assert!(msg.contains("above the limit"), "typed: {msg}"),
+                Ok(other) => panic!("expected an error frame, got {other:?}"),
+            }
+        }
+        match exchange(envelope(quick_bathtub(500)).to_json().as_bytes()) {
+            Ok(response) => assert_eq!(
+                response.to_canonical_json(),
+                direct_bytes(5, &quick_bathtub(500)),
+                "the same connection is still served"
+            ),
+            Err(msg) => panic!("expected a bathtub reply, got {msg}"),
+        }
+    });
+    assert_eq!(stats.protocol_errors, 2);
     assert_eq!(stats.conn_errors, 0);
     assert_eq!(stats.completed, 1);
 }
