@@ -344,7 +344,7 @@ pub fn oversample_bits(
 /// generator seeded with `seed`. Most samples sit farther from both
 /// edges of their bit than any draw can reach, and a sample exactly on
 /// an edge needs only the sign of its draw, so the draw is evaluated
-/// only where neither bound decides (see [`EdgeJitter`]).
+/// only where neither bound decides.
 pub fn oversample_bits_packed(
     bits: &BitVec,
     n: usize,
@@ -423,7 +423,7 @@ pub(crate) const BOUND_PAD: f64 = 1.0 + 1e-9;
 /// (its cosine is positive), so `u2 < 1/4` alone would misread it.
 const SIGN_BAND: f64 = 1.0 / 17_592_186_044_416.0; // 2^-44
 
-/// Smallest sigma whose draws keep their sign. Outside the bands
+/// Smallest sigma the sign rule trusts. Outside the bands
 /// `|√(−2 ln u1)·cos(2π·u2)| > 5e-21`, so the product with any sigma
 /// from here up is a normal number, never an underflowed zero.
 const SIGN_SIGMA_MIN: f64 = 1e-280;
@@ -496,7 +496,7 @@ impl EdgeJitter {
     /// Edge `e`'s slot, drawing forward to it.
     fn slot(&mut self, e: usize) -> &mut (f64, f64, Option<f64>) {
         use rand::Rng;
-        debug_assert!(e + 2 >= self.drawn, "edges are read in order");
+        assert!(e + 2 >= self.drawn, "edges are read in order");
         while self.drawn <= e {
             let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
             let u2: f64 = self.rng.gen::<f64>();
