@@ -19,8 +19,8 @@
 //! The MOS *channel* (drain–source) conducts DC; the *gate* does not —
 //! so the paper's AC-coupled receiver front end, whose input bias comes
 //! only through a PMOS pseudo-resistor channel, is correctly clean.
-//! [`gate_config`] is the profile the solver entry points use in debug
-//! builds: it downgrades `AN001` to a warning because gmin stepping
+//! [`debug_check`], the gate the solver entry points run in debug
+//! builds, downgrades `AN001` to a warning because gmin stepping
 //! deliberately tolerates DC-floating internal nodes.
 
 use crate::circuit::{Circuit, Element, Node, Stimulus};
@@ -44,11 +44,11 @@ impl Circuit {
 /// to a warning because the solver's gmin stepping parks DC-floating
 /// nodes at ground by design (see `floating_node_reported_or_stabilized`
 /// in the solver tests).
-pub fn gate_config() -> LintConfig {
+fn gate_config() -> LintConfig {
     LintConfig::default().set_level(Rule::NoDcPath, LintLevel::Warn)
 }
 
-/// Debug-build DRC gate: lints `circuit` under [`gate_config`] and
+/// Debug-build DRC gate: lints `circuit` under `gate_config` and
 /// panics with the full report if any Error-level finding remains.
 /// Compiled to a no-op in release builds, like `debug_assert!`.
 ///

@@ -25,11 +25,6 @@ pub struct EyeDiagram {
 }
 
 impl EyeDiagram {
-    /// `true` when both vertical and horizontal openings are positive.
-    pub fn is_open(&self) -> bool {
-        self.height > 0.0 && self.width > 0.0
-    }
-
     /// Analyzes `waveform` with unit interval `ui`, ignoring everything
     /// before `skip` (settling). `threshold` is the decision level.
     ///
@@ -123,7 +118,6 @@ mod tests {
         let bits = prbs_like();
         let w = Waveform::nrz(&bits, ui, 50e-12, 0.0, 1.8, 32);
         let eye = EyeDiagram::analyze(&w, ui, 2.0 * ui, 0.9).expect("eye");
-        assert!(eye.is_open());
         assert!(eye.height > 1.5, "height = {}", eye.height);
         assert!(eye.width > 0.8 * ui, "width = {}", eye.width);
         assert!(eye.intervals > 50);

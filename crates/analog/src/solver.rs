@@ -25,9 +25,13 @@
 //! * [`StepMode`] — `Fixed(dt)` replays the historical fixed-step
 //!   backward-Euler loop **bit-identically** (guarded by regression
 //!   tests against the [`reference`](mod@reference) module);
-//!   `Adaptive` adds step-doubling local truncation error control that
-//!   walks coarsely over settled spans and refines at NRZ edges,
-//!   resampled onto the uniform [`Waveform`] grid.
+//!   `Adaptive` adds local truncation error control that walks
+//!   coarsely over settled spans and refines at NRZ edges, resampled
+//!   onto the uniform [`Waveform`] grid. Each step after the first
+//!   accepted span is one backward-Euler solve, its error estimated
+//!   from the second divided difference across the last two spans;
+//!   only a step with no solution history (the start of the run) is
+//!   step-doubled, solved once at `h` and twice at `h/2`.
 //!
 //! Every public entry point reports [`SolverStats`] so benches and
 //! callers can see Newton iteration counts, factorization reuse rates
@@ -101,12 +105,15 @@ pub enum StepMode {
     /// pre-refactor solver (see the [`reference`](mod@reference)
     /// module).
     Fixed(f64),
-    /// Step-doubling LTE control: each candidate step of size `h` is
-    /// taken once at `h` and twice at `h/2`; the difference bounds the
-    /// local truncation error. Steps halve (down to `dt_min`) when the
-    /// estimate exceeds `lte_tol` volts and double (up to `dt_max`)
-    /// when it is comfortably inside. Output is resampled onto a
-    /// uniform grid of `dt_min`.
+    /// LTE control: each step after the first accepted span is one
+    /// backward-Euler solve, its local truncation error estimated as
+    /// `h²·v''/4` from the second divided difference across the last
+    /// two spans. A step with no solution history (the start of the
+    /// run) is step-doubled instead: solved once at `h` and twice at
+    /// `h/2`, the difference bounding the error. Steps shrink (down to
+    /// `dt_min`) when the estimate exceeds `lte_tol` volts and double
+    /// (up to `dt_max`) when it is comfortably inside. Output is
+    /// resampled onto a uniform grid of `dt_min`.
     Adaptive {
         /// Smallest allowed step and the output grid pitch, seconds.
         dt_min: f64,
@@ -138,12 +145,12 @@ impl TransientConfig {
     /// consuming `with_*` builders:
     ///
     /// ```
-    /// use openserdes_analog::solver::TransientConfig;
+    /// use openserdes_analog::solver::{StepMode, TransientConfig};
     ///
     /// let cfg = TransientConfig::until(5e-9)
     ///     .with_fixed_dt(2e-12)
     ///     .with_max_newton(200);
-    /// assert_eq!(cfg.out_dt(), 2e-12);
+    /// assert_eq!(cfg.step, StepMode::Fixed(2e-12));
     /// ```
     pub fn until(t_end: f64) -> Self {
         Self {
@@ -162,9 +169,9 @@ impl TransientConfig {
         self
     }
 
-    /// Step-doubling LTE control between `dt_min` and `dt_max`, with
-    /// the accepted per-step error bound `lte_tol` volts; the output
-    /// waveform grid is `dt_min`.
+    /// LTE-controlled steps between `dt_min` and `dt_max` (see
+    /// [`StepMode::Adaptive`]), with the accepted per-step error bound
+    /// `lte_tol` volts; the output waveform grid is `dt_min`.
     #[must_use]
     pub fn with_adaptive_steps(mut self, dt_min: f64, dt_max: f64, lte_tol: f64) -> Self {
         self.step = StepMode::Adaptive {
@@ -180,29 +187,6 @@ impl TransientConfig {
     pub fn with_max_newton(mut self, max_newton: usize) -> Self {
         self.max_newton = max_newton;
         self
-    }
-
-    /// Convergence tolerance on voltage updates, volts.
-    #[must_use]
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
-    /// Stabilizing node-to-ground conductance, siemens.
-    #[must_use]
-    pub fn with_gmin(mut self, gmin: f64) -> Self {
-        self.gmin = gmin;
-        self
-    }
-
-    /// The uniform output-grid pitch the run produces: the fixed step,
-    /// or `dt_min` for adaptive runs.
-    pub fn out_dt(&self) -> f64 {
-        match self.step {
-            StepMode::Fixed(dt) => dt,
-            StepMode::Adaptive { dt_min, .. } => dt_min,
-        }
     }
 
     /// Panics, naming the field, on a configuration whose run could
@@ -418,11 +402,6 @@ impl DcSweepResult {
     /// Solver counters for the whole sweep.
     pub fn stats(&self) -> &SolverStats {
         &self.stats
-    }
-
-    /// Consumes the result, returning the raw per-point vectors.
-    pub fn into_points(self) -> Vec<Vec<f64>> {
-        self.points
     }
 }
 
@@ -729,9 +708,9 @@ struct LuBank {
 
 /// Reusable flat buffers for one solver: two LU banks (Jacobians
 /// factorized in place) and the residual/solution vector. Two banks
-/// because the step-doubling transient solves at `h` and `h/2` in
-/// alternation — with a single cache each would evict the other every
-/// composite step. Sized once per topology; no solve allocates.
+/// because the adaptive transient's step-doubling probe solves at `h`
+/// and `h/2` in alternation — with a single cache each would evict the
+/// other every composite step. Sized once per topology; no solve allocates.
 #[derive(Debug, Clone)]
 struct Workspace {
     n: usize,
@@ -1304,7 +1283,7 @@ impl<'c> Solver<'c> {
     /// guesses, each with a direct attempt, a gmin ladder and a final
     /// direct attempt. Identical flow to the historical `dc_at_time`,
     /// except failures now report the actual `t` instead of `0.0`.
-    pub fn dc_at(&mut self, t: f64) -> Result<Vec<f64>, SolverError> {
+    fn dc_at(&mut self, t: f64) -> Result<Vec<f64>, SolverError> {
         // Mid-supply initial guess: the natural basin for self-biased
         // CMOS (the resistive-feedback inverter settles near 0.5·VDD).
         let v_mid = 0.5 * self.max_source_abs(t);
@@ -1466,10 +1445,13 @@ impl<'c> Solver<'c> {
             .collect())
     }
 
-    /// Step-doubling adaptive loop: each candidate step `h` is solved
-    /// once at `h` and twice at `h/2`; `max |v_h − v_{h/2,h/2}|` bounds
-    /// the backward-Euler LTE. Accepted spans are linearly resampled
-    /// onto the uniform `dt_min` output grid.
+    /// Adaptive loop. With an accepted span behind it, a step is one
+    /// backward-Euler solve whose LTE, `0.25·h²·v''`, comes from the
+    /// second divided difference across the last two spans. A step with
+    /// no history (the start of the run) is solved once at `h` and twice
+    /// at `h/2`, and `max |v_h − v_{h/2,h/2}|` bounds its LTE. Steps at
+    /// the `dt_min` floor are taken unchecked. Accepted spans are
+    /// linearly resampled onto the uniform `dt_min` output grid.
     fn transient_adaptive(
         &mut self,
         dt_min: f64,
@@ -1911,7 +1893,7 @@ pub fn dc_sweep(
 }
 
 /// [`dc_sweep`] fanned across `threads` workers. Each point is its own
-/// robust [`Solver::dc_at`] solve with source `source_index`
+/// robust `Solver::dc_at` solve with source `source_index`
 /// overridden, so results come back in input order, bit-identical for
 /// any thread count and to a [`dc_operating_point`] of each point's
 /// circuit.
@@ -2089,10 +2071,15 @@ mod tests {
     /// An ideal step of `swing` volts at t = 0 (two PWL points) into
     /// R = 1 kΩ, C = 1 pF: τ = 1 ns.
     fn rc_step(swing: f64) -> (Circuit, Node) {
+        rc_driven(Stimulus::Pwl(vec![(0.0, 0.0), (0.0, swing)]))
+    }
+
+    /// A 1 kΩ / 1 pF low-pass (τ = 1 ns) driven by `source`.
+    fn rc_driven(source: Stimulus) -> (Circuit, Node) {
         let mut c = Circuit::new();
         let vin = c.node("vin");
         let out = c.node("out");
-        c.vsource(vin, Stimulus::Pwl(vec![(0.0, 0.0), (0.0, swing)]));
+        c.vsource(vin, source);
         c.resistor(vin, out, 1e3);
         c.capacitor(out, c.gnd(), 1e-12);
         (c, out)
@@ -2154,6 +2141,53 @@ mod tests {
         }
         // Backward Euler is first order: halving dt halves the error
         // against 1 − e^(−t/τ).
+        for (pair, dt) in max_errs.windows(2).zip([20e-12, 10e-12, 5e-12]) {
+            let ratio = pair[0] / pair[1];
+            assert!(
+                (1.9..=2.1).contains(&ratio),
+                "error ratio {ratio} halving dt from {dt:e} ({:e} -> {:e})",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+
+    #[test]
+    fn rc_ramp_response_matches_analytic() {
+        // The source ramps at `slope` V/s to `t_ramp`, then holds. Up to
+        // t_ramp the output lags the ramp, v(t) = k·(t − τ·(1 − e^(−t/τ)));
+        // after it, v settles exponentially onto k·t_ramp.
+        let (tau, slope, t_ramp) = (1e-9, 0.5e9, 2e-9);
+        let exact = |t: f64| {
+            let at = |t: f64| slope * (t - tau * (1.0 - (-t / tau).exp()));
+            if t <= t_ramp {
+                at(t)
+            } else {
+                let hold = slope * t_ramp;
+                hold - (hold - at(t_ramp)) * (-(t - t_ramp) / tau).exp()
+            }
+        };
+        let mut max_errs = Vec::new();
+        for dt in [20e-12, 10e-12, 5e-12, 2.5e-12] {
+            let cfg = TransientConfig::until(5.0 * tau).with_fixed_dt(dt);
+            let (c, out) = rc_driven(Stimulus::Pwl(vec![(0.0, 0.0), (t_ramp, slope * t_ramp)]));
+            let res = transient(&c, &cfg).expect("runs");
+            let err = res
+                .waveform(out)
+                .samples()
+                .iter()
+                .enumerate()
+                .map(|(k, &v)| (v - exact(k as f64 * dt)).abs())
+                .fold(0.0f64, f64::max);
+            // Each backward-Euler step errs by at most (dt²/2)·|v''|, and
+            // |v''| ≤ k/τ on both the ramp and the settle. The step
+            // divides carried error by 1 + dt/τ, so the sum stays below
+            // (dt²/2)·(k/τ)·(τ/dt) = k·dt/2.
+            let bound = slope * dt / 2.0;
+            assert!(err <= bound, "dt {dt:e}: error {err:e} above {bound:e}");
+            max_errs.push(err);
+        }
+        // First order: halving dt halves the error.
         for (pair, dt) in max_errs.windows(2).zip([20e-12, 10e-12, 5e-12]) {
             let ratio = pair[0] / pair[1];
             assert!(

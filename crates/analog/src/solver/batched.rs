@@ -556,11 +556,6 @@ impl BatchedTransientResult {
         &self.results
     }
 
-    /// Consumes the batch, yielding the per-point results.
-    pub fn into_results(self) -> Vec<Result<TransientResult, SolverError>> {
-        self.results
-    }
-
     /// Statistics for the whole batch (kernel plus per-point solves).
     /// The kernel's counters (`batched_points`, `batch_retirements`,
     /// `batched_factorizations`) live here.

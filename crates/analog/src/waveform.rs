@@ -165,17 +165,6 @@ impl Waveform {
         Some(t_hi - t_lo)
     }
 
-    /// Propagation delay from this waveform's first crossing of
-    /// `threshold` to `other`'s first crossing (same direction).
-    pub fn delay_to(&self, other: &Waveform, threshold: f64, rising: bool) -> Option<f64> {
-        let t1 = *self.crossings(threshold, rising).first()?;
-        let t2 = other
-            .crossings(threshold, rising)
-            .into_iter()
-            .find(|&t| t >= t1)?;
-        Some(t2 - t1)
-    }
-
     /// Samples the waveform at the centre of each unit interval and
     /// slices against `threshold`, returning the recovered bits.
     pub fn slice_bits(&self, bit_time: f64, phase: f64, threshold: f64, count: usize) -> Vec<bool> {
@@ -204,21 +193,6 @@ impl Waveform {
                 (self.samples[i] - other.sample_at(t)).abs()
             })
             .fold(0.0f64, f64::max)
-    }
-
-    /// Pointwise combination of two waveforms on this waveform's grid
-    /// (the other waveform is resampled by interpolation).
-    pub fn zip_with(&self, other: &Waveform, f: impl Fn(f64, f64) -> f64) -> Waveform {
-        Waveform {
-            t0: self.t0,
-            dt: self.dt,
-            samples: (0..self.samples.len())
-                .map(|i| {
-                    let t = self.t0 + i as f64 * self.dt;
-                    f(self.samples[i], other.sample_at(t))
-                })
-                .collect(),
-        }
     }
 }
 
@@ -295,14 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_between_shifted_edges() {
-        let a = Waveform::nrz(&[false, true], 1e-9, 0.1e-9, 0.0, 1.0, 64);
-        let b = Waveform::from_fn(a.t0(), a.dt(), a.len(), |t| a.sample_at(t - 0.3e-9));
-        let d = a.delay_to(&b, 0.5, true).expect("both cross");
-        assert!((d - 0.3e-9).abs() < 0.05e-9, "d = {d}");
-    }
-
-    #[test]
     fn slice_bits_recovers_pattern() {
         let bits = [true, false, true, true, false, false, true, false];
         let w = Waveform::nrz(&bits, 500e-12, 50e-12, 0.0, 1.8, 16);
@@ -311,12 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn map_and_zip() {
+    fn map_applies_per_sample() {
         let w = Waveform::new(0.0, 1.0, vec![1.0, 2.0]);
         let half = w.map(|v| v / 2.0);
         assert_eq!(half.samples(), &[0.5, 1.0]);
-        let sum = w.zip_with(&half, |a, b| a + b);
-        assert_eq!(sum.samples(), &[1.5, 3.0]);
     }
 
     #[test]

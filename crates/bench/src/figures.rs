@@ -13,8 +13,8 @@ use openserdes_flow::{Flow, FlowConfig, FlowResult};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Time, Volt};
 use openserdes_phy::{
-    ChannelModel, DriverConfig, DriverWaveforms, FrontEndConfig, FrontEndWaveforms, RxFrontEnd,
-    SmallSignal, TxDriver,
+    DriverConfig, DriverWaveforms, FrontEndConfig, FrontEndWaveforms, RxFrontEnd, SmallSignal,
+    TxDriver,
 };
 
 /// Fig. 2: relative chip cost, traditional vs open PDK, per node.
@@ -349,42 +349,6 @@ pub fn headline() -> Result<Vec<HeadlineRow>, openserdes_core::LinkError> {
     ])
 }
 
-/// Scenario presets from §VI-b: PCIe lane rates and EMIB chiplet links.
-pub fn application_channels() -> Vec<(&'static str, Hertz, ChannelModel)> {
-    vec![
-        (
-            "PCIe 1.x lane",
-            Hertz::from_ghz(0.25),
-            ChannelModel::pcie(20.0),
-        ),
-        (
-            "PCIe 2.x lane",
-            Hertz::from_ghz(0.5),
-            ChannelModel::pcie(22.0),
-        ),
-        (
-            "PCIe 3.x lane",
-            Hertz::from_ghz(1.0),
-            ChannelModel::pcie(25.0),
-        ),
-        (
-            "PCIe 4.0 lane",
-            Hertz::from_ghz(2.0),
-            ChannelModel::pcie(28.0),
-        ),
-        (
-            "EMIB chiplet 1dB",
-            Hertz::from_ghz(2.0),
-            ChannelModel::emib(1.0),
-        ),
-        (
-            "EMIB chiplet 5dB",
-            Hertz::from_ghz(4.0),
-            ChannelModel::emib(5.0),
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,13 +392,5 @@ mod tests {
         let rows = headline().expect("computes");
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| !r.measured.is_empty()));
-    }
-
-    #[test]
-    fn application_presets_cover_section_vib() {
-        let apps = application_channels();
-        assert_eq!(apps.len(), 6);
-        assert!(apps.iter().any(|(n, _, _)| n.contains("PCIe")));
-        assert!(apps.iter().any(|(n, _, _)| n.contains("EMIB")));
     }
 }

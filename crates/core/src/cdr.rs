@@ -20,6 +20,7 @@
 
 use crate::bitstream::BitVec;
 use openserdes_flow::ir::Design;
+use std::ops::RangeInclusive;
 
 /// CDR configuration (the paper's scan bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,6 +87,10 @@ pub struct OversamplingCdr {
     relock_times: Vec<u64>,
 }
 
+/// The oversampling factors [`OversamplingCdr::new`] accepts: at least
+/// three samples per UI, and one UI must fit a 64-bit sample word.
+pub(crate) const OVERSAMPLING: RangeInclusive<usize> = 3..=64;
+
 impl OversamplingCdr {
     /// Creates a CDR starting at the centre phase.
     ///
@@ -93,9 +98,12 @@ impl OversamplingCdr {
     ///
     /// Panics if `oversampling` is outside `3..=64` or `window == 0`.
     pub fn new(cfg: CdrConfig) -> Self {
-        assert!(cfg.oversampling >= 3, "need at least 3x oversampling");
         assert!(
-            cfg.oversampling <= 64,
+            cfg.oversampling >= *OVERSAMPLING.start(),
+            "need at least 3x oversampling"
+        );
+        assert!(
+            cfg.oversampling <= *OVERSAMPLING.end(),
             "one UI must fit a 64-bit sample word"
         );
         assert!(cfg.window > 0, "decision window must be positive");
@@ -131,11 +139,6 @@ impl OversamplingCdr {
         self.phase_updates
     }
 
-    /// Unit intervals processed.
-    pub fn uis_processed(&self) -> u64 {
-        self.uis
-    }
-
     /// Times the decision block, after first lock, found the data eye
     /// disagreeing with the selected phase (the resilience metric fault
     /// campaigns quantify: each loss pairs with a re-lock time once the
@@ -148,12 +151,6 @@ impl OversamplingCdr {
     /// from the disagreeing decision window to the next agreeing one.
     pub fn relock_times_ui(&self) -> &[u64] {
         &self.relock_times
-    }
-
-    /// When the CDR is mid-episode (lost lock, not yet re-agreed):
-    /// the UI count at which disagreement was detected.
-    pub fn unlocked_since_ui(&self) -> Option<u64> {
-        self.unlock_at_ui
     }
 
     /// Processes one unit interval packed into the low `oversampling`
@@ -180,7 +177,7 @@ impl OversamplingCdr {
     /// # Panics
     ///
     /// Panics if `samples.len() != oversampling`.
-    pub fn process_ui(&mut self, samples: &[bool]) -> bool {
+    fn process_ui(&mut self, samples: &[bool]) -> bool {
         let n = self.cfg.oversampling;
         assert_eq!(samples.len(), n, "one UI is {n} samples");
         let mut word = 0u64;
@@ -915,7 +912,7 @@ mod tests {
         assert!(cdr.is_locked());
         assert_eq!(cdr.lock_losses(), 0);
         assert!(cdr.relock_times_ui().is_empty());
-        assert_eq!(cdr.unlocked_since_ui(), None);
+        assert_eq!(cdr.unlock_at_ui, None);
     }
 
     #[test]
@@ -940,7 +937,7 @@ mod tests {
             "re-lock in {} UIs",
             cdr.relock_times_ui()[0]
         );
-        assert_eq!(cdr.unlocked_since_ui(), None, "episode must be closed");
+        assert_eq!(cdr.unlock_at_ui, None, "episode must be closed");
         assert_eq!(cdr.selected_phase(), before, "phase recovers");
     }
 
@@ -1123,7 +1120,7 @@ mod tests {
                 let _ = cdr.recover(&stream[half..]);
 
                 prop_assert!(cdr.lock_losses() >= 1, "the upset must be detected");
-                prop_assert_eq!(cdr.unlocked_since_ui(), None, "episode must close");
+                prop_assert_eq!(cdr.unlock_at_ui, None, "episode must close");
                 let bound = 6 * cfg.window as u64;
                 for &t in cdr.relock_times_ui() {
                     prop_assert!(t <= bound, "re-lock took {t} UIs (bound {bound})");

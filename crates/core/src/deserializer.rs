@@ -15,23 +15,12 @@ use openserdes_flow::ir::Design;
 pub struct Deserializer {
     bank: Frame,
     index: usize,
-    frames_received: u64,
 }
 
 impl Deserializer {
     /// Creates an empty deserializer.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bits captured into the current partial frame.
-    pub fn fill_level(&self) -> usize {
-        self.index
-    }
-
-    /// Frames completed so far.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received
     }
 
     /// One clock with the received serial bit; returns the completed
@@ -47,7 +36,6 @@ impl Deserializer {
         self.index += 1;
         if self.index == FRAME_BITS {
             self.index = 0;
-            self.frames_received += 1;
             Some(self.bank)
         } else {
             None
@@ -80,7 +68,6 @@ impl Deserializer {
                 self.index += WORD_BITS;
                 if self.index == FRAME_BITS {
                     self.index = 0;
-                    self.frames_received += 1;
                     out.push(self.bank);
                 }
             } else {
@@ -101,15 +88,10 @@ impl Deserializer {
         (self.bank, self.index)
     }
 
-    /// Resets the bit counter (frame alignment), e.g. after CDR lock.
-    pub fn realign(&mut self) {
-        self.index = 0;
-    }
-
     /// Single-event upset: flips bit `bit` of capture lane `lane`
     /// (both folded into range). Bits at or past the fill level are
     /// overwritten before the frame completes, so only strikes below
-    /// [`Self::fill_level`] in the struck lane corrupt data — exactly
+    /// the fill level in the struck lane corrupt data — exactly
     /// the exposure window of the real 256-bit bank.
     pub fn inject_seu(&mut self, lane: u32, bit: u32) {
         self.bank[lane as usize % LANES] ^= 1 << (bit % WORD_BITS as u32);
@@ -178,7 +160,6 @@ mod tests {
             let out = des.push_bits(&bits);
             assert_eq!(out, vec![f], "round trip must be the identity");
         }
-        assert_eq!(des.frames_received(), 3);
     }
 
     #[test]
@@ -186,10 +167,10 @@ mod tests {
         let mut des = Deserializer::new();
         let out = des.push_bits(&[true; 255]);
         assert!(out.is_empty());
-        assert_eq!(des.fill_level(), 255);
+        assert_eq!(des.index, 255);
         let done = des.tick(false);
         assert!(done.is_some());
-        assert_eq!(des.fill_level(), 0);
+        assert_eq!(des.index, 0);
     }
 
     #[test]
@@ -209,7 +190,7 @@ mod tests {
             let out_b = b.push_packed(&packed, offset, packed.len() - offset);
             assert_eq!(out_a, out_b, "offset {offset}");
             assert_eq!(a, b, "FSM state must agree at offset {offset}");
-            assert_eq!(b.partial_frame().1, b.fill_level());
+            assert_eq!(b.partial_frame().1, b.index);
         }
     }
 
@@ -229,17 +210,7 @@ mod tests {
         assert_eq!(frames[0], expect, "exactly lane 1 bit 7 flips");
         // Out-of-range indices fold instead of panicking.
         des.inject_seu(9, 40);
-        assert_eq!(des.fill_level(), 0);
-    }
-
-    #[test]
-    fn realign_restarts_frame() {
-        let mut des = Deserializer::new();
-        let _ = des.push_bits(&[true; 100]);
-        des.realign();
-        assert_eq!(des.fill_level(), 0);
-        let frames = des.push_bits(&frame_to_bits(&test_frame()));
-        assert_eq!(frames, vec![test_frame()]);
+        assert_eq!(des.index, 0);
     }
 
     #[test]

@@ -532,11 +532,26 @@ fn push_link_config(out: &mut String, cfg: &LinkConfig) {
 fn parse_link_config(v: &Json) -> Result<LinkConfig, String> {
     let obj = v.as_obj("config")?;
     let cdr_obj = json::get(obj, "cdr")?.as_obj("cdr")?;
+    // The range `OversamplingCdr::new` asserts. A link run sizes its
+    // sample buffers from `oversampling` before the CDR exists, so past
+    // the range a request would abort the process on a failed
+    // allocation instead of panicking where the worker can isolate it.
+    let oversampling = json::get(cdr_obj, "oversampling")?.as_usize("oversampling")?;
+    if !crate::cdr::OVERSAMPLING.contains(&oversampling) {
+        return Err(format!(
+            "cdr: oversampling {oversampling} outside {:?}",
+            crate::cdr::OVERSAMPLING
+        ));
+    }
+    let window = json::get(cdr_obj, "window")?.as_usize("window")?;
+    if window == 0 {
+        return Err("cdr: window 0 must be positive".to_string());
+    }
     let cdr = crate::cdr::CdrConfig {
-        oversampling: json::get(cdr_obj, "oversampling")?.as_usize("oversampling")?,
+        oversampling,
         glitch_filter: json::get(cdr_obj, "glitch_filter")?.as_bool("glitch_filter")?,
         phase_hysteresis: json::get(cdr_obj, "phase_hysteresis")?.as_u32("phase_hysteresis")?,
-        window: json::get(cdr_obj, "window")?.as_usize("window")?,
+        window,
     };
     Ok(LinkConfig {
         data_rate: Hertz::new(json::get(obj, "data_rate_hz")?.as_f64("data_rate_hz")?),
@@ -673,7 +688,7 @@ fn parse_design(v: &Json) -> Result<DesignSpec, String> {
 /// Schema tag of a fault-schedule file, the `schema` field that
 /// [`fault_schedule_to_json`] writes and [`fault_schedule_from_json`]
 /// requires.
-pub const FAULT_SCHEDULE_SCHEMA: &str = "openserdes-fault-schedule/1";
+const FAULT_SCHEDULE_SCHEMA: &str = "openserdes-fault-schedule/1";
 
 /// Writes `schedule` as an `openserdes-fault-schedule/1` file: a
 /// self-describing document with one event per line, so a campaign can

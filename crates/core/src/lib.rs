@@ -66,7 +66,7 @@ pub use link::{
     run_frames_with_faults, AnalogFrameReport, FaultReport, LinkConfig, LinkReport, LinkStats,
 };
 pub use prbs::{PrbsChecker, PrbsGenerator, PrbsOrder};
-pub use scan::{scan_chain_design, ScanChain, SCAN_BITS};
+pub use scan::{scan_chain_design, ScanChain};
 pub use serializer::{
     bits_to_frame, frame_to_bits, serializer_design, Frame, Serializer, FRAME_BITS, LANES,
     WORD_BITS,

@@ -344,24 +344,6 @@ pub struct FaultReport {
     pub injected_digital: usize,
 }
 
-impl FaultReport {
-    /// Worst completed re-lock time, in UIs.
-    pub fn worst_relock_ui(&self) -> Option<u64> {
-        self.relock_times_ui.iter().copied().max()
-    }
-
-    /// Mean completed re-lock time, in UIs.
-    pub fn mean_relock_ui(&self) -> Option<f64> {
-        if self.relock_times_ui.is_empty() {
-            None
-        } else {
-            Some(
-                self.relock_times_ui.iter().sum::<u64>() as f64 / self.relock_times_ui.len() as f64,
-            )
-        }
-    }
-}
-
 /// Resamples the oversampled stream under the schedule's clock faults:
 /// each UI's samples are read `offset` positions away, where `offset`
 /// accumulates every phase glitch at or before that UI and every drift
@@ -457,8 +439,7 @@ fn apply_channel_fault(stream: &mut BitVec, n: usize, ev: &FaultEvent, seed: u64
 /// function of `(config, frames, seed, schedule)`.
 ///
 /// Structural [`FaultKind::StuckAtNet`] events are outside the link
-/// runner's jurisdiction (apply them to a netlist with
-/// `openserdes_fault::apply_stuck_at`) and are ignored here.
+/// runner's jurisdiction and are ignored here.
 ///
 /// # Errors
 ///

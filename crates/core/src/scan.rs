@@ -13,7 +13,7 @@ use crate::cdr::CdrConfig;
 use openserdes_flow::ir::Design;
 
 /// Number of scan bits in the CDR configuration chain.
-pub const SCAN_BITS: usize = 7;
+const SCAN_BITS: usize = 7;
 
 /// A behavioural scan chain holding the CDR's tuning bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +34,7 @@ impl ScanChain {
     /// Shifts one bit in (scan clock with `scan_en` high). Returns the
     /// bit falling off the end (`scan_out`), so chains can be daisy-
     /// chained and read back.
-    pub fn shift_in(&mut self, bit: bool) -> bool {
+    fn shift_in(&mut self, bit: bool) -> bool {
         let out = self.shift.pop().expect("fixed length");
         self.shift.insert(0, bit);
         out
@@ -44,11 +44,6 @@ impl ScanChain {
     /// strobe).
     pub fn update(&mut self) {
         self.applied.clone_from(&self.shift);
-    }
-
-    /// The currently applied raw bits.
-    pub fn applied_bits(&self) -> &[bool] {
-        &self.applied
     }
 
     /// Loads a whole configuration: shift all bits then update.

@@ -27,16 +27,6 @@ pub fn frame_to_bits(frame: &Frame) -> Vec<bool> {
         .collect()
 }
 
-/// Flattens a frame into a packed bitstream in serial bit order (the
-/// hot-path variant of [`frame_to_bits`]: eight word writes per frame).
-pub fn frame_to_bitvec(frame: &Frame) -> BitVec {
-    let mut bv = BitVec::with_capacity(FRAME_BITS);
-    for &w in frame {
-        bv.push_word(w as u64, WORD_BITS);
-    }
-    bv
-}
-
 /// Packs serial bits (lane 0 LSB first) back into a frame.
 ///
 /// # Panics
@@ -79,11 +69,6 @@ impl Serializer {
         self.bank = frame;
         self.index = 0;
         self.active = true;
-    }
-
-    /// `true` while a frame is being shifted out.
-    pub fn is_busy(&self) -> bool {
-        self.active
     }
 
     /// Frames completely transmitted so far.
@@ -209,7 +194,7 @@ mod tests {
         let f = test_frame();
         let bits = s.serialize(f);
         assert_eq!(bits, frame_to_bits(&f));
-        assert!(!s.is_busy());
+        assert!(!s.active);
         assert_eq!(s.frames_sent(), 1);
         assert_eq!(s.tick(), None, "idle after the frame");
     }
@@ -223,11 +208,10 @@ mod tests {
         let mut packed = BitVec::new();
         b.serialize_into(f, &mut packed);
         assert_eq!(packed.to_bools(), ticked);
-        assert_eq!(frame_to_bitvec(&f).to_bools(), ticked);
         // FSM end state matches too.
         assert_eq!(a, b);
         assert_eq!(b.frames_sent(), 1);
-        assert!(!b.is_busy());
+        assert!(!b.active);
         // Appending a second frame continues the same stream.
         b.serialize_into(f, &mut packed);
         assert_eq!(packed.len(), 2 * FRAME_BITS);

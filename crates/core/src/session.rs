@@ -33,11 +33,10 @@ use openserdes_lint::{LintConfig, LintReport};
 use openserdes_netlist::Netlist;
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::Hertz;
-use openserdes_phy::ChannelModel;
 use openserdes_telemetry as telemetry;
 
 /// The unified front door: holds one operating point (link config, flow
-/// config, lint policy, sweep options, run seed) and runs any engine at
+/// config, STA config, sweep options, run seed) and runs any engine at
 /// it. Construct with [`Session::new`], shape with the consuming
 /// `with_*` builders, then call the `run_*`/sweep methods.
 ///
@@ -53,7 +52,6 @@ pub struct Session {
     link: LinkConfig,
     flow: FlowConfig,
     sta: StaConfig,
-    lint: LintConfig,
     sweep: Sweep,
     seed: u64,
     telemetry: bool,
@@ -74,7 +72,6 @@ impl Session {
             link: LinkConfig::paper_default(),
             flow: FlowConfig::default(),
             sta: StaConfig::default(),
-            lint: LintConfig::default(),
             sweep: Sweep::new(),
             seed: 42,
             telemetry: false,
@@ -91,25 +88,11 @@ impl Session {
         self
     }
 
-    /// Set the data rate for link runs and sweeps.
-    #[must_use]
-    pub fn with_rate(mut self, rate: Hertz) -> Self {
-        self.link.data_rate = rate;
-        self
-    }
-
     /// Set the PVT corner for both the link and the flow.
     #[must_use]
     pub fn with_corner(mut self, pvt: Pvt) -> Self {
         self.link.pvt = pvt;
         self.flow.pvt = pvt;
-        self
-    }
-
-    /// Set the channel model (attenuation, jitter) for link runs.
-    #[must_use]
-    pub fn with_channel(mut self, channel: ChannelModel) -> Self {
-        self.link.channel = channel;
         self
     }
 
@@ -126,15 +109,6 @@ impl Session {
     #[must_use]
     pub fn with_sta_config(mut self, sta: StaConfig) -> Self {
         self.sta = sta;
-        self
-    }
-
-    /// Set the lint policy, used by [`Session::lint`] /
-    /// [`Session::lint_netlist`] and as the flow's lint gate.
-    #[must_use]
-    pub fn with_lint_config(mut self, lint: LintConfig) -> Self {
-        self.flow.lint = lint.clone();
-        self.lint = lint;
         self
     }
 
@@ -173,26 +147,6 @@ impl Session {
     }
 
     // ---- accessors --------------------------------------------------
-
-    /// The link configuration the session runs at.
-    pub fn link_config(&self) -> &LinkConfig {
-        &self.link
-    }
-
-    /// The flow configuration the session runs at.
-    pub fn flow_config(&self) -> &FlowConfig {
-        &self.flow
-    }
-
-    /// The standalone timing-signoff configuration.
-    pub fn sta_config(&self) -> &StaConfig {
-        &self.sta
-    }
-
-    /// The lint policy.
-    pub fn lint_config(&self) -> &LintConfig {
-        &self.lint
-    }
 
     /// The sweep options.
     pub fn sweep_options(&self) -> &Sweep {
@@ -297,18 +251,10 @@ impl Session {
         .map_err(Error::from)
     }
 
-    /// Run the `IR0xx` lint rules over a design under the session's
-    /// lint policy.
+    /// Run the `IR0xx` lint rules over a design under the default lint
+    /// policy.
     pub fn lint(&mut self, design: &Design) -> LintReport {
-        let lint = self.lint.clone();
-        self.scoped(|| design.lint(&lint))
-    }
-
-    /// Run the `NL0xx` ERC rules over a gate-level netlist under the
-    /// session's lint policy.
-    pub fn lint_netlist(&mut self, netlist: &Netlist) -> LintReport {
-        let lint = self.lint.clone();
-        self.scoped(|| netlist.lint(&lint))
+        self.scoped(|| design.lint(&LintConfig::default()))
     }
 
     // ---- sweeps -----------------------------------------------------
@@ -492,9 +438,7 @@ impl Session {
                 .map_err(|e: openserdes_netlist::NetlistError| e.into())
             }
             Request::Lint { design } => {
-                let built = design.build();
-                let lint = LintConfig::default();
-                let report = self.scoped(|| built.lint(&lint));
+                let report = self.lint(&design.build());
                 Ok(Response::Lint(LintSummary::from_report(&report)))
             }
         }
@@ -561,12 +505,9 @@ mod tests {
 
     #[test]
     fn operating_point_threads_through() {
-        let s = Session::new()
-            .with_rate(Hertz::from_ghz(1.0))
-            .with_corner(Pvt::worst_case());
-        assert_eq!(s.link_config().data_rate, Hertz::from_ghz(1.0));
-        assert_eq!(s.link_config().pvt, Pvt::worst_case());
-        assert_eq!(s.flow_config().pvt, Pvt::worst_case());
+        let s = Session::new().with_corner(Pvt::worst_case());
+        assert_eq!(s.link.pvt, Pvt::worst_case());
+        assert_eq!(s.flow.pvt, Pvt::worst_case());
     }
 
     #[test]
@@ -593,9 +534,9 @@ mod tests {
         );
         let corners = s.try_corner_sweep();
         assert_eq!(corners.len(), 3);
-        assert!(corners.is_complete());
+        assert!(corners.failed.is_empty());
         let rates = s.try_rate_sweep(&[Hertz::from_ghz(2.0)]);
-        assert!(rates.is_complete());
+        assert!(rates.failed.is_empty());
         assert_eq!(rates.completed[0].1.data_rate, Hertz::from_ghz(2.0));
     }
 
@@ -632,7 +573,7 @@ mod tests {
         let direct = s.run_link(&stim).expect("typed");
         let via = s
             .submit(&Request::RunLink {
-                config: s.link_config().clone(),
+                config: s.link.clone(),
                 frames: stim.clone(),
             })
             .expect("submitted");
@@ -644,7 +585,7 @@ mod tests {
         let direct = s.max_loss().expect("typed");
         let via = s
             .submit(&Request::MaxLoss {
-                config: s.link_config().clone(),
+                config: s.link.clone(),
                 sweep: SweepSpec::from(s.sweep_options()),
             })
             .expect("submitted");

@@ -283,27 +283,9 @@ impl<T> SweepOutcome<T> {
         self.len() == 0
     }
 
-    /// True when every item completed.
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty()
-    }
-
     /// The completed results in input order, indices stripped.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.completed.iter().map(|(_, t)| t)
-    }
-
-    /// Converts to a plain `Result`: all results when every item
-    /// completed, otherwise the first failure in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-item error when any item failed.
-    pub fn into_result(self) -> Result<Vec<T>, Error> {
-        match self.failed.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(self.completed.into_iter().map(|(_, t)| t).collect()),
-        }
     }
 }
 
@@ -846,7 +828,7 @@ mod tests {
         ];
         let out = SweepOutcome::collect(results);
         assert_eq!(out.len(), 4);
-        assert!(!out.is_complete());
+        assert!(!out.failed.is_empty());
         assert_eq!(out.completed, vec![(0, 10), (3, 40)]);
         assert_eq!(out.failed.len(), 2);
         match &out.failed[0] {
@@ -861,12 +843,11 @@ mod tests {
             (2, Error::Link(LinkError::CdrUnlocked { uis: 5 }))
         ));
         assert_eq!(out.values().copied().collect::<Vec<_>>(), vec![10, 40]);
-        assert!(out.into_result().is_err());
 
         let clean: SweepOutcome<u32> =
             SweepOutcome::collect(vec![Ok(Ok::<_, LinkError>(7)), Ok(Ok(8))]);
-        assert!(clean.is_complete());
-        assert_eq!(clean.into_result().expect("clean"), vec![7, 8]);
+        assert!(clean.failed.is_empty());
+        assert_eq!(clean.values().copied().collect::<Vec<_>>(), vec![7, 8]);
     }
 
     #[test]
@@ -914,7 +895,7 @@ mod tests {
                 .with_threads(threads)
                 .try_bathtub(&cfg)
                 .expect("isolated");
-            assert!(out.is_complete(), "threads = {threads}");
+            assert!(out.failed.is_empty(), "threads = {threads}");
             let vals: Vec<_> = out.values().copied().collect();
             assert_eq!(vals, plain, "threads = {threads}");
         }

@@ -9,7 +9,7 @@
 //!   glitches propagate into the CDR, as in silicon),
 //! * [`CycleSim`] — a zero-delay cycle-based simulator for fast
 //!   functional runs and RTL↔netlist equivalence checks,
-//! * [`Trace`] — value-change recording with VCD export.
+//! * [`Trace`] — value-change recording.
 //!
 //! Together these stand in for the Verilog simulation environment the
 //! paper uses around its synthesized SerDes blocks.

@@ -1,35 +1,26 @@
-//! Value-change traces with VCD export.
+//! Value-change traces.
 //!
 //! The event simulator records every net transition into a [`Trace`];
 //! downstream code queries values at arbitrary times (for sampling-point
-//! analysis) or dumps a VCD file for waveform viewers — the digital
+//! analysis) and counts toggles (for activity-based power) — the digital
 //! counterpart of the paper's Fig. 8 waveform plots.
 
 use crate::logic::Logic;
 use openserdes_netlist::NetId;
-use std::fmt::Write as _;
 
 /// A time-ordered list of value changes per net. Times are in integer
 /// picoseconds (the simulator's native resolution).
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    names: Vec<String>,
     changes: Vec<Vec<(u64, Logic)>>,
 }
 
 impl Trace {
-    /// Creates a trace covering `names.len()` nets, all starting at `X`.
-    pub fn new(names: Vec<String>) -> Self {
-        let n = names.len();
+    /// Creates a trace covering `nets` nets, all starting at `X`.
+    pub fn new(nets: usize) -> Self {
         Self {
-            names,
-            changes: vec![Vec::new(); n],
+            changes: vec![Vec::new(); nets],
         }
-    }
-
-    /// Number of traced nets.
-    pub fn net_count(&self) -> usize {
-        self.names.len()
     }
 
     /// Records a change on `net` at `time_ps`. Redundant changes (same
@@ -55,19 +46,6 @@ impl Trace {
         }
     }
 
-    /// All changes on `net` as `(time_ps, value)` pairs.
-    pub fn changes(&self, net: NetId) -> &[(u64, Logic)] {
-        &self.changes[net.index()]
-    }
-
-    /// Number of 0→1 transitions on `net` (for activity-based power).
-    pub fn rising_edges(&self, net: NetId) -> usize {
-        self.changes[net.index()]
-            .windows(2)
-            .filter(|w| w[0].1 == Logic::Zero && w[1].1 == Logic::One)
-            .count()
-    }
-
     /// Total transition count on `net` (both directions, known values).
     pub fn toggle_count(&self, net: NetId) -> usize {
         self.changes[net.index()]
@@ -75,50 +53,6 @@ impl Trace {
             .filter(|w| w[0].1.is_known() && w[1].1.is_known() && w[0].1 != w[1].1)
             .count()
     }
-
-    /// Serializes the trace as a VCD document (1 ps timescale).
-    pub fn to_vcd(&self, module: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "$timescale 1ps $end");
-        let _ = writeln!(out, "$scope module {module} $end");
-        for (i, name) in self.names.iter().enumerate() {
-            let _ = writeln!(out, "$var wire 1 {} {} $end", vcd_id(i), name);
-        }
-        let _ = writeln!(out, "$upscope $end");
-        let _ = writeln!(out, "$enddefinitions $end");
-        // Merge all changes into a single time-ordered stream.
-        let mut events: Vec<(u64, usize, Logic)> = Vec::new();
-        for (i, list) in self.changes.iter().enumerate() {
-            for &(t, v) in list {
-                events.push((t, i, v));
-            }
-        }
-        events.sort_by_key(|&(t, i, _)| (t, i));
-        let mut current: Option<u64> = None;
-        for (t, i, v) in events {
-            if current != Some(t) {
-                let _ = writeln!(out, "#{t}");
-                current = Some(t);
-            }
-            let _ = writeln!(out, "{v}{}", vcd_id(i));
-        }
-        out
-    }
-}
-
-/// Compact VCD identifier for the i-th signal.
-fn vcd_id(mut i: usize) -> String {
-    // Printable ASCII range '!'..='~' (94 symbols), base-94 encoding.
-    let mut s = String::new();
-    loop {
-        s.push((b'!' + (i % 94) as u8) as char);
-        i /= 94;
-        if i == 0 {
-            break;
-        }
-        i -= 1;
-    }
-    s
 }
 
 #[cfg(test)]
@@ -136,7 +70,7 @@ mod tests {
     }
 
     fn sample_trace() -> Trace {
-        let mut t = Trace::new(vec!["a".into(), "b".into()]);
+        let mut t = Trace::new(2);
         let a = net(0);
         let b = net(1);
         t.record(a, 0, Logic::Zero);
@@ -168,41 +102,17 @@ mod tests {
 
     #[test]
     fn redundant_changes_dropped() {
-        let mut t = Trace::new(vec!["a".into()]);
+        let mut t = Trace::new(1);
         let a = net(0);
         t.record(a, 0, Logic::One);
         t.record(a, 10, Logic::One);
-        assert_eq!(t.changes(a).len(), 1);
+        assert_eq!(t.changes[a.index()].len(), 1);
     }
 
     #[test]
     fn edge_counting() {
         let t = sample_trace();
         let a = net(0);
-        assert_eq!(t.rising_edges(a), 2);
         assert_eq!(t.toggle_count(a), 3);
-    }
-
-    #[test]
-    fn vcd_structure() {
-        let t = sample_trace();
-        let vcd = t.to_vcd("top");
-        assert!(vcd.contains("$timescale 1ps $end"));
-        assert!(vcd.contains("$var wire 1 ! a $end"));
-        assert!(vcd.contains("#100"));
-        // Changes appear in time order.
-        let p0 = vcd.find("#0\n").unwrap();
-        let p100 = vcd.find("#100").unwrap();
-        let p300 = vcd.find("#300").unwrap();
-        assert!(p0 < p100 && p100 < p300);
-    }
-
-    #[test]
-    fn vcd_ids_unique_across_many_signals() {
-        let ids: Vec<String> = (0..200).map(vcd_id).collect();
-        let mut dedup = ids.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len());
     }
 }

@@ -21,9 +21,6 @@
 //!   `Request::RunLinkWithFaults` bytes.
 //! * [`campaign`] — standard seeded campaign generators
 //!   ([`CampaignKind`]) so benches and CI exercise a stable matrix.
-//! * [`apply_stuck_at`] — rewrite a netlist so a named net is stuck at
-//!   0 or 1 (the classic manufacturing-test fault model), using only
-//!   cells the PDK already has.
 //! * [`server`] — the server-plane taxonomy for the `openserdes-serve`
 //!   front door (dropped/truncated/oversized frames, stalled readers,
 //!   worker panics, deadline storms, connection floods), as seeded
@@ -31,8 +28,8 @@
 //!   contract the chaos harness asserts.
 //!
 //! The injection hooks themselves live with the engines they stress
-//! (`phy::channel`, `core::cdr`, `core::link`); this crate owns the
-//! schedule so those hooks share one deterministic clock.
+//! (`core::cdr`, `core::link`); this crate owns the schedule so those
+//! hooks share one deterministic clock.
 //!
 //! ```
 //! use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
@@ -52,11 +49,8 @@
 
 #![warn(missing_docs)]
 
-use openserdes_netlist::{Netlist, NetlistError};
-use openserdes_pdk::stdcell::LogicFn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt;
 
 pub mod server;
 
@@ -124,8 +118,8 @@ pub enum FaultKind {
         /// Which bit of that lane flips.
         bit: u32,
     },
-    /// Stuck-at fault on a named netlist net (applied structurally via
-    /// [`apply_stuck_at`]; `at_ui` is ignored — the fault is permanent).
+    /// Stuck-at fault on a named netlist net (`at_ui` is ignored — the
+    /// fault is permanent). No link runner applies it.
     StuckAtNet {
         /// The net name, as reported by `Netlist::net_name`.
         net: String,
@@ -137,7 +131,7 @@ pub enum FaultKind {
 impl FaultKind {
     /// True for faults that perturb the sampled channel stream
     /// (burst noise, dropout, supply droop).
-    pub fn is_channel(&self) -> bool {
+    fn is_channel(&self) -> bool {
         matches!(
             self,
             FaultKind::BurstNoise { .. }
@@ -281,46 +275,6 @@ impl FaultSchedule {
             .iter()
             .enumerate()
             .filter(|(_, e)| e.kind.is_digital())
-    }
-}
-
-/// Errors from netlist fault application ([`apply_stuck_at`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultError {
-    /// [`apply_stuck_at`] was asked for a net name the netlist lacks.
-    UnknownNet(String),
-    /// [`apply_stuck_at`] was asked to tie a net with no cell driver
-    /// (a primary input or a floating net) — there is no instance to
-    /// rewrite.
-    Undriveable(String),
-    /// The rewritten netlist failed validation.
-    Netlist(NetlistError),
-}
-
-impl fmt::Display for FaultError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultError::UnknownNet(net) => write!(f, "no net named `{net}` in netlist"),
-            FaultError::Undriveable(net) => {
-                write!(f, "net `{net}` has no cell driver to rewrite for stuck-at")
-            }
-            FaultError::Netlist(e) => write!(f, "stuck-at rewrite broke the netlist: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FaultError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FaultError::Netlist(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<NetlistError> for FaultError {
-    fn from(e: NetlistError) -> Self {
-        FaultError::Netlist(e)
     }
 }
 
@@ -484,48 +438,9 @@ pub fn campaign(kind: CampaignKind, seed: u64, uis: u64) -> FaultSchedule {
     schedule
 }
 
-/// Rewrites `netlist` so the named net is permanently stuck at `value`
-/// — the classic stuck-at-0/1 fault model. The net's driving instance
-/// is replaced in place by a constant built from cells the PDK already
-/// has: `XOR2(a, a)` for stuck-at-0, `XNOR2(a, a)` for stuck-at-1
-/// (both constant for any `a`). The surviving input `a` is a primary
-/// input when one exists, so the rewrite can never create a
-/// combinational loop; the result is re-validated before returning.
-///
-/// # Errors
-///
-/// [`FaultError::UnknownNet`] if no net has that name,
-/// [`FaultError::Undriveable`] if the net has no cell driver (primary
-/// inputs and floating nets have no instance to rewrite), and
-/// [`FaultError::Netlist`] if the rewritten netlist fails validation.
-pub fn apply_stuck_at(netlist: &mut Netlist, net: &str, value: bool) -> Result<(), FaultError> {
-    let target = netlist
-        .net_ids()
-        .find(|&n| netlist.net_name(n) == net)
-        .ok_or_else(|| FaultError::UnknownNet(net.to_string()))?;
-    let cell = netlist
-        .driver_of(target)
-        .ok_or_else(|| FaultError::Undriveable(net.to_string()))?;
-    // Prefer a primary input as the dummy operand — it can never be
-    // downstream of `target`, so the comb gate we substitute (even for
-    // a flop driver) cannot close a loop.
-    let a = netlist
-        .primary_inputs()
-        .first()
-        .copied()
-        .unwrap_or_else(|| netlist.instance(cell).inputs[0]);
-    let inst = netlist.instance_mut(cell);
-    inst.function = if value { LogicFn::Xnor2 } else { LogicFn::Xor2 };
-    inst.inputs = vec![a, a];
-    inst.clock = None;
-    netlist.check()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openserdes_pdk::stdcell::DriveStrength;
 
     #[test]
     fn schedule_sorts_and_is_insertion_order_independent() {
@@ -612,64 +527,5 @@ mod tests {
             // First quarter stays clean for lock acquisition.
             assert!(a.events()[0].at_ui >= 1000, "{}", kind.name());
         }
-    }
-
-    #[test]
-    fn stuck_at_rewrites_gate_driver() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let y = nl.gate(LogicFn::Nand2, DriveStrength::X1, &[a, b]);
-        nl.mark_output("y", y);
-        let name = nl.net_name(y).to_string();
-        apply_stuck_at(&mut nl, &name, false).expect("rewrite");
-        nl.check().expect("still valid");
-        let cell = nl.driver_of(y).expect("still driven");
-        assert_eq!(nl.instance(cell).function, LogicFn::Xor2);
-        apply_stuck_at(&mut nl, &name, true).expect("rewrite to 1");
-        let cell = nl.driver_of(y).expect("still driven");
-        assert_eq!(nl.instance(cell).function, LogicFn::Xnor2);
-    }
-
-    #[test]
-    fn stuck_at_rewrites_flop_driver_without_loop() {
-        let mut nl = Netlist::new("t");
-        let clk = nl.add_input("clk");
-        let d = nl.add_input("d");
-        let q = nl.dff(d, clk, DriveStrength::X1);
-        // Feed q back through an inverter into a second flop so the
-        // netlist has downstream logic that must stay legal.
-        let qb = nl.gate(LogicFn::Inv, DriveStrength::X1, &[q]);
-        let q2 = nl.dff(qb, clk, DriveStrength::X1);
-        nl.mark_output("q2", q2);
-        let name = nl.net_name(q).to_string();
-        apply_stuck_at(&mut nl, &name, true).expect("rewrite flop");
-        nl.check().expect("no loop, no missing clock");
-        let cell = nl.driver_of(q).expect("driven");
-        assert_eq!(nl.instance(cell).function, LogicFn::Xnor2);
-        assert!(nl.instance(cell).clock.is_none());
-    }
-
-    #[test]
-    fn stuck_at_rejects_unknown_and_input_nets() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
-        nl.mark_output("y", y);
-        assert!(matches!(
-            apply_stuck_at(&mut nl, "nope", false),
-            Err(FaultError::UnknownNet(_))
-        ));
-        let a_name = nl.net_name(a).to_string();
-        assert!(matches!(
-            apply_stuck_at(&mut nl, &a_name, false),
-            Err(FaultError::Undriveable(_))
-        ));
-    }
-
-    #[test]
-    fn error_display_is_stable() {
-        let e = FaultError::UnknownNet("n42".into());
-        assert_eq!(e.to_string(), "no net named `n42` in netlist");
     }
 }

@@ -92,7 +92,7 @@ impl ServerFaultKind {
 
     /// How many increments of [`ServerFaultKind::counter`] one event
     /// of this kind must produce.
-    pub fn expected_hits(self) -> u64 {
+    fn expected_hits(self) -> u64 {
         match self {
             ServerFaultKind::DeadlineStorm { jobs } => jobs,
             ServerFaultKind::ConnFlood { conns } => conns,

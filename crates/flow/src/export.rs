@@ -114,73 +114,6 @@ pub fn to_def(
     out
 }
 
-/// Serializes a mapped netlist as structural Verilog — the gate-level
-/// netlist OpenLANE hands between yosys and the physical tools.
-///
-/// Cell ports follow the library convention: inputs `A0..An` (plus `CLK`
-/// on flops), output `Y`.
-pub fn to_verilog(netlist: &Netlist) -> String {
-    let mut out = String::new();
-    let ports: Vec<String> = netlist
-        .primary_inputs()
-        .iter()
-        .map(|&n| netlist.net_name(n).to_string())
-        .chain(
-            netlist
-                .primary_outputs()
-                .iter()
-                .map(|(name, _)| name.clone()),
-        )
-        .collect();
-    let _ = writeln!(out, "module {} (", netlist.name());
-    let _ = writeln!(out, "  {}", ports.join(",\n  "));
-    let _ = writeln!(out, ");");
-    for &n in netlist.primary_inputs() {
-        let _ = writeln!(out, "  input {};", netlist.net_name(n));
-    }
-    for (name, _) in netlist.primary_outputs() {
-        let _ = writeln!(out, "  output {name};");
-    }
-    // Internal wires: every net that is not a primary input.
-    for net in netlist.net_ids() {
-        if !netlist.is_primary_input(net) {
-            let _ = writeln!(out, "  wire {};", netlist.net_name(net));
-        }
-    }
-    let library = crate::export::verilog_cell_name;
-    for (_, inst) in netlist.instances() {
-        let mut conns: Vec<String> = inst
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| format!(".A{}({})", i, netlist.net_name(n)))
-            .collect();
-        if let Some(c) = inst.clock {
-            conns.push(format!(".CLK({})", netlist.net_name(c)));
-        }
-        conns.push(format!(".Y({})", netlist.net_name(inst.output)));
-        let _ = writeln!(
-            out,
-            "  {} {} ({});",
-            library(inst),
-            inst.name,
-            conns.join(", ")
-        );
-    }
-    // Output assigns where an output aliases an internal/input net.
-    for (name, net) in netlist.primary_outputs() {
-        if name != netlist.net_name(*net) {
-            let _ = writeln!(out, "  assign {} = {};", name, netlist.net_name(*net));
-        }
-    }
-    let _ = writeln!(out, "endmodule");
-    out
-}
-
-fn verilog_cell_name(inst: &openserdes_netlist::Instance) -> String {
-    format!("osd130_{}_{}", inst.function, inst.drive.suffix())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,21 +135,6 @@ mod tests {
         let fp = Floorplan::for_area(stats.area, 0.5, 1.0);
         let p = place_greedy(&nl, &lib, &fp);
         (nl, lib, p, fp)
-    }
-
-    #[test]
-    fn verilog_is_structurally_complete() {
-        let (nl, _, _, _) = placed();
-        let v = to_verilog(&nl);
-        assert!(v.starts_with("module def_test ("));
-        assert!(v.contains("input clk;"));
-        assert!(v.contains("input a;"));
-        assert!(v.contains("output q;"));
-        assert!(v.contains("osd130_nand2_2"));
-        assert!(v.contains(".CLK(clk)"));
-        assert!(v.trim_end().ends_with("endmodule"));
-        // Every instance appears exactly once.
-        assert_eq!(v.matches("osd130_").count(), 2);
     }
 
     #[test]

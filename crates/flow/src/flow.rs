@@ -272,13 +272,6 @@ impl Flow {
         self
     }
 
-    /// Sets the lint-gate rule overrides.
-    #[must_use]
-    pub fn with_lint(mut self, lint: openserdes_lint::LintConfig) -> Self {
-        self.config.lint = lint;
-        self
-    }
-
     /// The current configuration.
     pub fn config(&self) -> &FlowConfig {
         &self.config

@@ -163,7 +163,7 @@ impl Design {
 
     /// AND-reduce of a slice as a balanced tree (log depth; returns
     /// constant 1 for empty input).
-    pub fn and_reduce(&mut self, sigs: &[Sig]) -> Sig {
+    pub(crate) fn and_reduce(&mut self, sigs: &[Sig]) -> Sig {
         match sigs {
             [] => self.constant(true),
             [s] => *s,
@@ -238,7 +238,7 @@ impl Design {
     }
 
     /// XNOR convenience.
-    pub fn xnor(&mut self, a: Sig, b: Sig) -> Sig {
+    fn xnor(&mut self, a: Sig, b: Sig) -> Sig {
         let x = self.xor(a, b);
         self.not(x)
     }
@@ -546,13 +546,6 @@ impl<'a> IrSim<'a> {
         self.inputs[idx] = value;
     }
 
-    /// Sets a bus of inputs from an integer, LSB first.
-    pub fn set_bus(&mut self, bus: &[Sig], value: u64) {
-        for (i, &s) in bus.iter().enumerate() {
-            self.set(s, value >> i & 1 == 1);
-        }
-    }
-
     /// Recomputes all combinational values.
     pub fn settle(&mut self) {
         for (i, op) in self.design.nodes().iter().enumerate() {
@@ -590,13 +583,6 @@ impl<'a> IrSim<'a> {
         self.values[sig.index()]
     }
 
-    /// Reads a bus as an integer, LSB first.
-    pub fn get_bus(&self, bus: &[Sig]) -> u64 {
-        bus.iter()
-            .enumerate()
-            .fold(0, |acc, (i, &s)| acc | (self.get(s) as u64) << i)
-    }
-
     /// Resets every register to 0.
     pub fn reset(&mut self) {
         self.state.iter_mut().for_each(|s| *s = false);
@@ -608,6 +594,20 @@ impl<'a> IrSim<'a> {
 mod tests {
     use super::*;
 
+    /// Sets a bus of inputs from an integer, LSB first.
+    fn set_bus(sim: &mut IrSim<'_>, bus: &[Sig], value: u64) {
+        for (i, &s) in bus.iter().enumerate() {
+            sim.set(s, value >> i & 1 == 1);
+        }
+    }
+
+    /// Reads a bus as an integer, LSB first.
+    fn get_bus(sim: &IrSim<'_>, bus: &[Sig]) -> u64 {
+        bus.iter()
+            .enumerate()
+            .fold(0, |acc, (i, &s)| acc | (sim.get(s) as u64) << i)
+    }
+
     #[test]
     fn counter_counts_and_wraps() {
         let mut d = Design::new("cnt");
@@ -618,7 +618,7 @@ mod tests {
         let mut sim = IrSim::new(&d);
         for expect in 1..=9u64 {
             sim.tick();
-            assert_eq!(sim.get_bus(&q), expect % 8);
+            assert_eq!(get_bus(&sim, &q), expect % 8);
         }
     }
 
@@ -630,7 +630,7 @@ mod tests {
         d.output("hit", hit);
         let mut sim = IrSim::new(&d);
         for v in 0..16 {
-            sim.set_bus(&b, v);
+            set_bus(&mut sim, &b, v);
             sim.settle();
             assert_eq!(sim.get(hit), v == 0b1010, "v = {v}");
         }
@@ -645,14 +645,14 @@ mod tests {
         let y = d.mux_bus(&a, &b, sel);
         d.output_bus("y", &y);
         let mut sim = IrSim::new(&d);
-        sim.set_bus(&a, 0x3);
-        sim.set_bus(&b, 0xC);
+        set_bus(&mut sim, &a, 0x3);
+        set_bus(&mut sim, &b, 0xC);
         sim.set(sel, false);
         sim.settle();
-        assert_eq!(sim.get_bus(&y), 0x3);
+        assert_eq!(get_bus(&sim, &y), 0x3);
         sim.set(sel, true);
         sim.settle();
-        assert_eq!(sim.get_bus(&y), 0xC);
+        assert_eq!(get_bus(&sim, &y), 0xC);
     }
 
     #[test]
@@ -665,7 +665,7 @@ mod tests {
         d.output("any", any);
         let mut sim = IrSim::new(&d);
         for v in 0..8 {
-            sim.set_bus(&b, v);
+            set_bus(&mut sim, &b, v);
             sim.settle();
             assert_eq!(sim.get(all), v == 7);
             assert_eq!(sim.get(any), v != 0);
@@ -705,9 +705,9 @@ mod tests {
         let mut sim = IrSim::new(&d);
         sim.tick();
         sim.tick();
-        assert_eq!(sim.get_bus(&q), 2);
+        assert_eq!(get_bus(&sim, &q), 2);
         sim.reset();
-        assert_eq!(sim.get_bus(&q), 0);
+        assert_eq!(get_bus(&sim, &q), 0);
     }
 
     #[test]
@@ -738,8 +738,8 @@ mod tests {
         let mut sim = IrSim::new(&d);
         for av in 0..16 {
             for bv in 0..16 {
-                sim.set_bus(&a, av);
-                sim.set_bus(&b, bv);
+                set_bus(&mut sim, &a, av);
+                set_bus(&mut sim, &b, bv);
                 sim.settle();
                 assert_eq!(sim.get(y), av > bv, "a = {av}, b = {bv}");
             }
@@ -763,6 +763,6 @@ mod tests {
         let k = d.const_bus(8, 0xA5);
         d.output_bus("k", &k);
         let sim = IrSim::new(&d);
-        assert_eq!(sim.get_bus(&k), 0xA5);
+        assert_eq!(get_bus(&sim, &k), 0xA5);
     }
 }

@@ -52,7 +52,7 @@ pub mod sta;
 pub mod synth;
 
 pub use error::FlowError;
-pub use export::{to_def, to_verilog};
+pub use export::to_def;
 pub use flow::{optimize_timing, CtsReport, Flow, FlowConfig, FlowResult};
 pub use power::{analyze_power, PowerConfig, PowerReport};
 pub use sta::{

@@ -485,7 +485,7 @@ pub fn synthesize(design: &Design, library: &Library) -> Result<SynthResult, Net
 }
 
 /// Fanout cap enforced by [`buffer_high_fanout`] during synthesis.
-pub const MAX_FANOUT: usize = 12;
+const MAX_FANOUT: usize = 12;
 
 /// Inserts buffer trees on nets whose fanout exceeds `max_fanout` (the
 /// OpenLANE `hfns` step): sinks are regrouped behind `Buf` cells,
@@ -505,7 +505,7 @@ pub const MAX_FANOUT: usize = 12;
 /// parent's sink list exactly, so buffering would never end. A net with
 /// no clock readers whose every pin would land behind the last buffer is
 /// left as it is: its distinct pins already fit one group.
-pub fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
+fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
     assert!(max_fanout >= 2, "fanout cap must be at least 2");
     let mut fanout = netlist.fanout_table();
     let mut nets: Vec<NetId> = netlist.net_ids().collect();
@@ -592,7 +592,7 @@ fn data_sinks(netlist: &Netlist, readers: &[CellId], net: NetId) -> Vec<(CellId,
 /// Up-sizes every instance until its cell's `max_load` covers the load of
 /// its output net (pin caps plus wireload). One pass is enough because
 /// input pin caps are drive-capped in the library model.
-pub fn resize_drives(netlist: &mut Netlist, library: &Library) {
+fn resize_drives(netlist: &mut Netlist, library: &Library) {
     let wireload = WireloadModel::small_block();
     let fanout = netlist.fanout_table();
     let loads: Vec<Farad> = netlist

@@ -78,11 +78,6 @@ impl LintConfig {
             None => Some(rule.default_severity()),
         }
     }
-
-    /// True if no overrides are set.
-    pub fn is_default(&self) -> bool {
-        self.overrides.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,6 @@ mod tests {
         for rule in Rule::ALL {
             assert_eq!(cfg.effective(rule), Some(rule.default_severity()));
         }
-        assert!(cfg.is_default());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   loops, dead logic, clock-domain audit, drive overloads).
 //! * [`NetlistStats`] — cell histograms and area/leakage rollups against a
 //!   characterized [`openserdes_pdk::library::Library`].
-//! * [`to_dot`] — Graphviz export for inspection.
 //!
 //! ```
 //! use openserdes_netlist::{Netlist, NetlistStats};
@@ -40,14 +39,12 @@
 
 #![warn(missing_docs)]
 
-mod dot;
 pub mod error;
 pub mod ids;
 pub mod lint;
 mod netlist;
 mod stats;
 
-pub use dot::to_dot;
 pub use error::NetlistError;
 pub use ids::{CellId, NetId};
 pub use netlist::{Instance, Netlist};

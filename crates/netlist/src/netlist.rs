@@ -285,21 +285,6 @@ impl Netlist {
         self.is_output.get(net.index()).copied().unwrap_or(false)
     }
 
-    /// The instance driving `net`, if any.
-    pub fn driver_of(&self, net: NetId) -> Option<CellId> {
-        self.instances()
-            .find(|(_, inst)| inst.output == net)
-            .map(|(id, _)| id)
-    }
-
-    /// All instances reading `net` (through data or clock pins).
-    pub fn fanout_of(&self, net: NetId) -> Vec<CellId> {
-        self.instances()
-            .filter(|(_, inst)| inst.inputs.contains(&net) || inst.clock == Some(net))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Per-net driver table: `drivers[net] = Some(cell)` for instance
     /// outputs, `None` for primary inputs and floating nets.
     pub fn driver_table(&self) -> Vec<Option<CellId>> {
@@ -428,10 +413,11 @@ mod tests {
     fn driver_and_fanout_queries() {
         let nl = half_adder();
         let a = nl.primary_inputs()[0];
-        assert_eq!(nl.driver_of(a), None);
-        assert_eq!(nl.fanout_of(a).len(), 2);
+        let drivers = nl.driver_table();
+        assert_eq!(drivers[a.index()], None);
+        assert_eq!(nl.fanout_table()[a.index()].len(), 2);
         let (_, sum_net) = nl.primary_outputs()[0].clone();
-        let d = nl.driver_of(sum_net).expect("sum is driven");
+        let d = drivers[sum_net.index()].expect("sum is driven");
         assert_eq!(nl.instance(d).function, LogicFn::Xor2);
     }
 

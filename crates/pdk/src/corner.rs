@@ -17,10 +17,10 @@ use crate::units::Volt;
 use std::fmt;
 
 /// Nominal supply for the sky130 1.8 V standard-cell domain.
-pub const NOMINAL_VDD: Volt = Volt::new(1.8);
+const NOMINAL_VDD: Volt = Volt::new(1.8);
 
 /// Nominal characterization temperature in Celsius.
-pub const NOMINAL_TEMP_C: f64 = 25.0;
+const NOMINAL_TEMP_C: f64 = 25.0;
 
 /// The five classic process corners.
 ///
@@ -53,7 +53,7 @@ impl ProcessCorner {
 
     /// Short canonical name (`tt`, `ss`, `ff`, `sf`, `fs`) matching PDK
     /// library naming.
-    pub fn short_name(self) -> &'static str {
+    fn short_name(self) -> &'static str {
         match self {
             ProcessCorner::Typical => "tt",
             ProcessCorner::SlowSlow => "ss",

@@ -41,11 +41,11 @@ pub use error::PdkError;
 
 /// Convenient glob-import of the most used PDK types.
 pub mod prelude {
-    pub use crate::corner::{ProcessCorner, Pvt, NOMINAL_VDD};
+    pub use crate::corner::{ProcessCorner, Pvt};
     pub use crate::error::PdkError;
     pub use crate::library::Library;
     pub use crate::mos::{MosDevice, MosEval, MosParams, MosType};
     pub use crate::stdcell::{DriveStrength, LogicFn, Nldm, SeqTiming, StdCell, TimingArc};
     pub use crate::units::{Amp, AreaUm2, Farad, Hertz, Joule, Micron, Ohm, Time, Volt, Watt};
-    pub use crate::wire::{MetalLayer, WireSegment, WireloadModel};
+    pub use crate::wire::{MetalLayer, WireloadModel};
 }

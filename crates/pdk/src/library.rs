@@ -192,7 +192,6 @@ pub struct Library {
     pvt: Pvt,
     cells: Vec<StdCell>,
     index: HashMap<(LogicFn, DriveStrength), usize>,
-    by_name: HashMap<String, usize>,
 }
 
 impl Library {
@@ -204,7 +203,6 @@ impl Library {
 
         let mut cells = Vec::new();
         let mut index = HashMap::new();
-        let mut by_name = HashMap::new();
 
         for &function in &LogicFn::ALL {
             let r = recipe(function);
@@ -264,7 +262,6 @@ impl Library {
                 let name = format!("osd130_{}_{}", function, drive.suffix());
                 let idx = cells.len();
                 index.insert((function, drive), idx);
-                by_name.insert(name.clone(), idx);
                 cells.push(StdCell {
                     name,
                     function,
@@ -286,12 +283,7 @@ impl Library {
             }
         }
 
-        Self {
-            pvt,
-            cells,
-            index,
-            by_name,
-        }
+        Self { pvt, cells, index }
     }
 
     /// The PVT point this library was characterized at.
@@ -316,22 +308,6 @@ impl Library {
             .get(&(function, drive))
             .map(|&i| &self.cells[i])
             .ok_or_else(|| PdkError::UnknownCell(format!("{function}_{}", drive.suffix())))
-    }
-
-    /// Looks up a cell by its library name.
-    pub fn by_name(&self, name: &str) -> Option<&StdCell> {
-        self.by_name.get(name).map(|&i| &self.cells[i])
-    }
-
-    /// The weakest (smallest-area) cell implementing `function`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the library has no cell for `function` — the built-in
-    /// generator always provides one.
-    pub fn smallest(&self, function: LogicFn) -> &StdCell {
-        self.cell(function, DriveStrength::X1)
-            .expect("built-in library covers every function")
     }
 
     /// The weakest drive strength whose legal load limit covers `load`;
@@ -382,15 +358,6 @@ mod tests {
                 assert!(l.cell(f, d).is_ok(), "missing {f} {d}");
             }
         }
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let l = lib();
-        let c = l.by_name("osd130_inv_4").expect("inv_x4 exists");
-        assert_eq!(c.function, LogicFn::Inv);
-        assert_eq!(c.drive, DriveStrength::X4);
-        assert!(l.by_name("osd130_bogus_1").is_none());
     }
 
     #[test]

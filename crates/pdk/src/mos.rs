@@ -244,11 +244,6 @@ impl MosDevice {
         let idsat = self.ids(vdd, vdd);
         vdd / (2.0 * idsat.max(1e-15))
     }
-
-    /// Saturation drive current per µm of width at full gate drive, in A/µm.
-    pub fn idsat_per_um(&self, vdd: f64) -> f64 {
-        self.ids(vdd, vdd) / self.w_um
-    }
 }
 
 #[cfg(test)]
@@ -268,8 +263,8 @@ mod tests {
     fn calibrated_drive_currents() {
         // Headline sky130 numbers: NMOS ≈ 0.6 mA/µm, PMOS ≈ 0.3 mA/µm
         // (±25 % tolerance; we reproduce shapes, not SPICE decks).
-        let idn = nmos_1um().idsat_per_um(1.8);
-        let idp = pmos_1um().idsat_per_um(1.8);
+        let idn = nmos_1um().ids(1.8, 1.8);
+        let idp = pmos_1um().ids(1.8, 1.8);
         assert!((idn - 0.6e-3).abs() / 0.6e-3 < 0.25, "idn = {idn}");
         assert!((idp - 0.3e-3).abs() / 0.3e-3 < 0.25, "idp = {idp}");
     }
@@ -370,19 +365,19 @@ mod tests {
 
     #[test]
     fn slow_corner_drives_less() {
-        let tt = nmos_1um().idsat_per_um(1.8);
+        let tt = nmos_1um().ids(1.8, 1.8);
         let ss = MosDevice::new(
             MosParams::sky130_nmos(&Pvt::new(ProcessCorner::SlowSlow, 1.8, 25.0)),
             1.0,
             0.15,
         )
-        .idsat_per_um(1.8);
+        .ids(1.8, 1.8);
         let ff = MosDevice::new(
             MosParams::sky130_nmos(&Pvt::new(ProcessCorner::FastFast, 1.8, 25.0)),
             1.0,
             0.15,
         )
-        .idsat_per_um(1.8);
+        .ids(1.8, 1.8);
         assert!(ss < tt && tt < ff);
     }
 

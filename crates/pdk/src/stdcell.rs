@@ -93,22 +93,6 @@ impl LogicFn {
         matches!(self, LogicFn::Dff | LogicFn::DffRstN)
     }
 
-    /// `true` if the output is the logical complement of the implemented
-    /// and/or expression (used by technology mapping).
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            LogicFn::Inv
-                | LogicFn::Nand2
-                | LogicFn::Nand3
-                | LogicFn::Nor2
-                | LogicFn::Nor3
-                | LogicFn::Xnor2
-                | LogicFn::Aoi21
-                | LogicFn::Oai21
-        )
-    }
-
     /// Evaluates the combinational function on boolean inputs.
     ///
     /// For sequential cells this evaluates the *next-state* function
@@ -305,7 +289,7 @@ impl Nldm {
     }
 
     /// Looks up delay and output slew for the given input slew and load.
-    pub fn lookup(&self, in_slew: Time, load: Farad) -> TimingArc {
+    fn lookup(&self, in_slew: Time, load: Farad) -> TimingArc {
         let (si, st) = Self::axis_pos(&self.slews_ps, in_slew.ps());
         let (li, lt) = Self::axis_pos(&self.loads_ff, load.ff());
         TimingArc {
@@ -425,14 +409,6 @@ mod tests {
     #[should_panic(expected = "expects 2 inputs")]
     fn eval_arity_checked() {
         let _ = LogicFn::Nand2.eval(&[true]);
-    }
-
-    #[test]
-    fn inverting_classification() {
-        assert!(LogicFn::Inv.is_inverting());
-        assert!(LogicFn::Nand2.is_inverting());
-        assert!(!LogicFn::And2.is_inverting());
-        assert!(!LogicFn::Buf.is_inverting());
     }
 
     #[test]

@@ -197,40 +197,6 @@ impl Volt {
     }
 }
 
-impl Amp {
-    /// Constructs from milliamperes.
-    pub const fn from_ma(ma: f64) -> Self {
-        Self(ma * 1.0e-3)
-    }
-
-    /// Constructs from microamperes.
-    pub const fn from_ua(ua: f64) -> Self {
-        Self(ua * 1.0e-6)
-    }
-
-    /// Value in milliamperes.
-    pub const fn ma(self) -> f64 {
-        self.0 * 1.0e3
-    }
-
-    /// Value in microamperes.
-    pub const fn ua(self) -> f64 {
-        self.0 * 1.0e6
-    }
-}
-
-impl Ohm {
-    /// Constructs from kilo-ohms.
-    pub const fn from_kohm(k: f64) -> Self {
-        Self(k * 1.0e3)
-    }
-
-    /// Value in kilo-ohms.
-    pub const fn kohm(self) -> f64 {
-        self.0 * 1.0e-3
-    }
-}
-
 impl Farad {
     /// Constructs from femtofarads.
     pub const fn from_ff(ff: f64) -> Self {
@@ -246,22 +212,12 @@ impl Farad {
     pub const fn ff(self) -> f64 {
         self.0 * 1.0e15
     }
-
-    /// Value in picofarads.
-    pub const fn pf(self) -> f64 {
-        self.0 * 1.0e12
-    }
 }
 
 impl Time {
     /// Constructs from picoseconds.
     pub const fn from_ps(ps: f64) -> Self {
         Self(ps * 1.0e-12)
-    }
-
-    /// Constructs from nanoseconds.
-    pub const fn from_ns(ns: f64) -> Self {
-        Self(ns * 1.0e-9)
     }
 
     /// Value in picoseconds.
@@ -272,11 +228,6 @@ impl Time {
     /// Value in nanoseconds.
     pub const fn ns(self) -> f64 {
         self.0 * 1.0e9
-    }
-
-    /// The period of the given frequency.
-    pub fn from_frequency(f: Hertz) -> Self {
-        Self(1.0 / f.0)
     }
 }
 
@@ -300,54 +251,19 @@ impl Hertz {
     pub const fn ghz(self) -> f64 {
         self.0 * 1.0e-9
     }
-
-    /// The frequency whose period is the given time.
-    pub fn from_period(t: Time) -> Self {
-        Self(1.0 / t.0)
-    }
 }
 
 impl Watt {
-    /// Constructs from milliwatts.
-    pub const fn from_mw(mw: f64) -> Self {
-        Self(mw * 1.0e-3)
-    }
-
-    /// Constructs from microwatts.
-    pub const fn from_uw(uw: f64) -> Self {
-        Self(uw * 1.0e-6)
-    }
-
     /// Value in milliwatts.
     pub const fn mw(self) -> f64 {
         self.0 * 1.0e3
     }
-
-    /// Value in microwatts.
-    pub const fn uw(self) -> f64 {
-        self.0 * 1.0e6
-    }
 }
 
 impl Joule {
-    /// Constructs from picojoules.
-    pub const fn from_pj(pj: f64) -> Self {
-        Self(pj * 1.0e-12)
-    }
-
-    /// Constructs from femtojoules.
-    pub const fn from_fj(fj: f64) -> Self {
-        Self(fj * 1.0e-15)
-    }
-
     /// Value in picojoules.
     pub const fn pj(self) -> f64 {
         self.0 * 1.0e12
-    }
-
-    /// Value in femtojoules.
-    pub const fn fj(self) -> f64 {
-        self.0 * 1.0e15
     }
 }
 
@@ -437,44 +353,33 @@ mod tests {
 
     #[test]
     fn rc_product_is_time() {
-        let tau = Ohm::from_kohm(2.0) * Farad::from_ff(50.0);
+        let tau = Ohm::new(2.0e3) * Farad::from_ff(50.0);
         assert!((tau.ps() - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn ohms_law_round_trip() {
-        let i = Volt::new(1.8) / Ohm::from_kohm(1.8);
-        assert!((i.ma() - 1.0).abs() < 1e-12);
+        let i = Volt::new(1.8) / Ohm::new(1.8e3);
+        assert!((i.value() - 1.0e-3).abs() < 1e-15);
         let r = Volt::new(1.8) / i;
-        assert!((r.kohm() - 1.8).abs() < 1e-12);
+        assert!((r.value() - 1.8e3).abs() < 1e-9);
     }
 
     #[test]
     fn power_and_energy() {
-        let p = Volt::new(1.8) * Amp::from_ma(10.0);
+        let p = Volt::new(1.8) * Amp::new(10.0e-3);
         assert!((p.mw() - 18.0).abs() < 1e-9);
-        let e = p * Time::from_ns(1.0);
+        let e = p * Time::from_ps(1000.0);
         assert!((e.pj() - 18.0).abs() < 1e-9);
-        let back = e / Time::from_ns(1.0);
+        let back = e / Time::from_ps(1000.0);
         assert!((back.mw() - 18.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn frequency_period_inverse() {
-        let f = Hertz::from_ghz(2.0);
-        let t = Time::from_frequency(f);
-        assert!((t.ps() - 500.0).abs() < 1e-9);
-        let f2 = Hertz::from_period(t);
-        assert!((f2.ghz() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn scaling_helpers_round_trip() {
         assert!((Volt::from_mv(32.0).mv() - 32.0).abs() < 1e-12);
         assert!((Farad::from_pf(2.0).ff() - 2000.0).abs() < 1e-9);
-        assert!((Time::from_ns(0.5).ps() - 500.0).abs() < 1e-9);
-        assert!((Watt::from_mw(15.7).uw() - 15_700.0).abs() < 1e-9);
-        assert!((Joule::from_pj(219.0).fj() - 219_000.0).abs() < 1e-6);
+        assert!((Time::from_ps(500.0).ns() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -497,7 +402,7 @@ mod tests {
 
     #[test]
     fn sum_of_units() {
-        let total: Watt = [Watt::from_mw(4.5), Watt::from_mw(11.2)].into_iter().sum();
+        let total: Watt = [Watt::new(4.5e-3), Watt::new(11.2e-3)].into_iter().sum();
         assert!((total.mw() - 15.7).abs() < 1e-9);
     }
 
@@ -516,7 +421,7 @@ mod tests {
     #[test]
     fn energy_rate_is_power() {
         // 219 pJ/bit at 2 Gb/s -> 438 mW.
-        let p = Joule::from_pj(219.0) * Hertz::from_ghz(2.0);
+        let p = Joule::new(219.0e-12) * Hertz::from_ghz(2.0);
         assert!((p.mw() - 438.0).abs() < 1e-6);
     }
 }

@@ -6,7 +6,7 @@
 //! are fat and fast). A simple fanout-based wireload model is provided for
 //! pre-placement timing, mirroring what synthesis tools do before layout.
 
-use crate::units::{Farad, Micron, Ohm, Time};
+use crate::units::{Farad, Micron, Ohm};
 use std::fmt;
 
 /// Routing metal layer of the sky130 five-metal stack.
@@ -60,44 +60,6 @@ impl MetalLayer {
 impl fmt::Display for MetalLayer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "met{}", *self as u8 + 1)
-    }
-}
-
-/// A routed wire segment on one layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireSegment {
-    /// Layer the segment is routed on.
-    pub layer: MetalLayer,
-    /// Length of the segment.
-    pub length: Micron,
-}
-
-impl WireSegment {
-    /// Creates a segment of the given length (µm) on `layer`.
-    pub fn new(layer: MetalLayer, length_um: f64) -> Self {
-        Self {
-            layer,
-            length: Micron::new(length_um),
-        }
-    }
-
-    /// Total segment resistance.
-    pub fn resistance(&self) -> Ohm {
-        self.layer.r_per_um() * self.length.value()
-    }
-
-    /// Total segment capacitance.
-    pub fn capacitance(&self) -> Farad {
-        self.layer.c_per_um() * self.length.value()
-    }
-
-    /// Elmore delay of this segment driving `load` at its far end, using
-    /// the distributed-RC half-resistance approximation
-    /// `d = R·(C/2 + C_load)`.
-    pub fn elmore_delay(&self, load: Farad) -> Time {
-        let r = self.resistance();
-        let c = self.capacitance();
-        Time::new(r.value() * (0.5 * c.value() + load.value()))
     }
 }
 
@@ -158,31 +120,6 @@ mod tests {
             assert!(w[1].r_per_um().value() < w[0].r_per_um().value());
             assert!(w[1].c_per_um().value() <= w[0].c_per_um().value());
         }
-    }
-
-    #[test]
-    fn segment_rc_scales_with_length() {
-        let s1 = WireSegment::new(MetalLayer::M2, 100.0);
-        let s2 = WireSegment::new(MetalLayer::M2, 200.0);
-        assert!((s2.resistance().value() / s1.resistance().value() - 2.0).abs() < 1e-12);
-        assert!((s2.capacitance().ff() / s1.capacitance().ff() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn elmore_delay_reasonable() {
-        // 1 mm of M2 driving 10 fF: R = 900 Ω, C = 190 fF
-        // d = 900·(95f + 10f) ≈ 94.5 ps.
-        let s = WireSegment::new(MetalLayer::M2, 1000.0);
-        let d = s.elmore_delay(Farad::from_ff(10.0));
-        assert!((80.0..110.0).contains(&d.ps()), "d = {} ps", d.ps());
-    }
-
-    #[test]
-    fn elmore_monotonic_in_load() {
-        let s = WireSegment::new(MetalLayer::M1, 50.0);
-        let d1 = s.elmore_delay(Farad::from_ff(1.0));
-        let d2 = s.elmore_delay(Farad::from_ff(10.0));
-        assert!(d2 > d1);
     }
 
     #[test]

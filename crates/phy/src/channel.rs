@@ -9,10 +9,7 @@
 
 use openserdes_analog::noise::{add_gaussian_noise, apply_jitter};
 use openserdes_analog::Waveform;
-use openserdes_fault::{FaultKind, FaultSchedule};
 use openserdes_pdk::units::{Hertz, Time, Volt};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A serial channel: attenuation, bandwidth and impairments.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,86 +121,6 @@ impl ChannelModel {
         );
         add_gaussian_noise(&jittered, self.noise_sigma.value(), self.seed ^ 0x5EED)
     }
-
-    /// [`ChannelModel::apply`] under a fault campaign: propagates the
-    /// waveform normally, then injects the schedule's *channel* faults
-    /// into the received waveform at their UI timestamps (`ui` is one
-    /// unit interval of the running link). Clock and digital events are
-    /// not the channel's to model and are ignored here — the CDR and
-    /// deserializer hooks own them. With no channel events the result
-    /// is sample-identical to [`ChannelModel::apply`].
-    ///
-    /// Fault rendering in the analog domain:
-    /// * dropout — the wire sits at the struck rail for the window,
-    /// * burst noise — extra seeded Gaussian noise, σ scaled by
-    ///   `flip_prob` of the post-channel swing,
-    /// * supply droop — the swing collapses toward common mode on a
-    ///   triangular profile peaking at `peak_flip_prob`.
-    pub fn apply_with_faults(
-        &self,
-        input: &Waveform,
-        schedule: &FaultSchedule,
-        ui: Time,
-    ) -> Waveform {
-        let out = self.apply(input);
-        if schedule.channel_events().next().is_none() {
-            return out;
-        }
-        let (lo, hi) = (out.min(), out.max());
-        let mid = 0.5 * (lo + hi);
-        let swing = hi - lo;
-        let mut samples = out.samples().to_vec();
-        let (t0, dt) = (out.t0(), out.dt());
-        let nsamp = samples.len();
-        // Sample index range covering [at_ui, at_ui + duration) UIs.
-        let span = |at_ui: u64, duration_ui: u64| -> (usize, usize) {
-            let t_lo = at_ui as f64 * ui.value();
-            let t_hi = at_ui.saturating_add(duration_ui) as f64 * ui.value();
-            let i_lo = ((t_lo - t0) / dt).ceil().max(0.0) as usize;
-            let i_hi = (((t_hi - t0) / dt).ceil().max(0.0) as usize).min(nsamp);
-            (i_lo.min(nsamp), i_hi)
-        };
-        for (idx, ev) in schedule.channel_events() {
-            match ev.kind {
-                FaultKind::Dropout { duration_ui, level } => {
-                    let (a, b) = span(ev.at_ui, duration_ui);
-                    let rail = if level { hi } else { lo };
-                    for s in &mut samples[a..b] {
-                        *s = rail;
-                    }
-                }
-                FaultKind::BurstNoise {
-                    duration_ui,
-                    flip_prob,
-                } => {
-                    let (a, b) = span(ev.at_ui, duration_ui);
-                    let sigma = flip_prob * swing;
-                    let mut rng = StdRng::seed_from_u64(schedule.event_seed(idx));
-                    for s in &mut samples[a..b] {
-                        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        let u2: f64 = rng.gen::<f64>();
-                        let gauss =
-                            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                        *s += sigma * gauss;
-                    }
-                }
-                FaultKind::SupplyDroop {
-                    duration_ui,
-                    peak_flip_prob,
-                } => {
-                    let (a, b) = span(ev.at_ui, duration_ui);
-                    let width = (b - a).max(1) as f64;
-                    for (k, s) in samples[a..b].iter_mut().enumerate() {
-                        let frac = (k as f64 + 0.5) / width;
-                        let collapse = peak_flip_prob * (1.0 - (2.0 * frac - 1.0).abs());
-                        *s = mid + (*s - mid) * (1.0 - collapse);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Waveform::new(t0, dt, samples)
-    }
 }
 
 impl Default for ChannelModel {
@@ -285,69 +202,5 @@ mod tests {
     #[should_panic(expected = "EMIB")]
     fn emib_range_checked() {
         let _ = ChannelModel::emib(30.0);
-    }
-
-    #[test]
-    fn faultless_schedule_is_sample_identical() {
-        use openserdes_fault::{FaultEvent, FaultSchedule};
-        let ch = ChannelModel::lossy(20.0);
-        let input = pattern();
-        let ui = Time::from_ps(500.0);
-        let plain = ch.apply(&input);
-        let empty = ch.apply_with_faults(&input, &FaultSchedule::new(1), ui);
-        assert_eq!(plain.samples(), empty.samples(), "empty schedule no-op");
-        // Clock/digital events are not channel faults: still a no-op.
-        let clocky = FaultSchedule::new(1).with_event(FaultEvent {
-            at_ui: 3,
-            kind: openserdes_fault::FaultKind::PhaseGlitch { offset_samples: 1 },
-        });
-        let out = ch.apply_with_faults(&input, &clocky, ui);
-        assert_eq!(plain.samples(), out.samples());
-    }
-
-    #[test]
-    fn dropout_pins_the_window_and_droop_collapses_swing() {
-        use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
-        let ch = ChannelModel::ideal();
-        let input = pattern();
-        let ui = Time::from_ps(500.0);
-        let plain = ch.apply(&input);
-        let schedule = FaultSchedule::new(5)
-            .with_event(FaultEvent {
-                at_ui: 10,
-                kind: FaultKind::Dropout {
-                    duration_ui: 4,
-                    level: false,
-                },
-            })
-            .with_event(FaultEvent {
-                at_ui: 25,
-                kind: FaultKind::SupplyDroop {
-                    duration_ui: 10,
-                    peak_flip_prob: 0.8,
-                },
-            });
-        let out = ch.apply_with_faults(&input, &schedule, ui);
-        let per_ui = (ui.value() / out.dt()).round() as usize;
-        // Inside the dropout every sample sits at the low rail.
-        let lo = plain.min();
-        for i in 10 * per_ui..14 * per_ui {
-            assert!(
-                (out.samples()[i] - lo).abs() < 1e-12,
-                "sample {i} must be pinned"
-            );
-        }
-        // Outside every fault window the waveform is untouched.
-        assert_eq!(out.samples()[..10 * per_ui], plain.samples()[..10 * per_ui]);
-        // Mid-droop the swing is collapsed vs the clean waveform.
-        let mid = 0.5 * (plain.max() + plain.min());
-        let i = 30 * per_ui; // droop midpoint
-        assert!(
-            (out.samples()[i] - mid).abs() <= (plain.samples()[i] - mid).abs(),
-            "droop must pull toward common mode"
-        );
-        // Deterministic: same inputs, same waveform.
-        let again = ch.apply_with_faults(&input, &schedule, ui);
-        assert_eq!(out.samples(), again.samples());
     }
 }

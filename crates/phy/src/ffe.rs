@@ -22,7 +22,7 @@ pub struct TxFfe {
 
 impl TxFfe {
     /// A pass-through (no equalization) single-tap FFE.
-    pub fn passthrough() -> Self {
+    fn passthrough() -> Self {
         Self { taps: vec![1.0] }
     }
 
@@ -50,11 +50,6 @@ impl TxFfe {
         Self {
             taps: taps.into_iter().map(|t| t / norm).collect(),
         }
-    }
-
-    /// The normalized tap weights.
-    pub fn taps(&self) -> &[f64] {
-        &self.taps
     }
 
     /// Per-bit output levels in `[-1, 1]` (bits map to ±1 before
@@ -176,7 +171,7 @@ mod tests {
     #[test]
     fn taps_normalized() {
         let ffe = TxFfe::new(vec![3.0, -1.0]);
-        let s: f64 = ffe.taps().iter().map(|t| t.abs()).sum();
+        let s: f64 = ffe.taps.iter().map(|t| t.abs()).sum();
         assert!((s - 1.0).abs() < 1e-12);
     }
 

@@ -28,7 +28,7 @@ use openserdes_analog::{Circuit, Node, Stimulus, Waveform};
 use openserdes_lint::{LintConfig, LintReport};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::mos::{MosDevice, MosParams};
-use openserdes_pdk::units::{AreaUm2, Farad, Hertz, Time, Volt, Watt};
+use openserdes_pdk::units::{AreaUm2, Farad, Hertz, Volt, Watt};
 
 /// Receiver front-end configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,7 +104,7 @@ impl SmallSignal {
     /// Effective gain for an NRZ pulse of one unit interval: the
     /// single-pole step response sampled at the end of the bit,
     /// `A·(1 − e^(−T/τ))`.
-    pub fn gain_at_rate(&self, data_rate: Hertz) -> f64 {
+    fn gain_at_rate(&self, data_rate: Hertz) -> f64 {
         let t = 1.0 / data_rate.value();
         let tau = self.rout * self.cout.value();
         self.gain * (1.0 - (-t / tau).exp())
@@ -339,7 +339,7 @@ impl RxFrontEnd {
     /// Small-signal characterization at a *known* bias point — the
     /// solver-free half of [`RxFrontEnd::small_signal`], for callers
     /// that already hold the bias from [`RxFrontEnd::self_bias`].
-    pub fn small_signal_with_bias(&self, bias: Volt) -> SmallSignal {
+    fn small_signal_with_bias(&self, bias: Volt) -> SmallSignal {
         let bias = bias.value();
         let vdd = self.pvt.vdd.value();
         let k = self.config.gain_stage_scale;
@@ -459,23 +459,6 @@ impl RxFrontEnd {
         Ok(Volt::new(hi))
     }
 
-    /// Maximum tolerable channel loss in dB at `data_rate` for a
-    /// transmitter swing of `tx_swing`, against the *measured*
-    /// sensitivity ([`RxFrontEnd::sensitivity_measured`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures from the bisection probes.
-    pub fn max_loss_db_measured(
-        &self,
-        data_rate: Hertz,
-        tx_swing: Volt,
-        threads: usize,
-    ) -> Result<f64, SolverError> {
-        let sens = self.sensitivity_measured(data_rate, threads)?;
-        Ok(20.0 * (tx_swing.value() / sens.value()).log10())
-    }
-
     /// Static power: the quiescent current of both always-on inverters
     /// times the supply — the cost of the synthesizable analog front end
     /// the paper calls out.
@@ -499,22 +482,6 @@ impl RxFrontEnd {
     pub fn area(&self) -> AreaUm2 {
         let w_total = (0.65 + 1.0) * (self.config.gain_stage_scale + self.config.restorer_scale);
         AreaUm2::new(w_total * 2.3 + 20.0)
-    }
-
-    /// Recovers bits by slicing the restored output at bit centres.
-    pub fn slice(
-        &self,
-        waves: &FrontEndWaveforms,
-        bit_time: Time,
-        phase: Time,
-        count: usize,
-    ) -> Vec<bool> {
-        waves.restored.slice_bits(
-            bit_time.value(),
-            phase.value(),
-            0.5 * self.pvt.vdd.value(),
-            count,
-        )
     }
 }
 

@@ -36,7 +36,6 @@ pub mod ffe;
 mod frontend;
 pub mod mismatch;
 mod pipeline;
-pub mod rxeq;
 mod sampler;
 
 pub use channel::ChannelModel;
@@ -44,8 +43,7 @@ pub use driver::{DriverConfig, DriverWaveforms, TxDriver};
 pub use ffe::TxFfe;
 pub use frontend::{FrontEndConfig, FrontEndWaveforms, RxFrontEnd, SmallSignal};
 pub use mismatch::{monte_carlo, MismatchStats};
-pub use pipeline::{q_function, AnalogLink, BehavioralLink, BerEstimate, LinkRun};
-pub use rxeq::{Ctle, Dfe};
+pub use pipeline::{AnalogLink, BehavioralLink, BerEstimate, LinkRun};
 pub use sampler::{SampleOutcome, Sampler};
 
 pub use openserdes_analog::primitives::FeedbackKind;

@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 /// Pelgrom matching coefficient for a sky130-class node, in V·µm
 /// (σ(ΔVth) ≈ 5 mV for a 1 µm² device).
-pub const PELGROM_AVT: f64 = 5.0e-3;
+const PELGROM_AVT: f64 = 5.0e-3;
 
 /// Result of a mismatch Monte-Carlo run.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,7 @@ fn switching_threshold(nmos: &MosDevice, pmos: &MosDevice, vdd: f64) -> f64 {
 }
 
 /// σ(ΔVth) for a device of the given geometry, per the Pelgrom model.
-pub fn vth_sigma(w_um: f64, l_um: f64) -> f64 {
+fn vth_sigma(w_um: f64, l_um: f64) -> f64 {
     PELGROM_AVT / (w_um * l_um).sqrt()
 }
 

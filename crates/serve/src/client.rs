@@ -45,7 +45,7 @@ impl ClientError {
     /// Whether a retry could help: transport and timeout failures are
     /// retryable (the job is content-addressed, so resubmission is
     /// exact); server-reported and protocol errors are not.
-    pub fn is_retryable(&self) -> bool {
+    fn is_retryable(&self) -> bool {
         matches!(self, ClientError::Io(_) | ClientError::Timeout(_))
     }
 }
@@ -236,7 +236,7 @@ impl Client {
     /// # Errors
     ///
     /// Same as [`Client::submit`].
-    pub fn submit_raw_with_deadline(
+    fn submit_raw_with_deadline(
         &mut self,
         priority: u8,
         seed: u64,

@@ -178,7 +178,7 @@ pub fn parse_reply(text: &str) -> Result<Result<Response, String>, Error> {
 /// The server answers this with a typed error reply and a clean close
 /// instead of silently dropping the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OversizedFrame {
+struct OversizedFrame {
     /// The announced payload length in bytes.
     pub len: usize,
 }

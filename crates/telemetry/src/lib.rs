@@ -43,17 +43,16 @@
 mod export;
 mod record;
 
-pub use record::{merge_span_lists, Histogram, Record, SpanNode, TraceEvent, HISTOGRAM_BUCKETS};
+pub use record::{merge_span_lists, Histogram, Record, SpanNode, TraceEvent};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACE_EVENTS: AtomicBool = AtomicBool::new(false);
-static MAX_EVENTS: AtomicUsize = AtomicUsize::new(1 << 18);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -81,16 +80,11 @@ pub fn trace_events_enabled() -> bool {
     TRACE_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Caps the number of trace events a record holds; excess occurrences
-/// are counted in [`Record::dropped_events`] instead of growing memory
+/// The number of trace events a record holds; excess occurrences are
+/// counted in [`Record::dropped_events`] instead of growing memory
 /// without bound.
-pub fn set_max_events(cap: usize) {
-    MAX_EVENTS.store(cap, Ordering::Relaxed);
-}
-
-/// The current trace-event cap.
 pub fn max_events() -> usize {
-    MAX_EVENTS.load(Ordering::Relaxed)
+    1 << 18
 }
 
 /// The process-wide time origin for trace events (first use wins), so
@@ -385,7 +379,6 @@ mod tests {
         let r = f();
         set_enabled(false);
         set_trace_events(false);
-        set_max_events(1 << 18);
         reset();
         r
     }
@@ -464,17 +457,20 @@ mod tests {
     fn trace_events_record_and_cap() {
         let rec = with_enabled(|| {
             set_trace_events(true);
-            set_max_events(2);
             let (_, rec) = collect(|| {
-                for _ in 0..5 {
+                for _ in 0..max_events() + 3 {
                     let _s = span("ev");
                 }
             });
             rec
         });
-        assert_eq!(rec.events.len(), 2);
+        assert_eq!(rec.events.len(), max_events());
         assert_eq!(rec.dropped_events, 3);
-        assert_eq!(rec.span("ev").unwrap().count, 5, "aggregation unaffected");
+        assert_eq!(
+            rec.span("ev").unwrap().count,
+            max_events() as u64 + 3,
+            "aggregation unaffected"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// of the `u64` range.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log-bucketed histogram of `u64` values.
 ///

@@ -55,3 +55,8 @@ pub use openserdes_telemetry as telemetry;
 pub use openserdes_core::error::Error;
 pub use openserdes_core::job::{Request, Response};
 pub use openserdes_core::session::Session;
+
+// README's Rust blocks compile and run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

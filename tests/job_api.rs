@@ -335,6 +335,16 @@ fn degenerate_sweep_specs_are_rejected_naming_the_field() {
         ("\"bits\":500", "\"bits\":1099511627776", "bits"),
         ("\"phases\":4", "\"phases\":1099511627776", "phases"),
         ("\"frames\":2", "\"frames\":1099511627776", "frames"),
+        // The CDR range: 2^32 used to decode and then abort the process
+        // on a 32 GiB allocation.
+        ("\"oversampling\":5", "\"oversampling\":2", "oversampling"),
+        ("\"oversampling\":5", "\"oversampling\":65", "oversampling"),
+        (
+            "\"oversampling\":5",
+            "\"oversampling\":4294967296",
+            "oversampling",
+        ),
+        ("\"window\":32", "\"window\":0", "window"),
     ] {
         let hacked = json.replace(from, to);
         assert_ne!(hacked, json, "the edit must hit {field}");
@@ -345,6 +355,8 @@ fn degenerate_sweep_specs_are_rejected_naming_the_field() {
         ("\"bits\":500", "\"bits\":1048576"),
         ("\"phases\":4", "\"phases\":1024"),
         ("\"frames\":2", "\"frames\":1024"),
+        ("\"oversampling\":5", "\"oversampling\":3"),
+        ("\"oversampling\":5", "\"oversampling\":64"),
     ] {
         assert!(Request::from_json(&json.replace(from, at_limit)).is_ok());
     }

@@ -16,6 +16,7 @@
 use openserdes::core::job::{DesignSpec, Request, Response, SweepSpec};
 use openserdes::core::{LinkConfig, FRAME_BITS};
 use openserdes::fault::{campaign, server_campaign, CampaignKind, ServerFaultKind};
+use openserdes::pdk::corner::Pvt;
 use openserdes::pdk::units::Hertz;
 use openserdes::serve::{
     wire, Client, ClientConfig, ClientError, Server, ServerConfig, ServerStats,
@@ -64,6 +65,17 @@ fn bathtub(bits: usize, phases: usize) -> Request {
     }
 }
 
+/// A request that decodes but panics inside the engine, the vector the
+/// panic-isolation checks submit: a NaN STA clock passes the wire (floats
+/// decode verbatim) and trips the timing engine's slack ordering.
+fn poison_request() -> Request {
+    Request::Sta {
+        design: DesignSpec::Serializer,
+        pvt: Pvt::nominal(),
+        clock: Hertz::new(f64::NAN),
+    }
+}
+
 /// The canonical reply bytes of a direct, single-threaded
 /// `Session::submit`: what the server must send for `(request, seed)`.
 fn direct_bytes(seed: u64, request: &Request) -> String {
@@ -107,7 +119,7 @@ fn mixed_jobs() -> Vec<(u64, Request)> {
             14,
             Request::Sta {
                 design: DesignSpec::Serializer,
-                pvt: openserdes::pdk::corner::Pvt::nominal(),
+                pvt: Pvt::nominal(),
                 clock: Hertz::from_ghz(2.0),
             },
         ),
@@ -355,23 +367,13 @@ fn overload_sheds_with_a_typed_response() {
 
 #[test]
 fn engine_panic_is_isolated_and_the_worker_survives() {
-    // cdr.oversampling = 0 passes wire validation (LinkConfig is
-    // accepted verbatim) but violates the engine's internal assert —
-    // the canonical panic-isolation vector.
-    let mut poison = LinkConfig::paper_default();
-    poison.cdr.oversampling = 0;
-    let poison_request = Request::RunLink {
-        config: poison,
-        frames: vec![[7u32; 8]],
-    };
-
     let config = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
     };
     let stats = with_server(config, |addr| {
         let mut client = Client::connect(addr, "panicker").expect("connect");
-        match client.submit(1, 21, &poison_request) {
+        match client.submit(1, 21, &poison_request()) {
             Err(ClientError::Server(msg)) => {
                 assert!(
                     msg.contains("panicked"),
@@ -502,7 +504,8 @@ fn hostile_nesting_gets_a_typed_error_and_the_connection_survives() {
 fn oversized_sweep_gets_a_typed_error_and_the_server_keeps_serving() {
     // 2^40 phases used to decode, and the bathtub's phase list then
     // failed an 8 TiB allocation: an abort that no `catch_unwind` in
-    // the worker can isolate, taking the whole server down.
+    // the worker can isolate, taking the whole server down. A link run
+    // at 2^32x oversampling failed a 32 GiB allocation the same way.
     let stats = with_server(ServerConfig::default(), |addr| {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(10)))
@@ -521,15 +524,31 @@ fn oversized_sweep_gets_a_typed_error_and_the_server_keeps_serving() {
             deadline_ms: None,
             request,
         };
-        let json = envelope(quick_bathtub(500)).to_json();
-        for (from, to) in [
-            ("\"phases\":8", "\"phases\":1099511627776"),
-            ("\"bits\":500", "\"bits\":1099511627776"),
+        let bathtub = envelope(quick_bathtub(500)).to_json();
+        let link = envelope(Request::RunLink {
+            config: LinkConfig::paper_default(),
+            frames: vec![[7u32; 8]],
+        })
+        .to_json();
+        for (json, from, to, field) in [
+            (
+                &bathtub,
+                "\"phases\":8",
+                "\"phases\":1099511627776",
+                "phases",
+            ),
+            (&bathtub, "\"bits\":500", "\"bits\":1099511627776", "bits"),
+            (
+                &link,
+                "\"oversampling\":5",
+                "\"oversampling\":4294967296",
+                "oversampling",
+            ),
         ] {
             let hostile = json.replace(from, to);
-            assert_ne!(hostile, json, "the edit must hit the sweep");
+            assert_ne!(&hostile, json, "the edit must hit {field}");
             match exchange(hostile.as_bytes()) {
-                Err(msg) => assert!(msg.contains("above the limit"), "typed: {msg}"),
+                Err(msg) => assert!(msg.contains(field), "typed, naming {field}: {msg}"),
                 Ok(other) => panic!("expected an error frame, got {other:?}"),
             }
         }
@@ -542,7 +561,7 @@ fn oversized_sweep_gets_a_typed_error_and_the_server_keeps_serving() {
             Err(msg) => panic!("expected a bathtub reply, got {msg}"),
         }
     });
-    assert_eq!(stats.protocol_errors, 2);
+    assert_eq!(stats.protocol_errors, 3);
     assert_eq!(stats.conn_errors, 0);
     assert_eq!(stats.completed, 1);
 }
@@ -710,14 +729,8 @@ fn inject(addr: SocketAddr, kind: ServerFaultKind) {
             drop(s);
         }
         ServerFaultKind::WorkerPanic => {
-            let mut poison = LinkConfig::paper_default();
-            poison.cdr.oversampling = 0;
-            let request = Request::RunLink {
-                config: poison,
-                frames: vec![[7u32; 8]],
-            };
             let mut client = Client::connect(addr, "chaos-panic").expect("connect");
-            match client.submit(1, 31_337, &request) {
+            match client.submit(1, 31_337, &poison_request()) {
                 Err(ClientError::Server(msg)) => {
                     assert!(msg.contains("panicked"), "isolated typed: {msg}")
                 }
