@@ -87,6 +87,16 @@ impl BitVec {
         self.len += nbits;
     }
 
+    /// Appends `count` copies of `bit`.
+    pub(crate) fn push_run(&mut self, bit: bool, mut count: usize) {
+        let word = if bit { u64::MAX } else { 0 };
+        while count > 0 {
+            let take = count.min(64);
+            self.push_word(word, take);
+            count -= take;
+        }
+    }
+
     /// The bit at `index`.
     ///
     /// # Panics

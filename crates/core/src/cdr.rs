@@ -20,7 +20,7 @@
 
 use crate::bitstream::BitVec;
 use openserdes_flow::ir::Design;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 
 /// CDR configuration (the paper's scan bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,15 +153,6 @@ impl OversamplingCdr {
         &self.relock_times
     }
 
-    /// Processes one unit interval packed into the low `oversampling`
-    /// bits of `samples` (sample 0 in bit 0; higher bits ignored),
-    /// returning the recovered bit. This is the public form of the
-    /// packed fast path — fault runners drive the CDR UI by UI through
-    /// it so they can flip state between UIs.
-    pub fn step_word(&mut self, samples: u64) -> bool {
-        self.process_ui_word(samples)
-    }
-
     /// Single-event upset: flips bit `bit` of the phase register. The
     /// result is folded back into range (a real SEU leaves the register
     /// arbitrary; the decision mux masks it the same way). Pure state
@@ -169,63 +160,6 @@ impl OversamplingCdr {
     /// logic to discover.
     pub fn inject_phase_flip(&mut self, bit: u32) {
         self.phase = (self.phase ^ (1usize << (bit % usize::BITS))) % self.cfg.oversampling;
-    }
-
-    /// Processes one unit interval worth of samples, returning the
-    /// recovered bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len() != oversampling`.
-    fn process_ui(&mut self, samples: &[bool]) -> bool {
-        let n = self.cfg.oversampling;
-        assert_eq!(samples.len(), n, "one UI is {n} samples");
-        let mut word = 0u64;
-        for (i, &s) in samples.iter().enumerate() {
-            word |= (s as u64) << i;
-        }
-        self.process_ui_word(word)
-    }
-
-    /// One UI packed into the low `oversampling` bits of a word (sample
-    /// 0 in bit 0). Higher bits are ignored.
-    fn process_ui_word(&mut self, samples: u64) -> bool {
-        let n = self.cfg.oversampling;
-        let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let samples = samples & mask;
-
-        // Glitch correction: majority-of-3 smoothing over the sample
-        // window (previous UI's last sample patches the left edge, the
-        // right edge duplicates the last sample), computed word-wide.
-        let smoothed = if self.cfg.glitch_filter {
-            let prev = (samples << 1) | self.last_sample as u64;
-            let next = (samples >> 1) | (samples & (1u64 << (n - 1)));
-            ((prev & samples) | (prev & next) | (samples & next)) & mask
-        } else {
-            samples
-        };
-
-        let bit = smoothed >> self.phase & 1 == 1;
-
-        // Window bookkeeping matches the RTL: on the window's last UI the
-        // decision is evaluated from the accumulated histogram and the
-        // histogram clears (that UI's edges are not counted).
-        if self.win_count == self.cfg.window - 1 {
-            self.evaluate();
-            self.edge_hist.iter_mut().for_each(|c| *c = 0);
-            self.win_count = 0;
-        } else {
-            let mut edges = (smoothed ^ ((smoothed << 1) | self.last_sample as u64)) & mask;
-            while edges != 0 {
-                self.edge_hist[edges.trailing_zeros() as usize] += 1;
-                edges &= edges - 1;
-            }
-            self.win_count += 1;
-        }
-
-        self.last_sample = smoothed >> (n - 1) & 1 == 1;
-        self.uis += 1;
-        bit
     }
 
     fn evaluate(&mut self) {
@@ -286,32 +220,120 @@ impl OversamplingCdr {
     ///
     /// Panics if the stream length is not a whole number of UIs.
     pub fn recover(&mut self, stream: &[bool]) -> Vec<bool> {
-        assert_eq!(
-            stream.len() % self.cfg.oversampling,
-            0,
-            "stream must be whole UIs"
-        );
-        stream
-            .chunks(self.cfg.oversampling)
-            .map(|ui| self.process_ui(ui))
-            .collect()
+        self.recover_packed(&BitVec::from_bools(stream)).to_bools()
     }
 
-    /// Packed fast path of [`Self::recover`]: each UI is one windowed
-    /// word read, the recovered bits come back packed.
+    /// Packed fast path of [`Self::recover`]: the recovered bits come
+    /// back packed, bit-identical to stepping the UIs one at a time.
     ///
     /// # Panics
     ///
     /// Panics if the stream length is not a whole number of UIs.
     pub fn recover_packed(&mut self, stream: &BitVec) -> BitVec {
+        self.recover_with_phase_flips(stream, &[])
+    }
+
+    /// [`Self::recover_packed`] with the phase register upset before
+    /// some UIs: each `(ui, bit)` of `flips`, in UI order, applies
+    /// [`Self::inject_phase_flip`]`(bit)` just before UI `ui` (clamped
+    /// to the stream) is processed. This is how the fault runner lands
+    /// SEU strikes between UIs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream length is not a whole number of UIs.
+    pub(crate) fn recover_with_phase_flips(
+        &mut self,
+        stream: &BitVec,
+        flips: &[(usize, u32)],
+    ) -> BitVec {
         let n = self.cfg.oversampling;
         assert_eq!(stream.len() % n, 0, "stream must be whole UIs");
         let uis = stream.len() / n;
         let mut out = BitVec::with_capacity(uis);
-        for k in 0..uis {
-            out.push(self.process_ui_word(stream.window64(k * n)));
+        let mut from = 0;
+        for &(at, bit) in flips {
+            let at = at.clamp(from, uis);
+            self.recover_span(stream, from..at, &mut out);
+            self.inject_phase_flip(bit);
+            from = at;
         }
+        self.recover_span(stream, from..uis, &mut out);
         out
+    }
+
+    /// Recovers UIs `span` of `stream` into `out`, one decision window
+    /// at a time, with the same bits and state as stepping the UIs one
+    /// by one (DESIGN.md §23).
+    ///
+    /// Within a window the sampling phase is fixed: only the window's
+    /// last UI evaluates, after taking its own bit. So each stretch up
+    /// to and including that UI is read as whole UIs per 64-bit word.
+    /// Per word: majority-of-3 smoothing, where the left neighbour of
+    /// sample 0 is the previous UI's last sample (raw and smoothed
+    /// agree there, because a last sample is its own right neighbour)
+    /// and the right neighbour of a last sample is itself; edges
+    /// against the same left neighbours, tallied per phase for every UI
+    /// but the evaluating one; and the bits at the phase.
+    fn recover_span(&mut self, stream: &BitVec, span: Range<usize>, out: &mut BitVec) {
+        let n = self.cfg.oversampling;
+        let per_word = 64 / n;
+        // Each UI's last sample in a word, and the phase of each bit.
+        let lasts = (0..per_word).fold(0u64, |m, u| m | 1 << (u * n + n - 1));
+        let phase_of: [u8; 64] = std::array::from_fn(|p| (p % n) as u8);
+        let mut k = span.start;
+        while k < span.end {
+            let counting = self.cfg.window - 1 - self.win_count;
+            let run = (span.end - k).min(counting + 1);
+            let counted = run.min(counting);
+            let mut u = 0;
+            while u < run {
+                let m = (run - u).min(per_word);
+                let width = m * n;
+                let mask = low_mask(width);
+                let raw = stream.window64((k + u) * n) & mask;
+                let carry = u64::from(self.last_sample);
+                let smoothed = if self.cfg.glitch_filter {
+                    let prev = raw << 1 | carry;
+                    let next = (raw >> 1 & !lasts) | (raw & lasts);
+                    (prev & raw | prev & next | raw & next) & mask
+                } else {
+                    raw
+                };
+                let live = low_mask(counted.saturating_sub(u).min(m) * n);
+                let mut edges = (smoothed ^ (smoothed << 1 | carry)) & live;
+                while edges != 0 {
+                    self.edge_hist[usize::from(phase_of[edges.trailing_zeros() as usize])] += 1;
+                    edges &= edges - 1;
+                }
+                let mut bits = 0u64;
+                for v in 0..m {
+                    bits |= (smoothed >> (v * n + self.phase) & 1) << v;
+                }
+                out.push_word(bits, m);
+                self.last_sample = smoothed >> (width - 1) & 1 == 1;
+                u += m;
+            }
+            self.win_count += counted;
+            self.uis += counted as u64;
+            if run > counted {
+                // The window's last UI: decide, then clear for the next.
+                self.evaluate();
+                self.edge_hist.fill(0);
+                self.win_count = 0;
+                self.uis += 1;
+            }
+            k += run;
+        }
+    }
+}
+
+/// The low `bits` bits set, for `bits` in `0..=64`.
+fn low_mask(bits: usize) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
     }
 }
 
@@ -338,10 +360,17 @@ pub fn oversample_bits(
 ///
 /// Edge `e` (the start of bit `e`) moves by the Box–Muller draw
 /// `√(−2 ln u1)·cos(2π·u2)·σ` from the `e`-th pair of uniforms of a
-/// generator seeded with `seed`. Most samples sit farther from both
-/// edges of their bit than any draw can reach, and a sample exactly on
-/// an edge needs only the sign of its draw, so the draw is evaluated
-/// only where neither bound decides.
+/// generator seeded with `seed`. Sample `j` of UI `i` sits at
+/// `t = i + (j + 0.5)/n + phase_frac`, and reads the bit its jittered
+/// edges put it in.
+///
+/// The stream is built from whole words (DESIGN.md §23): a slot whose
+/// position within its UI stays farther from both edges than any draw
+/// can reach reads the same bit offset at every UI, so the body of the
+/// stream is the source with each bit repeated `n` times. The exact
+/// per-sample rule runs only where a sample can differ from that: on
+/// a slot near an edge, at UIs where that edge is a transition, and on
+/// the UIs and inputs the argument does not cover.
 pub fn oversample_bits_packed(
     bits: &BitVec,
     n: usize,
@@ -350,57 +379,224 @@ pub fn oversample_bits_packed(
     seed: u64,
 ) -> BitVec {
     let len = bits.len();
-    let mut edges = EdgeJitter::new(rj_sigma_ui, seed);
-    // A sample with `reach <= frac < 1 - 2·reach` keeps its own bit.
-    // NaN and infinite sigmas give an empty range.
-    let reach = edges.reach();
-    let far_hi = 1.0 - 2.0 * reach;
-    let by_sign = edges.sign_decides();
-    let offsets: Vec<f64> = (0..n).map(|j| (j as f64 + 0.5) / n as f64).collect();
+    let mut rule = SampleRule::new(bits, n, phase_frac, rj_sigma_ui, seed);
     let mut out = BitVec::with_capacity(len * n);
-    let (mut word, mut fill) = (0u64, 0usize);
-    for i in 0..len {
-        for &offset in &offsets {
-            // Sample time in UI units, then locate the governing bit.
-            let t = i as f64 + offset + phase_frac;
-            // Truncation is `floor` for `t >= 0`, saturation included.
-            let idx = if t >= 0.0 {
-                t as isize
-            } else {
-                t.floor() as isize
-            };
-            let frac = t - idx as f64;
-            let idx = idx.clamp(0, len as isize - 1) as usize;
-            // The edge at the start of bit `idx` moves by jitter[idx],
-            // the one at its end by jitter[idx + 1]; either can hand the
-            // sample to a neighbouring bit.
-            let bit = if reach <= frac && frac < far_hi {
-                bits.get(idx)
-            } else if frac == 0.0 && by_sign {
-                // On the leading edge: the trailing edge is out of reach,
-                // so only the sign of this edge's draw matters.
-                if idx > 0 && edges.is_late(idx) {
-                    bits.get(idx - 1)
-                } else {
-                    bits.get(idx)
-                }
-            } else if idx > 0 && frac < edges.jitter(idx) {
-                bits.get(idx - 1)
-            } else if idx + 1 < len && frac >= 1.0 + edges.jitter(idx + 1) {
-                bits.get(idx + 1)
-            } else {
-                bits.get(idx)
-            };
-            word |= u64::from(bit) << fill;
-            fill += 1;
-            if fill == 64 {
-                out.push_word(word, 64);
-                (word, fill) = (0, 0);
-            }
+    match rule.body() {
+        Some(body) => {
+            rule.push_exact(0..body.lo, &mut out);
+            body.fill(bits, n, &mut out);
+            rule.patch(&body, &mut out);
+            rule.push_exact(body.hi..len, &mut out);
+        }
+        None => rule.push_exact(0..len, &mut out),
+    }
+    out
+}
+
+/// The exact per-sample rule of [`oversample_bits_packed`], with the
+/// jitter bounds that settle most comparisons before any draw.
+struct SampleRule<'a> {
+    bits: &'a BitVec,
+    /// Each slot's offset into its UI, `(j + 0.5)/n`.
+    offsets: Vec<f64>,
+    phase: f64,
+    /// `J`, a bound on `|jitter|` over every draw.
+    reach: f64,
+    /// A sample with `reach <= frac < far_hi` keeps its own bit.
+    far_hi: f64,
+    by_sign: bool,
+    edges: EdgeJitter,
+}
+
+/// The UIs `lo..hi` that [`oversample_bits_packed`] fills from words,
+/// and how: slot `j` reads bit `i + 1` for the last `shift` slots and
+/// bit `i` before them, except where a `near` slot's edge is a
+/// transition.
+struct Body {
+    lo: usize,
+    hi: usize,
+    shift: usize,
+    /// `(slot, edge offset)`: the slot of UI `i` is within reach of
+    /// edge `i + offset` and of no other.
+    near: Vec<(usize, usize)>,
+}
+
+impl<'a> SampleRule<'a> {
+    fn new(bits: &'a BitVec, n: usize, phase: f64, sigma: f64, seed: u64) -> Self {
+        let edges = EdgeJitter::new(sigma, seed);
+        // NaN and infinite sigmas give an empty far range.
+        let reach = edges.reach();
+        Self {
+            bits,
+            offsets: (0..n).map(|j| (j as f64 + 0.5) / n as f64).collect(),
+            phase,
+            reach,
+            far_hi: 1.0 - 2.0 * reach,
+            by_sign: edges.sign_decides(),
+            edges,
         }
     }
-    out.push_word(word, fill);
-    out
+
+    /// Sample `j` of UI `i`.
+    fn sample(&mut self, i: usize, j: usize) -> bool {
+        let bits = self.bits;
+        let len = bits.len();
+        // Sample time in UI units, then locate the governing bit.
+        let t = i as f64 + self.offsets[j] + self.phase;
+        // Truncation is `floor` for `t >= 0`, saturation included.
+        let idx = if t >= 0.0 {
+            t as isize
+        } else {
+            t.floor() as isize
+        };
+        let frac = t - idx as f64;
+        let idx = idx.clamp(0, len as isize - 1) as usize;
+        // The edge at the start of bit `idx` moves by jitter[idx], the
+        // one at its end by jitter[idx + 1]; either can hand the sample
+        // to a neighbouring bit.
+        if self.reach <= frac && frac < self.far_hi {
+            bits.get(idx)
+        } else if frac == 0.0 && self.by_sign {
+            // On the leading edge: the trailing edge is out of reach, so
+            // only the sign of this edge's draw matters.
+            if idx > 0 && self.edges.is_late(idx) {
+                bits.get(idx - 1)
+            } else {
+                bits.get(idx)
+            }
+        } else if idx > 0 && frac < self.edges.jitter(idx) {
+            bits.get(idx - 1)
+        } else if idx + 1 < len && frac >= 1.0 + self.edges.jitter(idx + 1) {
+            bits.get(idx + 1)
+        } else {
+            bits.get(idx)
+        }
+    }
+
+    /// Every sample of UIs `uis` by the exact rule, 64 per pushed word.
+    fn push_exact(&mut self, uis: Range<usize>, out: &mut BitVec) {
+        let (mut word, mut fill) = (0u64, 0usize);
+        for i in uis {
+            for j in 0..self.offsets.len() {
+                word |= u64::from(self.sample(i, j)) << fill;
+                fill += 1;
+                if fill == 64 {
+                    out.push_word(word, 64);
+                    (word, fill) = (0, 0);
+                }
+            }
+        }
+        out.push_word(word, fill);
+    }
+
+    /// Where the word-level fill is exact, or `None` for inputs outside
+    /// its argument: a phase outside `[0, 1)`, a non-finite bound,
+    /// `J ≥ 1/3` (with rounding margins), or no samples per UI.
+    ///
+    /// Slot `j`'s position in UI `i` is `fl(fl(i + o_j) + phase)`. It
+    /// differs from the slot's first-UI position `c = fl(o_j + phase)`
+    /// moved by `i` by less than `delta` over the whole stream, so a
+    /// slot whose fractional part `f = c − ⌊c⌋` lies in
+    /// `[J + δ, 1 − 2J − δ)` meets the far rule at every UI and reads
+    /// bit `i + ⌊c⌋`. Every other slot is within `J + 2δ` of one edge
+    /// and, with `J < 1/3`, out of reach of every other one. UI 0 and
+    /// the last two UIs can read a clamped bit index, so they take the
+    /// exact rule.
+    fn body(&self) -> Option<Body> {
+        let len = self.bits.len();
+        let (phase, reach) = (self.phase, self.reach);
+        let delta = 4.0 * (len as f64 + 2.0 + phase.abs()) * f64::EPSILON + 1e-15;
+        // False for a NaN phase or bound.
+        let covered = (0.0..1.0).contains(&phase) && 3.0 * reach + 4.0 * delta < 1.0;
+        if len < 4 || self.offsets.is_empty() || !covered {
+            return None;
+        }
+        let mut shift = 0;
+        let mut near = Vec::new();
+        for (j, &offset) in self.offsets.iter().enumerate() {
+            let c = offset + phase;
+            let d = usize::from(c >= 1.0);
+            let f = c - d as f64;
+            shift += d;
+            if f - delta < reach {
+                near.push((j, d));
+            } else if f + delta >= self.far_hi {
+                near.push((j, d + 1));
+            }
+        }
+        Some(Body {
+            lo: 1,
+            hi: len - 2,
+            shift,
+            near,
+        })
+    }
+
+    /// Runs the exact rule on each near sample of the body whose edge
+    /// is a transition, in sample order. Anywhere else the sample can
+    /// only read the one value both sides of its edge share, which the
+    /// fill already wrote.
+    fn patch(&mut self, body: &Body, out: &mut BitVec) {
+        if body.near.is_empty() {
+            return;
+        }
+        let bits = self.bits;
+        let n = self.offsets.len();
+        let mut i0 = body.lo;
+        while i0 < body.hi {
+            let m = (body.hi - i0).min(64);
+            // UIs with a transition at some near slot's edge.
+            let mut due = 0u64;
+            for &(_, g) in &body.near {
+                due |= bits.window64(i0 + g) ^ bits.window64(i0 + g - 1);
+            }
+            due &= low_mask(m);
+            while due != 0 {
+                let i = i0 + due.trailing_zeros() as usize;
+                due &= due - 1;
+                for &(j, g) in &body.near {
+                    if bits.get(i + g) != bits.get(i + g - 1) {
+                        let s = i * n + j;
+                        let bit = self.sample(i, j);
+                        out.set(s, bit);
+                    }
+                }
+            }
+            i0 += m;
+        }
+    }
+}
+
+impl Body {
+    /// Writes UIs `lo..hi`: the source with each bit repeated `n`
+    /// times, read from `shift` samples into bit `lo`.
+    fn fill(&self, bits: &BitVec, n: usize, out: &mut BitVec) {
+        out.push_run(bits.get(self.lo), n - self.shift);
+        // Whole source chunks of `per` bits expand through a table.
+        let per = (64 / n).min(8);
+        if per == 0 {
+            for x in self.lo + 1..self.hi {
+                out.push_run(bits.get(x), n);
+            }
+        } else {
+            let ones = low_mask(n);
+            let table: Vec<u64> = (0..1usize << per)
+                .map(|v| {
+                    (0..per)
+                        .filter(|b| v >> b & 1 == 1)
+                        .fold(0, |w, b| w | ones << (b * n))
+                })
+                .collect();
+            let mut x = self.lo + 1;
+            while x < self.hi {
+                let take = (self.hi - x).min(per);
+                let chunk = bits.window64(x) & low_mask(take);
+                out.push_word(table[chunk as usize], take * n);
+                x += take;
+            }
+        }
+        out.push_run(bits.get(self.hi), self.shift);
+    }
 }
 
 /// `√(−2 ln ε)`: the largest radius a Box–Muller draw reaches with
@@ -454,16 +650,39 @@ fn draw_is_positive(u1: f64, u2: f64, sigma: f64) -> bool {
 /// The per-edge jitter of [`oversample_bits_packed`], drawn lazily.
 ///
 /// Edge `e` owns the generator's `e`-th `(u1, u2)` pair, so edges are
-/// drawn in order and only the last two are kept: samples never move
-/// backwards, and one sample reads at most its bit's two edges. The
-/// generator is local, so leaving trailing pairs undrawn changes
-/// nothing.
+/// drawn in order into a ring: samples never move backwards, and one
+/// sample reads at most its bit's two edges. The generator is local,
+/// so drawing past the last edge read changes nothing.
 struct EdgeJitter {
     sigma: f64,
     rng: rand::rngs::StdRng,
     drawn: usize,
-    /// Edge `e`'s uniforms and, once evaluated, its jitter, at `e % 2`.
-    last: [(f64, f64, Option<f64>); 2],
+    /// Edge `e`'s two raw generator words and, once evaluated, its
+    /// jitter, at `e % RING`.
+    ring: [(u64, u64, Option<f64>); RING],
+}
+
+/// Edges [`EdgeJitter`] keeps; it draws half of them at a time.
+const RING: usize = 64;
+
+/// Hands one stored generator word to the `rand` conversions, so a
+/// uniform converted late equals the one drawn in place.
+struct Replay(u64);
+
+impl rand::RngCore for Replay {
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// `u1` from its generator word, as `gen_range(ε..1)` converts it.
+fn uniform_u1(word: u64) -> f64 {
+    rand::Rng::gen_range(&mut Replay(word), f64::EPSILON..1.0)
+}
+
+/// `u2` from its generator word, as `gen::<f64>()` converts it.
+fn uniform_u2(word: u64) -> f64 {
+    rand::Rng::gen(&mut Replay(word))
 }
 
 impl EdgeJitter {
@@ -473,7 +692,7 @@ impl EdgeJitter {
             sigma,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             drawn: 0,
-            last: [(0.0, 0.0, None); 2],
+            ring: [(0, 0, None); RING],
         }
     }
 
@@ -490,17 +709,24 @@ impl EdgeJitter {
         self.sigma > 0.0 && 1.0 - 2.0 * self.reach() > 0.0
     }
 
-    /// Edge `e`'s slot, drawing forward to it.
-    fn slot(&mut self, e: usize) -> &mut (f64, f64, Option<f64>) {
-        use rand::Rng;
-        assert!(e + 2 >= self.drawn, "edges are read in order");
-        while self.drawn <= e {
-            let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let u2: f64 = self.rng.gen::<f64>();
-            self.last[self.drawn % 2] = (u1, u2, None);
-            self.drawn += 1;
+    /// Edge `e`'s slot, drawing forward to it. `gen_range(ε..1)` and
+    /// `gen::<f64>()` each consume exactly one `next_u64`, so the words
+    /// are drawn raw, `RING / 2` edges per pass of a fixed-length local
+    /// loop, and converted only when read.
+    fn slot(&mut self, e: usize) -> &mut (u64, u64, Option<f64>) {
+        use rand::RngCore;
+        assert!(e + RING >= self.drawn, "edges are read in order");
+        if e >= self.drawn {
+            let mut rng = self.rng.clone();
+            while e >= self.drawn {
+                for edge in self.drawn..self.drawn + RING / 2 {
+                    self.ring[edge % RING] = (rng.next_u64(), rng.next_u64(), None);
+                }
+                self.drawn += RING / 2;
+            }
+            self.rng = rng;
         }
-        &mut self.last[e % 2]
+        &mut self.ring[e % RING]
     }
 
     /// Edge `e`'s offset in UI, exactly as drawn (zero for `σ <= 0`).
@@ -510,7 +736,7 @@ impl EdgeJitter {
         }
         let sigma = self.sigma;
         let (u1, u2, jitter) = self.slot(e);
-        *jitter.get_or_insert_with(|| box_muller(*u1, *u2, sigma))
+        *jitter.get_or_insert_with(|| box_muller(uniform_u1(*u1), uniform_u2(*u2), sigma))
     }
 
     /// `0.0 < jitter(e)`. Only for sigmas that pass
@@ -518,7 +744,7 @@ impl EdgeJitter {
     fn is_late(&mut self, e: usize) -> bool {
         let sigma = self.sigma;
         let (u1, u2, _) = *self.slot(e);
-        draw_is_positive(u1, u2, sigma)
+        draw_is_positive(uniform_u1(u1), uniform_u2(u2), sigma)
     }
 }
 
@@ -879,28 +1105,46 @@ mod tests {
         out
     }
 
-    #[test]
-    fn packed_recover_matches_bool_path() {
-        let bits = prbs_bits(2_000);
-        let stream = oversample_bits(&bits, 5, 0.23, 0.04, 11);
-        let packed = oversample_bits_packed(
-            &crate::bitstream::BitVec::from_bools(&bits),
-            5,
-            0.23,
-            0.04,
-            11,
-        );
-        assert_eq!(
-            stream,
-            oversample_reference(&bits, 5, 0.23, 0.04, 11),
-            "the sampler agrees with the reference bit for bit"
-        );
-        let mut a = OversamplingCdr::new(CdrConfig::paper_default());
-        let mut b = OversamplingCdr::new(CdrConfig::paper_default());
-        let out_a = a.recover(&stream);
-        let out_b = b.recover_packed(&packed);
-        assert_eq!(out_b.to_bools(), out_a, "recovery agrees bit for bit");
-        assert_eq!(a, b, "CDR state agrees");
+    /// One UI stepped as the CDR was first written, kept as the oracle
+    /// for the window kernel: the UI packed into the low `oversampling`
+    /// bits of a word (sample 0 in bit 0; higher bits ignored).
+    fn step_ui(cdr: &mut OversamplingCdr, samples: u64) -> bool {
+        let n = cdr.cfg.oversampling;
+        let mask = low_mask(n);
+        let samples = samples & mask;
+
+        // Glitch correction: majority-of-3 smoothing over the sample
+        // window (previous UI's last sample patches the left edge, the
+        // right edge duplicates the last sample), computed word-wide.
+        let smoothed = if cdr.cfg.glitch_filter {
+            let prev = (samples << 1) | cdr.last_sample as u64;
+            let next = (samples >> 1) | (samples & (1u64 << (n - 1)));
+            ((prev & samples) | (prev & next) | (samples & next)) & mask
+        } else {
+            samples
+        };
+
+        let bit = smoothed >> cdr.phase & 1 == 1;
+
+        // Window bookkeeping matches the RTL: on the window's last UI the
+        // decision is evaluated from the accumulated histogram and the
+        // histogram clears (that UI's edges are not counted).
+        if cdr.win_count == cdr.cfg.window - 1 {
+            cdr.evaluate();
+            cdr.edge_hist.iter_mut().for_each(|c| *c = 0);
+            cdr.win_count = 0;
+        } else {
+            let mut edges = (smoothed ^ ((smoothed << 1) | cdr.last_sample as u64)) & mask;
+            while edges != 0 {
+                cdr.edge_hist[edges.trailing_zeros() as usize] += 1;
+                edges &= edges - 1;
+            }
+            cdr.win_count += 1;
+        }
+
+        cdr.last_sample = smoothed >> (n - 1) & 1 == 1;
+        cdr.uis += 1;
+        bit
     }
 
     #[test]
@@ -939,22 +1183,6 @@ mod tests {
         );
         assert_eq!(cdr.unlock_at_ui, None, "episode must be closed");
         assert_eq!(cdr.selected_phase(), before, "phase recovers");
-    }
-
-    #[test]
-    fn step_word_matches_process_ui() {
-        let bits = prbs_bits(500);
-        let stream = oversample_bits(&bits, 5, 0.2, 0.03, 3);
-        let mut a = OversamplingCdr::new(CdrConfig::paper_default());
-        let mut b = OversamplingCdr::new(CdrConfig::paper_default());
-        for ui in stream.chunks(5) {
-            let mut word = 0u64;
-            for (i, &s) in ui.iter().enumerate() {
-                word |= (s as u64) << i;
-            }
-            assert_eq!(a.process_ui(ui), b.step_word(word));
-        }
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -1046,6 +1274,28 @@ mod tests {
             1e300,
             -1e300,
         ];
+        /// `(n, phase)`: a phase that puts a slot of ratio `n` exactly
+        /// on an edge, within 1e-12 UI of one, or within 1e-14 UI of
+        /// one. At 1e-14, rounding moves the sample across the edge at
+        /// some UIs of a stream of a few hundred bits, so a slot
+        /// classified from its first UI alone reads the wrong bit there.
+        const EDGE_PHASES: [(usize, f64); 15] = [
+            (3, 0.5),
+            (3, 0.5 - 1e-12),
+            (3, 0.5 - 1e-14),
+            (4, 0.125),
+            (4, 0.125 + 1e-12),
+            (4, 0.125 - 1e-14),
+            (5, 0.3),
+            (5, 0.3 + 1e-12),
+            (5, 0.3 - 1e-14),
+            (7, 1.0 - 6.5 / 7.0),
+            (7, 1.0 - 6.5 / 7.0 - 1e-12),
+            (7, 1.0 - 6.5 / 7.0 + 1e-14),
+            (8, 0.0625),
+            (8, 0.0625 + 1e-12),
+            (8, 0.0625 - 1e-14),
+        ];
         const SIGMAS: [f64; 13] = [
             0.0,
             -0.0,
@@ -1063,20 +1313,31 @@ mod tests {
         ];
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(600))]
+            #![proptest_config(ProptestConfig::with_cases(800))]
 
+            /// Lengths up to 3 000 run the word-level body and both
+            /// exact ends; half the cases take an edge phase with the
+            /// ratio it targets.
             #[test]
             fn packed_sampler_matches_reference(
-                len in 0usize..160,
-                n in 1usize..12,
+                len_pick in 0usize..3_000,
+                short in any::<bool>(),
+                n_pick in 0usize..65,
+                on_edge in any::<bool>(),
+                edge_pick in 0usize..EDGE_PHASES.len(),
                 phase_pick in 0usize..18,
                 phase_rand in -2.0f64..2.0,
-                sigma_pick in 0usize..20,
+                sigma_pick in 0usize..16,
                 sigma_rand in 0.0f64..0.3,
                 seed in any::<u64>(),
             ) {
                 use rand::{Rng, SeedableRng};
-                let phase = PHASES.get(phase_pick).copied().unwrap_or(phase_rand);
+                let len = if short { len_pick % 160 } else { len_pick };
+                let (n, phase) = if on_edge {
+                    EDGE_PHASES[edge_pick]
+                } else {
+                    (n_pick, PHASES.get(phase_pick).copied().unwrap_or(phase_rand))
+                };
                 let sigma = SIGMAS.get(sigma_pick).copied().unwrap_or(sigma_rand);
                 let mut rng = rand::rngs::StdRng::seed_from_u64(!seed);
                 let bits: Vec<bool> = (0..len).map(|_| rng.gen::<bool>()).collect();
@@ -1087,6 +1348,79 @@ mod tests {
                     "len {}, n {}, phase {:e}, sigma {:e}, seed {}",
                     len, n, phase, sigma, seed
                 );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(300))]
+
+            /// The window kernel against per-UI stepping: a random
+            /// config, a jittered stream with noise flips, split into
+            /// random chunks (empty ones too) that go through `recover`,
+            /// `recover_packed` or the fault path with phase-register
+            /// strikes at random UIs. After every chunk the bits and the
+            /// whole CDR state must match.
+            #[test]
+            fn window_kernel_matches_per_ui_oracle(
+                n in 3usize..65,
+                window in 1usize..71,
+                phase_hysteresis in 1u32..4,
+                glitch_filter in any::<bool>(),
+                uis in 0usize..700,
+                phase in 0.0f64..1.0,
+                sigma in 0.0f64..0.08,
+                flips_per_mille in 0u32..80,
+                seed in any::<u64>(),
+            ) {
+                use rand::{Rng, SeedableRng};
+                let cfg = CdrConfig { oversampling: n, glitch_filter, phase_hysteresis, window };
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let bits: BitVec = (0..uis).map(|_| rng.gen::<bool>()).collect();
+                let mut stream = oversample_bits_packed(&bits, n, phase, sigma, seed);
+                for s in 0..stream.len() {
+                    if rng.gen_range(0u32..1_000) < flips_per_mille {
+                        stream.toggle(s);
+                    }
+                }
+                let mut kernel = OversamplingCdr::new(cfg);
+                let mut oracle = OversamplingCdr::new(cfg);
+                let mut k = 0;
+                while k < uis {
+                    let m = rng.gen_range(0..(uis - k).min(3 * window + 2) + 1);
+                    let chunk: BitVec = (k * n..(k + m) * n).map(|s| stream.get(s)).collect();
+                    let route = rng.gen_range(0u32..3);
+                    let mut strikes: Vec<(usize, u32)> = Vec::new();
+                    if route == 2 {
+                        for _ in 0..rng.gen_range(0usize..4) {
+                            strikes.push((rng.gen_range(0..m + 1), rng.gen_range(0u32..8)));
+                        }
+                        strikes.sort_by_key(|&(at, _)| at);
+                    }
+                    let got = match route {
+                        0 => kernel.recover(&chunk.to_bools()),
+                        1 => kernel.recover_packed(&chunk).to_bools(),
+                        _ => kernel.recover_with_phase_flips(&chunk, &strikes).to_bools(),
+                    };
+                    let mut want = Vec::with_capacity(m);
+                    let mut pending = strikes.iter().peekable();
+                    for u in 0..=m {
+                        while let Some(&(_, bit)) = pending.next_if(|&&(at, _)| at == u) {
+                            oracle.inject_phase_flip(bit);
+                        }
+                        if u < m {
+                            want.push(step_ui(&mut oracle, chunk.window64(u * n)));
+                        }
+                    }
+                    prop_assert_eq!(
+                        &got, &want,
+                        "bits of UIs {}..{}, cfg {:?}, route {}", k, k + m, cfg, route
+                    );
+                    prop_assert_eq!(
+                        &kernel, &oracle,
+                        "state after UIs {}..{}, cfg {:?}, route {}", k, k + m, cfg, route
+                    );
+                    k += m;
+                }
             }
         }
 

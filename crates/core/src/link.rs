@@ -349,36 +349,91 @@ pub struct FaultReport {
 /// accumulates every phase glitch at or before that UI and every drift
 /// slip elapsed so far (positive = late). Reads past either end clamp
 /// to the stream boundary. Pure function of `(stream, schedule)`.
+///
+/// The offset is a sum of steps: a glitch adds its `offset_samples` at
+/// its `at_ui`, and a drift adds ±1 at each `at_ui + m·max(period, 1)`,
+/// `m ≥ 1`, within its duration. So the UIs are walked once, and each
+/// run of UIs between steps is copied a word at a time.
 fn apply_clock_faults(stream: &BitVec, n: usize, schedule: &FaultSchedule) -> BitVec {
+    /// One event's steps: `by` at `next`, then every `period` UIs up to
+    /// and including `last`.
+    struct Steps {
+        next: u64,
+        by: i64,
+        period: u64,
+        last: u64,
+    }
     let len = stream.len();
-    let uis = len / n;
+    let uis = (len / n) as u64;
+    let mut events: Vec<Steps> = schedule
+        .clock_events()
+        .filter_map(|(_, ev)| match ev.kind {
+            FaultKind::PhaseGlitch { offset_samples } => Some(Steps {
+                next: ev.at_ui,
+                by: i64::from(offset_samples),
+                period: 1,
+                last: ev.at_ui,
+            }),
+            FaultKind::ClockDrift {
+                duration_ui,
+                slip_period_ui,
+                late,
+            } => {
+                let period = slip_period_ui.max(1);
+                let slips = duration_ui / period;
+                (slips > 0).then(|| Steps {
+                    next: ev.at_ui.saturating_add(period),
+                    by: if late { 1 } else { -1 },
+                    period,
+                    last: ev.at_ui.saturating_add(slips * period),
+                })
+            }
+            _ => None,
+        })
+        .collect();
     let mut out = BitVec::with_capacity(len);
-    for k in 0..uis {
-        let mut offset: i64 = 0;
-        for (_, ev) in schedule.clock_events() {
-            if (k as u64) < ev.at_ui {
-                continue;
-            }
-            match ev.kind {
-                FaultKind::PhaseGlitch { offset_samples } => offset += offset_samples as i64,
-                FaultKind::ClockDrift {
-                    duration_ui,
-                    slip_period_ui,
-                    late,
-                } => {
-                    let into = (k as u64 - ev.at_ui).min(duration_ui);
-                    let slips = (into / slip_period_ui.max(1)) as i64;
-                    offset += if late { slips } else { -slips };
-                }
-                _ => {}
-            }
+    let (mut k, mut offset) = (0u64, 0i64);
+    while k < uis {
+        let end = events
+            .iter()
+            .map(|e| e.next)
+            .min()
+            .map_or(uis, |next| next.min(uis));
+        let from = (k * n as u64) as i64 + offset;
+        push_clamped(&mut out, stream, from, ((end - k) * n as u64) as usize);
+        for e in events.iter_mut().filter(|e| e.next == end) {
+            offset += e.by;
+            e.next = if e.next < e.last {
+                e.next.saturating_add(e.period)
+            } else {
+                u64::MAX
+            };
         }
-        for j in 0..n {
-            let i = ((k * n + j) as i64 + offset).clamp(0, len as i64 - 1) as usize;
-            out.push(stream.get(i));
-        }
+        k = end;
     }
     out
+}
+
+/// Appends `count` samples of `stream` from position `from`, reading
+/// positions before its start as its first sample and positions past
+/// its end as its last.
+fn push_clamped(out: &mut BitVec, stream: &BitVec, from: i64, count: usize) {
+    let len = stream.len() as i64;
+    let end = from + count as i64;
+    let before = (end.min(0) - from).max(0) as usize;
+    if before > 0 {
+        out.push_run(stream.get(0), before);
+    }
+    let mut at = from.max(0);
+    while at < end.min(len) {
+        let take = (end.min(len) - at).min(64);
+        out.push_word(stream.window64(at as usize), take as usize);
+        at += take;
+    }
+    let after = (end - from.max(len)).max(0) as usize;
+    if after > 0 {
+        out.push_run(stream.get(len as usize - 1), after);
+    }
 }
 
 /// Applies one channel-fault event to the oversampled stream in place.
@@ -487,28 +542,19 @@ pub fn run_frames_with_faults(
     drop(phy_span);
     let phy_time = t_phy.elapsed();
 
-    // CDR recovery, UI by UI so SEUs can strike between UIs.
+    // CDR recovery, with SEUs striking the phase register between UIs.
     let t_cdr = Instant::now();
     let cdr_span = telemetry::span("link.cdr");
     let mut cdr = OversamplingCdr::new(config.cdr);
-    let mut injected_digital = 0;
-    let phase_seus: Vec<&FaultEvent> = schedule
+    let phase_seus: Vec<(usize, u32)> = schedule
         .digital_events()
-        .filter(|(_, e)| matches!(e.kind, FaultKind::SeuCdrPhase { .. }) && e.at_ui < uis)
-        .map(|(_, e)| e)
+        .filter_map(|(_, e)| match e.kind {
+            FaultKind::SeuCdrPhase { bit } if e.at_ui < uis => Some((e.at_ui as usize, bit)),
+            _ => None,
+        })
         .collect();
-    let mut recovered = BitVec::with_capacity(uis as usize);
-    let mut next_seu = 0usize;
-    for k in 0..uis {
-        while next_seu < phase_seus.len() && phase_seus[next_seu].at_ui == k {
-            if let FaultKind::SeuCdrPhase { bit } = phase_seus[next_seu].kind {
-                cdr.inject_phase_flip(bit);
-                injected_digital += 1;
-            }
-            next_seu += 1;
-        }
-        recovered.push(cdr.step_word(stream.window64(k as usize * n)));
-    }
+    let mut injected_digital = phase_seus.len();
+    let recovered = cdr.recover_with_phase_flips(&stream, &phase_seus);
     drop(cdr_span);
     let cdr_time = t_cdr.elapsed();
 
@@ -884,6 +930,138 @@ mod tests {
             rtl.link.bit_errors,
             paper.link.bit_errors
         );
+    }
+
+    #[test]
+    fn clock_drift_runs_through_the_link_runner() {
+        // A late drift of one sample every 40 UIs for 2 000 UIs slips 50
+        // samples, ten UIs at 5x: the CDR must follow the moving eye.
+        let mut cfg = LinkConfig::paper_default();
+        cfg.channel = ChannelModel::emib(3.0);
+        let frames = prbs_frames(40);
+        let uis = frames.len() as u64 * FRAME_BITS as u64;
+        let drift = FaultSchedule::new(5).with_event(FaultEvent {
+            at_ui: uis / 4,
+            kind: FaultKind::ClockDrift {
+                duration_ui: 2_000,
+                slip_period_ui: 40,
+                late: true,
+            },
+        });
+        let clean = run_frames(&cfg, &frames, 9).expect("runs");
+        let hit = run_frames_with_faults(&cfg, &frames, 9, &drift).expect("runs");
+        assert_eq!(hit.injected_clock, 1);
+        assert_eq!(
+            hit,
+            run_frames_with_faults(&cfg, &frames, 9, &drift).expect("runs")
+        );
+        assert!(
+            hit.link.cdr_phase_updates > clean.cdr_phase_updates,
+            "the CDR must track the drift: {} vs {} phase updates",
+            hit.link.cdr_phase_updates,
+            clean.cdr_phase_updates
+        );
+        assert!(hit.link.cdr_locked, "and end the run locked");
+    }
+
+    /// The clock-fault resampler as first written, kept as the oracle:
+    /// every UI rescans the whole schedule for its offset, then copies
+    /// its samples one at a time.
+    fn apply_clock_faults_reference(stream: &BitVec, n: usize, schedule: &FaultSchedule) -> BitVec {
+        let len = stream.len();
+        let uis = len / n;
+        let mut out = BitVec::with_capacity(len);
+        for k in 0..uis {
+            let mut offset: i64 = 0;
+            for (_, ev) in schedule.clock_events() {
+                if (k as u64) < ev.at_ui {
+                    continue;
+                }
+                match ev.kind {
+                    FaultKind::PhaseGlitch { offset_samples } => offset += offset_samples as i64,
+                    FaultKind::ClockDrift {
+                        duration_ui,
+                        slip_period_ui,
+                        late,
+                    } => {
+                        let into = (k as u64 - ev.at_ui).min(duration_ui);
+                        let slips = (into / slip_period_ui.max(1)) as i64;
+                        offset += if late { slips } else { -slips };
+                    }
+                    _ => {}
+                }
+            }
+            for j in 0..n {
+                let i = ((k * n + j) as i64 + offset).clamp(0, len as i64 - 1) as usize;
+                out.push(stream.get(i));
+            }
+        }
+        out
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(400))]
+
+            /// Random glitch and drift schedules, resampled in runs
+            /// against the per-UI rescan, bit for bit: early and late
+            /// drifts with periods of 0, 1, a few UIs and past the run,
+            /// durations and start UIs past the end of the stream,
+            /// overlapping events, and offsets that read past both ends.
+            #[test]
+            fn clock_faults_match_the_per_ui_rescan(
+                n in 3usize..65,
+                uis in 0usize..300,
+                events in 0usize..7,
+                seed in any::<u64>(),
+            ) {
+                use rand::{Rng, SeedableRng};
+                let mut rng = StdRng::seed_from_u64(seed);
+                let stream: BitVec = (0..uis * n).map(|_| rng.gen::<bool>()).collect();
+                let pick = |rng: &mut StdRng, span: u64| -> u64 {
+                    match rng.gen_range(0u32..5) {
+                        0 => 0,
+                        1 => 1,
+                        2 => rng.gen_range(0..span + 2),
+                        3 => span + rng.gen_range(0u64..50),
+                        _ => u64::MAX - rng.gen_range(0u64..2),
+                    }
+                };
+                let mut schedule = FaultSchedule::new(seed);
+                for _ in 0..events {
+                    let at_ui = match rng.gen_range(0u32..4) {
+                        0 => 0,
+                        3 => uis as u64 + rng.gen_range(0u64..20),
+                        _ => rng.gen_range(0..uis as u64 + 1),
+                    };
+                    let kind = if rng.gen::<bool>() {
+                        let reach = (uis * n) as i32 + 2;
+                        FaultKind::PhaseGlitch {
+                            offset_samples: match rng.gen_range(0u32..3) {
+                                0 => rng.gen_range(0..2 * n as u64 + 1) as i32 - n as i32,
+                                1 => reach + rng.gen_range(0u32..5) as i32,
+                                _ => -reach - rng.gen_range(0u32..5) as i32,
+                            },
+                        }
+                    } else {
+                        FaultKind::ClockDrift {
+                            duration_ui: pick(&mut rng, uis as u64),
+                            slip_period_ui: pick(&mut rng, uis as u64 / 8),
+                            late: rng.gen::<bool>(),
+                        }
+                    };
+                    schedule.push(FaultEvent { at_ui, kind });
+                }
+                prop_assert_eq!(
+                    apply_clock_faults(&stream, n, &schedule),
+                    apply_clock_faults_reference(&stream, n, &schedule),
+                    "n {}, {} UIs, schedule {:?}", n, uis, schedule
+                );
+            }
+        }
     }
 
     #[test]

@@ -264,6 +264,10 @@ impl Session {
     /// # Errors
     ///
     /// Propagates solver failures as the unified [`Error`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep options' [`Sweep::bits`] is below 2.
     pub fn bathtub(&mut self) -> Result<Vec<BathtubPoint>, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
         self.scoped(|| sweep.bathtub(&link)).map_err(Error::from)
@@ -309,6 +313,10 @@ impl Session {
     /// # Errors
     ///
     /// Propagates solver failures from the shared characterization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sweep options' [`Sweep::bits`] is below 2.
     pub fn try_bathtub(&mut self) -> Result<SweepOutcome<BathtubPoint>, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
         self.scoped(|| sweep.try_bathtub(&link))

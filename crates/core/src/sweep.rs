@@ -145,9 +145,15 @@ impl BathtubModel {
     }
 }
 
+/// # Panics
+///
+/// Panics if `nbits < 2`: a bathtub scores bits `1..n` against their
+/// predecessors, so fewer bits score nothing.
 fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubModel), LinkError> {
     use crate::prbs::{PrbsGenerator, PrbsOrder};
     use openserdes_phy::{AnalogLink, BehavioralLink};
+
+    assert!(nbits >= 2, "a bathtub needs bits >= 2, got bits = {nbits}");
 
     let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
     let behavioural = BehavioralLink::from_analog(&analog, config.data_rate)?;
@@ -444,7 +450,8 @@ impl Sweep {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panicked phase with its own message.
+    /// Panics if the configured [`Sweep::bits`] is below 2. Re-raises
+    /// the first panicked phase with its own message.
     pub fn bathtub(&self, config: &LinkConfig) -> Result<Vec<BathtubPoint>, LinkError> {
         first_failure(parallel::bathtub(self, config)?)
     }
@@ -543,6 +550,10 @@ impl Sweep {
     ///
     /// Propagates solver failures from the *shared* front-end
     /// characterization — without it no phase is meaningful.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured [`Sweep::bits`] is below 2.
     pub fn try_bathtub(
         &self,
         config: &LinkConfig,
@@ -739,6 +750,43 @@ mod tests {
             "measured {measured:.1} dB vs model {model:.1} dB"
         );
         assert!(measured >= 30.0, "paper claims 34 dB at 2 Gb/s");
+    }
+
+    #[test]
+    #[should_panic(expected = "a bathtub needs bits >= 2, got bits = 0")]
+    fn bathtub_of_no_bits_is_refused() {
+        // Used to underflow `bits.len() - 1` in debug and report a BER
+        // of 0 over zero scored bits in release.
+        let _ = Sweep::new()
+            .with_bits(0)
+            .with_phases(4)
+            .bathtub(&LinkConfig::paper_default());
+    }
+
+    #[test]
+    #[should_panic(expected = "a bathtub needs bits >= 2, got bits = 1")]
+    fn bathtub_of_one_bit_is_refused() {
+        // Used to report a NaN BER (0 errors over 0 scored bits).
+        let _ = Sweep::new()
+            .with_bits(1)
+            .with_phases(4)
+            .try_bathtub(&LinkConfig::paper_default());
+    }
+
+    #[test]
+    fn bathtub_of_two_bits_scores_one() {
+        let curve = Sweep::new()
+            .with_bits(2)
+            .with_phases(4)
+            .bathtub(&LinkConfig::paper_default())
+            .expect("runs");
+        assert_eq!(curve.len(), 4);
+        for point in curve {
+            assert!(
+                point.ber == 0.0 || point.ber == 1.0,
+                "one scored bit: {point:?}"
+            );
+        }
     }
 
     #[test]
