@@ -20,11 +20,9 @@ fn rules_of(report: &LintReport) -> BTreeSet<Rule> {
     report.findings().iter().map(|f| f.rule).collect()
 }
 
-/// One minimal broken design per rule, as `(rule, report)` pairs.
-fn fixtures() -> Vec<(Rule, LintReport)> {
-    let cfg = LintConfig::default();
+/// One minimal broken netlist per `NL` rule, as `(rule, netlist)` pairs.
+fn nl_fixtures() -> Vec<(Rule, Netlist)> {
     let mut out = Vec::new();
-    let nl_case = |rule: Rule, nl: &Netlist| (rule, nl.lint(&cfg));
 
     // NL001: two cells drive the same net.
     let mut nl = Netlist::new("nl001");
@@ -33,14 +31,14 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
     nl.gate_into(LogicFn::Inv, DriveStrength::X1, &[a], y);
     nl.gate_into(LogicFn::Buf, DriveStrength::X1, &[a], y);
     nl.mark_output("y", y);
-    out.push(nl_case(Rule::MultiplyDrivenNet, &nl));
+    out.push((Rule::MultiplyDrivenNet, nl));
 
     // NL002: a gate reads a net nothing drives.
     let mut nl = Netlist::new("nl002");
     let float = nl.add_net("float");
     let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[float]);
     nl.mark_output("y", y);
-    out.push(nl_case(Rule::UndrivenNet, &nl));
+    out.push((Rule::UndrivenNet, nl));
 
     // NL003: two inverters in a combinational ring.
     let mut nl = Netlist::new("nl003");
@@ -48,13 +46,13 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
     let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[n]);
     nl.gate_into(LogicFn::Inv, DriveStrength::X1, &[y], n);
     nl.mark_output("y", y);
-    out.push(nl_case(Rule::CombinationalLoop, &nl));
+    out.push((Rule::CombinationalLoop, nl));
 
     // NL004: a cell output with no reader and no primary output.
     let mut nl = Netlist::new("nl004");
     let a = nl.add_input("a");
     nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
-    out.push(nl_case(Rule::DanglingOutput, &nl));
+    out.push((Rule::DanglingOutput, nl));
 
     // NL005: the first inverter has a reader, but the cone never
     // reaches a primary output — transitively dead.
@@ -62,7 +60,7 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
     let a = nl.add_input("a");
     let x = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
     nl.gate(LogicFn::Inv, DriveStrength::X1, &[x]);
-    out.push(nl_case(Rule::DeadLogic, &nl));
+    out.push((Rule::DeadLogic, nl));
 
     // NL006: a flop in domain A feeds a flop in domain B through
     // multi-input combinational logic.
@@ -75,11 +73,10 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
     let mixed = nl.gate(LogicFn::And2, DriveStrength::X1, &[qa, other]);
     let qb = nl.dff(mixed, clkb, DriveStrength::X1);
     nl.mark_output("qb", qb);
-    out.push(nl_case(Rule::UnsyncClockCrossing, &nl));
+    out.push((Rule::UnsyncClockCrossing, nl));
 
     // NL007: an X1 inverter fanning out to 200 sinks (needs the
     // library's max_load table, hence lint_with_library).
-    let lib = Library::sky130(Pvt::nominal());
     let mut nl = Netlist::new("nl007");
     let a = nl.add_input("a");
     let weak = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
@@ -87,7 +84,7 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
         let y = nl.gate(LogicFn::Inv, DriveStrength::X1, &[weak]);
         nl.mark_output(format!("y{i}"), y);
     }
-    out.push((Rule::DriveOverload, nl.lint_with_library(&lib, &cfg)));
+    out.push((Rule::DriveOverload, nl));
 
     // NL008: a sequential cell whose clock was wiped by a raw edit.
     let mut nl = Netlist::new("nl008");
@@ -97,7 +94,26 @@ fn fixtures() -> Vec<(Rule, LintReport)> {
     nl.mark_output("q", q);
     let id = nl.cell_ids().next().expect("one cell");
     nl.instance_mut(id).clock = None;
-    out.push(nl_case(Rule::BadReference, &nl));
+    out.push((Rule::BadReference, nl));
+
+    out
+}
+
+/// One minimal broken design per rule, as `(rule, report)` pairs.
+fn fixtures() -> Vec<(Rule, LintReport)> {
+    let cfg = LintConfig::default();
+    let lib = Library::sky130(Pvt::nominal());
+    let mut out: Vec<(Rule, LintReport)> = nl_fixtures()
+        .into_iter()
+        .map(|(rule, nl)| {
+            let report = if rule == Rule::DriveOverload {
+                nl.lint_with_library(&lib, &cfg)
+            } else {
+                nl.lint(&cfg)
+            };
+            (rule, report)
+        })
+        .collect();
 
     let ir_case = |rule: Rule, d: &Design| (rule, d.lint(&cfg));
 
@@ -350,4 +366,50 @@ fn fixture_findings_render_and_serialize() {
             "JSON rendering must carry the rule ID {rule}: {json}"
         );
     }
+}
+
+/// 64-bit FNV-1a over a string's bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// Literal pins on the full text of every `NL` fixture's
+/// `lint_with_library` findings, and of its STA findings with each
+/// endpoint's `untimed` flag, or the structural check's error where the
+/// fixture fails it.
+#[test]
+fn nl_fixture_findings_match_literals() {
+    let lib = Library::sky130(Pvt::nominal());
+    let got: Vec<(Rule, u64, u64)> = nl_fixtures()
+        .iter()
+        .map(|(rule, nl)| {
+            let lint = nl.lint_with_library(&lib, &LintConfig::default());
+            let sta = match Sta::new().run(nl, &lib, None) {
+                Ok(report) => {
+                    let untimed: Vec<(&str, bool)> = report
+                        .endpoints
+                        .iter()
+                        .map(|e| (e.name.as_str(), e.untimed))
+                        .collect();
+                    format!("{:?}\n{untimed:?}", report.findings())
+                }
+                Err(e) => format!("{e:?}"),
+            };
+            (*rule, fnv1a(&format!("{:?}", lint.findings())), fnv1a(&sta))
+        })
+        .collect();
+    #[rustfmt::skip]
+    let want: [(Rule, u64, u64); 8] = [
+        (Rule::MultiplyDrivenNet, 8_998_866_451_484_199_627, 1_347_872_122_920_645_161),
+        (Rule::UndrivenNet, 3_853_277_385_512_463_329, 13_622_531_564_646_252_147),
+        (Rule::CombinationalLoop, 8_022_034_194_050_513_210, 6_163_278_972_363_874_709),
+        (Rule::DanglingOutput, 15_079_794_008_306_836_523, 13_983_932_024_395_608_733),
+        (Rule::DeadLogic, 17_833_467_727_439_417_251, 13_983_932_024_395_608_733),
+        (Rule::UnsyncClockCrossing, 17_408_073_893_643_531_246, 10_117_485_265_546_187_631),
+        (Rule::DriveOverload, 13_955_390_184_673_174_513, 16_370_729_358_621_108_625),
+        (Rule::BadReference, 11_766_212_033_528_720_548, 2_916_782_773_744_152_554),
+    ];
+    assert_eq!(got, want);
 }
