@@ -12,7 +12,7 @@
 //! the flop output is forced to zero at the next settle.
 
 use crate::logic::Logic;
-use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist, NetlistError};
 use openserdes_pdk::stdcell::LogicFn;
 
 /// A cycle-accurate, zero-delay simulator for a single-clock netlist.
@@ -33,8 +33,7 @@ impl<'a> CycleSim<'a> {
     /// Returns any [`NetlistError`] found during validation (including
     /// combinational loops, which a cycle simulator cannot execute).
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
-        netlist.check()?;
-        let order = netlist.topo_order()?;
+        let (_, order) = Connectivity::checked(netlist)?;
         let flops = netlist
             .instances()
             .filter(|(_, i)| i.is_sequential())

@@ -9,11 +9,10 @@
 
 use crate::logic::Logic;
 use crate::trace::Trace;
-use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist, NetlistError};
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::LogicFn;
-use openserdes_pdk::units::{Farad, Time};
-use openserdes_pdk::wire::WireloadModel;
+use openserdes_pdk::units::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -53,7 +52,7 @@ pub struct EventSim<'a> {
     values: Vec<Logic>,
     delays_ps: Vec<u64>,
     clk_to_q_ps: Vec<u64>,
-    fanout: Vec<Vec<CellId>>,
+    conn: Connectivity,
     queue: BinaryHeap<Reverse<Event>>,
     seq: u64,
     time_ps: u64,
@@ -71,27 +70,15 @@ impl<'a> EventSim<'a> {
     ///
     /// Returns any [`NetlistError`] found during validation.
     pub fn new(netlist: &'a Netlist, library: &Library) -> Result<Self, NetlistError> {
-        netlist.check()?;
-        let wireload = WireloadModel::small_block();
-        let fanout = netlist.fanout_table();
+        let (conn, _) = Connectivity::checked(netlist)?;
         let mut delays = Vec::with_capacity(netlist.cell_count());
         let mut clk_to_q = Vec::with_capacity(netlist.cell_count());
         for (_, inst) in netlist.instances() {
             let cell = library
                 .cell(inst.function, inst.drive)
                 .expect("netlist uses library cells");
-            let sinks = &fanout[inst.output.index()];
-            let mut load = wireload.capacitance(sinks.len()).value();
-            for &sink in sinks {
-                let sc = library
-                    .cell(
-                        netlist.instance(sink).function,
-                        netlist.instance(sink).drive,
-                    )
-                    .expect("netlist uses library cells");
-                load += sc.input_cap.value();
-            }
-            let arc = cell.arc(Time::from_ps(DEFAULT_SLEW_PS), Farad::new(load));
+            let load = conn.estimated_load(netlist, library, inst.output);
+            let arc = cell.arc(Time::from_ps(DEFAULT_SLEW_PS), load);
             delays.push((arc.delay.ps().round() as u64).max(1));
             clk_to_q.push(
                 cell.seq
@@ -104,7 +91,7 @@ impl<'a> EventSim<'a> {
             values: vec![Logic::X; netlist.net_count()],
             delays_ps: delays,
             clk_to_q_ps: clk_to_q,
-            fanout,
+            conn,
             queue: BinaryHeap::new(),
             seq: 0,
             time_ps: 0,
@@ -200,8 +187,8 @@ impl<'a> EventSim<'a> {
         self.values[ev.net.index()] = new;
         self.trace.record(ev.net, ev.time_ps, new);
 
-        for i in 0..self.fanout[ev.net.index()].len() {
-            let cell = self.fanout[ev.net.index()][i];
+        for i in 0..self.conn.sinks(ev.net).len() {
+            let cell = self.conn.sinks(ev.net)[i];
             let inst = self.netlist.instance(cell);
             if inst.is_sequential() {
                 self.eval_sequential(cell, ev.net, old, new);

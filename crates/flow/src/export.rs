@@ -8,7 +8,7 @@
 
 use crate::floorplan::{Floorplan, ROW_HEIGHT_UM};
 use crate::place::Placement;
-use openserdes_netlist::Netlist;
+use openserdes_netlist::{Connectivity, Netlist};
 use openserdes_pdk::library::Library;
 use std::fmt::Write as _;
 
@@ -86,24 +86,29 @@ pub fn to_def(
     let _ = writeln!(out, "END PINS");
 
     let _ = writeln!(out, "NETS {} ;", netlist.net_count());
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
+    let conn = Connectivity::new(netlist);
     for net in netlist.net_ids() {
         let _ = write!(out, "- {}", netlist.net_name(net));
-        if let Some(d) = drivers[net.index()] {
+        if let Some(d) = conn.driver(net) {
             let _ = write!(out, " ( {} Y )", netlist.instance(d).name);
         }
-        for &s in &fanout[net.index()] {
-            let inst = netlist.instance(s);
-            let pin = if inst.clock == Some(net) {
-                "CLK".to_string()
+        // A cell's entries on a net are adjacent and follow its pins
+        // that read the net: data pins in order, then the clock.
+        let sinks = conn.sinks(net);
+        let mut nth = 0;
+        for (k, &s) in sinks.iter().enumerate() {
+            nth = if k > 0 && sinks[k - 1] == s {
+                nth + 1
             } else {
-                let idx = inst
-                    .inputs
-                    .iter()
-                    .position(|&n| n == net)
-                    .expect("sink uses net");
-                format!("A{idx}")
+                0
+            };
+            let inst = netlist.instance(s);
+            let data_pin = (0..inst.inputs.len())
+                .filter(|&i| inst.inputs[i] == net)
+                .nth(nth);
+            let pin = match data_pin {
+                Some(i) => format!("A{i}"),
+                None => "CLK".to_string(),
             };
             let _ = write!(out, " ( {} {} )", inst.name, pin);
         }
@@ -171,6 +176,26 @@ mod tests {
         let (nl, lib, p, fp) = placed();
         let def = to_def(&nl, &lib, &p, &fp);
         assert!(def.contains("CLK )"), "clock sink pin labelled CLK");
+    }
+
+    #[test]
+    fn each_pin_reading_a_net_is_named_once() {
+        let mut nl = Netlist::new("twice");
+        let a = nl.add_input("a");
+        let x = nl.gate(LogicFn::Nand2, DriveStrength::X1, &[a, a]);
+        let q = nl.dff(x, x, DriveStrength::X1);
+        nl.mark_output("q", q);
+        let lib = Library::sky130(Pvt::nominal());
+        let fp = Floorplan::for_area(NetlistStats::compute(&nl, &lib).area, 0.5, 1.0);
+        let def = to_def(&nl, &lib, &place_greedy(&nl, &lib, &fp), &fp);
+        assert!(
+            def.contains("- a ( u_nand2_0 A0 ) ( u_nand2_0 A1 ) ;"),
+            "{def}"
+        );
+        assert!(
+            def.contains("- nand2_0 ( u_nand2_0 Y ) ( u_dff_1 A0 ) ( u_dff_1 CLK ) ;"),
+            "{def}"
+        );
     }
 
     #[test]

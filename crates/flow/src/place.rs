@@ -8,7 +8,7 @@
 //! (outputs) die edges.
 
 use crate::floorplan::{Floorplan, ROW_HEIGHT_UM};
-use openserdes_netlist::{CellId, NetId, Netlist};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist};
 use openserdes_pdk::library::Library;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,12 +71,12 @@ pub fn place_greedy(netlist: &Netlist, library: &Library, floorplan: &Floorplan)
 
     // BFS over the connectivity graph starting from cells fed by primary
     // inputs, falling back to unvisited cells (disconnected components).
-    let fanout = netlist.fanout_table();
+    let conn = Connectivity::new(netlist);
     let mut order: Vec<CellId> = Vec::with_capacity(netlist.cell_count());
     let mut seen = vec![false; netlist.cell_count()];
     let mut queue: VecDeque<CellId> = VecDeque::new();
     for &pi in netlist.primary_inputs() {
-        for &c in &fanout[pi.index()] {
+        for &c in conn.sinks(pi) {
             if !seen[c.index()] {
                 seen[c.index()] = true;
                 queue.push_back(c);
@@ -88,7 +88,7 @@ pub fn place_greedy(netlist: &Netlist, library: &Library, floorplan: &Floorplan)
         while let Some(c) = queue.pop_front() {
             order.push(c);
             let out = netlist.instance(c).output;
-            for &s in &fanout[out.index()] {
+            for &s in conn.sinks(out) {
                 if !seen[s.index()] {
                     seen[s.index()] = true;
                     queue.push_back(s);
@@ -225,17 +225,17 @@ struct PinMap {
 }
 
 impl PinMap {
-    fn new(netlist: &Netlist, placement: &Placement, drivers: &[Option<CellId>]) -> Self {
+    fn new(netlist: &Netlist, conn: &Connectivity, placement: &Placement) -> Self {
         let mut xy = placement.positions.clone();
         let mut start = vec![0];
         let mut pins = Vec::new();
-        for (k, sinks) in netlist.fanout_table().iter().enumerate() {
-            pins.extend(drivers[k].map(|driver| driver.index() as u32));
-            if let Some(pad) = placement.io_pin_of[k] {
+        for net in netlist.net_ids() {
+            pins.extend(conn.driver(net).map(|driver| driver.index() as u32));
+            if let Some(pad) = placement.io_pin_of[net.index()] {
                 pins.push(xy.len() as u32);
                 xy.push(pad);
             }
-            pins.extend(sinks.iter().map(|sink| sink.index() as u32));
+            pins.extend(conn.sinks(net).iter().map(|sink| sink.index() as u32));
             start.push(pins.len() as u32);
         }
         Self { xy, start, pins }
@@ -300,20 +300,20 @@ impl NetRecord {
 
 /// Total HPWL of the placement in µm.
 pub fn hpwl(netlist: &Netlist, placement: &Placement) -> f64 {
-    let map = PinMap::new(netlist, placement, &netlist.driver_table());
+    let map = PinMap::new(netlist, &Connectivity::new(netlist), placement);
     (0..netlist.net_count()).map(|k| map.scan(k).hpwl()).sum()
 }
 
 /// The nets each cell touches through any pin, sorted and deduplicated,
 /// each flagged `true` if the cell's position is one of the net's pins.
-/// Only a driver that [`Netlist::driver_table`] does not record (one of
+/// Only a driver that [`Connectivity::driver`] does not record (one of
 /// several on a multiply driven net) touches a net without being a pin.
-fn cell_nets(netlist: &Netlist, drivers: &[Option<CellId>]) -> Vec<Vec<(NetId, bool)>> {
+fn cell_nets(netlist: &Netlist, conn: &Connectivity) -> Vec<Vec<(NetId, bool)>> {
     netlist
         .instances()
         .map(|(id, inst)| {
             let mut nets: Vec<(NetId, bool)> = inst.inputs.iter().map(|&n| (n, true)).collect();
-            nets.push((inst.output, drivers[inst.output.index()] == Some(id)));
+            nets.push((inst.output, conn.driver(inst.output) == Some(id)));
             nets.extend(inst.clock.map(|c| (c, true)));
             // A net the cell is a pin of sorts first, so dedup keeps it.
             nets.sort_unstable_by_key(|&(net, pin)| (net, !pin));
@@ -380,8 +380,8 @@ pub fn anneal(
     iterations: usize,
 ) -> AnnealStats {
     let n = netlist.cell_count();
-    let drivers = netlist.driver_table();
-    let mut map = PinMap::new(netlist, placement, &drivers);
+    let conn = Connectivity::new(netlist);
+    let mut map = PinMap::new(netlist, &conn, placement);
     let mut records: Vec<NetRecord> = (0..netlist.net_count())
         .map(|k| NetRecord::new(&map, k))
         .collect();
@@ -394,7 +394,7 @@ pub fn anneal(
             attempted: 0,
         };
     }
-    let cell_nets = cell_nets(netlist, &drivers);
+    let cell_nets = cell_nets(netlist, &conn);
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cost = initial;
@@ -581,20 +581,15 @@ mod tests {
 
     /// The box of every pin of `net`, read straight from the netlist:
     /// its recorded driver, its I/O pin, its sinks.
-    fn full_scan(
-        placement: &Placement,
-        net: NetId,
-        fanout: &[Vec<CellId>],
-        drivers: &[Option<CellId>],
-    ) -> NetBox {
+    fn full_scan(placement: &Placement, net: NetId, conn: &Connectivity) -> NetBox {
         let mut b = NetBox::EMPTY;
-        if let Some(driver) = drivers[net.index()] {
+        if let Some(driver) = conn.driver(net) {
             b.add(placement.position(driver));
         }
         if let Some(xy) = placement.io_pin_of[net.index()] {
             b.add(xy);
         }
-        for &sink in &fanout[net.index()] {
+        for &sink in conn.sinks(net) {
             b.add(placement.position(sink));
         }
         b
@@ -610,9 +605,8 @@ mod tests {
         seed: u64,
         iterations: usize,
     ) -> AnnealStats {
-        let fanout = netlist.fanout_table();
-        let drivers = netlist.driver_table();
-        let net_hpwl = |p: &Placement, net: NetId| full_scan(p, net, &fanout, &drivers).hpwl();
+        let conn = Connectivity::new(netlist);
+        let net_hpwl = |p: &Placement, net: NetId| full_scan(p, net, &conn).hpwl();
         let n = netlist.cell_count();
         let initial: f64 = netlist.net_ids().map(|net| net_hpwl(placement, net)).sum();
         if n < 2 || iterations == 0 {
@@ -734,16 +728,15 @@ mod tests {
         let nl = random_netlist(&[], &[]);
         let lib = Library::sky130(Pvt::nominal());
         let p = placed(&nl, &lib, false);
-        let fanout = nl.fanout_table();
-        let drivers = nl.driver_table();
+        let conn = Connectivity::new(&nl);
         let pins: Vec<usize> = nl
             .net_ids()
-            .map(|net| full_scan(&p, net, &fanout, &drivers).pins)
+            .map(|net| full_scan(&p, net, &conn).pins)
             .collect();
         assert!(pins.contains(&SMALL_NET) && pins.contains(&(SMALL_NET + 1)));
         assert!(nl
             .net_ids()
-            .any(|net| p.io_pin_of[net.index()].is_some() && fanout[net.index()].len() >= 5));
+            .any(|net| p.io_pin_of[net.index()].is_some() && conn.sinks(net).len() >= 5));
         let clk = nl.primary_inputs()[0];
         let clocked = nl.instances().filter(|(_, i)| i.clock == Some(clk));
         assert!(clocked.count() >= 5);

@@ -17,7 +17,7 @@
 
 use crate::route::RouteResult;
 use openserdes_digital::Trace;
-use openserdes_netlist::{NetId, Netlist};
+use openserdes_netlist::{Connectivity, NetId, Netlist};
 use openserdes_pdk::library::Library;
 use openserdes_pdk::units::{Hertz, Watt};
 use openserdes_pdk::wire::WireloadModel;
@@ -101,15 +101,17 @@ pub fn analyze_power(
     let vdd = library.vdd().value();
     let f = config.clock.value();
     let wireload = WireloadModel::small_block();
-    let fanout = netlist.fanout_table();
+    let conn = Connectivity::new(netlist);
 
     // Identify clock nets: any net driving a clock pin.
-    let mut is_clock = vec![false; netlist.net_count()];
-    for (_, inst) in netlist.instances() {
-        if let Some(c) = inst.clock {
-            is_clock[c.index()] = true;
-        }
-    }
+    let is_clock: Vec<bool> = netlist
+        .net_ids()
+        .map(|net| {
+            conn.sinks(net)
+                .iter()
+                .any(|&s| netlist.instance(s).clock == Some(net))
+        })
+        .collect();
 
     let act = |net: NetId| -> f64 {
         if is_clock[net.index()] {
@@ -125,7 +127,7 @@ pub fn analyze_power(
     let mut switching = 0.0;
     let mut clock_tree = 0.0;
     for net in netlist.net_ids() {
-        let sinks = &fanout[net.index()];
+        let sinks = conn.sinks(net);
         let mut c = match route {
             Some(r) => r.net(net).capacitance().value(),
             None => wireload.capacitance(sinks.len()).value(),
@@ -135,11 +137,7 @@ pub fn analyze_power(
             let cell = library
                 .cell(inst.function, inst.drive)
                 .expect("library cell");
-            c += if inst.clock == Some(net) && !inst.inputs.contains(&net) {
-                cell.clock_cap.value()
-            } else {
-                cell.input_cap.value()
-            };
+            c += inst.pin_cap(cell, net).value();
         }
         let p = 0.5 * act(net) * c * vdd * vdd * f;
         if is_clock[net.index()] {

@@ -7,7 +7,7 @@
 //! row-based congestion metric flags over-utilized placements.
 
 use crate::place::{NetBox, Placement};
-use openserdes_netlist::{NetId, Netlist};
+use openserdes_netlist::{Connectivity, NetId, Netlist};
 use openserdes_pdk::units::{Farad, Micron, Ohm};
 use openserdes_pdk::wire::MetalLayer;
 
@@ -72,8 +72,7 @@ fn assign_layer(length_um: f64) -> MetalLayer {
 
 /// Estimates routing for every net of a placed netlist.
 pub fn global_route(netlist: &Netlist, placement: &Placement) -> RouteResult {
-    let fanout = netlist.fanout_table();
-    let drivers = netlist.driver_table();
+    let conn = Connectivity::new(netlist);
     let mut nets = Vec::with_capacity(netlist.net_count());
     let mut total = 0.0;
     // Congestion: demand per horizontal band = sum of net spans crossing it.
@@ -90,13 +89,13 @@ pub fn global_route(netlist: &Netlist, placement: &Placement) -> RouteResult {
 
     for net in netlist.net_ids() {
         let mut b = NetBox::EMPTY;
-        if let Some(d) = drivers[net.index()] {
+        if let Some(d) = conn.driver(net) {
             b.add(placement.position(d));
         }
         for &xy in &io_pins[net.index()] {
             b.add(xy);
         }
-        for &s in &fanout[net.index()] {
+        for &s in conn.sinks(net) {
             b.add(placement.position(s));
         }
         // Multi-pin nets need extra Steiner length: scale by pin count.

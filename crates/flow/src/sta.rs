@@ -25,7 +25,7 @@
 
 use crate::route::RouteResult;
 use openserdes_lint::{EntityKind, Finding, LintConfig, LintReport, Rule};
-use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist, NetlistError};
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::StdCell;
 use openserdes_pdk::units::{Farad, Hertz, Time};
@@ -327,72 +327,6 @@ impl Sta {
     }
 }
 
-/// Walks a flop's clock net back through single-input combinational
-/// drivers to the clock root, returning the root net and the buffer
-/// chain in root-to-flop order.
-fn trace_clock(
-    netlist: &Netlist,
-    drivers: &[Option<CellId>],
-    mut net: NetId,
-) -> (NetId, Vec<CellId>) {
-    let mut chain = Vec::new();
-    loop {
-        match drivers[net.index()] {
-            Some(c) => {
-                let inst = netlist.instance(c);
-                if inst.is_sequential() || inst.inputs.len() != 1 {
-                    chain.reverse();
-                    return (net, chain);
-                }
-                chain.push(c);
-                net = inst.inputs[0];
-            }
-            None => {
-                chain.reverse();
-                return (net, chain);
-            }
-        }
-    }
-}
-
-/// Explores the fan-in cone of a capture net back to its launching
-/// flops: returns `(source flops with a through-multi-input-logic flag,
-/// reached-a-primary-input)`. A net counts as visited when its entry in
-/// `visited` equals `stamp`, so one table serves every cone.
-fn fanin_sources(
-    netlist: &Netlist,
-    drivers: &[Option<CellId>],
-    start: NetId,
-    visited: &mut [u32],
-    stamp: u32,
-) -> (Vec<(CellId, bool)>, bool) {
-    let mut stack = vec![(start, false)];
-    let mut sources = Vec::new();
-    let mut reached_input = false;
-    while let Some((net, through_logic)) = stack.pop() {
-        if visited[net.index()] == stamp {
-            continue;
-        }
-        visited[net.index()] = stamp;
-        match drivers[net.index()] {
-            Some(c) => {
-                let inst = netlist.instance(c);
-                if inst.is_sequential() {
-                    sources.push((c, through_logic));
-                } else {
-                    let through = through_logic || inst.inputs.len() > 1;
-                    for &i in &inst.inputs {
-                        stack.push((i, through));
-                    }
-                }
-            }
-            None => reached_input = true,
-        }
-    }
-    sources.sort_by_key(|(c, _)| *c);
-    (sources, reached_input)
-}
-
 /// One flop's clock path: the buffer chain from its domain's root.
 #[derive(Debug, Clone)]
 struct ClockPath {
@@ -404,12 +338,12 @@ struct ClockPath {
 /// Everything static timing analysis needs from a netlist's structure,
 /// built once and reused while only drive strengths or the route change.
 ///
-/// It holds the [`Netlist::check`] result, the topological order, one
-/// driver table and one fanout table (the order is computed from the
-/// same two), each flop's clock buffer chain, the clock domains, and the
-/// cross-domain analysis: the `TM007` findings and the flops whose data
-/// cone starts only in other domains. [`Sta::retime`] times a netlist
-/// against it; [`Sta::run`] is `TimingGraph::new` followed by a retime.
+/// It holds the netlist's [`Connectivity`] and the topological order,
+/// both from one [`Connectivity::checked`], each flop's clock buffer
+/// chain, the clock domains, and the cross-domain analysis: the `TM007`
+/// findings and the flops whose data cone starts only in other domains.
+/// [`Sta::retime`] times a netlist against it; [`Sta::run`] is
+/// `TimingGraph::new` followed by a retime.
 ///
 /// ```
 /// # use openserdes_flow::sta::{Sta, StaConfig, TimingGraph};
@@ -437,8 +371,7 @@ pub struct TimingGraph {
     cells: usize,
     nets: usize,
     order: Vec<CellId>,
-    drivers: Vec<Option<CellId>>,
-    fanout: Vec<Vec<CellId>>,
+    conn: Connectivity,
     /// One per flop, in cell order.
     clock_paths: Vec<ClockPath>,
     /// In order of each root's first flop, without periods or
@@ -460,10 +393,7 @@ impl TimingGraph {
     /// Returns a [`NetlistError`] if the netlist fails validation.
     pub fn new(netlist: &Netlist) -> Result<Self, NetlistError> {
         let _span = telemetry::span("sta.graph");
-        netlist.check()?;
-        let drivers = netlist.driver_table();
-        let fanout = netlist.fanout_table();
-        let order = netlist.topo_order_with(&drivers, &fanout)?;
+        let (conn, order) = Connectivity::checked(netlist)?;
         let n_cells = netlist.cell_count();
 
         // Clock network: trace each flop's clock pin back to its root.
@@ -475,7 +405,7 @@ impl TimingGraph {
                 continue;
             }
             let clk_net = inst.clock.expect("sequential cell has a clock pin");
-            let (root, chain) = trace_clock(netlist, &drivers, clk_net);
+            let (root, chain) = conn.clock_root(netlist, clk_net);
             let domain = match domains.iter().position(|d| d.root == root) {
                 Some(i) => i,
                 None => {
@@ -495,15 +425,17 @@ impl TimingGraph {
             clock_paths.push(ClockPath { flop: id, chain });
         }
 
-        // TM007 + cross-domain-only flops: each flop's data cone.
-        let mut visited = vec![0u32; netlist.net_count()];
+        // TM007 + cross-domain-only flops: each flop's data cone, from
+        // its D pin, with the sources in cell order.
+        let mut marks = vec![0u32; 2 * netlist.net_count()];
         let mut cross_only = vec![false; n_cells];
         let mut cross_findings = Vec::new();
         for (stamp, path) in (1..).zip(&clock_paths) {
             let (id, di) = (path.flop, domain_of[path.flop.index()]);
             let inst = netlist.instance(id);
-            let (sources, reached_input) =
-                fanin_sources(netlist, &drivers, inst.inputs[0], &mut visited, stamp);
+            let (mut sources, reached_input) =
+                conn.fanin_sources(netlist, &inst.inputs[..1], &mut marks, stamp);
+            sources.sort_by_key(|(c, _)| *c);
             let mut same_domain = reached_input;
             let mut crossed = false;
             for &(src, through_logic) in &sources {
@@ -539,8 +471,7 @@ impl TimingGraph {
             cells: n_cells,
             nets: netlist.net_count(),
             order,
-            drivers,
-            fanout,
+            conn,
             clock_paths,
             domains,
             domain_of,
@@ -594,7 +525,7 @@ impl Sta {
             (n_cells, n_nets),
             "timing graph built from another netlist"
         );
-        let (order, fanout, drivers) = (&graph.order, &graph.fanout, &graph.drivers);
+        let (order, conn) = (&graph.order, &graph.conn);
         let domain_of = &graph.domain_of;
         let wireload = WireloadModel::small_block();
         let period = 1.0 / config.clock.value();
@@ -612,16 +543,10 @@ impl Sta {
         let mut load = vec![0.0f64; n_nets];
         let mut wire_delay = vec![0.0f64; n_nets];
         for net in netlist.net_ids() {
-            let sinks = &fanout[net.index()];
+            let sinks = conn.sinks(net);
             let mut pin_c = 0.0;
             for &s in sinks {
-                let inst = netlist.instance(s);
-                let cell = cells[s.index()];
-                pin_c += if inst.clock == Some(net) && !inst.inputs.contains(&net) {
-                    cell.clock_cap.value()
-                } else {
-                    cell.input_cap.value()
-                };
+                pin_c += netlist.instance(s).pin_cap(cells[s.index()], net).value();
             }
             let (wire_c, wire_r) = match route {
                 Some(r) => {
@@ -814,7 +739,7 @@ impl Sta {
         // TM004: max transition on driven nets.
         if let Some(mt) = config.max_transition {
             for net in netlist.net_ids() {
-                if drivers[net.index()].is_some() && slew[net.index()] > mt.value() {
+                if conn.driver(net).is_some() && slew[net.index()] > mt.value() {
                     findings.push(
                         Finding::new(
                             Rule::MaxTransitionViolation,

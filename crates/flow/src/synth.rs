@@ -18,11 +18,9 @@
 //! [`SynthResult`]; testbenches tie them.
 
 use crate::ir::{Design, NodeOp, Sig};
-use openserdes_netlist::{CellId, NetId, Netlist, NetlistError};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist, NetlistError};
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
-use openserdes_pdk::units::Farad;
-use openserdes_pdk::wire::WireloadModel;
 use std::collections::HashMap;
 
 /// Folded-graph node (post constant-propagation, pre-mapping).
@@ -462,10 +460,11 @@ pub fn synthesize(design: &Design, library: &Library) -> Result<SynthResult, Net
     let (const0, const1) = (em.const0, em.const1);
 
     // ---- high-fanout buffering & drive sizing ------------------------------
+    // Sizing changes drive strengths only, so the checked structure
+    // serves it.
     buffer_high_fanout(&mut netlist, MAX_FANOUT);
-    resize_drives(&mut netlist, library);
-
-    netlist.check()?;
+    let (conn, _) = Connectivity::checked(&netlist)?;
+    resize_drives(&mut netlist, &conn, library);
     let mapped_nodes = netlist.cell_count();
     let multicycle = design
         .multicycle()
@@ -494,12 +493,13 @@ const MAX_FANOUT: usize = 12;
 ///
 /// Nets are visited in id order, and an offending net is revisited until
 /// it fits: buffering net k rewires only net k's data sinks and appends
-/// the buffers and their nets, so no earlier net changes. One fanout
-/// table serves the whole pass. After each buffering only net k's entry
-/// and the new nets' entries are rebuilt, so the pass runs in time
-/// linear in the pins it rewires.
+/// the buffers and their nets, so no earlier net changes. One set of
+/// per-net sink lists, copied from a [`Connectivity`], serves the whole
+/// pass. After each buffering only net k's list and the new nets' lists
+/// are updated in place, so the pass runs in time linear in the pins it
+/// rewires.
 ///
-/// The table lists a cell once per pin, so a cell reading the net on m
+/// A list holds a cell once per pin, so a cell reading the net on m
 /// pins yields each of its sink pins m times, and the later group's
 /// buffer wins. Below a cap of 7 that count can give a buffer net its
 /// parent's sink list exactly, so buffering would never end. A net with
@@ -507,7 +507,7 @@ const MAX_FANOUT: usize = 12;
 /// left as it is: its distinct pins already fit one group.
 fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
     assert!(max_fanout >= 2, "fanout cap must be at least 2");
-    let mut fanout = netlist.fanout_table();
+    let mut fanout = sink_lists(netlist);
     let mut nets: Vec<NetId> = netlist.net_ids().collect();
     let mut k = 0;
     while k < nets.len() {
@@ -550,10 +550,17 @@ fn buffer_high_fanout(netlist: &mut Netlist, max_fanout: usize) {
             }
         }
     }
-    debug_assert!(
-        fanout == netlist.fanout_table(),
-        "kept fanout table drifted"
-    );
+    debug_assert!(fanout == sink_lists(netlist), "kept sink lists drifted");
+}
+
+/// Every net's sinks as a list of its own, in [`Connectivity::sinks`]
+/// order.
+fn sink_lists(netlist: &Netlist) -> Vec<Vec<CellId>> {
+    let conn = Connectivity::new(netlist);
+    netlist
+        .net_ids()
+        .map(|net| conn.sinks(net).to_vec())
+        .collect()
 }
 
 /// `true` when regrouping `sinks` would leave every data pin of `net`
@@ -576,7 +583,7 @@ fn regrouping_repeats(
 }
 
 /// The `(cell, data pin)` pairs reading `net`, in the order of its
-/// fanout-table entry `readers`; clock pins are not listed.
+/// sink list `readers`; clock pins are not listed.
 fn data_sinks(netlist: &Netlist, readers: &[CellId], net: NetId) -> Vec<(CellId, usize)> {
     let mut sinks = Vec::new();
     for &cell in readers {
@@ -590,25 +597,13 @@ fn data_sinks(netlist: &Netlist, readers: &[CellId], net: NetId) -> Vec<(CellId,
 }
 
 /// Up-sizes every instance until its cell's `max_load` covers the load of
-/// its output net (pin caps plus wireload). One pass is enough because
-/// input pin caps are drive-capped in the library model.
-fn resize_drives(netlist: &mut Netlist, library: &Library) {
-    let wireload = WireloadModel::small_block();
-    let fanout = netlist.fanout_table();
-    let loads: Vec<Farad> = netlist
+/// its output net ([`Connectivity::estimated_load`]: pin caps plus
+/// wireload), with `conn` the netlist's connectivity. One pass is enough
+/// because input pin caps are drive-capped in the library model.
+fn resize_drives(netlist: &mut Netlist, conn: &Connectivity, library: &Library) {
+    let loads: Vec<_> = netlist
         .net_ids()
-        .map(|net| {
-            let sinks = &fanout[net.index()];
-            let mut c = wireload.capacitance(sinks.len()).value();
-            for &s in sinks {
-                let inst = netlist.instance(s);
-                let cell = library
-                    .cell(inst.function, inst.drive)
-                    .expect("library cell");
-                c += cell.input_cap.value();
-            }
-            Farad::new(c)
-        })
+        .map(|net| conn.estimated_load(netlist, library, net))
         .collect();
     let ids: Vec<_> = netlist.cell_ids().collect();
     for id in ids {
@@ -816,10 +811,10 @@ mod tests {
         }
         let res = synthesize(&d, &lib()).expect("ok");
         // The fanout cap holds on every net.
+        let max_fanout = Connectivity::new(&res.netlist).max_fanout();
         assert!(
-            res.netlist.max_fanout() <= crate::synth::MAX_FANOUT + 1,
-            "max fanout = {}",
-            res.netlist.max_fanout()
+            max_fanout <= crate::synth::MAX_FANOUT + 1,
+            "max fanout = {max_fanout}"
         );
         // Buffers were inserted.
         let bufs = res
@@ -843,8 +838,8 @@ mod tests {
         assert_eq!(res.netlist.cell_count(), 1, "no gratuitous buffers");
     }
 
-    /// The buffering loop before the fanout table was kept: rebuild the
-    /// table and rescan from net 0 after every buffered net. Returns
+    /// The buffering loop before the sink lists were kept: rebuild the
+    /// connectivity and rescan from net 0 after every buffered net. Returns
     /// `false` if it has not finished after `max_steps` buffered nets.
     fn buffer_high_fanout_reference(
         netlist: &mut Netlist,
@@ -852,11 +847,11 @@ mod tests {
         max_steps: usize,
     ) -> bool {
         for _ in 0..=max_steps {
-            let fanout = netlist.fanout_table();
+            let conn = Connectivity::new(netlist);
             let mut offender: Option<(NetId, Vec<(CellId, usize)>)> = None;
             for net in netlist.net_ids() {
                 let mut sinks = Vec::new();
-                for &cell in &fanout[net.index()] {
+                for &cell in conn.sinks(net) {
                     for (pin, &input) in netlist.instance(cell).inputs.iter().enumerate() {
                         if input == net {
                             sinks.push((cell, pin));
@@ -959,7 +954,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
             #[test]
-            fn kept_fanout_table_buffers_like_the_full_rescan(
+            fn kept_sink_lists_buffer_like_the_full_rescan(
                 seed in any::<u64>(),
                 cap in 2usize..13,
             ) {
@@ -970,10 +965,10 @@ mod tests {
                     prop_assert!(fast == full, "seed {} cap {}", seed, cap);
                 } else {
                     // The rescan buffers forever here; every net of the
-                    // kept-table result reads at most `cap` distinct pins.
-                    let fanout = fast.fanout_table();
+                    // kept-list result reads at most `cap` distinct pins.
+                    let conn = Connectivity::new(&fast);
                     for net in fast.net_ids() {
-                        let mut pins = data_sinks(&fast, &fanout[net.index()], net);
+                        let mut pins = data_sinks(&fast, conn.sinks(net), net);
                         pins.sort_unstable();
                         pins.dedup();
                         prop_assert!(pins.len() <= cap, "seed {} cap {}", seed, cap);

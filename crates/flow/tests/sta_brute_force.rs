@@ -15,7 +15,7 @@
 //! delay, late-derated.
 
 use openserdes_flow::sta::{Sta, StaConfig, StaReport};
-use openserdes_netlist::{CellId, NetId, Netlist};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
@@ -90,7 +90,7 @@ fn random_case(seed: u64) -> (Netlist, StaConfig) {
 /// inputs (primary inputs at the configured input slew).
 fn stage_delays(nl: &Netlist, lib: &Library, cfg: &StaConfig) -> Vec<f64> {
     let wireload = WireloadModel::small_block();
-    let fanout = nl.fanout_table();
+    let conn = Connectivity::new(nl);
     let cell = |id: CellId| {
         let inst = nl.instance(id);
         lib.cell(inst.function, inst.drive).expect("library cell")
@@ -100,7 +100,7 @@ fn stage_delays(nl: &Netlist, lib: &Library, cfg: &StaConfig) -> Vec<f64> {
     let mut load = vec![0.0f64; nl.net_count()];
     let mut wire_delay = vec![0.0f64; nl.net_count()];
     for net in nl.net_ids() {
-        let sinks = &fanout[net.index()];
+        let sinks = conn.sinks(net);
         let mut pin_c = 0.0;
         for &s in sinks {
             let inst = nl.instance(s);
@@ -144,8 +144,8 @@ fn stage_delays(nl: &Netlist, lib: &Library, cfg: &StaConfig) -> Vec<f64> {
 /// The arrival at `net` of every path reaching it, each summed from its
 /// launch point: time zero at a primary input, the clock-to-Q stage at
 /// a flop.
-fn path_arrivals(nl: &Netlist, drivers: &[Option<CellId>], stage: &[f64], net: NetId) -> Vec<f64> {
-    let Some(c) = drivers[net.index()] else {
+fn path_arrivals(nl: &Netlist, conn: &Connectivity, stage: &[f64], net: NetId) -> Vec<f64> {
+    let Some(c) = conn.driver(net) else {
         return vec![0.0];
     };
     let inst = nl.instance(c);
@@ -154,7 +154,7 @@ fn path_arrivals(nl: &Netlist, drivers: &[Option<CellId>], stage: &[f64], net: N
     }
     inst.inputs
         .iter()
-        .flat_map(|&i| path_arrivals(nl, drivers, stage, i))
+        .flat_map(|&i| path_arrivals(nl, conn, stage, i))
         .map(|a| a + stage[c.index()])
         .collect()
 }
@@ -170,9 +170,9 @@ struct Capture {
 /// flop order, then port order).
 fn brute_force(nl: &Netlist, lib: &Library, cfg: &StaConfig) -> Vec<Capture> {
     let stage = stage_delays(nl, lib, cfg);
-    let drivers = nl.driver_table();
+    let conn = Connectivity::new(nl);
     let worst = |net: NetId| {
-        path_arrivals(nl, &drivers, &stage, net)
+        path_arrivals(nl, &conn, &stage, net)
             .into_iter()
             .fold(0.0f64, f64::max)
     };

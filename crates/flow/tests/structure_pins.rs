@@ -17,16 +17,24 @@
 //! reads; those fail the structural check, so only the lint reads them
 //! and static timing reports the check's error. No cell reads one net
 //! on two pins.
+//!
+//! A property test runs the shared [`Connectivity`] walks on such
+//! netlists, some of whose cells also read one net on several pins,
+//! against the code they replaced, kept here as oracles: `NL006`'s
+//! `HashSet` walk, `TM007`'s net-keyed stamped walk and the per-net
+//! driver and fanout tables.
 
 use openserdes_flow::sta::{Sta, StaConfig};
 use openserdes_lint::{LintConfig, Rule};
-use openserdes_netlist::{NetId, Netlist};
+use openserdes_netlist::{CellId, Connectivity, NetId, Netlist};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::library::Library;
 use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
 use openserdes_pdk::units::{Hertz, Time};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// 64-bit FNV-1a over a string's bytes.
 fn fnv1a(text: &str) -> u64 {
@@ -48,12 +56,19 @@ const GATES: [LogicFn; 9] = [
     LogicFn::Aoi21,
 ];
 
-/// `k` distinct nets from `pool`, none of them `except`.
-fn distinct(rng: &mut StdRng, pool: &[NetId], k: usize, except: Option<NetId>) -> Vec<NetId> {
+/// `k` distinct nets from `pool`, none of them `except`; with `twice`,
+/// any `k` nets from `pool`.
+fn distinct(
+    rng: &mut StdRng,
+    pool: &[NetId],
+    k: usize,
+    except: Option<NetId>,
+    twice: bool,
+) -> Vec<NetId> {
     let mut picks = Vec::with_capacity(k);
     while picks.len() < k {
         let net = pool[rng.gen_range(0..pool.len())];
-        if !picks.contains(&net) && Some(net) != except {
+        if twice || (!picks.contains(&net) && Some(net) != except) {
             picks.push(net);
         }
     }
@@ -62,7 +77,9 @@ fn distinct(rng: &mut StdRng, pool: &[NetId], k: usize, except: Option<NetId>) -
 
 /// The random netlist of `seed`; with `broken`, the structural faults
 /// that only the lint reads come first, so the random logic reads them.
-fn random_netlist(seed: u64, broken: bool) -> Netlist {
+/// With `twice`, a cell may read one net on several pins (a flop on its
+/// data and clock pins too).
+fn random_netlist(seed: u64, broken: bool, twice: bool) -> Netlist {
     let mut rng = StdRng::seed_from_u64(seed);
     let drive = |rng: &mut StdRng| DriveStrength::ALL[rng.gen_range(0..5usize)];
     let x1 = DriveStrength::X1;
@@ -96,12 +113,12 @@ fn random_netlist(seed: u64, broken: bool) -> Netlist {
         match rng.gen_range(0..10usize) {
             0..=4 => {
                 let function = GATES[rng.gen_range(0..GATES.len())];
-                let inputs = distinct(&mut rng, &data, function.input_count(), None);
+                let inputs = distinct(&mut rng, &data, function.input_count(), None, twice);
                 let d = drive(&mut rng);
                 data.push(nl.gate(function, d, &inputs));
             }
             5 | 6 => {
-                let d_net = distinct(&mut rng, &data, 1, Some(clk))[0];
+                let d_net = distinct(&mut rng, &data, 1, Some(clk), twice)[0];
                 let d = drive(&mut rng);
                 let q = nl.dff(d_net, clk, d);
                 data.push(q);
@@ -110,7 +127,7 @@ fn random_netlist(seed: u64, broken: bool) -> Netlist {
             7 => {
                 // `x` sits in both the data and the reset cone: behind
                 // logic on both sides, or on one side only.
-                let xy = distinct(&mut rng, &data, 2, Some(clk));
+                let xy = distinct(&mut rng, &data, 2, Some(clk), twice);
                 let shape = rng.gen_range(0..3usize);
                 let d_net = if shape == 2 {
                     nl.gate(LogicFn::Buf, x1, &[xy[0]])
@@ -236,7 +253,7 @@ fn random_multi_domain_findings_match_literals() {
     for group in 0..8u64 {
         let (mut lint, mut sta) = (String::new(), String::new());
         for seed in group * 8..group * 8 + 8 {
-            let nl = random_netlist(seed, seed % 4 == 3);
+            let nl = random_netlist(seed, seed % 4 == 3, false);
             let (l, s) = findings_text(&nl, &lib);
             for rule in Rule::ALL {
                 if l.contains(&format!("rule: {rule:?}")) || s.contains(&format!("rule: {rule:?}"))
@@ -264,4 +281,150 @@ fn random_multi_domain_findings_match_literals() {
         assert!(n >= 2, "{rule:?} fired in {n} netlists");
     }
     assert_eq!(got, want);
+}
+
+/// The driver table the analyses read before [`Connectivity`]: the last
+/// driver of each net in cell order.
+fn driver_table(nl: &Netlist) -> Vec<Option<CellId>> {
+    let mut t = vec![None; nl.net_count()];
+    for (id, inst) in nl.instances() {
+        t[inst.output.index()] = Some(id);
+    }
+    t
+}
+
+/// The fanout table the analyses read before [`Connectivity`]: each
+/// net's readers, once per pin, data pins before the clock.
+fn fanout_table(nl: &Netlist) -> Vec<Vec<CellId>> {
+    let mut t = vec![Vec::new(); nl.net_count()];
+    for (id, inst) in nl.instances() {
+        for &n in &inst.inputs {
+            t[n.index()].push(id);
+        }
+        if let Some(c) = inst.clock {
+            t[c.index()].push(id);
+        }
+    }
+    t
+}
+
+/// `NL006`'s walk before the shared one: the fan-in cone of every data
+/// pin of a flop, with a `HashSet` of `(net, through-logic)` visits.
+fn nl006_oracle(nl: &Netlist, driver: &[Option<CellId>], pins: &[NetId]) -> Vec<(CellId, bool)> {
+    let mut sources = Vec::new();
+    let mut visited: HashSet<(NetId, bool)> = HashSet::new();
+    let mut stack: Vec<(NetId, bool)> = pins.iter().map(|&n| (n, false)).collect();
+    while let Some((net, cx)) = stack.pop() {
+        if !visited.insert((net, cx)) {
+            continue;
+        }
+        let Some(c) = driver[net.index()] else {
+            continue;
+        };
+        let src = nl.instance(c);
+        if src.is_sequential() {
+            sources.push((c, cx));
+        } else {
+            let deeper = cx || src.inputs.len() > 1;
+            for &n in &src.inputs {
+                stack.push((n, deeper));
+            }
+        }
+    }
+    sources
+}
+
+/// `TM007`'s walk before the shared one: the fan-in cone of one net,
+/// visits keyed on the net alone and stamped, the sources sorted by
+/// cell, and whether an undriven net was reached.
+fn tm007_oracle(
+    nl: &Netlist,
+    driver: &[Option<CellId>],
+    start: NetId,
+    visited: &mut [u32],
+    stamp: u32,
+) -> (Vec<(CellId, bool)>, bool) {
+    let mut stack = vec![(start, false)];
+    let mut sources = Vec::new();
+    let mut reached_input = false;
+    while let Some((net, through_logic)) = stack.pop() {
+        if visited[net.index()] == stamp {
+            continue;
+        }
+        visited[net.index()] = stamp;
+        match driver[net.index()] {
+            Some(c) => {
+                let inst = nl.instance(c);
+                if inst.is_sequential() {
+                    sources.push((c, through_logic));
+                } else {
+                    let through = through_logic || inst.inputs.len() > 1;
+                    for &i in &inst.inputs {
+                        stack.push((i, through));
+                    }
+                }
+            }
+            None => reached_input = true,
+        }
+    }
+    sources.sort_by_key(|(c, _)| *c);
+    (sources, reached_input)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    #[test]
+    fn shared_walks_match_the_analyses_they_replaced(
+        seed in any::<u64>(),
+        broken in any::<bool>(),
+        twice in any::<bool>(),
+    ) {
+        let nl = random_netlist(seed, broken, twice);
+        let conn = Connectivity::new(&nl);
+        let driver = driver_table(&nl);
+        let fanout = fanout_table(&nl);
+        for net in nl.net_ids() {
+            prop_assert_eq!(conn.driver(net), driver[net.index()]);
+            prop_assert_eq!(conn.sinks(net), fanout[net.index()].as_slice());
+        }
+        let checked = Connectivity::checked(&nl);
+        prop_assert_eq!(checked.is_err(), broken, "seed {}", seed);
+        let mut marks = vec![0u32; 2 * nl.net_count()];
+        let mut d_marks = marks.clone();
+        let mut visited = vec![0u32; nl.net_count()];
+        for ((id, inst), stamp) in nl.instances().zip(1..) {
+            if !inst.is_sequential() {
+                continue;
+            }
+            let walk = conn.fanin_sources(&nl, &inst.inputs, &mut marks, stamp);
+            prop_assert_eq!(&walk.0, &nl006_oracle(&nl, &driver, &inst.inputs), "{}", id);
+            if !broken {
+                let (mut sources, reached_input) =
+                    conn.fanin_sources(&nl, &inst.inputs[..1], &mut d_marks, stamp);
+                sources.sort_by_key(|(c, _)| *c);
+                let want = tm007_oracle(&nl, &driver, inst.inputs[0], &mut visited, stamp);
+                prop_assert_eq!((sources, reached_input), want, "{}", id);
+            }
+        }
+        if let Ok((checked_conn, order)) = checked {
+            prop_assert!(checked_conn == conn);
+            let mut position = vec![usize::MAX; nl.cell_count()];
+            for (k, &c) in order.iter().enumerate() {
+                prop_assert!(position[c.index()] == usize::MAX, "{} twice", c);
+                position[c.index()] = k;
+            }
+            for (id, inst) in nl.instances() {
+                prop_assert_eq!(position[id.index()] != usize::MAX, !inst.is_sequential());
+                if inst.is_sequential() {
+                    continue;
+                }
+                for &n in &inst.inputs {
+                    if let Some(d) = driver[n.index()].filter(|&d| !nl.instance(d).is_sequential()) {
+                        prop_assert!(position[d.index()] < position[id.index()], "{} before {}", d, id);
+                    }
+                }
+            }
+        }
+    }
 }

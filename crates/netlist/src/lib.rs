@@ -6,9 +6,11 @@
 //! the paper's flow.
 //!
 //! * [`Netlist`] — arena-style netlist with a builder API
-//!   ([`Netlist::gate`], [`Netlist::dff`], …), validation
-//!   ([`Netlist::check`]) and graph queries (drivers, fanout,
-//!   topological order).
+//!   ([`Netlist::gate`], [`Netlist::dff`], …) and validation
+//!   ([`Netlist::check`]).
+//! * [`Connectivity`] — the one read of a netlist's structure: each
+//!   net's driver and sinks, the loop check with the topological order,
+//!   the clock-root trace and the fan-in cone walk.
 //! * [`lint`] — the gate-level ERC half of the design-lint engine
 //!   (`NL0xx` rules: driver conflicts, floating nets, combinational
 //!   loops, dead logic, clock-domain audit, drive overloads).
@@ -39,12 +41,14 @@
 
 #![warn(missing_docs)]
 
+mod connectivity;
 pub mod error;
 pub mod ids;
 pub mod lint;
 mod netlist;
 mod stats;
 
+pub use connectivity::Connectivity;
 pub use error::NetlistError;
 pub use ids::{CellId, NetId};
 pub use netlist::{Instance, Netlist};

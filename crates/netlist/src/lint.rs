@@ -1,8 +1,9 @@
 //! Gate-level ERC: the `NL0xx` rules of the design-lint engine.
 //!
 //! This module is the netlist half of the lint engine described in
-//! DESIGN.md §12. It runs entirely on the public [`Netlist`] query API
-//! and never mutates the design. Entry points:
+//! DESIGN.md §12. It reads the design through one [`Connectivity`],
+//! built once the `NL008` references hold, and never mutates it. Entry
+//! points:
 //!
 //! * [`Netlist::lint`] — the full structural rule set (`NL001`–`NL006`,
 //!   `NL008`),
@@ -12,6 +13,7 @@
 //! * [`Netlist::check`] — the Error-level structural subset as a typed
 //!   [`NetlistError`], used by the flow/simulator gates.
 
+use crate::connectivity::Connectivity;
 use crate::error::NetlistError;
 use crate::ids::{CellId, NetId};
 use crate::netlist::Netlist;
@@ -50,6 +52,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
         }
         return report;
     }
+    let conn = Connectivity::new(nl);
 
     // NL001 — driver conflicts.
     for (net, drivers) in driver_conflicts(nl) {
@@ -78,7 +81,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
     }
 
     // NL002 — undriven-but-read nets.
-    for net in undriven_nets(nl) {
+    for net in conn.undriven(nl) {
         report.add(
             cfg,
             Finding::new(
@@ -90,7 +93,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
     }
 
     // NL003 — combinational loops (Tarjan SCCs).
-    for scc in combinational_sccs(nl) {
+    for scc in conn.loop_pass(nl).0 {
         let names: Vec<&str> = scc.iter().map(|&c| nl.instance(c).name.as_str()).collect();
         let mut f = Finding::new(
             Rule::CombinationalLoop,
@@ -108,10 +111,9 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
     }
 
     // NL004 — dangling cell outputs.
-    let fanout = nl.fanout_table();
     let mut dangling: HashSet<CellId> = HashSet::new();
     for (id, inst) in nl.instances() {
-        if fanout[inst.output.index()].is_empty() && !nl.is_primary_output(inst.output) {
+        if conn.sinks(inst.output).is_empty() && !nl.is_primary_output(inst.output) {
             dangling.insert(id);
             report.add(
                 cfg,
@@ -136,7 +138,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
     // NL005 — dead logic (transitively unobservable). Dangling-output
     // cells are already reported by NL004; only flag cells whose output
     // *is* read yet still cannot reach a primary output.
-    for id in dead_cells(nl) {
+    for id in dead_cells(nl, &conn) {
         if dangling.contains(&id) {
             continue;
         }
@@ -155,7 +157,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
     }
 
     // NL006 — clock-domain crossing audit.
-    for c in clock_crossings(nl) {
+    for c in clock_crossings(nl, &conn) {
         let dst = nl.instance(c.dst);
         let src = nl.instance(c.src);
         let how = if c.through_logic {
@@ -182,7 +184,7 @@ fn lint_impl(nl: &Netlist, library: Option<&Library>, cfg: &LintConfig) -> LintR
 
     // NL007 — drive-strength overload (needs the library).
     if let Some(lib) = library {
-        for o in drive_overloads(nl, lib) {
+        for o in drive_overloads(nl, &conn, lib) {
             let inst = nl.instance(o.cell);
             report.add(
                 cfg,
@@ -212,37 +214,22 @@ impl Netlist {
     /// undriven nets, `NL003` combinational loops), returning the first
     /// violation as a typed [`NetlistError`].
     ///
-    /// This is the single checker behind the flow/simulator gates; the
-    /// full diagnostic catalog (dead logic, CDC, drive audits…) is
-    /// available through [`Netlist::lint`] /
-    /// [`Netlist::lint_with_library`].
+    /// This is [`Connectivity::checked`] without its tables, the checker
+    /// behind the flow/simulator gates; the full diagnostic catalog
+    /// (dead logic, CDC, drive audits…) is available through
+    /// [`Netlist::lint`] / [`Netlist::lint_with_library`].
     ///
     /// # Errors
     ///
     /// Returns the first [`NetlistError`] found, checking the rules in
     /// the order listed above.
     pub fn check(&self) -> Result<(), NetlistError> {
-        if let Some(b) = bad_references(self).into_iter().next() {
-            return Err(match b {
-                BadRef::Dangling { cell, net } => NetlistError::DanglingNet { cell, net },
-                BadRef::NoClock(cell) => NetlistError::MissingClock(cell),
-            });
-        }
-        if let Some((net, drivers)) = driver_conflicts(self).into_iter().next() {
-            return Err(NetlistError::MultipleDrivers { net, drivers });
-        }
-        if let Some(net) = undriven_nets(self).into_iter().next() {
-            return Err(NetlistError::UndrivenNet(net));
-        }
-        if let Some(scc) = combinational_sccs(self).into_iter().next() {
-            return Err(NetlistError::CombinationalLoop(scc));
-        }
-        Ok(())
+        Connectivity::checked(self).map(|_| ())
     }
 }
 
 /// A corrupt structural reference (`NL008`).
-enum BadRef {
+pub(crate) enum BadRef {
     /// An instance pin refers to a net id outside the arena.
     Dangling { cell: CellId, net: NetId },
     /// A sequential cell with no clock connection.
@@ -272,7 +259,7 @@ impl BadRef {
     }
 }
 
-fn bad_references(nl: &Netlist) -> Vec<BadRef> {
+pub(crate) fn bad_references(nl: &Netlist) -> Vec<BadRef> {
     let nets = nl.net_count();
     let mut out = Vec::new();
     for (id, inst) in nl.instances() {
@@ -294,7 +281,9 @@ fn bad_references(nl: &Netlist) -> Vec<BadRef> {
     out
 }
 
-fn driver_conflicts(nl: &Netlist) -> Vec<(NetId, Vec<CellId>)> {
+/// Every net with more than one driver, or driven and a primary input
+/// (`NL001`), with all its drivers in cell order.
+pub(crate) fn driver_conflicts(nl: &Netlist) -> Vec<(NetId, Vec<CellId>)> {
     let mut drivers: Vec<Vec<CellId>> = vec![Vec::new(); nl.net_count()];
     for (id, inst) in nl.instances() {
         drivers[inst.output.index()].push(id);
@@ -309,111 +298,9 @@ fn driver_conflicts(nl: &Netlist) -> Vec<(NetId, Vec<CellId>)> {
     out
 }
 
-fn undriven_nets(nl: &Netlist) -> Vec<NetId> {
-    let driver = nl.driver_table();
-    let fanout = nl.fanout_table();
-    let mut out = Vec::new();
-    for ni in 0..nl.net_count() {
-        let net = NetId(ni as u32);
-        let read = !fanout[ni].is_empty() || nl.is_primary_output(net);
-        if read && driver[ni].is_none() && !nl.is_primary_input(net) {
-            out.push(net);
-        }
-    }
-    out
-}
-
-/// Tarjan's SCC over the combinational cell graph: edge `u -> v` when
-/// combinational `v` reads combinational `u`'s output. Returns only the
-/// cyclic components (size > 1, or a self-loop).
-fn combinational_sccs(nl: &Netlist) -> Vec<Vec<CellId>> {
-    let n = nl.cell_count();
-    let comb: Vec<bool> = nl.instances().map(|(_, i)| !i.is_sequential()).collect();
-    // Successor lists (combinational only).
-    let fanout = nl.fanout_table();
-    let succs: Vec<Vec<usize>> = (0..n)
-        .map(|u| {
-            if !comb[u] {
-                return Vec::new();
-            }
-            fanout[nl.instance(CellId(u as u32)).output.index()]
-                .iter()
-                .map(|c| c.index())
-                .filter(|&v| comb[v])
-                .collect()
-        })
-        .collect();
-
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0usize;
-    let mut sccs = Vec::new();
-
-    for root in 0..n {
-        if !comb[root] || index[root] != UNVISITED {
-            continue;
-        }
-        // Iterative Tarjan: frames of (node, next successor position).
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while !frames.is_empty() {
-            let (v, si) = {
-                let frame = frames.last_mut().expect("frames is nonempty");
-                let v = frame.0;
-                if frame.1 == 0 {
-                    index[v] = next;
-                    low[v] = next;
-                    next += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                let si = frame.1;
-                frame.1 += 1;
-                (v, si)
-            };
-            if let Some(&w) = succs[v].get(si) {
-                if index[w] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(p, _)) = frames.last() {
-                    low[p] = low[p].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(CellId(w as u32));
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let cyclic = scc.len() > 1 || {
-                        let inst = nl.instance(scc[0]);
-                        inst.inputs.contains(&inst.output)
-                    };
-                    if cyclic {
-                        scc.sort_unstable();
-                        sccs.push(scc);
-                    }
-                }
-            }
-        }
-    }
-    sccs.sort_unstable();
-    sccs
-}
-
 /// Cells outside the reverse fan-in cone of every primary output
 /// (traced through data and clock pins).
-fn dead_cells(nl: &Netlist) -> Vec<CellId> {
-    let driver = nl.driver_table();
+fn dead_cells(nl: &Netlist, conn: &Connectivity) -> Vec<CellId> {
     let mut live = vec![false; nl.cell_count()];
     let mut seen = vec![false; nl.net_count()];
     let mut queue: VecDeque<NetId> = nl.primary_outputs().iter().map(|(_, n)| *n).collect();
@@ -422,7 +309,7 @@ fn dead_cells(nl: &Netlist) -> Vec<CellId> {
             continue;
         }
         seen[net.index()] = true;
-        if let Some(c) = driver[net.index()] {
+        if let Some(c) = conn.driver(net) {
             if !live[c.index()] {
                 live[c.index()] = true;
                 let inst = nl.instance(c);
@@ -447,63 +334,23 @@ struct Crossing {
     through_logic: bool,
 }
 
-/// Trace a clock net back through buffer/inverter chains to its root
-/// (a primary input, a flop output, a multi-input gate output, or a
-/// floating net).
-fn clock_root(nl: &Netlist, driver: &[Option<CellId>], net: NetId) -> NetId {
-    let mut cur = net;
-    for _ in 0..=nl.net_count() {
-        match driver[cur.index()] {
-            Some(c) => {
-                let inst = nl.instance(c);
-                if !inst.is_sequential() && inst.inputs.len() == 1 {
-                    cur = inst.inputs[0];
-                } else {
-                    return cur;
-                }
-            }
-            None => return cur,
-        }
-    }
-    cur
-}
-
-fn clock_crossings(nl: &Netlist) -> Vec<Crossing> {
-    let driver = nl.driver_table();
-    let fanout = nl.fanout_table();
+fn clock_crossings(nl: &Netlist, conn: &Connectivity) -> Vec<Crossing> {
     // Clock domain per flop.
     let domains: Vec<Option<NetId>> = nl
         .instances()
-        .map(|(_, inst)| inst.clock.map(|c| clock_root(nl, &driver, c)))
+        .map(|(_, inst)| inst.clock.map(|c| conn.clock_root(nl, c).0))
         .collect();
 
     let mut out = Vec::new();
-    for (dst, inst) in nl.instances() {
+    let mut marks = vec![0u32; 2 * nl.net_count()];
+    for ((dst, inst), stamp) in nl.instances().zip(1..) {
         let Some(dst_domain) = domains[dst.index()] else {
             continue;
         };
-        // DFS over the combinational fan-in cone of the flop's data
-        // pins, tracking whether the path crossed multi-input logic.
-        let mut sources: Vec<(CellId, bool)> = Vec::new();
-        let mut visited: HashSet<(NetId, bool)> = HashSet::new();
-        let mut stack: Vec<(NetId, bool)> = inst.inputs.iter().map(|&n| (n, false)).collect();
-        while let Some((net, cx)) = stack.pop() {
-            if !visited.insert((net, cx)) {
-                continue;
-            }
-            let Some(c) = driver[net.index()] else {
-                continue; // primary input or floating: no known domain
-            };
-            let src_inst = nl.instance(c);
-            if src_inst.is_sequential() {
-                sources.push((c, cx));
-            } else {
-                let deeper = cx || src_inst.inputs.len() > 1;
-                for &n in &src_inst.inputs {
-                    stack.push((n, deeper));
-                }
-            }
-        }
+        // The combinational fan-in cone of the flop's data pins, with
+        // whether each path crossed multi-input logic. Primary inputs
+        // and floating nets have no known domain.
+        let (sources, _) = conn.fanin_sources(nl, &inst.inputs, &mut marks, stamp);
         let mut flagged: HashSet<CellId> = HashSet::new();
         for (src, through_logic) in sources {
             let Some(src_domain) = domains[src.index()] else {
@@ -514,7 +361,7 @@ fn clock_crossings(nl: &Netlist) -> Vec<Crossing> {
             }
             // A clean (buffer-only) crossing into the first stage of a
             // two-flop synchronizer is the one safe pattern.
-            if !through_logic && is_sync_stage(nl, &fanout, &domains, dst, dst_domain) {
+            if !through_logic && is_sync_stage(nl, conn, &domains, dst, dst_domain) {
                 continue;
             }
             flagged.insert(src);
@@ -535,7 +382,7 @@ fn clock_crossings(nl: &Netlist) -> Vec<Crossing> {
 /// of a synchronizer's first stage.
 fn is_sync_stage(
     nl: &Netlist,
-    fanout: &[Vec<CellId>],
+    conn: &Connectivity,
     domains: &[Option<NetId>],
     flop: CellId,
     domain: NetId,
@@ -550,7 +397,7 @@ fn is_sync_stage(
         if nl.is_primary_output(net) {
             return false; // Q escapes the module before resynchronizing
         }
-        for &sink in &fanout[net.index()] {
+        for &sink in conn.sinks(net) {
             let s = nl.instance(sink);
             if s.is_sequential() {
                 if s.clock == Some(net) || domains[sink.index()] != Some(domain) {
@@ -575,24 +422,19 @@ struct Overload {
     max_load: Farad,
 }
 
-fn drive_overloads(nl: &Netlist, lib: &Library) -> Vec<Overload> {
-    let fanout = nl.fanout_table();
+fn drive_overloads(nl: &Netlist, conn: &Connectivity, lib: &Library) -> Vec<Overload> {
     let mut out = Vec::new();
     for (id, inst) in nl.instances() {
         let Ok(cell) = lib.cell(inst.function, inst.drive) else {
             continue;
         };
         let mut load = Farad::from_ff(0.0);
-        for &sink in &fanout[inst.output.index()] {
+        for &sink in conn.sinks(inst.output) {
             let s = nl.instance(sink);
             let Ok(sc) = lib.cell(s.function, s.drive) else {
                 continue;
             };
-            let pins = s.inputs.iter().filter(|&&n| n == inst.output).count();
-            load += sc.input_cap * pins as f64;
-            if s.clock == Some(inst.output) {
-                load += sc.clock_cap;
-            }
+            load += s.pin_cap(sc, inst.output);
         }
         if cell.overloaded(load) {
             out.push(Overload {
@@ -775,6 +617,33 @@ mod tests {
         assert!(rules_of(&r).contains(&Rule::DriveOverload));
         // The plain structural pass must not require the library.
         assert!(!rules_of(&nl.lint(&LintConfig::default())).contains(&Rule::DriveOverload));
+    }
+
+    #[test]
+    fn nl007_counts_each_pin_of_a_sink_once() {
+        // An X1 inverter into NAND2s that read its output on both pins:
+        // three of them load it with 27.5 fF of pins, under its 30 fF
+        // max_load; four with 36.6 fF.
+        let lib = Library::sky130(Pvt::nominal());
+        let overloads = |sinks: usize| -> Vec<String> {
+            let mut nl = Netlist::new("twice");
+            let a = nl.add_input("a");
+            let weak = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
+            for i in 0..sinks {
+                let y = nl.gate(LogicFn::Nand2, DriveStrength::X1, &[weak, weak]);
+                nl.mark_output(format!("y{i}"), y);
+            }
+            let r = nl.lint_with_library(&lib, &LintConfig::default());
+            r.findings()
+                .iter()
+                .filter(|f| f.rule == Rule::DriveOverload)
+                .map(|f| f.message.clone())
+                .collect()
+        };
+        assert_eq!(overloads(3), Vec::<String>::new());
+        let four = overloads(4);
+        assert_eq!(four.len(), 1);
+        assert!(four[0].contains("drives 36.6 fF"), "{}", four[0]);
     }
 
     #[test]

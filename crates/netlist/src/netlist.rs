@@ -20,10 +20,9 @@
 //! assert!(nl.check().is_ok());
 //! ```
 
-use crate::error::NetlistError;
 use crate::ids::{CellId, NetId};
-use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
-use std::collections::VecDeque;
+use openserdes_pdk::stdcell::{DriveStrength, LogicFn, StdCell};
+use openserdes_pdk::units::Farad;
 use std::fmt;
 
 /// One placed-and-routable cell instance.
@@ -47,6 +46,18 @@ impl Instance {
     /// `true` if this instance is a flip-flop.
     pub fn is_sequential(&self) -> bool {
         self.function.is_sequential()
+    }
+
+    /// The capacitance this instance presents to `net` through one of
+    /// its entries in [`crate::Connectivity::sinks`], given its library
+    /// `cell`: the clock pin's if it reads `net` on its clock pin alone,
+    /// else one data pin's.
+    pub fn pin_cap(&self, cell: &StdCell, net: NetId) -> Farad {
+        if self.clock == Some(net) && !self.inputs.contains(&net) {
+            cell.clock_cap
+        } else {
+            cell.input_cap
+        }
     }
 }
 
@@ -284,110 +295,12 @@ impl Netlist {
     pub fn is_primary_output(&self, net: NetId) -> bool {
         self.is_output.get(net.index()).copied().unwrap_or(false)
     }
-
-    /// Per-net driver table: `drivers[net] = Some(cell)` for instance
-    /// outputs, `None` for primary inputs and floating nets.
-    pub fn driver_table(&self) -> Vec<Option<CellId>> {
-        let mut t = vec![None; self.net_count()];
-        for (id, inst) in self.instances() {
-            t[inst.output.index()] = Some(id);
-        }
-        t
-    }
-
-    /// Per-net fanout table (cells reading each net through any pin).
-    pub fn fanout_table(&self) -> Vec<Vec<CellId>> {
-        let mut t = vec![Vec::new(); self.net_count()];
-        for (id, inst) in self.instances() {
-            for &n in &inst.inputs {
-                t[n.index()].push(id);
-            }
-            if let Some(c) = inst.clock {
-                t[c.index()].push(id);
-            }
-        }
-        t
-    }
-
-    /// Topological order of the *combinational* instances.
-    ///
-    /// Primary inputs and flip-flop outputs are treated as sources;
-    /// flip-flops themselves are excluded from the order (they break
-    /// timing paths).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalLoop`] listing the cells stuck
-    /// in a cycle.
-    pub fn topo_order(&self) -> Result<Vec<CellId>, NetlistError> {
-        self.topo_order_with(&self.driver_table(), &self.fanout_table())
-    }
-
-    /// [`Netlist::topo_order`] over this netlist's own
-    /// [`Netlist::driver_table`] and [`Netlist::fanout_table`], for a
-    /// caller that keeps the tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::CombinationalLoop`] listing the cells stuck
-    /// in a cycle.
-    pub fn topo_order_with(
-        &self,
-        driver: &[Option<CellId>],
-        fanout: &[Vec<CellId>],
-    ) -> Result<Vec<CellId>, NetlistError> {
-        // In-degree counts only edges from combinational drivers.
-        let comb = |id: CellId| !self.instances[id.index()].is_sequential();
-        let mut indeg = vec![0usize; self.instances.len()];
-        for (id, inst) in self.instances() {
-            if !comb(id) {
-                continue;
-            }
-            for &n in &inst.inputs {
-                if let Some(d) = driver[n.index()] {
-                    if comb(d) {
-                        indeg[id.index()] += 1;
-                    }
-                }
-            }
-        }
-        let mut queue: VecDeque<CellId> = self
-            .cell_ids()
-            .filter(|&id| comb(id) && indeg[id.index()] == 0)
-            .collect();
-        let mut order = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            order.push(id);
-            let out = self.instances[id.index()].output;
-            for &sink in &fanout[out.index()] {
-                if comb(sink) {
-                    indeg[sink.index()] -= 1;
-                    if indeg[sink.index()] == 0 {
-                        queue.push_back(sink);
-                    }
-                }
-            }
-        }
-        let comb_total = self.cell_ids().filter(|&id| comb(id)).count();
-        if order.len() != comb_total {
-            let stuck: Vec<CellId> = self
-                .cell_ids()
-                .filter(|&id| comb(id) && !order.contains(&id))
-                .collect();
-            return Err(NetlistError::CombinationalLoop(stuck));
-        }
-        Ok(order)
-    }
-
-    /// Maximum fanout over all nets.
-    pub fn max_fanout(&self) -> usize {
-        self.fanout_table().iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NetlistError;
 
     fn half_adder() -> Netlist {
         let mut nl = Netlist::new("half_adder");
@@ -407,18 +320,6 @@ mod tests {
         assert_eq!(nl.net_count(), 4);
         assert_eq!(nl.flop_count(), 0);
         assert!(nl.check().is_ok());
-    }
-
-    #[test]
-    fn driver_and_fanout_queries() {
-        let nl = half_adder();
-        let a = nl.primary_inputs()[0];
-        let drivers = nl.driver_table();
-        assert_eq!(drivers[a.index()], None);
-        assert_eq!(nl.fanout_table()[a.index()].len(), 2);
-        let (_, sum_net) = nl.primary_outputs()[0].clone();
-        let d = drivers[sum_net.index()].expect("sum is driven");
-        assert_eq!(nl.instance(d).function, LogicFn::Xor2);
     }
 
     #[test]
@@ -511,25 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn topo_order_respects_dependencies() {
-        let mut nl = Netlist::new("chain");
-        let a = nl.add_input("a");
-        let x1 = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
-        let x2 = nl.gate(LogicFn::Inv, DriveStrength::X1, &[x1]);
-        let x3 = nl.gate(LogicFn::Inv, DriveStrength::X1, &[x2]);
-        nl.mark_output("y", x3);
-        let order = nl.topo_order().expect("acyclic");
-        assert_eq!(order.len(), 3);
-        let pos = |c: CellId| order.iter().position(|&o| o == c).unwrap();
-        assert!(pos(order[0]) < pos(order[2]));
-        // Drivers come before their sinks.
-        for w in order.windows(2) {
-            let early = nl.instance(w[0]).output;
-            assert!(nl.instance(w[1]).inputs.contains(&early));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "expects 2 inputs")]
     fn arity_mismatch_panics() {
         let mut nl = Netlist::new("bad");
@@ -555,16 +437,5 @@ mod tests {
         nl.mark_output("q", q);
         assert!(nl.check().is_ok());
         assert_eq!(nl.flop_count(), 1);
-    }
-
-    #[test]
-    fn max_fanout_counts_all_pins() {
-        let mut nl = Netlist::new("fan");
-        let a = nl.add_input("a");
-        for _ in 0..5 {
-            let o = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
-            nl.mark_output(format!("o{o}"), o);
-        }
-        assert_eq!(nl.max_fanout(), 5);
     }
 }

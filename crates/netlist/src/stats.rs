@@ -3,6 +3,7 @@
 //! These are the numbers a synthesis report prints, and the raw material
 //! for the paper's Fig. 10/11 area breakdowns.
 
+use crate::connectivity::Connectivity;
 use crate::netlist::Netlist;
 use openserdes_pdk::library::Library;
 use openserdes_pdk::units::{AreaUm2, Farad};
@@ -53,7 +54,7 @@ impl NetlistStats {
             cell_count: netlist.cell_count(),
             flop_count: netlist.flop_count(),
             net_count: netlist.net_count(),
-            max_fanout: netlist.max_fanout(),
+            max_fanout: Connectivity::new(netlist).max_fanout(),
             area: AreaUm2::new(area),
             leakage_w: leakage,
             total_pin_cap: Farad::new(pin_cap),
