@@ -619,6 +619,7 @@ mod tests {
     use super::*;
     use crate::ir::Design;
     use openserdes_digital::{CycleSim, Logic};
+    use openserdes_netlist::NetlistStats;
     use openserdes_pdk::corner::Pvt;
 
     fn lib() -> Library {
@@ -811,7 +812,7 @@ mod tests {
         }
         let res = synthesize(&d, &lib()).expect("ok");
         // The fanout cap holds on every net.
-        let max_fanout = Connectivity::new(&res.netlist).max_fanout();
+        let max_fanout = NetlistStats::compute(&res.netlist, &lib()).max_fanout;
         assert!(
             max_fanout <= crate::synth::MAX_FANOUT + 1,
             "max fanout = {max_fanout}"

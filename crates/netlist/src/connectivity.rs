@@ -133,7 +133,7 @@ impl Connectivity {
     }
 
     /// The largest sink count over all nets.
-    pub fn max_fanout(&self) -> usize {
+    pub(crate) fn max_fanout(&self) -> usize {
         self.start
             .windows(2)
             .map(|w| w[1] - w[0])
