@@ -95,22 +95,16 @@ pub fn to_def(
         // A cell's entries on a net are adjacent and follow its pins
         // that read the net: data pins in order, then the clock.
         let sinks = conn.sinks(net);
-        let mut nth = 0;
         for (k, &s) in sinks.iter().enumerate() {
-            nth = if k > 0 && sinks[k - 1] == s {
-                nth + 1
-            } else {
-                0
-            };
+            let nth = sinks[..k].iter().rev().take_while(|&&c| c == s).count();
             let inst = netlist.instance(s);
-            let data_pin = (0..inst.inputs.len())
+            let _ = match (0..inst.inputs.len())
                 .filter(|&i| inst.inputs[i] == net)
-                .nth(nth);
-            let pin = match data_pin {
-                Some(i) => format!("A{i}"),
-                None => "CLK".to_string(),
+                .nth(nth)
+            {
+                Some(i) => write!(out, " ( {} A{i} )", inst.name),
+                None => write!(out, " ( {} CLK )", inst.name),
             };
-            let _ = write!(out, " ( {} {} )", inst.name, pin);
         }
         let _ = writeln!(out, " ;");
     }

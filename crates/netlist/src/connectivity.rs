@@ -1,32 +1,7 @@
-//! One read-only view of a netlist's structure, and the analyses that
-//! walk it.
-//!
-//! A [`Connectivity`] holds each net's driver and each net's sinks, the
-//! role OpenDB plays for the OpenROAD tools of the paper's flow: every
-//! stage that reads a netlist's structure (the lint and
-//! [`Netlist::check`], static timing, both simulators, high-fanout
-//! buffering and sizing, placement, routing, power and DEF export)
-//! reads it from here. Its walks are the only ones of their kind: the
-//! loop check that also yields the topological order
-//! ([`Connectivity::checked`]), the clock-root trace
-//! ([`Connectivity::clock_root`]) and the fan-in cone walk
-//! ([`Connectivity::fanin_sources`]).
-//!
-//! ```
-//! use openserdes_netlist::{Connectivity, Netlist};
-//! use openserdes_pdk::stdcell::{DriveStrength, LogicFn};
-//!
-//! let mut nl = Netlist::new("chain");
-//! let a = nl.add_input("a");
-//! let x = nl.gate(LogicFn::Inv, DriveStrength::X1, &[a]);
-//! let y = nl.gate(LogicFn::Nand2, DriveStrength::X1, &[a, x]);
-//! nl.mark_output("y", y);
-//! let (conn, order) = Connectivity::checked(&nl)?;
-//! assert_eq!(conn.sinks(a).len(), 2);
-//! assert_eq!(conn.driver(a), None);
-//! assert_eq!(order, [conn.driver(x).unwrap(), conn.driver(y).unwrap()]);
-//! # Ok::<(), openserdes_netlist::NetlistError>(())
-//! ```
+//! The one read of a netlist's structure, the role OpenDB plays for
+//! the OpenROAD tools of the paper's flow, and the only walks of their
+//! kind: the loop check that also yields the topological order, the
+//! clock-root trace and the fan-in cone walk (DESIGN.md §24).
 
 use crate::error::NetlistError;
 use crate::ids::{CellId, NetId};
@@ -259,18 +234,13 @@ impl Connectivity {
         (root, chain)
     }
 
-    /// Walks the combinational fan-in cone of the pins reading `starts`
-    /// back to the flops that launch into it, depth first, the last
-    /// start first. Returns each launching flop as it is reached, with
-    /// whether the path to it passed a gate of more than one input, and
-    /// whether the cone reaches an undriven net (a primary input or a
-    /// floating net).
-    ///
-    /// A flop reached along paths that differ in that flag is listed
-    /// once per flag. The walk keys each visit on the net and the flag,
-    /// in `marks` (two slots per net): a slot equal to `stamp` is
-    /// visited, so one table serves every walk that takes a fresh
-    /// stamp.
+    /// Walks the combinational fan-in cone of `starts` back to the flops
+    /// launching into it, depth first, the last start first. Returns
+    /// each flop as reached, with whether the path passed a gate of more
+    /// than one input (once per flag value it is reached with), and
+    /// whether the cone reaches an undriven net. Visits are keyed on the
+    /// net and that flag, in `marks` (two slots per net): a slot equal
+    /// to `stamp` is visited, so one table serves every fresh stamp.
     ///
     /// # Panics
     ///
