@@ -266,7 +266,7 @@ fn random_multi_domain_findings_match_literals() {
         }
         got.push((fnv1a(&lint), fnv1a(&sta)));
     }
-    // The pins see every rule the refactored walks and traces feed.
+    // The pins see every rule that the shared walks and traces feed.
     for rule in [
         Rule::MultiplyDrivenNet,
         Rule::UndrivenNet,
