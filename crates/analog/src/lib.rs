@@ -52,8 +52,8 @@ pub use circuit::{Circuit, Element, Node, Stimulus};
 pub use eye::EyeDiagram;
 pub use solver::batched::{BatchedTransientResult, PointOverride};
 pub use solver::{
-    dc_operating_point, dc_operating_point_with_nodeset, dc_sweep, dc_sweep_with_threads,
-    transient, DcSolution, DcSweepResult, Solver, SolverError, SolverStats, StepMode,
-    TransientConfig, TransientResult,
+    dc_operating_point, dc_operating_point_with_nodeset, dc_sweep_with_threads, transient,
+    DcSolution, DcSweepResult, Solver, SolverError, SolverStats, StepMode, TransientConfig,
+    TransientResult,
 };
 pub use waveform::Waveform;

@@ -44,7 +44,6 @@ use openserdes_telemetry as telemetry;
 use std::error::Error;
 use std::fmt;
 use std::ops::Deref;
-use std::time::{Duration, Instant};
 
 pub mod batched;
 pub mod reference;
@@ -221,8 +220,8 @@ impl TransientConfig {
     }
 }
 
-/// Counters from one or more solves, mirroring `LinkStats` on the
-/// digital side: enough to see where the time went without profiling.
+/// Counters from one or more solves: enough to see where the work went
+/// without profiling. Wall time is the enclosing `analog.*` span's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverStats {
     /// Newton iterations across all solves.
@@ -258,8 +257,6 @@ pub struct SolverStats {
     /// LU factorizations performed inside the kernel (a subset of
     /// `factorizations`); each one serves every point of the batch.
     pub batched_factorizations: u64,
-    /// Wall-clock time spent inside the solver.
-    pub total_time: Duration,
 }
 
 impl SolverStats {
@@ -290,7 +287,6 @@ impl SolverStats {
         self.batched_points += other.batched_points;
         self.batch_retirements += other.batch_retirements;
         self.batched_factorizations += other.batched_factorizations;
-        self.total_time += other.total_time;
     }
 
     /// Emits these counters into the active telemetry scope under the
@@ -338,7 +334,6 @@ impl SolverStats {
             batched_points: self.batched_points - earlier.batched_points,
             batch_retirements: self.batch_retirements - earlier.batch_retirements,
             batched_factorizations: self.batched_factorizations - earlier.batched_factorizations,
-            total_time: self.total_time.saturating_sub(earlier.total_time),
         }
     }
 }
@@ -1384,7 +1379,6 @@ impl<'c> Solver<'c> {
         config.check();
         let _span = telemetry::span("analog.transient");
         let before = self.stats;
-        let started = Instant::now();
         let waveforms = match config.step {
             StepMode::Fixed(dt) => self.transient_fixed(dt, config),
             StepMode::Adaptive {
@@ -1393,7 +1387,6 @@ impl<'c> Solver<'c> {
                 lte_tol,
             } => self.transient_adaptive(dt_min, dt_max, lte_tol, config),
         }?;
-        self.stats.total_time += started.elapsed();
         let stats = self.stats.since(&before);
         stats.record_telemetry();
         telemetry::record_value("analog.newton_per_transient", stats.newton_iterations);
@@ -1784,9 +1777,7 @@ pub fn dc_operating_point(circuit: &Circuit) -> Result<DcSolution, SolverError> 
     crate::drc::debug_check(circuit);
     let _span = telemetry::span("analog.dc");
     let mut solver = Solver::new(circuit);
-    let started = Instant::now();
     let voltages = solver.dc_at(0.0)?;
-    solver.stats.total_time += started.elapsed();
     solver.stats.record_telemetry();
     Ok(DcSolution {
         voltages,
@@ -1814,9 +1805,7 @@ pub fn dc_operating_point_with_nodeset(
     crate::drc::debug_check(circuit);
     let _span = telemetry::span("analog.dc");
     let mut solver = Solver::new(circuit);
-    let started = Instant::now();
     let voltages = solver.dc_nodeset(nodeset)?;
-    solver.stats.total_time += started.elapsed();
     solver.stats.record_telemetry();
     Ok(DcSolution {
         voltages,
@@ -1824,83 +1813,12 @@ pub fn dc_operating_point_with_nodeset(
     })
 }
 
-/// The continuation loop shared by the sequential sweep and each
-/// parallel chunk: override the source, Newton from the previous
-/// point's solution, fall back to a fresh robust solve.
-fn dc_sweep_on(
-    solver: &mut Solver<'_>,
-    source_index: usize,
-    values: &[f64],
-) -> Result<Vec<Vec<f64>>, SolverError> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut guess: Option<Vec<f64>> = None;
-    for &val in values {
-        solver.set_source_override(Some((source_index, val)));
-        let v = match &guess {
-            Some(g) => {
-                // Continuation: Newton from the previous point's solution.
-                let mut v = g.clone();
-                solver.apply_sources(&mut v, 0.0);
-                match solver.newton_full(&mut v, None, 1e-12, 400, 1e-9, 0.0) {
-                    Ok(()) => v,
-                    // Fall back to a fresh robust solve.
-                    Err(_) => solver.dc_at(0.0)?,
-                }
-            }
-            None => solver.dc_at(0.0)?,
-        };
-        guess = Some(v.clone());
-        out.push(v);
-    }
-    solver.set_source_override(None);
-    Ok(out)
-}
-
-/// DC sweep: overrides source `source_index`'s value across `values` and
-/// returns the full node-voltage vector per point (continuation from the
-/// previous point makes VTC sweeps fast and stable). One compiled
-/// solver and workspace serve the whole sweep — the circuit is not
-/// cloned and the topology is not re-analyzed per point.
-///
-/// # Errors
-///
-/// Returns the first solver failure.
-///
-/// # Panics
-///
-/// Panics if `source_index` is out of range, or (in debug builds) if
-/// the circuit fails the [`crate::drc`] gate.
-pub fn dc_sweep(
-    circuit: &Circuit,
-    source_index: usize,
-    values: &[f64],
-) -> Result<DcSweepResult, SolverError> {
-    crate::drc::debug_check(circuit);
-    assert!(
-        source_index < circuit.sources().len(),
-        "source index out of range"
-    );
-    let _span = telemetry::span("analog.dc_sweep");
-    let mut solver = Solver::new(circuit);
-    let started = Instant::now();
-    let points = dc_sweep_on(&mut solver, source_index, values)?;
-    solver.stats.total_time += started.elapsed();
-    solver.stats.record_telemetry();
-    Ok(DcSweepResult {
-        points,
-        stats: solver.stats,
-    })
-}
-
-/// [`dc_sweep`] fanned across `threads` workers. Each point is its own
-/// robust `Solver::dc_at` solve with source `source_index`
-/// overridden, so results come back in input order, bit-identical for
-/// any thread count and to a [`dc_operating_point`] of each point's
+/// DC sweep: overrides source `source_index`'s value across `values`
+/// and returns the full node-voltage vector per point, fanned across
+/// `threads` workers. Each point is its own robust `Solver::dc_at`
+/// solve, so results come back in input order, bit-identical for any
+/// thread count and to a [`dc_operating_point`] of each point's
 /// circuit.
-///
-/// (The sequential [`dc_sweep`] warm-starts each point from the
-/// previous point's solution instead, which converges to the same curve
-/// but not bit-identically.)
 ///
 /// # Errors
 ///
@@ -1922,7 +1840,6 @@ pub fn dc_sweep_with_threads(
         "source index out of range"
     );
     let _span = telemetry::span("analog.dc_sweep");
-    let started = Instant::now();
     let results = crate::par::map_with_threads(values, threads, |_, &x| {
         let mut solver = Solver::new(circuit);
         solver.set_source_override(Some((source_index, x)));
@@ -1935,7 +1852,6 @@ pub fn dc_sweep_with_threads(
         points.push(v);
         stats.merge(&point_stats);
     }
-    stats.total_time = started.elapsed();
     stats.record_telemetry();
     Ok(DcSweepResult { points, stats })
 }
@@ -2249,7 +2165,7 @@ mod tests {
         c.vsource(vin, Stimulus::Dc(0.0));
         inverter(&mut c, vin, vout, vdd, 0.65, 1.0);
         let xs: Vec<f64> = (0..=36).map(|i| i as f64 * 0.05).collect();
-        let sweep = dc_sweep(&c, 1, &xs).expect("sweeps");
+        let sweep = dc_sweep_with_threads(&c, 1, &xs, 1).expect("sweeps");
         let vtc: Vec<f64> = sweep.iter().map(|v| v[vout.index()]).collect();
         // Monotonically non-increasing.
         for w in vtc.windows(2) {
@@ -2596,7 +2512,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_steps_and_wall_time() {
+    fn stats_report_steps_and_merge() {
         let mut c = Circuit::new();
         let vin = c.node("vin");
         let out = c.node("out");
@@ -2608,7 +2524,6 @@ mod tests {
         let expect = (1e-9f64 / 1e-12).ceil() as u64;
         assert_eq!(s.steps_taken, expect);
         assert!(s.newton_iterations >= s.steps_taken);
-        assert!(s.total_time > Duration::ZERO);
         let mut sum = SolverStats::default();
         sum.merge(s);
         sum.merge(s);

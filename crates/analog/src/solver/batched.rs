@@ -28,8 +28,8 @@
 //! sequentially from scratch, where the full recovery ladder applies.
 
 use super::{
-    factorize, telemetry, Circuit, Instant, PairSlots, Solver, SolverError, SolverStats, Stamp,
-    StampPlan, StepMode, TransientConfig, TransientResult, Waveform, ABSENT,
+    factorize, telemetry, Circuit, PairSlots, Solver, SolverError, SolverStats, Stamp, StampPlan,
+    StepMode, TransientConfig, TransientResult, Waveform, ABSENT,
 };
 use crate::circuit::{Element, Stimulus};
 
@@ -603,12 +603,10 @@ impl Solver<'_> {
                     && !points.is_empty()
                     && points.iter().all(|p| p.elements.is_empty()) =>
             {
-                let started = Instant::now();
                 self.stats.batched_points += points.len() as u64;
                 let (out, kstats) = Kernel::new(&self.plan, self.circuit, points).run(dt, config);
                 solved = out;
                 self.stats.merge(&kstats);
-                self.stats.total_time += started.elapsed();
                 // Emit the kernel's share now: each per-point solve
                 // below runs `run_transient`, which emits its own.
                 self.stats.since(&before).record_telemetry();

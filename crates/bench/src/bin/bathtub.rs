@@ -2,12 +2,11 @@
 //! horizontal-margin plot behind the CDR's sampling-phase choice.
 //!
 //! The curve is produced by the parallel sweep engine (seed-identical
-//! to the sequential path), and the run closes with the link's
-//! per-stage instrumentation at the same operating point.
+//! to the sequential path).
 
 use openserdes_bench::report::table;
 use openserdes_core::sweep::parallel;
-use openserdes_core::{eye_width_at, BerTest, LinkConfig, Sweep};
+use openserdes_core::{eye_width_at, LinkConfig, Sweep};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,36 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eye_width_at(&curve, 1e-3),
         curve.len(),
         elapsed.as_secs_f64() * 1e3
-    );
-
-    // Per-stage link instrumentation at the same operating point.
-    let bertest = BerTest::prbs31(cfg.clone(), 40);
-    let report = openserdes_core::link::run_frames(&cfg, &bertest.stimulus(), bertest.seed)?;
-    let s = report.stats;
-    println!("\nlink stage stats (40 frames):");
-    println!(
-        "  serialize: {:>8} bits    {:>8.2} ms",
-        s.tx_bits,
-        s.serialize_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "  phy:       {:>8} samples {:>8.2} ms",
-        s.phy_samples,
-        s.phy_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "  cdr:       {:>8} bits    {:>8.2} ms",
-        s.recovered_bits,
-        s.cdr_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "  score:     {:>8} bits    {:>8.2} ms",
-        s.compared_bits,
-        s.score_time.as_secs_f64() * 1e3
-    );
-    println!(
-        "  total:                      {:>8.2} ms",
-        s.total_time.as_secs_f64() * 1e3
     );
     Ok(())
 }

@@ -29,23 +29,6 @@ const CAMPAIGN_SEED: u64 = 17;
 /// Link-run seed (PHY noise, jitter draws).
 const RUN_SEED: u64 = 5;
 
-fn frames(count: usize) -> Vec<[u32; 8]> {
-    let mut g = PrbsGenerator::new(PrbsOrder::Prbs31);
-    (0..count)
-        .map(|_| {
-            let mut f = [0u32; 8];
-            for w in f.iter_mut() {
-                for b in 0..32 {
-                    if g.next_bit() {
-                        *w |= 1 << b;
-                    }
-                }
-            }
-            f
-        })
-        .collect()
-}
-
 /// One cell of the campaign matrix.
 struct Cell {
     cdr_name: &'static str,
@@ -102,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let smoke_flag = if smoke { " -- --smoke" } else { "" };
     let nframes = if smoke { 12usize } else { 40 };
-    let stim = frames(nframes);
+    let stim = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(nframes);
 
     // ---- the standard matrix ----------------------------------------
     let cdrs = [

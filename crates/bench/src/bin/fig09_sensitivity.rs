@@ -53,22 +53,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sweep.len(),
         elapsed.as_secs_f64() * 1e3
     );
-
-    // Per-stage instrumentation at the nominal operating point.
-    let bertest = openserdes_core::BerTest::prbs31(cfg.clone(), 8);
-    let report = openserdes_core::link::run_frames(&cfg, &bertest.stimulus(), bertest.seed)?;
-    let s = report.stats;
-    println!(
-        "\nlink stage stats (8 frames): serialize {} bits / {:.2} ms, phy {} samples / {:.2} ms, cdr {} bits / {:.2} ms, score {} bits / {:.2} ms, total {:.2} ms",
-        s.tx_bits,
-        s.serialize_time.as_secs_f64() * 1e3,
-        s.phy_samples,
-        s.phy_time.as_secs_f64() * 1e3,
-        s.recovered_bits,
-        s.cdr_time.as_secs_f64() * 1e3,
-        s.compared_bits,
-        s.score_time.as_secs_f64() * 1e3,
-        s.total_time.as_secs_f64() * 1e3
-    );
     Ok(())
 }

@@ -59,23 +59,6 @@ fn disabled_probe_ns() -> f64 {
     t0.elapsed().as_secs_f64() * 1e9 / (2 * ITERS) as f64
 }
 
-fn frames(count: usize) -> Vec<[u32; 8]> {
-    let mut g = PrbsGenerator::new(PrbsOrder::Prbs31);
-    (0..count)
-        .map(|_| {
-            let mut f = [0u32; 8];
-            for w in f.iter_mut() {
-                for b in 0..32 {
-                    if g.next_bit() {
-                        *w |= 1 << b;
-                    }
-                }
-            }
-            f
-        })
-        .collect()
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let smoke_flag = if smoke { " -- --smoke" } else { "" };
@@ -91,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Uninstrumented-equivalent baseline: the link workload with
     // telemetry disabled (every probe short-circuits on one relaxed
     // atomic load — the "zero-cost" claim under test).
-    let stim = frames(nframes);
+    let stim = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(nframes);
     let mut baseline = Session::new().with_seed(9);
     baseline.run_link(&stim)?; // warmup
     let t0 = Instant::now();

@@ -6,8 +6,8 @@
 use openserdes_analog::{EyeDiagram, Waveform};
 use openserdes_core::{
     cost::{cost_model, CostPoint},
-    oversample_bits, CdrConfig, LinkBudget, LinkConfig, LinkReport, OversamplingCdr, PrbsGenerator,
-    PrbsOrder, SweepPoint,
+    oversample_bits, CdrConfig, Error, LinkBudget, LinkConfig, LinkReport, OversamplingCdr,
+    PrbsGenerator, PrbsOrder, SweepPoint,
 };
 use openserdes_flow::{Flow, FlowConfig, FlowResult};
 use openserdes_pdk::corner::Pvt;
@@ -82,7 +82,7 @@ pub struct Fig06 {
 /// Propagates solver failures.
 pub fn fig06_frontend() -> Result<Fig06, openserdes_analog::SolverError> {
     let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), Pvt::nominal());
-    let vtc = fe.vtc(37)?;
+    let vtc = fe.vtc_with_threads(37, openserdes_analog::par::default_threads())?;
     let bias = fe.self_bias()?;
     let small_signal = fe.small_signal()?;
     let bits = [true, false, true, true, false, false, true, false];
@@ -165,23 +165,10 @@ pub struct Fig08 {
 /// # Errors
 ///
 /// Propagates link failures.
-pub fn fig08_link(frames: usize) -> Result<Fig08, openserdes_core::LinkError> {
+pub fn fig08_link(frames: usize) -> Result<Fig08, Error> {
     let cfg = LinkConfig::paper_default();
 
-    let mut g = PrbsGenerator::new(PrbsOrder::Prbs31);
-    let stimulus: Vec<[u32; 8]> = (0..frames)
-        .map(|_| {
-            let mut f = [0u32; 8];
-            for w in f.iter_mut() {
-                for b in 0..32 {
-                    if g.next_bit() {
-                        *w |= 1 << b;
-                    }
-                }
-            }
-            f
-        })
-        .collect();
+    let stimulus = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(frames);
     let report = openserdes_core::link::run_frames(&cfg, &stimulus, 0xF168)?;
 
     // Short analog record for the waveform plot.
@@ -203,7 +190,7 @@ pub fn fig08_link(frames: usize) -> Result<Fig08, openserdes_core::LinkError> {
 /// # Errors
 ///
 /// Propagates solver failures.
-pub fn fig09_sensitivity() -> Result<Vec<SweepPoint>, openserdes_core::LinkError> {
+pub fn fig09_sensitivity() -> Result<Vec<SweepPoint>, Error> {
     let rates: Vec<Hertz> = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         .iter()
         .map(|&g| Hertz::from_ghz(g))
@@ -216,7 +203,7 @@ pub fn fig09_sensitivity() -> Result<Vec<SweepPoint>, openserdes_core::LinkError
 /// # Errors
 ///
 /// Propagates link failures.
-pub fn fig10_budget() -> Result<LinkBudget, openserdes_core::LinkError> {
+pub fn fig10_budget() -> Result<LinkBudget, Error> {
     LinkBudget::compute(Pvt::nominal(), Hertz::from_ghz(2.0))
 }
 
@@ -225,7 +212,7 @@ pub fn fig10_budget() -> Result<LinkBudget, openserdes_core::LinkError> {
 /// # Errors
 ///
 /// Propagates synthesis failures.
-pub fn fig11_floorplan() -> Result<Vec<(&'static str, FlowResult)>, openserdes_core::LinkError> {
+pub fn fig11_floorplan() -> Result<Vec<(&'static str, FlowResult)>, Error> {
     let mut cfg = FlowConfig::at_clock(Hertz::from_ghz(2.0));
     cfg.anneal_iterations = 5_000;
     let blocks: Vec<(&'static str, openserdes_flow::ir::Design)> = vec![
@@ -240,7 +227,7 @@ pub fn fig11_floorplan() -> Result<Vec<(&'static str, FlowResult)>, openserdes_c
                 .with_config(cfg.clone())
                 .run(&design)
                 .map(|r| (name, r))
-                .map_err(openserdes_core::LinkError::from)
+                .map_err(Error::from)
         })
         .collect()
 }
@@ -262,27 +249,14 @@ pub struct HeadlineRow {
 /// # Errors
 ///
 /// Propagates link failures.
-pub fn headline() -> Result<Vec<HeadlineRow>, openserdes_core::LinkError> {
+pub fn headline() -> Result<Vec<HeadlineRow>, Error> {
     let sweep = fig09_sensitivity()?;
     let at2g = sweep
         .iter()
         .find(|p| (p.data_rate.ghz() - 2.0).abs() < 1e-9)
         .expect("2 GHz in sweep");
     let budget = fig10_budget()?;
-    let mut g = PrbsGenerator::new(PrbsOrder::Prbs31);
-    let frames: Vec<[u32; 8]> = (0..40)
-        .map(|_| {
-            let mut f = [0u32; 8];
-            for w in f.iter_mut() {
-                for b in 0..32 {
-                    if g.next_bit() {
-                        *w |= 1 << b;
-                    }
-                }
-            }
-            f
-        })
-        .collect();
+    let frames = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(40);
     let report = openserdes_core::link::run_frames(&LinkConfig::paper_default(), &frames, 0x4EAD)?;
 
     Ok(vec![

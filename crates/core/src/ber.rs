@@ -6,10 +6,10 @@
 //! channel loss" metric is a rule-of-three bound: no errors over `n`
 //! bits certifies `BER < 3/n` at 95 % confidence.
 
-use crate::error::LinkError;
+use crate::error::Error;
 use crate::link::LinkConfig;
-use crate::prbs::PrbsOrder;
-use crate::serializer::{Frame, LANES};
+use crate::prbs::{PrbsGenerator, PrbsOrder};
+use crate::serializer::Frame;
 use openserdes_phy::BerEstimate;
 
 /// BER test configuration.
@@ -38,20 +38,7 @@ impl BerTest {
 
     /// Generates the PRBS frame stimulus.
     pub fn stimulus(&self) -> Vec<Frame> {
-        let mut g = crate::prbs::PrbsGenerator::new(self.prbs);
-        (0..self.frames)
-            .map(|_| {
-                let mut f = [0u32; LANES];
-                for w in f.iter_mut() {
-                    for b in 0..32 {
-                        if g.next_bit() {
-                            *w |= 1 << b;
-                        }
-                    }
-                }
-                f
-            })
-            .collect()
+        PrbsGenerator::new(self.prbs).take_frames(self.frames)
     }
 
     /// Runs the test, returning the BER estimate.
@@ -59,7 +46,7 @@ impl BerTest {
     /// # Errors
     ///
     /// Propagates link failures.
-    pub fn run(&self) -> Result<BerEstimate, LinkError> {
+    pub fn run(&self) -> Result<BerEstimate, Error> {
         let report = crate::link::run_frames(&self.link, &self.stimulus(), self.seed)?;
         Ok(BerEstimate {
             bits: report.bits,
@@ -72,7 +59,7 @@ impl BerTest {
     /// # Errors
     ///
     /// Propagates link failures.
-    pub fn is_error_free(&self) -> Result<bool, LinkError> {
+    pub fn is_error_free(&self) -> Result<bool, Error> {
         Ok(self.run()?.errors == 0)
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::cdr::{cdr_design, oversample_bits};
 use crate::deserializer::deserializer_design;
-use crate::error::LinkError;
+use crate::error::Error;
 use crate::prbs::{PrbsGenerator, PrbsOrder};
 use crate::serializer::{serializer_design, FRAME_BITS};
 use openserdes_digital::CycleSim;
@@ -38,7 +38,7 @@ fn measured_power(
     clock: Hertz,
     cycles: usize,
     mut drive: impl FnMut(&mut CycleSim<'_>, usize, &HashMap<&str, NetId>),
-) -> Result<Watt, LinkError> {
+) -> Result<Watt, Error> {
     let netlist = &flow.synth.netlist;
     let names: HashMap<&str, NetId> = design
         .input_names()
@@ -108,7 +108,7 @@ impl LinkBudget {
     /// # Errors
     ///
     /// Propagates solver and synthesis failures.
-    pub fn compute(pvt: Pvt, data_rate: Hertz) -> Result<Self, LinkError> {
+    pub fn compute(pvt: Pvt, data_rate: Hertz) -> Result<Self, Error> {
         let driver = TxDriver::new(DriverConfig::paper_default(), pvt);
         let frontend = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
         let library = Library::sky130(pvt);
@@ -138,9 +138,9 @@ impl LinkBudget {
         let des_design = deserializer_design();
         let cdr_design5 = cdr_design(5);
         let flow = Flow::new().with_config(flow_cfg.clone());
-        let ser = flow.run(&ser_design).map_err(LinkError::from)?;
-        let des = flow.run(&des_design).map_err(LinkError::from)?;
-        let cdr = flow.run(&cdr_design5).map_err(LinkError::from)?;
+        let ser = flow.run(&ser_design)?;
+        let des = flow.run(&des_design)?;
+        let cdr = flow.run(&cdr_design5)?;
 
         // Vector-based power: drive each block with PRBS traffic and
         // measure real per-net toggle rates (the shift-register

@@ -1,92 +1,11 @@
-//! Error types: [`LinkError`] for link-level operations and the
-//! unified [`Error`] surfaced by [`crate::session::Session`].
+//! The unified [`Error`] surfaced by every engine entry point of this
+//! crate and by [`crate::session::Session`].
 
 use openserdes_analog::SolverError;
 use openserdes_flow::FlowError;
 use openserdes_netlist::NetlistError;
 use std::error::Error as StdError;
 use std::fmt;
-
-/// Failures surfaced by link simulation and budget computation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LinkError {
-    /// The analog solver failed (DC or transient).
-    Solver(SolverError),
-    /// Synthesis produced an invalid netlist (an internal bug, surfaced).
-    Netlist(NetlistError),
-    /// The RTL→layout flow refused the design (lint gate or netlist
-    /// failure inside a stage).
-    Flow(FlowError),
-    /// The CDR failed to lock within the run.
-    CdrUnlocked {
-        /// Unit intervals processed before giving up.
-        uis: u64,
-    },
-}
-
-impl fmt::Display for LinkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinkError::Solver(e) => write!(f, "analog solver failed: {e}"),
-            LinkError::Netlist(e) => write!(f, "netlist error: {e}"),
-            LinkError::Flow(e) => write!(f, "flow failed: {e}"),
-            LinkError::CdrUnlocked { uis } => {
-                write!(f, "cdr failed to lock within {uis} unit intervals")
-            }
-        }
-    }
-}
-
-impl StdError for LinkError {
-    fn source(&self) -> Option<&(dyn StdError + 'static)> {
-        match self {
-            LinkError::Solver(e) => Some(e),
-            LinkError::Netlist(e) => Some(e),
-            LinkError::Flow(e) => Some(e),
-            LinkError::CdrUnlocked { .. } => None,
-        }
-    }
-}
-
-impl From<SolverError> for LinkError {
-    fn from(e: SolverError) -> Self {
-        LinkError::Solver(e)
-    }
-}
-
-impl From<NetlistError> for LinkError {
-    fn from(e: NetlistError) -> Self {
-        LinkError::Netlist(e)
-    }
-}
-
-impl From<FlowError> for LinkError {
-    fn from(e: FlowError) -> Self {
-        // Unwrap plain netlist failures so callers keep seeing the
-        // historical `Netlist` variant for them.
-        match e {
-            FlowError::Netlist(n) => LinkError::Netlist(n),
-            lint => LinkError::Flow(lint),
-        }
-    }
-}
-
-/// Diagnostics for a sweep item that died mid-run (panicked) and was
-/// isolated by the fault-tolerant fan-out instead of tearing down the
-/// whole sweep (see `openserdes_analog::par::try_map_with_threads`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultInfo {
-    /// Input index of the item that faulted.
-    pub item: usize,
-    /// The panic message, when one was carried.
-    pub message: String,
-}
-
-impl fmt::Display for FaultInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sweep item {} faulted: {}", self.item, self.message)
-    }
-}
 
 /// The unified error surface of the [`crate::session::Session`] API —
 /// every entry point (link, analog, flow, lint, sweeps) reports through
@@ -98,17 +17,12 @@ impl fmt::Display for FaultInfo {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A link-level failure (CDR, budget, or a wrapped lower layer).
-    Link(LinkError),
     /// The RTL→layout flow refused or failed on a design.
     Flow(FlowError),
     /// The analog solver failed (DC or transient).
     Solver(SolverError),
     /// An operation produced or met an invalid netlist.
     Netlist(NetlistError),
-    /// A sweep item panicked and was isolated by the fault-tolerant
-    /// fan-out — the other items' results are unaffected.
-    Fault(FaultInfo),
     /// A serialized job ([`crate::job::Request`] / wire frame) was
     /// malformed: bad JSON, an unknown kind, or an out-of-range field.
     Parse(String),
@@ -117,11 +31,9 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Link(e) => write!(f, "link: {e}"),
             Error::Flow(e) => write!(f, "flow: {e}"),
             Error::Solver(e) => write!(f, "solver: {e}"),
             Error::Netlist(e) => write!(f, "netlist: {e}"),
-            Error::Fault(e) => write!(f, "fault: {e}"),
             Error::Parse(msg) => write!(f, "parse: {msg}"),
         }
     }
@@ -130,30 +42,10 @@ impl fmt::Display for Error {
 impl StdError for Error {
     fn source(&self) -> Option<&(dyn StdError + 'static)> {
         match self {
-            Error::Link(e) => Some(e),
             Error::Flow(e) => Some(e),
             Error::Solver(e) => Some(e),
             Error::Netlist(e) => Some(e),
-            Error::Fault(_) | Error::Parse(_) => None,
-        }
-    }
-}
-
-impl From<FaultInfo> for Error {
-    fn from(e: FaultInfo) -> Self {
-        Error::Fault(e)
-    }
-}
-
-impl From<LinkError> for Error {
-    fn from(e: LinkError) -> Self {
-        // Flatten wrapped lower-layer failures so matching on the
-        // unified enum reaches the root cause in one step.
-        match e {
-            LinkError::Solver(s) => Error::Solver(s),
-            LinkError::Netlist(n) => Error::Netlist(n),
-            LinkError::Flow(fl) => Error::Flow(fl),
-            other => Error::Link(other),
+            Error::Parse(_) => None,
         }
     }
 }
@@ -182,52 +74,24 @@ mod tests {
 
     #[test]
     fn conversions_and_display() {
-        let e: LinkError = SolverError::NonConvergence {
+        let e: Error = SolverError::NonConvergence {
             time: 1e-9,
             iterations: 120,
             worst_node: Some("out".into()),
         }
         .into();
-        assert!(e.to_string().contains("analog solver"));
+        assert!(matches!(e, Error::Solver(_)));
+        assert!(e.to_string().starts_with("solver: "));
+        assert!(e.to_string().contains("120 iterations"));
         assert!(StdError::source(&e).is_some());
-        let e = LinkError::CdrUnlocked { uis: 100 };
-        assert!(e.to_string().contains("100"));
-    }
-
-    #[test]
-    fn fault_variant_displays_item_and_message() {
-        let e: Error = FaultInfo {
-            item: 4,
-            message: "index out of bounds".into(),
-        }
-        .into();
-        assert!(matches!(e, Error::Fault(_)));
-        let msg = e.to_string();
-        assert!(msg.contains("item 4"), "got: {msg}");
-        assert!(msg.contains("index out of bounds"), "got: {msg}");
+        let e = Error::Parse("bad kind".into());
+        assert_eq!(e.to_string(), "parse: bad kind");
         assert!(StdError::source(&e).is_none());
     }
 
     #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<LinkError>();
         assert_send_sync::<Error>();
-    }
-
-    #[test]
-    fn unified_error_flattens_link_wrappers() {
-        let e: Error = LinkError::Solver(SolverError::NonConvergence {
-            time: 1e-9,
-            iterations: 0,
-            worst_node: None,
-        })
-        .into();
-        assert!(matches!(e, Error::Solver(_)));
-        let e: Error = LinkError::CdrUnlocked { uis: 3 }.into();
-        assert!(matches!(e, Error::Link(LinkError::CdrUnlocked { uis: 3 })));
-        let e: Error = SolverError::SingularMatrix { time: 0.0 }.into();
-        assert!(e.to_string().starts_with("solver:"));
-        assert!(StdError::source(&e).is_some());
     }
 }

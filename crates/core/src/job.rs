@@ -44,7 +44,7 @@
 
 use crate::error::Error;
 use crate::json::{self, Json};
-use crate::link::{FaultReport, LinkConfig, LinkReport, LinkStats};
+use crate::link::{FaultReport, LinkConfig, LinkReport};
 use crate::serializer::{Frame, LANES};
 use crate::sweep::parallel::CornerPoint;
 use crate::sweep::{BathtubPoint, Sweep, SweepPoint};
@@ -147,10 +147,7 @@ pub enum Request {
 /// answer `openserdes-serve` returns instead of failing or panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Result of [`Request::RunLink`]. Wall-clock stage times inside
-    /// [`LinkStats`] are run-specific noise: they are *not* serialized
-    /// (parsing restores them as zeros) and they are excluded from
-    /// [`LinkReport`] equality.
+    /// Result of [`Request::RunLink`].
     Link(LinkReport),
     /// Result of [`Request::RunLinkWithFaults`].
     Faulted(FaultReport),
@@ -924,7 +921,6 @@ fn parse_link_report(v: &Json) -> Result<LinkReport, String> {
         cdr_locked: json::get(obj, "cdr_locked")?.as_bool("cdr_locked")?,
         cdr_phase_updates: json::get(obj, "cdr_phase_updates")?.as_u64("cdr_phase_updates")?,
         alignment_lag: json::get(obj, "alignment_lag")?.as_usize("alignment_lag")?,
-        stats: LinkStats::default(),
     })
 }
 

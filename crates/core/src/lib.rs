@@ -57,14 +57,12 @@ pub use bitstream::BitVec;
 pub use budget::{BlockBudget, LinkBudget};
 pub use cdr::{cdr_design, oversample_bits, oversample_bits_packed, CdrConfig, OversamplingCdr};
 pub use deserializer::{deserializer_design, Deserializer};
-pub use error::{Error, FaultInfo, LinkError};
+pub use error::Error;
 pub use job::{
     DeadlineInfo, DesignSpec, FlowSummary, JobKey, LintSummary, Request, Response, ShedInfo,
     StaSummary, SweepSpec,
 };
-pub use link::{
-    run_frames_with_faults, AnalogFrameReport, FaultReport, LinkConfig, LinkReport, LinkStats,
-};
+pub use link::{run_frames_with_faults, AnalogFrameReport, FaultReport, LinkConfig, LinkReport};
 pub use prbs::{PrbsChecker, PrbsGenerator, PrbsOrder};
 pub use scan::{scan_chain_design, ScanChain};
 pub use serializer::{
@@ -73,5 +71,5 @@ pub use serializer::{
 };
 pub use session::Session;
 pub use sweep::parallel::CornerPoint;
-pub use sweep::{eye_width_at, BathtubPoint, Sweep, SweepOutcome, SweepPoint};
+pub use sweep::{eye_width_at, BathtubPoint, Sweep, SweepPoint};
 pub use top::serdes_digital_top;

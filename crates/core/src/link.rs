@@ -7,7 +7,9 @@
 //!   and deserializer FSMs, a statistical PHY calibrated from the analog
 //!   models (amplitude margin + noise + jitter at sample granularity),
 //!   and the cycle-accurate oversampling CDR. Scales to millions of
-//!   bits.
+//!   bits. [`run_frames_with_faults`] is the same pipeline with a
+//!   [`FaultSchedule`]'s faults injected, and `run_frames` runs it
+//!   with none.
 //! * [`run_frame_analog`] — the faithful path: a full
 //!   transistor-level transient of driver, channel and front end for one
 //!   frame, sliced at the oversampling rate and recovered by the same
@@ -16,7 +18,7 @@
 use crate::bitstream::BitVec;
 use crate::cdr::{oversample_bits_packed, CdrConfig, OversamplingCdr};
 use crate::deserializer::Deserializer;
-use crate::error::LinkError;
+use crate::error::Error;
 use crate::serializer::{frame_to_bits, Frame, Serializer, FRAME_BITS, LANES, WORD_BITS};
 use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
 use openserdes_pdk::corner::Pvt;
@@ -25,7 +27,6 @@ use openserdes_phy::{AnalogLink, BehavioralLink, ChannelModel, LinkRun};
 use openserdes_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 
 /// Link configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,33 +60,14 @@ impl Default for LinkConfig {
     }
 }
 
-/// Per-stage instrumentation for one link run: how many bits each stage
-/// moved and how long it took. Carried on [`LinkReport`] but excluded
-/// from its equality (wall times are run-specific noise).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LinkStats {
-    /// Payload bits serialized onto the wire.
-    pub tx_bits: u64,
-    /// Oversampled PHY samples generated.
-    pub phy_samples: u64,
-    /// Bits recovered by the CDR.
-    pub recovered_bits: u64,
-    /// Bits scored against the sent stream.
-    pub compared_bits: u64,
-    /// Time serializing frames.
-    pub serialize_time: Duration,
-    /// Time in the statistical PHY (oversampling + noise flips).
-    pub phy_time: Duration,
-    /// Time in CDR recovery.
-    pub cdr_time: Duration,
-    /// Time aligning, deserializing and scoring.
-    pub score_time: Duration,
-    /// Whole-run wall time.
-    pub total_time: Duration,
-}
-
 /// Result of a multi-frame link run.
-#[derive(Debug, Clone, Copy)]
+///
+/// Each stage's bit count follows from the report and the config: the
+/// serializer sends `frames_sent · FRAME_BITS` bits, the PHY makes
+/// `cdr.oversampling` samples of each, the CDR recovers one bit per
+/// UI and `bits` of them are scored. The stages' wall times are the
+/// `link.serialize`, `link.phy`, `link.cdr` and `link.score` spans.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkReport {
     /// Frames transmitted.
     pub frames_sent: usize,
@@ -101,22 +83,6 @@ pub struct LinkReport {
     pub cdr_phase_updates: u64,
     /// Bit lag the aligner settled on.
     pub alignment_lag: usize,
-    /// Per-stage bit counts and wall times.
-    pub stats: LinkStats,
-}
-
-impl PartialEq for LinkReport {
-    /// Compares the link-level outcome; [`LinkStats`] wall times are
-    /// run-specific and excluded so identical seeds compare equal.
-    fn eq(&self, other: &Self) -> bool {
-        self.frames_sent == other.frames_sent
-            && self.frames_correct == other.frames_correct
-            && self.bits == other.bits
-            && self.bit_errors == other.bit_errors
-            && self.cdr_locked == other.cdr_locked
-            && self.cdr_phase_updates == other.cdr_phase_updates
-            && self.alignment_lag == other.alignment_lag
-    }
 }
 
 impl LinkReport {
@@ -222,7 +188,7 @@ fn score_frames(
 /// oversampled with a deliberate phase offset (the reference clock is
 /// not aligned to the data — the CDR's whole job), edge jitter and
 /// per-sample noise flips.
-fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitVec, LinkError> {
+fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitVec, Error> {
     let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
     let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
     let ui = 1.0 / config.data_rate.value();
@@ -244,83 +210,15 @@ fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitV
 
 /// The fast-path link engine: serializer → statistical PHY → CDR →
 /// deserializer → scoring, at `config`'s operating point. This is the
-/// engine behind `Session::run_link`.
+/// engine behind `Session::run_link`: [`run_frames_with_faults`] with
+/// no faults, under its own `link.run` span.
 ///
 /// # Errors
 ///
 /// Propagates solver failures from the front-end characterization.
-pub fn run_frames(
-    config: &LinkConfig,
-    frames: &[Frame],
-    seed: u64,
-) -> Result<LinkReport, LinkError> {
+pub fn run_frames(config: &LinkConfig, frames: &[Frame], seed: u64) -> Result<LinkReport, Error> {
     let _span = telemetry::span("link.run");
-    let t_start = Instant::now();
-    // Serialize everything into one contiguous packed bit stream.
-    let t_ser_span = telemetry::span("link.serialize");
-    let mut ser = Serializer::new();
-    let mut bits = BitVec::with_capacity(frames.len() * FRAME_BITS);
-    for &f in frames {
-        ser.serialize_into(f, &mut bits);
-    }
-    drop(t_ser_span);
-    let serialize_time = t_start.elapsed();
-
-    let t_phy = Instant::now();
-    let phy_span = telemetry::span("link.phy");
-    let stream = statistical_phy(config, &bits, seed)?;
-    drop(phy_span);
-    let phy_time = t_phy.elapsed();
-
-    // CDR recovery.
-    let t_cdr = Instant::now();
-    let cdr_span = telemetry::span("link.cdr");
-    let mut cdr = OversamplingCdr::new(config.cdr);
-    let recovered = cdr.recover_packed(&stream);
-    drop(cdr_span);
-    let cdr_time = t_cdr.elapsed();
-
-    // Score against the sent stream (skip the CDR's first two
-    // decision windows), then deserialize from the aligned position
-    // and count frames from what the deserializer actually produced.
-    let t_score = Instant::now();
-    let score_span = telemetry::span("link.score");
-    let skip = 2 * config.cdr.window;
-    let (lag, bit_errors, overlap) = align(&bits, &recovered, skip);
-    let mut des = Deserializer::new();
-    let got = des.push_packed(&recovered, lag, recovered.len() - lag);
-    let frames_correct = score_frames(frames, &got, des.partial_frame(), skip, overlap);
-    drop(score_span);
-    let score_time = t_score.elapsed();
-
-    telemetry::counter("link.tx_bits", bits.len() as u64);
-    telemetry::counter("link.phy_samples", stream.len() as u64);
-    telemetry::counter("link.compared_bits", overlap as u64);
-    telemetry::counter("link.bit_errors", bit_errors);
-    telemetry::counter("link.cdr_phase_updates", cdr.phase_updates());
-    telemetry::record_value("link.bit_errors_per_run", bit_errors);
-
-    let stats = LinkStats {
-        tx_bits: bits.len() as u64,
-        phy_samples: stream.len() as u64,
-        recovered_bits: recovered.len() as u64,
-        compared_bits: overlap as u64,
-        serialize_time,
-        phy_time,
-        cdr_time,
-        score_time,
-        total_time: t_start.elapsed(),
-    };
-    Ok(LinkReport {
-        frames_sent: frames.len(),
-        frames_correct,
-        bits: overlap as u64,
-        bit_errors,
-        cdr_locked: cdr.is_locked(),
-        cdr_phase_updates: cdr.phase_updates(),
-        alignment_lag: lag,
-        stats,
-    })
+    Ok(run_pipeline(config, frames, seed, &FaultSchedule::new(0))?.link)
 }
 
 /// Result of a fault-campaign link run: the ordinary [`LinkReport`]
@@ -485,13 +383,12 @@ fn apply_channel_fault(stream: &mut BitVec, n: usize, ev: &FaultEvent, seed: u64
 }
 
 /// The fast-path link engine under a deterministic fault campaign:
-/// the same serializer → statistical PHY → CDR → deserializer pipeline
-/// as [`run_frames`], with [`FaultSchedule`] events injected at their
-/// UI timestamps — channel faults perturb the oversampled stream,
-/// clock faults resample it, SEUs flip CDR/deserializer state between
-/// UIs. With an empty schedule the result is bit-identical to
-/// [`run_frames`] at the same seed; with any schedule it is a pure
-/// function of `(config, frames, seed, schedule)`.
+/// the [`run_frames`] pipeline with [`FaultSchedule`] events injected
+/// at their UI timestamps — channel faults perturb the oversampled
+/// stream, clock faults resample it, SEUs flip CDR/deserializer state
+/// between UIs. With an empty schedule the report is [`run_frames`]'s
+/// at the same seed, because both run one pipeline; with any schedule
+/// it is a pure function of `(config, frames, seed, schedule)`.
 ///
 /// Structural [`FaultKind::StuckAtNet`] events are outside the link
 /// runner's jurisdiction and are ignored here.
@@ -504,32 +401,42 @@ pub fn run_frames_with_faults(
     frames: &[Frame],
     seed: u64,
     schedule: &FaultSchedule,
-) -> Result<FaultReport, LinkError> {
+) -> Result<FaultReport, Error> {
     let _span = telemetry::span("link.run_faulted");
-    let t_start = Instant::now();
-    let t_ser_span = telemetry::span("link.serialize");
+    run_pipeline(config, frames, seed, schedule)
+}
+
+/// The one fast-path pipeline behind both runners, each of which
+/// opens its own root span around it: serializer → statistical PHY →
+/// CDR → deserializer → scoring, each stage under its own span, with
+/// the schedule's faults injected where they land.
+fn run_pipeline(
+    config: &LinkConfig,
+    frames: &[Frame],
+    seed: u64,
+    schedule: &FaultSchedule,
+) -> Result<FaultReport, Error> {
+    // Serialize everything into one contiguous packed bit stream.
+    let ser_span = telemetry::span("link.serialize");
     let mut ser = Serializer::new();
     let mut bits = BitVec::with_capacity(frames.len() * FRAME_BITS);
     for &f in frames {
         ser.serialize_into(f, &mut bits);
     }
-    drop(t_ser_span);
-    let serialize_time = t_start.elapsed();
+    drop(ser_span);
 
-    // The fault-free path's PHY, then fault injection on the sampled
+    // The statistical PHY, then fault injection on the sampled
     // stream: clock faults first (they move *when* everything else is
     // seen), then amplitude faults at their scheduled UIs.
-    let t_phy = Instant::now();
     let phy_span = telemetry::span("link.phy");
     let mut stream = statistical_phy(config, &bits, seed)?;
     let n = config.cdr.oversampling;
     let uis = (stream.len() / n) as u64;
-    let mut injected_clock = 0;
     let mut injected_channel = 0;
     if schedule.clock_events().any(|(_, e)| e.at_ui < uis) {
         stream = apply_clock_faults(&stream, n, schedule);
     }
-    injected_clock += schedule
+    let injected_clock = schedule
         .clock_events()
         .filter(|(_, e)| e.at_ui < uis)
         .count();
@@ -540,10 +447,8 @@ pub fn run_frames_with_faults(
         }
     }
     drop(phy_span);
-    let phy_time = t_phy.elapsed();
 
     // CDR recovery, with SEUs striking the phase register between UIs.
-    let t_cdr = Instant::now();
     let cdr_span = telemetry::span("link.cdr");
     let mut cdr = OversamplingCdr::new(config.cdr);
     let phase_seus: Vec<(usize, u32)> = schedule
@@ -556,11 +461,11 @@ pub fn run_frames_with_faults(
     let mut injected_digital = phase_seus.len();
     let recovered = cdr.recover_with_phase_flips(&stream, &phase_seus);
     drop(cdr_span);
-    let cdr_time = t_cdr.elapsed();
 
-    // Score against the sent stream, deserializing around any
-    // deserializer SEU strikes.
-    let t_score = Instant::now();
+    // Score against the sent stream (skip the CDR's first two
+    // decision windows), then deserialize from the aligned position,
+    // around any deserializer SEU strikes, and count frames from what
+    // the deserializer actually produced.
     let score_span = telemetry::span("link.score");
     let skip = 2 * config.cdr.window;
     let (lag, bit_errors, overlap) = align(&bits, &recovered, skip);
@@ -582,25 +487,19 @@ pub fn run_frames_with_faults(
     got.extend(des.push_packed(&recovered, pos, recovered.len() - pos));
     let frames_correct = score_frames(frames, &got, des.partial_frame(), skip, overlap);
     drop(score_span);
-    let score_time = t_score.elapsed();
 
+    telemetry::counter("link.tx_bits", bits.len() as u64);
+    telemetry::counter("link.phy_samples", stream.len() as u64);
+    telemetry::counter("link.compared_bits", overlap as u64);
+    telemetry::counter("link.bit_errors", bit_errors);
+    telemetry::counter("link.cdr_phase_updates", cdr.phase_updates());
+    telemetry::record_value("link.bit_errors_per_run", bit_errors);
     telemetry::counter("link.fault_events", schedule.len() as u64);
     telemetry::counter("link.lock_losses", cdr.lock_losses());
     for &t in cdr.relock_times_ui() {
         telemetry::record_value("link.relock_ui", t);
     }
 
-    let stats = LinkStats {
-        tx_bits: bits.len() as u64,
-        phy_samples: stream.len() as u64,
-        recovered_bits: recovered.len() as u64,
-        compared_bits: overlap as u64,
-        serialize_time,
-        phy_time,
-        cdr_time,
-        score_time,
-        total_time: t_start.elapsed(),
-    };
     Ok(FaultReport {
         link: LinkReport {
             frames_sent: frames.len(),
@@ -610,7 +509,6 @@ pub fn run_frames_with_faults(
             cdr_locked: cdr.is_locked(),
             cdr_phase_updates: cdr.phase_updates(),
             alignment_lag: lag,
-            stats,
         },
         lock_losses: cdr.lock_losses(),
         relock_times_ui: cdr.relock_times_ui().to_vec(),
@@ -628,7 +526,7 @@ pub fn run_frames_with_faults(
 /// # Errors
 ///
 /// Propagates solver failures from the transients.
-pub fn run_frame_analog(config: &LinkConfig, frame: Frame) -> Result<AnalogFrameReport, LinkError> {
+pub fn run_frame_analog(config: &LinkConfig, frame: Frame) -> Result<AnalogFrameReport, Error> {
     let _span = telemetry::span("link.analog_frame");
     let bits = frame_to_bits(&frame);
     let ui = Time::new(1.0 / config.data_rate.value());
@@ -670,20 +568,7 @@ mod tests {
     use crate::serializer::LANES;
 
     fn prbs_frames(count: usize) -> Vec<Frame> {
-        let mut g = PrbsGenerator::new(PrbsOrder::Prbs31);
-        (0..count)
-            .map(|_| {
-                let mut f = [0u32; LANES];
-                for w in f.iter_mut() {
-                    for b in 0..32 {
-                        if g.next_bit() {
-                            *w |= 1 << b;
-                        }
-                    }
-                }
-                f
-            })
-            .collect()
+        PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(count)
     }
 
     #[test]
@@ -725,7 +610,6 @@ mod tests {
             cdr_locked: true,
             cdr_phase_updates: 1,
             alignment_lag: 0,
-            stats: LinkStats::default(),
         };
         assert!((r.ber() - 1e-3).abs() < 1e-12);
         assert!(!r.error_free());

@@ -5,6 +5,7 @@
 //! LFSRs plus a self-synchronizing checker for BER measurement on
 //! recovered data with unknown alignment.
 
+use crate::serializer::{Frame, LANES, WORD_BITS};
 use std::fmt;
 
 /// Standard PRBS polynomial orders.
@@ -123,6 +124,23 @@ impl PrbsGenerator {
             remaining -= chunk;
         }
         bv
+    }
+
+    /// Produces `count` frames, filling each lane word least
+    /// significant bit first and the lanes in order — the packing the
+    /// serializer unpacks, so frame bit `k` is the `k`-th bit drawn.
+    pub fn take_frames(&mut self, count: usize) -> Vec<Frame> {
+        (0..count)
+            .map(|_| {
+                let mut frame = [0u32; LANES];
+                for word in &mut frame {
+                    for bit in 0..WORD_BITS {
+                        *word |= u32::from(self.next_bit()) << bit;
+                    }
+                }
+                frame
+            })
+            .collect()
     }
 }
 
@@ -324,6 +342,18 @@ mod tests {
             // Generators stay in lockstep afterwards.
             assert_eq!(a.next_bit(), b.next_bit());
         }
+    }
+
+    #[test]
+    fn take_frames_packs_the_serial_order() {
+        use crate::serializer::{frame_to_bits, FRAME_BITS};
+        let mut a = PrbsGenerator::new(PrbsOrder::Prbs31);
+        let mut b = PrbsGenerator::new(PrbsOrder::Prbs31);
+        let frames = a.take_frames(3);
+        let bits: Vec<bool> = frames.iter().flat_map(frame_to_bits).collect();
+        assert_eq!(bits, b.take_bits(3 * FRAME_BITS));
+        assert_eq!(a.next_bit(), b.next_bit());
+        assert!(a.take_frames(0).is_empty());
     }
 
     #[test]

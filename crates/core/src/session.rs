@@ -25,7 +25,7 @@ use crate::job::{FlowSummary, LintSummary, Request, Response, StaSummary};
 use crate::link::{self, AnalogFrameReport, FaultReport, LinkConfig, LinkReport};
 use crate::serializer::Frame;
 use crate::sweep::parallel::CornerPoint;
-use crate::sweep::{BathtubPoint, Sweep, SweepOutcome, SweepPoint};
+use crate::sweep::{BathtubPoint, Sweep, SweepPoint};
 use openserdes_fault::FaultSchedule;
 use openserdes_flow::ir::Design;
 use openserdes_flow::{Flow, FlowConfig, FlowResult, Sta, StaConfig, StaReport};
@@ -182,7 +182,6 @@ impl Session {
     pub fn run_link(&mut self, frames: &[Frame]) -> Result<LinkReport, Error> {
         let (link, seed) = (self.link.clone(), self.seed);
         self.scoped(|| link::run_frames(&link, frames, seed))
-            .map_err(Error::from)
     }
 
     /// Run one frame through the transistor-level analog PHY transient
@@ -194,7 +193,6 @@ impl Session {
     pub fn run_analog_link(&mut self, frame: Frame) -> Result<AnalogFrameReport, Error> {
         let link = self.link.clone();
         self.scoped(|| link::run_frame_analog(&link, frame))
-            .map_err(Error::from)
     }
 
     /// Run `frames` through the link while injecting the faults in
@@ -213,7 +211,6 @@ impl Session {
     ) -> Result<FaultReport, Error> {
         let (link, seed) = (self.link.clone(), self.seed);
         self.scoped(|| link::run_frames_with_faults(&link, frames, seed, schedule))
-            .map_err(Error::from)
     }
 
     /// Push a design through the RTL→layout flow (synthesis → place →
@@ -270,7 +267,7 @@ impl Session {
     /// Panics if the sweep options' [`Sweep::bits`] is below 2.
     pub fn bathtub(&mut self) -> Result<Vec<BathtubPoint>, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
-        self.scoped(|| sweep.bathtub(&link)).map_err(Error::from)
+        self.scoped(|| sweep.bathtub(&link))
     }
 
     /// Maximum error-free channel loss at the session's operating point.
@@ -280,7 +277,7 @@ impl Session {
     /// Propagates link failures as the unified [`Error`].
     pub fn max_loss(&mut self) -> Result<f64, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
-        self.scoped(|| sweep.max_loss(&link)).map_err(Error::from)
+        self.scoped(|| sweep.max_loss(&link))
     }
 
     /// Maximum channel loss at each data rate.
@@ -291,7 +288,6 @@ impl Session {
     pub fn rate_sweep(&mut self, rates: &[Hertz]) -> Result<Vec<SweepPoint>, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
         self.scoped(|| sweep.rate_sweep(&link, rates))
-            .map_err(Error::from)
     }
 
     /// Maximum channel loss and front-end sensitivity at the tt/ss/ff
@@ -304,38 +300,6 @@ impl Session {
     pub fn corner_sweep(&mut self) -> Result<Vec<CornerPoint>, Error> {
         let (sweep, link) = (self.sweep, self.link.clone());
         self.scoped(|| sweep.corner_sweep(&link))
-            .map_err(Error::from)
-    }
-
-    /// Fault-isolated [`Session::bathtub`]: a panicking phase lands in
-    /// [`SweepOutcome::failed`] instead of aborting the sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures from the shared characterization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep options' [`Sweep::bits`] is below 2.
-    pub fn try_bathtub(&mut self) -> Result<SweepOutcome<BathtubPoint>, Error> {
-        let (sweep, link) = (self.sweep, self.link.clone());
-        self.scoped(|| sweep.try_bathtub(&link))
-            .map_err(Error::from)
-    }
-
-    /// Fault-isolated [`Session::rate_sweep`]: each rate point is
-    /// isolated; one poisoned rate reports in
-    /// [`SweepOutcome::failed`] while the others complete.
-    pub fn try_rate_sweep(&mut self, rates: &[Hertz]) -> SweepOutcome<SweepPoint> {
-        let (sweep, link) = (self.sweep, self.link.clone());
-        self.scoped(|| sweep.try_rate_sweep(&link, rates))
-    }
-
-    /// Fault-isolated [`Session::corner_sweep`], one isolated item per
-    /// corner.
-    pub fn try_corner_sweep(&mut self) -> SweepOutcome<CornerPoint> {
-        let (sweep, link) = (self.sweep, self.link.clone());
-        self.scoped(|| sweep.try_corner_sweep(&link))
     }
 
     /// Model-route sensitivity sweep across `rates` at the session's
@@ -347,7 +311,6 @@ impl Session {
     pub fn sensitivity_sweep(&mut self, rates: &[Hertz]) -> Result<Vec<SweepPoint>, Error> {
         let (sweep, pvt) = (self.sweep, self.link.pvt);
         self.scoped(|| sweep.sensitivity(pvt, rates))
-            .map_err(Error::from)
     }
 
     // ---- serializable job API ---------------------------------------
@@ -380,7 +343,6 @@ impl Session {
                 let config = config.clone();
                 self.scoped(|| link::run_frames(&config, frames, seed))
                     .map(Response::Link)
-                    .map_err(Error::from)
             }
             Request::RunLinkWithFaults {
                 config,
@@ -390,7 +352,6 @@ impl Session {
                 let config = config.clone();
                 self.scoped(|| link::run_frames_with_faults(&config, frames, seed, schedule))
                     .map(Response::Faulted)
-                    .map_err(Error::from)
             }
             Request::RunFlow { design, pvt } => {
                 let flow = Flow::new().with_config(FlowConfig {
@@ -406,13 +367,11 @@ impl Session {
                 let (sweep, config) = (req_sweep(sweep, self.sweep), config.clone());
                 self.scoped(|| sweep.bathtub(&config))
                     .map(Response::Bathtub)
-                    .map_err(Error::from)
             }
             Request::MaxLoss { config, sweep } => {
                 let (sweep, config) = (req_sweep(sweep, self.sweep), config.clone());
                 self.scoped(|| sweep.max_loss(&config))
                     .map(|max_loss_db| Response::MaxLoss { max_loss_db })
-                    .map_err(Error::from)
             }
             Request::RateSweep {
                 config,
@@ -422,13 +381,11 @@ impl Session {
                 let (sweep, config) = (req_sweep(sweep, self.sweep), config.clone());
                 self.scoped(|| sweep.rate_sweep(&config, rates))
                     .map(Response::Rates)
-                    .map_err(Error::from)
             }
             Request::CornerSweep { config, sweep } => {
                 let (sweep, config) = (req_sweep(sweep, self.sweep), config.clone());
                 self.scoped(|| sweep.corner_sweep(&config))
                     .map(Response::Corners)
-                    .map_err(Error::from)
             }
             Request::Sta { design, pvt, clock } => {
                 let built = design.build();
@@ -530,22 +487,6 @@ mod tests {
         assert_eq!(faulted.injected_channel, 0);
         assert_eq!(faulted.injected_clock, 0);
         assert_eq!(faulted.injected_digital, 0);
-    }
-
-    #[test]
-    fn session_try_sweeps_complete_when_healthy() {
-        let mut s = Session::new().with_sweep(
-            Sweep::new()
-                .with_frames(4)
-                .with_tolerance_db(1.0)
-                .with_threads(4),
-        );
-        let corners = s.try_corner_sweep();
-        assert_eq!(corners.len(), 3);
-        assert!(corners.failed.is_empty());
-        let rates = s.try_rate_sweep(&[Hertz::from_ghz(2.0)]);
-        assert!(rates.failed.is_empty());
-        assert_eq!(rates.completed[0].1.data_rate, Hertz::from_ghz(2.0));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::ber::BerTest;
 use crate::bitstream::BitVec;
-use crate::error::{Error, FaultInfo, LinkError};
+use crate::error::Error;
 use crate::link::LinkConfig;
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Volt};
@@ -44,14 +44,10 @@ pub struct SweepPoint {
 fn max_loss_with(
     base: &LinkConfig,
     frames: usize,
-    bisect: impl FnOnce(
-        f64,
-        f64,
-        &(dyn Fn(f64) -> Result<bool, LinkError> + Sync),
-    ) -> Result<f64, LinkError>,
-) -> Result<f64, LinkError> {
+    bisect: impl FnOnce(f64, f64, &(dyn Fn(f64) -> Result<bool, Error> + Sync)) -> Result<f64, Error>,
+) -> Result<f64, Error> {
     let _span = telemetry::span("sweep.max_loss_bisect");
-    let error_free = |db: f64| -> Result<bool, LinkError> {
+    let error_free = |db: f64| -> Result<bool, Error> {
         telemetry::counter("sweep.bisect_probes", 1);
         let mut cfg = base.clone();
         cfg.channel = ChannelModel {
@@ -73,11 +69,7 @@ fn max_loss_with(
 /// Bisects the maximum channel attenuation (dB) at which a PRBS link run
 /// of `frames` frames is still error-free, to within `tol_db`, on the
 /// calling thread.
-pub(crate) fn max_loss_impl(
-    base: &LinkConfig,
-    frames: usize,
-    tol_db: f64,
-) -> Result<f64, LinkError> {
+pub(crate) fn max_loss_impl(base: &LinkConfig, frames: usize, tol_db: f64) -> Result<f64, Error> {
     max_loss_with(base, frames, |mut lo, mut hi, error_free| {
         while hi - lo > tol_db {
             let mid = 0.5 * (lo + hi);
@@ -112,7 +104,7 @@ pub(crate) fn bathtub_impl(
     nbits: usize,
     phases: usize,
     seed: u64,
-) -> Result<Vec<BathtubPoint>, LinkError> {
+) -> Result<Vec<BathtubPoint>, Error> {
     let _span = telemetry::span("sweep.bathtub");
     let (bits, model) = bathtub_setup(config, nbits)?;
     Ok((0..phases)
@@ -149,7 +141,7 @@ impl BathtubModel {
 ///
 /// Panics if `nbits < 2`: a bathtub scores bits `1..n` against their
 /// predecessors, so fewer bits score nothing.
-fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubModel), LinkError> {
+fn bathtub_setup(config: &LinkConfig, nbits: usize) -> Result<(BitVec, BathtubModel), Error> {
     use crate::prbs::{PrbsGenerator, PrbsOrder};
     use openserdes_phy::{AnalogLink, BehavioralLink};
 
@@ -247,63 +239,15 @@ fn jittered_errors(bits: &BitVec, model: &BathtubModel, phase: f64, rng: &mut St
     errors
 }
 
-/// The outcome of a fault-isolated sweep: every input item lands in
-/// exactly one of the two lists, tagged with its input index, both in
-/// input order. A panicking or erroring item is recorded in `failed`
-/// instead of tearing down the whole sweep (or the process), so a long
-/// campaign survives one poisoned operating point with a deterministic
-/// partial result — which items fail depends only on the items, never
-/// on worker scheduling.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome<T> {
-    /// Items that completed, as `(input index, result)`.
-    pub completed: Vec<(usize, T)>,
-    /// Items that failed, as `(input index, error)` — a panic surfaces
-    /// as [`Error::Fault`], a returned error as its own variant.
-    pub failed: Vec<(usize, Error)>,
-}
-
-impl<T> SweepOutcome<T> {
-    /// Partitions fault-isolated per-item results (outer `Err` = the
-    /// item panicked, inner `Err` = it returned an error) by index.
-    pub(crate) fn collect(results: Vec<Slot<T>>) -> Self {
-        let mut completed = Vec::new();
-        let mut failed = Vec::new();
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(Ok(t)) => completed.push((i, t)),
-                Ok(Err(e)) => failed.push((i, e.into())),
-                Err(message) => failed.push((i, Error::Fault(FaultInfo { item: i, message }))),
-            }
-        }
-        Self { completed, failed }
-    }
-
-    /// Total number of input items.
-    pub fn len(&self) -> usize {
-        self.completed.len() + self.failed.len()
-    }
-
-    /// True when the sweep had no items at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The completed results in input order, indices stripped.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.completed.iter().map(|(_, t)| t)
-    }
-}
-
 /// One fault-isolated work item's result: `Err(message)` when the item
 /// panicked, otherwise what it returned.
-pub(crate) type Slot<T> = Result<Result<T, LinkError>, String>;
+pub(crate) type Slot<T> = Result<Result<T, Error>, String>;
 
-/// The plain-form collector behind [`Sweep::bathtub`],
-/// [`Sweep::rate_sweep`] and [`Sweep::corner_sweep`]: every value in
-/// input order, or else the first failure in input order — a returned
-/// error as itself, a panicked item re-raised with its own message.
-fn first_failure<T>(slots: Vec<Slot<T>>) -> Result<Vec<T>, LinkError> {
+/// The collector behind [`Sweep::bathtub`], [`Sweep::rate_sweep`] and
+/// [`Sweep::corner_sweep`]: every value in input order, or else the
+/// first failure in input order — a returned error as itself, a
+/// panicked item re-raised with its own message.
+fn first_failure<T>(slots: Vec<Slot<T>>) -> Result<Vec<T>, Error> {
     slots
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message))))
@@ -321,7 +265,7 @@ fn first_failure<T>(slots: Vec<Slot<T>>) -> Result<Vec<T>, LinkError> {
 /// let cfg = LinkConfig::paper_default();
 /// let curve = Sweep::new().with_bits(4_000).with_phases(8).bathtub(&cfg)?;
 /// assert_eq!(curve.len(), 8);
-/// # Ok::<(), openserdes_core::LinkError>(())
+/// # Ok::<(), openserdes_core::Error>(())
 /// ```
 ///
 /// Every run fans out across [`Sweep::with_threads`] workers and is
@@ -441,8 +385,8 @@ impl Sweep {
     /// sampling on the wrong side of a jittered edge misreads the bit;
     /// amplitude noise adds `Q(margin/σ)` flips everywhere.
     ///
-    /// This is [`Sweep::try_bathtub`] with the first failed phase, in
-    /// phase order, raised as the whole call's failure.
+    /// Each phase runs as an isolated item, and the first failed
+    /// phase, in phase order, is the whole call's failure.
     ///
     /// # Errors
     ///
@@ -452,7 +396,7 @@ impl Sweep {
     ///
     /// Panics if the configured [`Sweep::bits`] is below 2. Re-raises
     /// the first panicked phase with its own message.
-    pub fn bathtub(&self, config: &LinkConfig) -> Result<Vec<BathtubPoint>, LinkError> {
+    pub fn bathtub(&self, config: &LinkConfig) -> Result<Vec<BathtubPoint>, Error> {
         first_failure(parallel::bathtub(self, config)?)
     }
 
@@ -463,7 +407,7 @@ impl Sweep {
     /// # Errors
     ///
     /// Propagates link failures from the probes the bisection uses.
-    pub fn max_loss(&self, config: &LinkConfig) -> Result<f64, LinkError> {
+    pub fn max_loss(&self, config: &LinkConfig) -> Result<f64, Error> {
         max_loss_with(config, self.frames, |lo, hi, error_free| {
             Ok(parallel::bisect_speculative(lo, hi, self.tol_db, self.threads, error_free)?.0)
         })
@@ -475,8 +419,8 @@ impl Sweep {
     /// is rate-independent, so it is solved **once** and shared across
     /// all rate points rather than re-solved per item.
     ///
-    /// This is [`Sweep::try_rate_sweep`] with the first failed rate, in
-    /// rate order, raised as the whole call's failure.
+    /// Each rate runs as an isolated item, and the first failed rate,
+    /// in rate order, is the whole call's failure.
     ///
     /// # Errors
     ///
@@ -489,7 +433,7 @@ impl Sweep {
         &self,
         config: &LinkConfig,
         rates: &[Hertz],
-    ) -> Result<Vec<SweepPoint>, LinkError> {
+    ) -> Result<Vec<SweepPoint>, Error> {
         first_failure(parallel::rate_sweep(self, config, rates))
     }
 
@@ -498,8 +442,8 @@ impl Sweep {
     /// order. The corners fan out as isolated items; each one solves
     /// its own front-end bias point and bisects its own loss budget.
     ///
-    /// This is [`Sweep::try_corner_sweep`] with the first failed
-    /// corner, in corner order, raised as the whole call's failure.
+    /// The first failed corner, in corner order, is the whole call's
+    /// failure.
     ///
     /// # Errors
     ///
@@ -508,10 +452,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Re-raises the first panicked corner with its own message.
-    pub fn corner_sweep(
-        &self,
-        config: &LinkConfig,
-    ) -> Result<Vec<parallel::CornerPoint>, LinkError> {
+    pub fn corner_sweep(&self, config: &LinkConfig) -> Result<Vec<parallel::CornerPoint>, Error> {
         first_failure(parallel::corner_sweep(self, config))
     }
 
@@ -521,7 +462,7 @@ impl Sweep {
     /// # Errors
     ///
     /// Propagates solver failures from the characterization.
-    pub fn sensitivity(&self, pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, LinkError> {
+    pub fn sensitivity(&self, pvt: Pvt, rates: &[Hertz]) -> Result<Vec<SweepPoint>, Error> {
         let _span = telemetry::span("sweep.sensitivity");
         let fe = RxFrontEnd::new(FrontEndConfig::paper_default(), pvt);
         let tx_swing = pvt.vdd;
@@ -538,40 +479,6 @@ impl Sweep {
                 })
             })
             .collect()
-    }
-
-    // ---- fault-isolated runs ----------------------------------------
-
-    /// Fault-isolated [`Sweep::bathtub`]: a panicking phase point lands
-    /// in [`SweepOutcome::failed`] instead of aborting the sweep; the
-    /// surviving phases are unaffected and identical to a clean run's.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures from the *shared* front-end
-    /// characterization — without it no phase is meaningful.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured [`Sweep::bits`] is below 2.
-    pub fn try_bathtub(
-        &self,
-        config: &LinkConfig,
-    ) -> Result<SweepOutcome<BathtubPoint>, LinkError> {
-        parallel::bathtub(self, config).map(SweepOutcome::collect)
-    }
-
-    /// Fault-isolated [`Sweep::rate_sweep`]: each rate point is
-    /// individually isolated, so one poisoned rate reports in
-    /// [`SweepOutcome::failed`] while the others complete.
-    pub fn try_rate_sweep(&self, config: &LinkConfig, rates: &[Hertz]) -> SweepOutcome<SweepPoint> {
-        SweepOutcome::collect(parallel::rate_sweep(self, config, rates))
-    }
-
-    /// Fault-isolated [`Sweep::corner_sweep`], one isolated item per
-    /// corner in `[nominal, worst_case, best_case]` order.
-    pub fn try_corner_sweep(&self, config: &LinkConfig) -> SweepOutcome<parallel::CornerPoint> {
-        SweepOutcome::collect(parallel::corner_sweep(self, config))
     }
 }
 
@@ -770,7 +677,7 @@ mod tests {
         let _ = Sweep::new()
             .with_bits(1)
             .with_phases(4)
-            .try_bathtub(&LinkConfig::paper_default());
+            .bathtub(&LinkConfig::paper_default());
     }
 
     #[test]
@@ -867,48 +774,17 @@ mod tests {
     }
 
     #[test]
-    fn sweep_outcome_partitions_by_failure_mode() {
-        let results: Vec<Result<Result<u32, LinkError>, String>> = vec![
-            Ok(Ok(10)),
-            Err("worker died".to_string()),
-            Ok(Err(LinkError::CdrUnlocked { uis: 5 })),
-            Ok(Ok(40)),
-        ];
-        let out = SweepOutcome::collect(results);
-        assert_eq!(out.len(), 4);
-        assert!(!out.failed.is_empty());
-        assert_eq!(out.completed, vec![(0, 10), (3, 40)]);
-        assert_eq!(out.failed.len(), 2);
-        match &out.failed[0] {
-            (1, Error::Fault(info)) => {
-                assert_eq!(info.item, 1);
-                assert!(info.message.contains("worker died"));
-            }
-            other => panic!("expected Fault at index 1, got {other:?}"),
-        }
-        assert!(matches!(
-            out.failed[1],
-            (2, Error::Link(LinkError::CdrUnlocked { uis: 5 }))
-        ));
-        assert_eq!(out.values().copied().collect::<Vec<_>>(), vec![10, 40]);
-
-        let clean: SweepOutcome<u32> =
-            SweepOutcome::collect(vec![Ok(Ok::<_, LinkError>(7)), Ok(Ok(8))]);
-        assert!(clean.failed.is_empty());
-        assert_eq!(clean.values().copied().collect::<Vec<_>>(), vec![7, 8]);
-    }
-
-    #[test]
     fn plain_collector_keeps_the_first_failure_in_input_order() {
         let items: Vec<u64> = (0..8).collect();
         for threads in [1, 4] {
             // Items 2 and 5 fail: the lower index wins at any worker count.
             let slots = parallel::try_map_with_threads(&items, threads, |_, &x| match x {
-                2 | 5 => Err(LinkError::CdrUnlocked { uis: x }),
+                2 | 5 => Err(Error::Parse(format!("item {x}"))),
                 _ => Ok(x),
             });
-            assert!(
-                matches!(first_failure(slots), Err(LinkError::CdrUnlocked { uis: 2 })),
+            assert_eq!(
+                first_failure(slots),
+                Err(Error::Parse("item 2".into())),
                 "threads = {threads}"
             );
             // A panicked item ahead of an erroring one is re-raised with
@@ -916,7 +792,7 @@ mod tests {
             let slots = parallel::try_map_with_threads(&items, threads, |_, &x| {
                 assert!(x != 3, "poisoned item {x}");
                 if x == 6 {
-                    Err(LinkError::CdrUnlocked { uis: x })
+                    Err(Error::Parse(format!("item {x}")))
                 } else {
                     Ok(x)
                 }
@@ -930,22 +806,6 @@ mod tests {
             );
             let clean = parallel::try_map_with_threads(&items, threads, |_, &x| Ok(x));
             assert_eq!(first_failure(clean).expect("clean"), items);
-        }
-    }
-
-    #[test]
-    fn try_bathtub_matches_plain_bathtub_when_healthy() {
-        let cfg = LinkConfig::paper_default();
-        let sweep = Sweep::new().with_bits(4_000).with_phases(8).with_seed(9);
-        let plain = sweep.bathtub(&cfg).expect("plain");
-        for threads in [1, 2, 4] {
-            let out = sweep
-                .with_threads(threads)
-                .try_bathtub(&cfg)
-                .expect("isolated");
-            assert!(out.failed.is_empty(), "threads = {threads}");
-            let vals: Vec<_> = out.values().copied().collect();
-            assert_eq!(vals, plain, "threads = {threads}");
         }
     }
 

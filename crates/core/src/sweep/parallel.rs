@@ -19,10 +19,9 @@
 //!
 //! Each link-level sweep fans out once, in its fault-isolated form:
 //! every item runs under `catch_unwind` and reports its own result or
-//! panic message. The `try_` methods of [`Sweep`] partition those
-//! results into a [`SweepOutcome`](super::SweepOutcome); the plain
-//! methods return the first failure in input order and re-raise a
-//! panicked item with its own message.
+//! panic message. The [`Sweep`] methods return the first failure in
+//! input order and re-raise a panicked item with its own message, so
+//! which item fails never depends on worker scheduling.
 //!
 //! Built on `std::thread::scope` — no runtime dependency.
 //!
@@ -32,7 +31,7 @@
 //! sweeps.
 
 use super::{BathtubPoint, Slot, Sweep, SweepPoint};
-use crate::error::LinkError;
+use crate::error::Error;
 use crate::link::LinkConfig;
 pub use openserdes_analog::par::{
     bisect_speculative, default_threads, map, map_with_threads, try_map_with_threads,
@@ -57,7 +56,7 @@ pub fn derive_seed(seed: u64, k: usize) -> u64 {
 pub(crate) fn bathtub(
     sweep: &Sweep,
     config: &LinkConfig,
-) -> Result<Vec<Slot<BathtubPoint>>, LinkError> {
+) -> Result<Vec<Slot<BathtubPoint>>, Error> {
     let _span = telemetry::span("sweep.bathtub");
     let (bits, model) = super::bathtub_setup(config, sweep.nbits)?;
     let ks: Vec<usize> = (0..sweep.phases).collect();

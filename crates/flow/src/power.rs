@@ -132,12 +132,12 @@ pub fn analyze_power(
             Some(r) => r.net(net).capacitance().value(),
             None => wireload.capacitance(sinks.len()).value(),
         };
-        for &s in sinks {
+        for (s, last) in conn.sink_pins(net) {
             let inst = netlist.instance(s);
             let cell = library
                 .cell(inst.function, inst.drive)
                 .expect("library cell");
-            c += inst.pin_cap(cell, net).value();
+            c += inst.pin_cap(cell, net, last).value();
         }
         let p = 0.5 * act(net) * c * vdd * vdd * f;
         if is_clock[net.index()] {

@@ -545,8 +545,11 @@ impl Sta {
         for net in netlist.net_ids() {
             let sinks = conn.sinks(net);
             let mut pin_c = 0.0;
-            for &s in sinks {
-                pin_c += netlist.instance(s).pin_cap(cells[s.index()], net).value();
+            for (s, last) in conn.sink_pins(net) {
+                pin_c += netlist
+                    .instance(s)
+                    .pin_cap(cells[s.index()], net, last)
+                    .value();
             }
             let (wire_c, wire_r) = match route {
                 Some(r) => {

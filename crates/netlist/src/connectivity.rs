@@ -107,6 +107,18 @@ impl Connectivity {
         &self.sinks[self.start[net.index()] as usize..self.start[net.index() + 1] as usize]
     }
 
+    /// [`Connectivity::sinks`] of `net`, each entry paired with whether
+    /// it is the last of its cell's consecutive entries: the entry
+    /// [`crate::Instance::pin_cap`] prices as the clock pin when the
+    /// cell is clocked by `net`.
+    pub fn sink_pins(&self, net: NetId) -> impl Iterator<Item = (CellId, bool)> + '_ {
+        let sinks = self.sinks(net);
+        sinks
+            .iter()
+            .enumerate()
+            .map(move |(i, &s)| (s, sinks.get(i + 1) != Some(&s)))
+    }
+
     /// The largest sink count over all nets.
     pub(crate) fn max_fanout(&self) -> usize {
         self.start
@@ -343,6 +355,41 @@ mod tests {
         assert_eq!(conn.sinks(n), [c(0), c(0), c(1), c(1), c(2)]);
         assert_eq!(conn.sinks(other), [c(1)]);
         assert_eq!(conn.max_fanout(), 5);
+    }
+
+    #[test]
+    fn a_clock_pin_on_a_data_net_is_priced_as_a_clock_pin() {
+        use openserdes_pdk::corner::Pvt;
+        let lib = Library::sky130(Pvt::nominal());
+        let mut nl = Netlist::new("pins");
+        let n = nl.add_input("n");
+        let clk = nl.add_input("clk");
+        nl.dff(n, n, DriveStrength::X1);
+        nl.gate(LogicFn::Nand2, DriveStrength::X1, &[n, n]);
+        nl.dff(clk, n, DriveStrength::X1);
+        nl.dff(n, clk, DriveStrength::X1);
+        let conn = Connectivity::new(&nl);
+        let load: Vec<f64> = conn
+            .sink_pins(n)
+            .map(|(s, last)| {
+                let inst = nl.instance(s);
+                let cell = lib.cell(inst.function, inst.drive).expect("library cell");
+                inst.pin_cap(cell, n, last).value()
+            })
+            .collect();
+        let cap = |f: LogicFn| lib.cell(f, DriveStrength::X1).expect("library cell");
+        let (dff, nand) = (cap(LogicFn::Dff), cap(LogicFn::Nand2));
+        assert_eq!(
+            load,
+            [
+                dff.input_cap.value(),
+                dff.clock_cap.value(),
+                nand.input_cap.value(),
+                nand.input_cap.value(),
+                dff.clock_cap.value(),
+                dff.input_cap.value(),
+            ]
+        );
     }
 
     #[test]

@@ -429,12 +429,12 @@ fn drive_overloads(nl: &Netlist, conn: &Connectivity, lib: &Library) -> Vec<Over
             continue;
         };
         let mut load = Farad::from_ff(0.0);
-        for &sink in conn.sinks(inst.output) {
+        for (sink, last) in conn.sink_pins(inst.output) {
             let s = nl.instance(sink);
             let Ok(sc) = lib.cell(s.function, s.drive) else {
                 continue;
             };
-            load += s.pin_cap(sc, inst.output);
+            load += s.pin_cap(sc, inst.output, last);
         }
         if cell.overloaded(load) {
             out.push(Overload {

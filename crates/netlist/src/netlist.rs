@@ -50,10 +50,13 @@ impl Instance {
 
     /// The capacitance this instance presents to `net` through one of
     /// its entries in [`crate::Connectivity::sinks`], given its library
-    /// `cell`: the clock pin's if it reads `net` on its clock pin alone,
-    /// else one data pin's.
-    pub fn pin_cap(&self, cell: &StdCell, net: NetId) -> Farad {
-        if self.clock == Some(net) && !self.inputs.contains(&net) {
+    /// `cell` and whether the entry is the `last` of the instance's
+    /// run of entries there ([`crate::Connectivity::sink_pins`]). The
+    /// clock pin's entry comes last, so the last entry of an instance
+    /// clocked by `net` is priced at `clock_cap`, every other entry at
+    /// one data pin's `input_cap`.
+    pub fn pin_cap(&self, cell: &StdCell, net: NetId, last: bool) -> Farad {
+        if last && self.clock == Some(net) {
             cell.clock_cap
         } else {
             cell.input_cap

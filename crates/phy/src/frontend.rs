@@ -21,8 +21,8 @@ use openserdes_analog::primitives::{
     add_inverter, add_resistive_feedback_inverter, FeedbackKind, InverterSize,
 };
 use openserdes_analog::solver::{
-    dc_operating_point, dc_sweep, dc_sweep_with_threads, reference, transient, SolverError,
-    SolverStats, TransientConfig, TransientResult,
+    dc_operating_point, dc_sweep_with_threads, reference, transient, SolverError, SolverStats,
+    TransientConfig, TransientResult,
 };
 use openserdes_analog::{Circuit, Node, Stimulus, Waveform};
 use openserdes_lint::{LintConfig, LintReport};
@@ -265,9 +265,21 @@ impl RxFrontEnd {
         Ok(Volt::new(v[vin.index()]))
     }
 
-    /// Builds the bare gain-stage inverter VTC circuit; returns
-    /// `(circuit, vout, sweep points)`. The swept source is index 1.
-    fn vtc_setup(&self, points: usize) -> (Circuit, Node, Vec<f64>) {
+    /// DC voltage-transfer curve of the bare gain-stage inverter
+    /// (Fig. 6a), as `(vin, vout)` pairs at `points` inputs evenly
+    /// spaced from 0 to VDD, fanned across `threads` workers. Each
+    /// point is its own robust DC solve, so the result is
+    /// worker-count-independent **and** bit-identical to a DC operating
+    /// point of the circuit at each input.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures.
+    pub fn vtc_with_threads(
+        &self,
+        points: usize,
+        threads: usize,
+    ) -> Result<Vec<(f64, f64)>, SolverError> {
         let vdd_v = self.pvt.vdd.value();
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
@@ -286,40 +298,7 @@ impl RxFrontEnd {
         let xs: Vec<f64> = (0..points)
             .map(|i| vdd_v * i as f64 / (points - 1) as f64)
             .collect();
-        (c, vout, xs)
-    }
-
-    /// DC voltage-transfer curve of the bare gain-stage inverter
-    /// (Fig. 6a), as `(vin, vout)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn vtc(&self, points: usize) -> Result<Vec<(f64, f64)>, SolverError> {
-        let (c, vout, xs) = self.vtc_setup(points);
-        let sweep = dc_sweep(&c, 1, &xs)?;
-        Ok(xs
-            .into_iter()
-            .zip(sweep.iter().map(|v| v[vout.index()]))
-            .collect())
-    }
-
-    /// [`RxFrontEnd::vtc`] fanned across `threads` workers. Each point
-    /// is its own robust DC solve, so the result is
-    /// worker-count-independent **and** bit-identical to a DC operating
-    /// point of the circuit at each input. Individual points may still
-    /// differ from the sequential [`RxFrontEnd::vtc`], which
-    /// warm-starts each point from its neighbour (continuation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures.
-    pub fn vtc_with_threads(
-        &self,
-        points: usize,
-        threads: usize,
-    ) -> Result<Vec<(f64, f64)>, SolverError> {
-        let (c, vout, xs) = self.vtc_setup(points);
+        // The swept source is `vin`, index 1.
         let sweep = dc_sweep_with_threads(&c, 1, &xs, threads)?;
         Ok(xs
             .into_iter()
@@ -509,7 +488,7 @@ mod tests {
 
     #[test]
     fn vtc_is_an_inverter_curve() {
-        let vtc = fe().vtc(37).expect("sweeps");
+        let vtc = fe().vtc_with_threads(37, 1).expect("sweeps");
         assert!(vtc.first().expect("points").1 > 1.7);
         assert!(vtc.last().expect("points").1 < 0.1);
         for w in vtc.windows(2) {

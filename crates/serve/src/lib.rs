@@ -21,7 +21,7 @@
 //!   lowest-priority queued job with a typed
 //!   [`openserdes_core::job::Response::Shed`], and job panics are
 //!   isolated per worker (`catch_unwind`) exactly like the sweep
-//!   engine's `SweepOutcome` fan-out.
+//!   engine's per-item fan-out.
 //! * **Hardening** — optional per-job deadlines
 //!   ([`wire::Envelope::deadline_ms`]) retired with a typed
 //!   [`openserdes_core::job::Response::DeadlineExceeded`] at dequeue,

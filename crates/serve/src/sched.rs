@@ -12,8 +12,8 @@
 //!   [`Response::Shed`] instead of an error or a panic. Executing jobs
 //!   are never interrupted.
 //! * **Isolation** — workers run jobs under `catch_unwind` (the same
-//!   posture as the sweep engine's `SweepOutcome` fan-out): a panicking
-//!   job produces an error reply and the worker lives on.
+//!   posture as the sweep engine's per-item fan-out): a panicking job
+//!   produces an error reply and the worker lives on.
 
 use crate::cache::ResultCache;
 use crate::wire;

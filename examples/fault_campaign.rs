@@ -13,26 +13,13 @@
 //! ```
 
 use openserdes::core::job::{fault_schedule_from_json, fault_schedule_to_json};
-use openserdes::core::{CdrConfig, LinkConfig, PrbsGenerator, PrbsOrder, FRAME_BITS, LANES};
+use openserdes::core::{CdrConfig, LinkConfig, PrbsGenerator, PrbsOrder, FRAME_BITS};
 use openserdes::fault::{campaign, CampaignKind, FaultEvent, FaultKind, FaultSchedule};
 use openserdes::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 40 frames of PRBS-31 payload (8 lanes x 32 bits each).
-    let mut prbs = PrbsGenerator::new(PrbsOrder::Prbs31);
-    let frames: Vec<[u32; LANES]> = (0..40)
-        .map(|_| {
-            let mut frame = [0u32; LANES];
-            for word in frame.iter_mut() {
-                for bit in 0..32 {
-                    if prbs.next_bit() {
-                        *word |= 1 << bit;
-                    }
-                }
-            }
-            frame
-        })
-        .collect();
+    let frames = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(40);
     let uis = frames.len() as u64 * FRAME_BITS as u64;
 
     // A hand-written schedule: one 48-UI dropout, then an SEU that

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use openserdes::core::{LinkConfig, PrbsGenerator, PrbsOrder, LANES};
+use openserdes::core::{LinkConfig, PrbsGenerator, PrbsOrder};
 use openserdes::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,20 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Build 64 frames of PRBS-31 payload (8 lanes x 32 bits each).
-    let mut prbs = PrbsGenerator::new(PrbsOrder::Prbs31);
-    let frames: Vec<[u32; LANES]> = (0..64)
-        .map(|_| {
-            let mut frame = [0u32; LANES];
-            for word in frame.iter_mut() {
-                for bit in 0..32 {
-                    if prbs.next_bit() {
-                        *word |= 1 << bit;
-                    }
-                }
-            }
-            frame
-        })
-        .collect();
+    let frames = PrbsGenerator::new(PrbsOrder::Prbs31).take_frames(64);
 
     let mut session = Session::new()
         .with_link_config(config)

@@ -3,7 +3,9 @@
 //! oversampling ratios, phases, jitter sigmas and seeds; of bathtub
 //! curves at four attenuations and on channels with negative, NaN and
 //! infinite jitter; and of `run_frames` and `run_frames_with_faults`
-//! reports under all six fault campaigns.
+//! reports under all six fault campaigns. One more test pins the span
+//! tree and stage counters both runners record, which the benchmark's
+//! per-layer link metrics read.
 //!
 //! The literals were captured from the straightforward samplers (one
 //! Box–Muller draw per edge and per bathtub bit). Any change to either
@@ -18,6 +20,7 @@ use openserdes::core::{
 };
 use openserdes::fault::{campaign, CampaignKind};
 use openserdes::pdk::units::Time;
+use openserdes::telemetry;
 
 /// 64-bit FNV-1a over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -191,8 +194,11 @@ fn prbs_frames(count: usize, seed: u64) -> Vec<Frame> {
         .collect()
 }
 
-/// Every field of a report that a seed fixes, stage bit counts included.
-fn report_words(r: &LinkReport) -> [u64; 11] {
+/// Every field of a report that a seed fixes, then the four stage bit
+/// counts the report and the CDR's oversampling `n` fix: bits sent,
+/// PHY samples, bits recovered and bits scored.
+fn report_words(r: &LinkReport, n: usize) -> [u64; 11] {
+    let tx_bits = (r.frames_sent * FRAME_BITS) as u64;
     [
         r.frames_sent as u64,
         r.frames_correct as u64,
@@ -201,10 +207,10 @@ fn report_words(r: &LinkReport) -> [u64; 11] {
         u64::from(r.cdr_locked),
         r.cdr_phase_updates,
         r.alignment_lag as u64,
-        r.stats.tx_bits,
-        r.stats.phy_samples,
-        r.stats.recovered_bits,
-        r.stats.compared_bits,
+        tx_bits,
+        tx_bits * n as u64,
+        tx_bits,
+        r.bits,
     ]
 }
 
@@ -229,7 +235,8 @@ fn link_reports_match_literals() {
             let mut config = link_at(db);
             config.channel.rj_sigma = Time::from_ps(rj_ps);
             let report = run_frames(&config, &prbs_frames(24, seed), seed).expect("runs");
-            (db, rj_ps, seed, fnv1a(le_bytes(report_words(&report))))
+            let words = report_words(&report, config.cdr.oversampling);
+            (db, rj_ps, seed, fnv1a(le_bytes(words)))
         })
         .collect();
     assert_eq!(got, want);
@@ -243,9 +250,10 @@ fn fault_reports_match_literals() {
     for (k, kind) in CampaignKind::ALL.into_iter().enumerate() {
         let schedule = campaign(kind, 40 + k as u64, uis);
         for db in [24.0, 34.0, 40.0] {
-            let r = run_frames_with_faults(&link_at(db), &frames, 9 + k as u64, &schedule)
-                .expect("runs");
-            let mut words = report_words(&r.link).to_vec();
+            let config = link_at(db);
+            let r =
+                run_frames_with_faults(&config, &frames, 9 + k as u64, &schedule).expect("runs");
+            let mut words = report_words(&r.link, config.cdr.oversampling).to_vec();
             words.extend([
                 r.lock_losses,
                 r.injected_channel as u64,
@@ -278,4 +286,51 @@ fn fault_reports_match_literals() {
         ("mixed", 40.0, 482_488_151_452_976_780),
     ];
     assert_eq!(got, want);
+}
+
+/// Both runners, each under its own root span, hold the four stage
+/// spans and record `link.tx_bits` and `link.phy_samples` from the
+/// frames they send, at any oversampling. The faulted run injects
+/// every kind of fault the mixed campaign schedules.
+#[test]
+fn both_runners_record_the_stage_spans_and_counts() {
+    let frames = prbs_frames(12, 4);
+    let uis = (frames.len() * FRAME_BITS) as u64;
+    let schedule = campaign(CampaignKind::Mixed, 8, uis);
+    telemetry::set_enabled(true);
+    for n in [3, 5, 7] {
+        let mut config = LinkConfig::paper_default();
+        config.cdr.oversampling = n;
+        let (plain, plain_rec) = telemetry::collect(|| run_frames(&config, &frames, 2));
+        let (faulted, faulted_rec) =
+            telemetry::collect(|| run_frames_with_faults(&config, &frames, 2, &schedule));
+        let faulted = faulted.expect("runs");
+        assert!(
+            faulted.injected_channel + faulted.injected_clock > 0,
+            "n {n}"
+        );
+        let runs = [
+            ("link.run", plain.expect("runs"), plain_rec),
+            ("link.run_faulted", faulted.link, faulted_rec),
+        ];
+        for (root, report, rec) in runs {
+            let span = rec.span(root).expect("the runner's root span");
+            for stage in ["link.serialize", "link.phy", "link.cdr", "link.score"] {
+                assert_eq!(
+                    span.child(stage).map(|s| s.count),
+                    Some(1),
+                    "{root} holds {stage} at n {n}"
+                );
+            }
+            let tx_bits = (report.frames_sent * FRAME_BITS) as u64;
+            assert_eq!(rec.counter("link.tx_bits"), tx_bits, "{root} at n {n}");
+            assert_eq!(
+                rec.counter("link.phy_samples"),
+                tx_bits * n as u64,
+                "{root} at n {n}"
+            );
+            assert_eq!(rec.counter("link.compared_bits"), report.bits);
+        }
+    }
+    telemetry::set_enabled(false);
 }
