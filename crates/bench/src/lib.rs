@@ -1,13 +1,13 @@
 //! # openserdes-bench
 //!
-//! The figure-regeneration binaries: one computation per paper
-//! figure/table ([`figures`]), printed by the binaries in `src/bin/`,
-//! plus the bins that write the committed `BENCH_*.json` and
-//! `LINT.json` reports. Timing lives in the separate `benchmark/`
-//! package. See DESIGN.md for the experiment index (E1–E9) and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! The bins that write the committed reports: `repro` records the
+//! paper's results with their bands ([`repro`], `BENCH_repro.json`),
+//! and `fault`, `sta`, `lint`, `analog_bench` and `profile` write the
+//! other `BENCH_*.json` files and `LINT.json`. Timing lives in the
+//! separate `benchmark/` package. See DESIGN.md for the experiment
+//! index (E1–E9) and EXPERIMENTS.md for paper-vs-measured results.
 
 #![warn(missing_docs)]
 
-pub mod figures;
 pub mod report;
+pub mod repro;

@@ -1,4 +1,4 @@
-//! Small text-report helpers shared by the figure binaries.
+//! Small text-report helpers shared by the bench binaries.
 
 use openserdes_analog::Waveform;
 

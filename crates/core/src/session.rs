@@ -410,16 +410,14 @@ impl Session {
     }
 
     /// Run `f` under the session's telemetry policy: when capture is on,
-    /// enable recording for the duration, collect what `f` records, and
+    /// hold recording on for the duration, collect what `f` records, and
     /// merge it into the session's accumulated record.
     fn scoped<R>(&mut self, f: impl FnOnce() -> R) -> R {
         if !self.telemetry {
             return f();
         }
-        let was = telemetry::is_enabled();
-        telemetry::set_enabled(true);
+        let _recording = telemetry::enable_scope();
         let (out, rec) = telemetry::collect(f);
-        telemetry::set_enabled(was);
         self.record.merge(rec, telemetry::max_events());
         out
     }

@@ -6,7 +6,7 @@
 use crate::sched::{run_worker, Scheduler, ServerStats, Submitted};
 use crate::wire::{self, Envelope};
 use openserdes_telemetry as telemetry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,23 +448,21 @@ fn await_frame(stream: &TcpStream, read_idle: Option<Duration>) -> io::Result<bo
 /// record, so serve metrics flow through the same pipeline as engine
 /// metrics (and export through the same sinks).
 fn telemetry_record(stats: &ServerStats) -> telemetry::Record {
-    let was = telemetry::is_enabled();
-    telemetry::set_enabled(true);
-    let ((), record) = telemetry::collect(|| {
-        telemetry::counter("serve.requests", stats.requests);
-        telemetry::counter("serve.cache_hits", stats.cache_hits);
-        telemetry::counter("serve.cache_misses", stats.cache_misses);
-        telemetry::counter("serve.coalesced", stats.coalesced);
-        telemetry::counter("serve.shed", stats.shed);
-        telemetry::counter("serve.completed", stats.completed);
-        telemetry::counter("serve.errored", stats.errored);
-        telemetry::counter("serve.panics_isolated", stats.panics_isolated);
-        telemetry::counter("serve.deadline_expired", stats.deadline_expired);
-        telemetry::counter("serve.timeouts", stats.timeouts);
-        telemetry::counter("serve.conns_rejected", stats.conns_rejected);
-        telemetry::counter("serve.protocol_errors", stats.protocol_errors);
-        telemetry::counter("serve.conn_errors", stats.conn_errors);
-    });
-    telemetry::set_enabled(was);
+    let mut record = telemetry::Record::new();
+    record.counters = BTreeMap::from([
+        ("serve.requests", stats.requests),
+        ("serve.cache_hits", stats.cache_hits),
+        ("serve.cache_misses", stats.cache_misses),
+        ("serve.coalesced", stats.coalesced),
+        ("serve.shed", stats.shed),
+        ("serve.completed", stats.completed),
+        ("serve.errored", stats.errored),
+        ("serve.panics_isolated", stats.panics_isolated),
+        ("serve.deadline_expired", stats.deadline_expired),
+        ("serve.timeouts", stats.timeouts),
+        ("serve.conns_rejected", stats.conns_rejected),
+        ("serve.protocol_errors", stats.protocol_errors),
+        ("serve.conn_errors", stats.conn_errors),
+    ]);
     record
 }

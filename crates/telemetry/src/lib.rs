@@ -9,7 +9,9 @@
 //! Recording is **zero-cost when disabled**: every entry point checks
 //! one relaxed atomic load and returns immediately, so instrumented hot
 //! paths pay a branch, not a measurement (the profile bench gates the
-//! measured overhead at < 2 %).
+//! measured overhead at < 2 %). Recording is on while the process-wide
+//! switch ([`set_enabled`]) is on or any [`enable_scope`] guard lives,
+//! so scopes on different threads never switch it off under each other.
 //!
 //! ```
 //! use openserdes_telemetry as telemetry;
@@ -47,25 +49,61 @@ pub use record::{merge_span_lists, Histogram, Record, SpanNode, TraceEvent};
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// The recording state: bit 0 is the [`set_enabled`] switch, the bits
+/// above it count the live [`EnableScope`] guards. Recording is on while
+/// the word is non-zero. It publishes no other data (recorders are
+/// thread-local), so every access is relaxed; the read-modify-writes on
+/// the one word still keep the count exact.
+static ENABLED: AtomicUsize = AtomicUsize::new(0);
+/// [`ENABLED`]'s switch bit.
+const SWITCH: usize = 1;
+/// One [`EnableScope`] in [`ENABLED`]'s count.
+const SCOPE: usize = 2;
 static TRACE_EVENTS: AtomicBool = AtomicBool::new(false);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Turns recording on or off process-wide. Off by default; when off,
-/// every recording call is a single relaxed load and an early return.
+/// Turns the process-wide recording switch on or off. Off by default;
+/// when recording is off, every recording call is a single relaxed load
+/// and an early return. Switching off leaves recording on while any
+/// [`enable_scope`] guard lives.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        ENABLED.fetch_or(SWITCH, Ordering::Relaxed);
+    } else {
+        ENABLED.fetch_and(!SWITCH, Ordering::Relaxed);
+    }
 }
 
-/// Whether recording is enabled.
+/// Whether recording is enabled: the switch is on or an
+/// [`enable_scope`] guard lives.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed) != 0
+}
+
+/// Keeps recording on, process-wide, until the returned guard drops,
+/// whatever [`set_enabled`] says meanwhile. Guards count, so they may
+/// nest, overlap and live on different threads: recording turns off
+/// once the switch is off and the last guard has dropped.
+pub fn enable_scope() -> EnableScope {
+    ENABLED.fetch_add(SCOPE, Ordering::Relaxed);
+    EnableScope(())
+}
+
+/// Guard returned by [`enable_scope`]; releases its hold on recording
+/// when dropped, unwinding included.
+#[must_use = "recording stays on only while the guard lives"]
+pub struct EnableScope(());
+
+impl Drop for EnableScope {
+    fn drop(&mut self) {
+        ENABLED.fetch_sub(SCOPE, Ordering::Relaxed);
+    }
 }
 
 /// Also record one concrete [`TraceEvent`] per span occurrence (the
@@ -395,6 +433,30 @@ mod tests {
         });
         assert_eq!(v, 17);
         assert!(rec.is_empty());
+    }
+
+    #[test]
+    fn enable_scopes_nest_overlap_and_outlive_the_switch() {
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(false);
+        assert!(!is_enabled());
+        let a = enable_scope();
+        {
+            let _nested = enable_scope();
+            assert!(is_enabled());
+        }
+        assert!(is_enabled(), "the outer scope still holds");
+        let b = enable_scope();
+        drop(a);
+        assert!(is_enabled(), "an overlapping scope still holds");
+        set_enabled(true);
+        drop(b);
+        assert!(is_enabled(), "the switch still holds");
+        let c = enable_scope();
+        set_enabled(false);
+        assert!(is_enabled(), "switching off leaves an open scope recording");
+        drop(c);
+        assert!(!is_enabled(), "off once the switch and every scope are");
     }
 
     #[test]

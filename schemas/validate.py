@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Validate BENCH_<name>.json against schemas/BENCH_<name>.schema.json.
 
-    python3 schemas/validate.py <analog|fault|profile|sta>
+    python3 schemas/validate.py <analog|fault|profile|repro|sta>
 
 Run from the repository root, after the bench bin that writes the
 report. The shape check is a dependency-free subset of JSON Schema
-draft-07: type, required, properties, additionalProperties, items,
-minItems, const, minimum, exclusiveMinimum, exclusiveMaximum, allOf and
-local "#/..." $ref. A schema that uses any other keyword or type is
+draft-07: type (one name or a list), required, properties,
+additionalProperties, items, minItems, const, minimum, exclusiveMinimum,
+exclusiveMaximum, allOf and local "#/..." $ref. A schema that uses any other keyword or type is
 rejected rather than half-checked. Then each report's run-level
 invariants, the ones its bin asserts, are checked again so a stale or
 hand-edited report fails too. Exits non-zero on the first violation.
 """
 
 import json
+import operator
 import sys
 
 KEYWORDS = {
@@ -22,14 +23,16 @@ KEYWORDS = {
 }
 # Keywords that constrain nothing ("definitions" only holds $ref targets).
 ANNOTATIONS = {"$schema", "$id", "title", "description", "definitions"}
-TYPES = {"object", "array", "integer", "number", "string", "boolean"}
+TYPES = {"object", "array", "integer", "number", "string", "boolean", "null"}
 
 
 def check_keywords(sch, path="#"):
     """Rejects a keyword or type `check` does not implement, anywhere."""
     unknown = set(sch) - KEYWORDS - ANNOTATIONS
     assert not unknown, f"{path}: unsupported schema keyword(s) {sorted(unknown)}"
-    assert sch.get("type", "object") in TYPES, f"{path}: unsupported type {sch['type']!r}"
+    types = sch.get("type", "object")
+    types = types if isinstance(types, list) else [types]
+    assert set(types) <= TYPES, f"{path}: unsupported type {sch['type']!r}"
     for key in ("properties", "definitions"):
         for name, sub in sch.get(key, {}).items():
             check_keywords(sub, f"{path}/{key}/{name}")
@@ -38,6 +41,17 @@ def check_keywords(sch, path="#"):
             check_keywords(sch[key], f"{path}/{key}")
     for i, sub in enumerate(sch.get("allOf", [])):
         check_keywords(sub, f"{path}/allOf/{i}")
+
+
+def kind_of(inst):
+    """The JSON type name of a parsed value (an integer is also a number)."""
+    if inst is None:
+        return "null"
+    for kind, py in (("boolean", bool), ("integer", int), ("number", float), ("string", str),
+                     ("array", list), ("object", dict)):
+        if isinstance(inst, py):
+            return kind
+    raise AssertionError(f"not a JSON value: {inst!r}")
 
 
 def check(inst, sch, root, path="$"):
@@ -51,8 +65,13 @@ def check(inst, sch, root, path="$"):
     if "const" in sch:
         assert inst == sch["const"], f"{path}: {inst!r} != {sch['const']!r}"
     t = sch.get("type")
-    if t == "object":
-        assert isinstance(inst, dict), f"{path}: not an object"
+    types = t if isinstance(t, list) else [t] if t else []
+    if types:
+        kind = kind_of(inst)
+        assert kind in types or (kind == "integer" and "number" in types), (
+            f"{path}: {kind} is not {' or '.join(types)}"
+        )
+    if "object" in types and isinstance(inst, dict):
         for r in sch.get("required", []):
             assert r in inst, f"{path}: missing required key {r!r}"
         props = sch.get("properties", {})
@@ -64,20 +83,11 @@ def check(inst, sch, root, path="$"):
                 check(v, ap, root, f"{path}.{k}")
             elif ap is False:
                 raise AssertionError(f"{path}: unexpected key {k!r}")
-    elif t == "array":
-        assert isinstance(inst, list), f"{path}: not an array"
+    elif "array" in types and isinstance(inst, list):
         if "minItems" in sch:
             assert len(inst) >= sch["minItems"], f"{path}: fewer than {sch['minItems']} items"
         for i, v in enumerate(inst):
             check(v, sch.get("items", {}), root, f"{path}[{i}]")
-    elif t == "integer":
-        assert isinstance(inst, int) and not isinstance(inst, bool), f"{path}: not an integer"
-    elif t == "number":
-        assert isinstance(inst, (int, float)) and not isinstance(inst, bool), f"{path}: not a number"
-    elif t == "string":
-        assert isinstance(inst, str), f"{path}: not a string"
-    elif t == "boolean":
-        assert isinstance(inst, bool), f"{path}: not a boolean"
     if "minimum" in sch:
         assert inst >= sch["minimum"], f"{path}: {inst} below minimum {sch['minimum']}"
     if "exclusiveMinimum" in sch:
@@ -135,6 +145,33 @@ def profile(doc):
     return f"disabled overhead {doc['overhead']['overhead_pct']} %"
 
 
+BAND_LIMITS = {"ge": operator.ge, "gt": operator.gt, "le": operator.le, "lt": operator.lt}
+
+
+def repro(doc):
+    """Ids are unique, a band comes with its source and only a band has
+    one, every band holds on the recorded value, and each headline
+    result R1-R7 has at least one banded entry."""
+    results = doc["results"]
+    ids = [r["id"] for r in results]
+    assert len(ids) == len(set(ids)), "result ids must be unique"
+    banded = [r for r in results if r["band"] is not None]
+    for r in results:
+        assert (r["band"] is None) == (r["band_source"] is None), (
+            f"{r['id']}: a band needs a source, and only a band has one"
+        )
+    for r in banded:
+        band, value = r["band"], r["measured"]
+        assert band, f"{r['id']}: a band needs at least one limit"
+        holds = value is not None and all(BAND_LIMITS[k](value, lim) for k, lim in band.items())
+        assert holds, (
+            f"band miss: {r['id']} = {value} {r['unit']} outside {band} ({r['band_source']})"
+        )
+    for n in range(1, 8):
+        assert any(r["id"].startswith(f"R{n}.") for r in banded), f"R{n} has no banded entry"
+    return f"{len(results)} results, {len(banded)} banded, every band holds"
+
+
 def sta(doc):
     """All five example designs are present, each timed at exactly the
     tt/ss/ff corners, per-design fmax is ordered ss <= tt <= ff, and TNS
@@ -164,7 +201,7 @@ def sta(doc):
     return f"{len(names)} designs x 3 corners at {doc['clock_ghz']} GHz"
 
 
-INVARIANTS = {"analog": analog, "fault": fault, "profile": profile, "sta": sta}
+INVARIANTS = {"analog": analog, "fault": fault, "profile": profile, "repro": repro, "sta": sta}
 
 
 def main() -> None:
