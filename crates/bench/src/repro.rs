@@ -1,24 +1,24 @@
-//! The paper's results as checked data: the headline numbers (R1–R7)
-//! and the figure series (E1–E9), each computed once and recorded with
-//! its unit, the paper's value and the band its verdict rests on. The
-//! `repro` bin writes them to `BENCH_repro.json`.
+//! The paper's results as checked data: the headline numbers (R1–R7),
+//! the figure series (E1–E9) and the X1 bathtub, each computed once and
+//! recorded with its unit, the paper's value and the band its verdict
+//! rests on, in `BENCH_repro.json`.
 //!
 //! A band is an interval on one recorded scalar: the bound an existing
 //! test asserts on that quantity, or the ordering EXPERIMENTS.md states,
 //! recorded as a difference or a ratio. Descriptive numbers carry no
 //! band. Values are written with fixed decimals per unit, so a last-ulp
 //! libm difference between hosts does not change the file, and bands are
-//! checked on the written value, so the bin and `schemas/validate.py`
-//! judge the same number.
+//! checked on the written value, so the run and `schemas/validate.py`
+//! judge the same number. A band miss is a failure of the run.
 
 use crate::report::{sparkline, table};
+use crate::Report;
 use openserdes_analog::{EyeDiagram, Waveform};
 use openserdes_core::cost::cost_model;
 use openserdes_core::{
-    cdr_design, deserializer_design, oversample_bits, serializer_design, CdrConfig, Error,
-    LinkBudget, LinkConfig, OversamplingCdr, PrbsGenerator, PrbsOrder, Sweep,
+    eye_width_at, oversample_bits, BathtubPoint, CdrConfig, Error, LinkBudget, LinkConfig,
+    OversamplingCdr, PrbsGenerator, PrbsOrder, Sweep,
 };
-use openserdes_flow::{Flow, FlowConfig};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Time};
 use openserdes_phy::{AnalogLink, DriverConfig, FrontEndConfig, RxFrontEnd, TxDriver};
@@ -59,7 +59,7 @@ R7.deserializer_area_share | % | 60 | gt 40 | core budget::tests::deserializer_d
 R7.tx_driver_area_share | % | 0.2 | lt 5 | core budget::tests::deserializer_dominates_area | TX driver share of the total area
 R7.rx_frontend_area_share | % | 1.1 | lt 8 | core budget::tests::deserializer_dominates_area | RX front-end share of the total area
 R7.{serializer,cdr}_area_share | % | - | - | - | {} share of the total area
-E1.nodes | count | - | ge 6, le 6 | bench figures::tests::fig02_has_six_nodes | process nodes in the cost chart
+E1.nodes | count | - | ge 6, le 6 | core cost::tests::the_chart_has_six_nodes | process nodes in the cost chart
 E1.{180,130,90,65,40,28}nm.fabrication | x 130 nm fab | - | - | - | fabrication cost at {} nm
 E1.{180,130,90,65,40,28}nm.licensing | x 130 nm fab | - | - | - | PDK licensing cost at {} nm
 E1.{180,130,90,65,40,28}nm.traditional | x 130 nm fab | - | - | - | traditional-PDK cost at {} nm
@@ -69,7 +69,7 @@ E1.130nm.open_pdk_saving | % | - | ge 25, lt 45 | core cost::tests::open_pdk_sav
 E1.{180,90,65,40,28}nm.open_pdk_saving | % | - | - | - | open-PDK saving at {} nm (no open PDK)
 E2.swing | V | 1.8 | gt 1.7 | phy driver::tests::rail_to_rail_at_2gbps_into_2pf | driver output swing into 2 pF at 2 Gb/s
 E2.rise_time | ps | - | lt 350 | phy driver::tests::output_edges_fit_in_a_ui | driver 20-80 % output rise time
-E2.delay | ps | - | gt 0 | bench figures::tests::fig04_swings_rail_to_rail | driver mid-rail propagation delay
+E2.delay | ps | - | gt 0 | phy driver::tests::mid_rail_delay_is_positive | driver mid-rail propagation delay
 E3.self_bias | V | 0.9 | ge 0.7, lt 1.1 | phy frontend::tests::self_bias_near_half_vdd | front-end self-bias point
 E3.dc_gain | V/V | - | gt 10 | phy frontend::tests::small_signal_gain_is_high | gain-stage DC gain at the bias
 E3.pole | MHz | - | gt 50 | phy frontend::tests::small_signal_gain_is_high | gain-stage dominant pole
@@ -93,10 +93,13 @@ E7.{serializer,deserializer,cdr}.die_height | µm | - | - | - | {} die height
 E7.{serializer,deserializer,cdr}.digital_area_share | % | - | - | - | {} share of the three digital blocks' area
 E7.{serializer,deserializer,cdr}.wirelength | mm | - | - | - | {} routed wirelength
 E7.{serializer,deserializer,cdr}.fmax | GHz | - | - | - | {} STA fmax
-E9.locked@{0.0,0.2,0.4,0.6,0.8}UI | flag | - | ge 1 | bench figures::tests::fig07_locks_everywhere | CDR locked (1) or not (0), PRBS-15 at a {} UI offset
-E9.errors@{0.0,0.2,0.4,0.6,0.8}UI | count | - | le 2 | bench figures::tests::fig07_locks_everywhere | post-lock bit errors at a {} UI offset
+E9.locked@{0.0,0.2,0.4,0.6,0.8}UI | flag | - | ge 1 | core cdr::tests::locks_at_every_offset_under_jitter | CDR locked (1) or not (0), PRBS-15 at a {} UI offset
+E9.errors@{0.0,0.2,0.4,0.6,0.8}UI | count | - | le 2 | core cdr::tests::locks_at_every_offset_under_jitter | post-lock bit errors at a {} UI offset
 E9.phase@{0.0,0.2,0.4,0.6,0.8}UI | index | - | - | - | phase picked at a {} UI offset
 E9.phase_updates@{0.0,0.2,0.4,0.6,0.8}UI | count | - | - | - | phase updates at a {} UI offset
+X1.bits | count | - | - | - | bits scored per bathtub phase, PRBS-31 at 2 Gb/s over 34 dB
+X1.errors@{0.021,0.062,0.104,0.146,0.188,0.229,0.271,0.312,0.354,0.396,0.438,0.479,0.521,0.562,0.604,0.646,0.688,0.729,0.771,0.812,0.854,0.896,0.938,0.979}UI | count | - | - | - | bit errors sampled at phase {} UI
+X1.eye_width | UI | - | - | - | horizontal eye width at BER 1e-3
 ";
 
 /// The decimals every value in `unit` is written with.
@@ -191,20 +194,26 @@ impl Entry {
     }
 }
 
-/// Every recorded result, and the transients the Fig. 4(b), 6(b) and 8
-/// oscillograms show.
+/// Every recorded result, the transients the Fig. 4(b), 6(b) and 8
+/// oscillograms show and the X1 bathtub curve.
 #[derive(Debug, Clone)]
 pub struct Repro {
     /// The results, in file order.
     pub entries: Vec<Entry>,
     /// Each oscillogram's title, waveform and height in rows.
     transients: Vec<(&'static str, Waveform, usize)>,
+    /// The X1 bathtub, one point per sampling phase.
+    bathtub: Vec<BathtubPoint>,
 }
+
+/// PRBS-31 bits the X1 bathtub runs at each phase.
+const BATHTUB_BITS: usize = 100_000;
 
 impl Repro {
     /// Computes every result at the paper's operating point (tt, 1.8 V,
     /// 25 °C; 2 Gb/s over 34 dB; PRBS-31). `threads` workers run the
-    /// loss bisections and the VTC; the results do not depend on it.
+    /// loss bisections, the VTC and the bathtub; the results do not
+    /// depend on it.
     ///
     /// # Errors
     ///
@@ -298,15 +307,13 @@ impl Repro {
             set(&format!("E6.{}_area", b.name), b.area.value());
         }
 
-        // E7: Fig. 11, the digital blocks' layouts.
-        let mut flow_cfg = FlowConfig::at_clock(Hertz::from_ghz(2.0));
-        flow_cfg.anneal_iterations = 5_000;
-        let flow = Flow::new().with_config(flow_cfg);
-        let layouts = [
-            ("serializer", flow.run(&serializer_design())?),
-            ("deserializer", flow.run(&deserializer_design())?),
-            ("cdr", flow.run(&cdr_design(5))?),
-        ];
+        // E7: Fig. 11, the digital blocks' layouts, from the budget's
+        // flows (the flow's activity sets only their power).
+        let layouts: Vec<_> = budget
+            .blocks
+            .iter()
+            .filter_map(|b| Some((b.name, b.flow.as_ref()?)))
+            .collect();
         let digital: f64 = layouts.iter().map(|(_, r)| r.area().value()).sum();
         for (name, r) in &layouts {
             let at = |key: &str| format!("E7.{name}.{key}");
@@ -389,6 +396,22 @@ impl Repro {
             set(&at("phase_updates"), cdr.phase_updates() as f64);
         }
 
+        // X1: the BER bathtub across 24 sampling phases.
+        let bathtub = Sweep::new()
+            .with_bits(BATHTUB_BITS)
+            .with_phases(24)
+            .with_seed(11)
+            .with_threads(threads)
+            .bathtub(&cfg)?;
+        // A bathtub scores bits 1..n against their predecessors.
+        let scored = (BATHTUB_BITS - 1) as f64;
+        set("X1.bits", scored);
+        for p in &bathtub {
+            let errors = (p.ber * scored).round();
+            set(&format!("X1.errors@{:.3}UI", p.phase_ui), errors);
+        }
+        set("X1.eye_width", eye_width_at(&bathtub, 1e-3));
+
         let lines = RESULTS.trim().lines();
         let entries = lines.flat_map(|line| entries(line, &mut m)).collect();
         assert!(m.is_empty(), "measured but not in RESULTS: {:?}", m.keys());
@@ -405,6 +428,7 @@ impl Repro {
         Ok(Self {
             entries,
             transients,
+            bathtub,
         })
     }
 
@@ -437,7 +461,7 @@ impl Repro {
     }
 
     /// The results table: id, quantity, paper, measured, unit, band.
-    pub fn table(&self) -> String {
+    fn table(&self) -> String {
         let rows: Vec<Vec<String>> = self.entries.iter().map(Entry::row).collect();
         table(
             &["id", "quantity", "paper", "measured", "unit", "band", ""],
@@ -446,13 +470,75 @@ impl Repro {
     }
 
     /// The Fig. 4(b), 6(b) and 8 oscillograms.
-    pub fn oscillograms(&self) -> String {
+    fn oscillograms(&self) -> String {
         let mut out = String::new();
         for (title, wave, rows) in &self.transients {
             let _ = writeln!(out, "{title}:\n{}", sparkline(wave, *rows, 72));
         }
         out
     }
+
+    /// The X1 bathtub's table of BER by phase.
+    fn bathtub(&self) -> String {
+        let row = |p: &BathtubPoint| {
+            let ber = if p.ber > 0.0 {
+                format!("{:.2e}", p.ber)
+            } else {
+                "<1e-5".into()
+            };
+            vec![format!("{:.3}", p.phase_ui), ber]
+        };
+        let rows: Vec<Vec<String>> = self.bathtub.iter().map(row).collect();
+        table(&["phase (UI)", "BER"], &rows)
+    }
+}
+
+/// Computes every result with `threads` workers into
+/// `BENCH_repro.json`, and prints the oscillograms, the results table
+/// and the X1 bathtub.
+///
+/// # Errors
+///
+/// Propagates solver, link and flow failures.
+pub fn report(threads: usize) -> Result<Report, Error> {
+    let repro = Repro::compute(threads)?;
+    let mut text = String::new();
+    let _ = writeln!(text, "{}", repro.oscillograms());
+    let _ = writeln!(text, "OpenSerDes results — paper vs this reproduction\n");
+    let _ = writeln!(text, "{}", repro.table());
+    let cfg = LinkConfig::paper_default();
+    let _ = writeln!(
+        text,
+        "BER bathtub @ {:.1} Gb/s / {:.0} dB (PRBS-31, 100k bits per phase, {threads} worker(s))\n",
+        cfg.data_rate.ghz(),
+        cfg.channel.attenuation_db,
+    );
+    let _ = writeln!(text, "{}", repro.bathtub());
+    let eye = eye_width_at(&repro.bathtub, 1e-3);
+    let _ = writeln!(text, "horizontal eye at BER 1e-3: {eye:.2} UI\n");
+    let failures: Vec<String> = (repro.misses())
+        .map(|e| {
+            let value = format(e.measured, e.unit);
+            let source = e.band.as_ref().map_or("", |b| b.source);
+            let band = e.band_text();
+            format!(
+                "band miss: {} = {value} {} outside {band} ({source})",
+                e.id, e.unit
+            )
+        })
+        .collect();
+    let banded = repro.entries.iter().filter(|e| e.band.is_some()).count();
+    let (results, misses) = (repro.entries.len(), failures.len());
+    let _ = writeln!(
+        text,
+        "{results} results, {banded} banded, {misses} band miss(es): BENCH_repro.json"
+    );
+    Ok(Report {
+        file: "BENCH_repro.json",
+        json: repro.to_json(),
+        text,
+        failures,
+    })
 }
 
 /// A band limit as the file writes it: `"ge": 20`.
@@ -503,15 +589,21 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// The one-worker computation, shared by the tests below.
-    fn at_one_worker() -> &'static Repro {
-        static AT_ONE: OnceLock<Repro> = OnceLock::new();
-        AT_ONE.get_or_init(|| Repro::compute(1).expect("computes"))
+    /// The one-worker computation, shared by the tests below, with the
+    /// number of flows it ran.
+    fn at_one_worker() -> &'static (Repro, u64) {
+        static AT_ONE: OnceLock<(Repro, u64)> = OnceLock::new();
+        AT_ONE.get_or_init(|| {
+            let _on = openserdes_telemetry::enable_scope();
+            let (repro, record) = openserdes_telemetry::collect(|| Repro::compute(1));
+            let flows = record.span("flow.run").map_or(0, |s| s.count);
+            (repro.expect("computes"), flows)
+        })
     }
 
     #[test]
     fn every_band_holds_and_every_headline_result_has_one() {
-        let repro = at_one_worker();
+        let (repro, _) = at_one_worker();
         let misses: Vec<String> = repro
             .misses()
             .map(|e| format!("{} = {}", e.id, format(e.measured, e.unit)))
@@ -536,7 +628,41 @@ mod tests {
     #[test]
     fn the_file_does_not_depend_on_the_worker_count() {
         let four = Repro::compute(4).expect("computes");
-        assert_eq!(four.to_json(), at_one_worker().to_json());
+        let one = at_one_worker().0.to_json();
+        assert_eq!(four.to_json(), one);
+        let committed = include_str!("../../../BENCH_repro.json");
+        assert!(one == committed, "BENCH_repro.json is stale: run `reports`");
+    }
+
+    #[test]
+    fn the_layouts_are_the_budgets_flows() {
+        // The budget runs the serializer, deserializer and CDR flows,
+        // and E7 reads those: no flow runs twice.
+        assert_eq!(at_one_worker().1, 3);
+    }
+
+    #[test]
+    fn every_band_source_names_a_live_test() {
+        // `<crate> <module path>::tests::<fn>` names a test in
+        // crates/<crate>/src/<module path>.rs.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        for line in RESULTS.trim().lines() {
+            let source = line.split(" | ").nth(4).expect("six columns");
+            if source == "-" || source.starts_with("EXPERIMENTS.md ") {
+                continue;
+            }
+            let test = source.split_once(' ').and_then(|(krate, path)| {
+                let (module, name) = path.split_once("::tests::")?;
+                let file = format!("{root}/crates/{krate}/src/{}.rs", module.replace("::", "/"));
+                Some((file, name))
+            });
+            let (file, name) = test.unwrap_or_else(|| panic!("not a test path: {source}"));
+            let code = std::fs::read_to_string(&file).unwrap_or_default();
+            assert!(
+                code.contains(&format!("fn {name}(")),
+                "{source}: no such test"
+            );
+        }
     }
 
     #[test]

@@ -1,48 +1,35 @@
-//! Timing-signoff CI driver: static timing analysis over every shipped
-//! example design at the TT/SS/FF corners.
+//! Timing signoff behind `BENCH_sta.json`: static timing analysis over
+//! every shipped design at the TT/SS/FF corners and a 2 GHz clock.
 //!
 //! Each design is synthesized against the corner's characterized
-//! library and pushed through the full STA engine (forward/backward
-//! passes, early/late hold split, per-clock domains, TM rule audit).
-//! Per-corner fmax/WNS/TNS/hold numbers land in `BENCH_sta.json`
-//! (validated in CI by `schemas/validate.py sta`), and the worst path
-//! of each design prints as an OpenSTA-style `report_checks` block.
+//! library (tt reads [`Shipped`]'s synthesis) and pushed through the
+//! full STA engine (forward/backward passes, early/late hold split,
+//! per-clock domains, TM rule audit). Per-corner fmax/WNS/TNS/hold
+//! numbers land in `BENCH_sta.json` (validated in CI by
+//! `schemas/validate.py sta`), and the worst path of each design prints
+//! as an OpenSTA-style `report_checks` block at tt.
 //!
-//! Exit status is nonzero if any Error-level TM finding survives — or
-//! any Warn-level finding when `--deny warn` is passed.
+//! An Error-level TM finding is a failure of the run.
 
-use openserdes_core::{
-    cdr_design, deserializer_design, scan_chain_design, serdes_digital_top, serializer_design,
-};
+use crate::{Report, Shipped};
 use openserdes_flow::{synthesize, Sta, StaConfig};
 use openserdes_lint::{LintConfig, Severity};
+use openserdes_netlist::NetlistError;
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::library::Library;
 use openserdes_pdk::units::Hertz;
+use std::borrow::Cow;
+use std::error::Error;
 use std::fmt::Write as _;
 
-fn main() -> std::process::ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (smoke, deny_warn) = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
-        [] => (false, false),
-        ["--smoke"] => (true, false),
-        ["--deny", "warn"] => (false, true),
-        ["--smoke", "--deny", "warn"] | ["--deny", "warn", "--smoke"] => (true, true),
-        _ => {
-            eprintln!("usage: sta [--smoke] [--deny warn]");
-            return std::process::ExitCode::from(2);
-        }
-    };
-
+/// Times every shipped design at tt, ss and ff.
+///
+/// # Errors
+///
+/// Fails, naming the design and the corner, if a design does not
+/// synthesize or time.
+pub fn report(shipped: &Shipped) -> Result<Report, Box<dyn Error>> {
     let clock = Hertz::from_ghz(2.0);
-    let stages = if smoke { 3 } else { 5 };
-    let designs = [
-        serializer_design(),
-        deserializer_design(),
-        cdr_design(stages),
-        scan_chain_design(),
-        serdes_digital_top(stages),
-    ];
     let corners = [
         ("tt", Pvt::nominal()),
         ("ss", Pvt::worst_case()),
@@ -50,48 +37,49 @@ fn main() -> std::process::ExitCode {
     ];
     let lint_cfg = LintConfig::default();
 
-    let mut errors = 0usize;
-    let mut warnings = 0usize;
+    let mut text = String::new();
+    let mut failures = Vec::new();
+    let (mut errors, mut warnings) = (0usize, 0usize);
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"openserdes-bench-sta/1\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"clock_ghz\": {:.3},", clock.ghz());
     let _ = writeln!(json, "  \"designs\": [");
 
-    for (di, design) in designs.iter().enumerate() {
+    for (di, (design, tt)) in shipped.designs.iter().enumerate() {
+        let name = design.name();
         let mut corner_rows = Vec::new();
         let mut cells = 0usize;
         let mut flops = 0usize;
         for (label, pvt) in corners {
             let library = Library::sky130(pvt);
-            let synth = match synthesize(design, &library) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("synthesis failed for `{}` at {label}: {e}", design.name());
-                    return std::process::ExitCode::from(2);
-                }
+            let failed =
+                |e: &NetlistError| format!("synthesis failed for `{name}` at {label}: {e}");
+            let synth = match label {
+                "tt" => Cow::Borrowed(tt.as_ref().map_err(failed)?),
+                _ => Cow::Owned(synthesize(design, &library).map_err(|e| failed(&e))?),
             };
             let mut cfg = StaConfig::at_clock(clock);
             cfg.multicycle = synth.multicycle.clone();
-            let report = match Sta::new()
+            let report = Sta::new()
                 .with_config(cfg)
                 .run(&synth.netlist, &library, None)
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("sta failed for `{}` at {label}: {e}", design.name());
-                    return std::process::ExitCode::from(2);
-                }
-            };
+                .map_err(|e| format!("sta failed for `{name}` at {label}: {e}"))?;
             cells = synth.netlist.cell_count();
             flops = synth.netlist.flop_count();
             let lint = report.to_lint(&lint_cfg);
-            errors += lint.count(Severity::Error);
+            let corner_errors = lint.count(Severity::Error);
+            if corner_errors > 0 {
+                failures.push(format!(
+                    "sta: `{name}` at {label}: {corner_errors} Error-level finding(s)"
+                ));
+            }
+            errors += corner_errors;
             warnings += lint.count(Severity::Warn);
-            println!(
+            let _ = writeln!(
+                text,
                 "[{label}] {:<12} fmax {:>6.3} GHz, wns {:>8.1} ps, tns {:>9.1} ps, {} violation(s), hold wns {:>6.1} ps, {} finding(s)",
-                design.name(),
+                name,
                 report.fmax.ghz(),
                 report.wns.ps(),
                 report.tns.ps(),
@@ -101,7 +89,7 @@ fn main() -> std::process::ExitCode {
             );
             if label == "tt" {
                 if let Some(p) = report.paths.first() {
-                    println!("{p}");
+                    let _ = writeln!(text, "{p}");
                 }
             }
             corner_rows.push(format!(
@@ -118,33 +106,28 @@ fn main() -> std::process::ExitCode {
             ));
         }
         let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", design.name());
+        let _ = writeln!(json, "      \"name\": \"{name}\",");
         let _ = writeln!(json, "      \"cells\": {cells},");
         let _ = writeln!(json, "      \"flops\": {flops},");
         let _ = writeln!(json, "      \"corners\": [");
         let _ = writeln!(json, "{}", corner_rows.join(",\n"));
         let _ = writeln!(json, "      ]");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if di + 1 < designs.len() { "," } else { "" }
-        );
+        let last = di + 1 == shipped.designs.len();
+        let _ = writeln!(json, "    }}{}", if last { "" } else { "," });
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
-    if let Err(e) = std::fs::write("BENCH_sta.json", &json) {
-        eprintln!("cannot write BENCH_sta.json: {e}");
-        return std::process::ExitCode::from(2);
-    }
-    println!(
+    let _ = writeln!(
+        text,
         "timed {} design(s) × {} corner(s): {errors} error(s), {warnings} warning(s) — JSON in BENCH_sta.json",
-        designs.len(),
-        corners.len()
+        shipped.designs.len(),
+        corners.len(),
     );
-    if errors > 0 || (deny_warn && warnings > 0) {
-        std::process::ExitCode::FAILURE
-    } else {
-        std::process::ExitCode::SUCCESS
-    }
+    Ok(Report {
+        file: "BENCH_sta.json",
+        json,
+        text,
+        failures,
+    })
 }

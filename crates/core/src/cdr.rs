@@ -898,6 +898,26 @@ mod tests {
     }
 
     #[test]
+    fn locks_at_every_offset_under_jitter() {
+        // Fig. 7 with the glitch filter and hysteresis on: 0.02 UI RJ.
+        let bits = prbs_bits(3_000);
+        for frac in [0.0, 0.2, 0.4, 0.6, 0.8] {
+            let stream = oversample_bits(&bits, 5, frac, 0.02, 11);
+            let mut cdr = OversamplingCdr::new(CdrConfig::paper_default());
+            let out = cdr.recover(&stream);
+            assert!(cdr.is_locked(), "offset {frac} must lock");
+            // Post-lock errors at the best alignment within ±1 bit.
+            let skip = 4 * 32;
+            let errors_at = |lag: usize| {
+                let sent = &bits[skip + lag - 1..];
+                out[skip..].iter().zip(sent).filter(|(a, b)| a != b).count()
+            };
+            let errors = (0..3).map(errors_at).min().expect("three lags");
+            assert!(errors <= 2, "offset {frac}: {errors} errors");
+        }
+    }
+
+    #[test]
     fn tracks_jittered_stream() {
         let bits = prbs_bits(5_000);
         let stream = oversample_bits(&bits, 5, 0.1, 0.05, 7);

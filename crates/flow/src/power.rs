@@ -10,10 +10,12 @@
 //!   event from the library characterization,
 //! * **leakage** — the sum of per-cell static leakage.
 //!
-//! Activities default to a uniform factor but can be extracted from an
-//! event-simulation [`Trace`] for
-//! vector-driven power, which is how the reproduction gets workload-aware
-//! numbers for the paper's Fig. 10 budget.
+//! Activities default to a uniform factor, or come per net from toggle
+//! counts: [`PowerConfig::from_trace`] reads them from an
+//! event-simulation [`Trace`], and the paper's Fig. 10 budget
+//! (`core::budget`) counts each net's toggles over a cycle-level
+//! (`CycleSim`) run of the mapped netlist under PRBS traffic and passes
+//! them as [`PowerConfig::net_activity`].
 
 use crate::route::RouteResult;
 use openserdes_digital::Trace;

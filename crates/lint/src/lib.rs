@@ -21,7 +21,7 @@
 //! `openserdes_flow::lint` (RTL IR), `openserdes_analog::drc` (circuit
 //! DRC) — because the flow and solver crates *gate* on lint results and
 //! therefore must be allowed to depend on this crate without a cycle.
-//! The `lint` binary in `openserdes-bench` aggregates all three over
+//! The `reports` binary in `openserdes-bench` aggregates all three over
 //! every shipped design for CI.
 //!
 //! ```

@@ -210,8 +210,8 @@ impl LintReport {
         }
     }
 
-    /// Merge another report's findings into this one (used by the lint
-    /// bin to aggregate passes over the same design).
+    /// Merge another report's findings into this one, to aggregate
+    /// passes over the same design.
     pub fn absorb(&mut self, other: LintReport) {
         self.findings.extend(other.findings);
         self.suppressed += other.suppressed;

@@ -228,6 +228,24 @@ mod tests {
     }
 
     #[test]
+    fn mid_rail_delay_is_positive() {
+        // Fig. 4(b)'s pattern: the input's first rising mid-rail crossing
+        // to the next falling one at the (inverted) output.
+        let bits = [true, false, true, true, false, false, true, false];
+        let w = driver()
+            .drive(&bits, Time::from_ps(500.0))
+            .expect("transient runs");
+        let t_in = w.input.crossings(0.9, true)[0];
+        let falls = w.output.crossings(0.9, false);
+        let t_out = falls
+            .into_iter()
+            .find(|&t| t >= t_in)
+            .expect("an output edge");
+        let delay_ps = (t_out - t_in) * 1e12;
+        assert!(delay_ps > 0.0, "delay = {delay_ps:.1} ps");
+    }
+
+    #[test]
     fn output_edges_fit_in_a_ui() {
         let bits = [false, true, false];
         let w = driver()

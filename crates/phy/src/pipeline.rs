@@ -246,9 +246,9 @@ impl BehavioralLink {
 
     /// Per-sample flip probability from amplitude noise alone,
     /// `Q(margin/σ)` (0.5 when the eye is closed). No jitter erosion —
-    /// for consumers that model edge jitter explicitly per sample (the
-    /// oversampled CDR path, the bathtub sweep), where folding jitter in
-    /// a second time would double-count it.
+    /// for consumers that model edge jitter explicitly per sample, where
+    /// folding jitter in a second time would double-count it. The
+    /// bathtub sweep (`core::Sweep::bathtub`) reads this one.
     pub fn flip_probability(&self) -> f64 {
         let margin = self.margin().value();
         if margin <= 0.0 {
@@ -260,7 +260,10 @@ impl BehavioralLink {
     /// Per-sample flip probability with RJ + DJ folded into the
     /// amplitude margin as erosion (`jitter_slope` converts the UI
     /// fraction the jitter consumes into lost margin) — for consumers
-    /// that do not model edges at all.
+    /// that do not model edges at all. The fast link path's statistical
+    /// PHY (`core::link`, behind the oversampled CDR) draws its noise
+    /// flips from this one although it also jitters every edge by RJ,
+    /// so there RJ counts twice: once as edge jitter, once as erosion.
     pub fn flip_probability_jitter_eroded(&self) -> f64 {
         // Jitter erodes margin proportionally to how much of the UI the
         // RMS jitter consumes.

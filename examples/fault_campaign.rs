@@ -5,8 +5,9 @@
 //! and the bare RTL decision logic degrade under the *same* schedule.
 //!
 //! Every schedule is seeded and serializable, so a campaign re-runs
-//! bit-identically on any machine — the whole standard matrix lives in
-//! `cargo run --release -p openserdes-bench --bin fault`.
+//! bit-identically on any machine — the whole standard matrix is
+//! `BENCH_fault.json`, which
+//! `cargo run --release -p openserdes-bench --bin reports` writes.
 //!
 //! ```sh
 //! cargo run --release --example fault_campaign
