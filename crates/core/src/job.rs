@@ -15,14 +15,19 @@
 //! Canonical encoding: [`Request::to_canonical_json`] and
 //! [`Response::to_canonical_json`] write compact JSON with a fixed,
 //! code-defined field order, `{:?}`-formatted floats (shortest exact
-//! round-trip) and full-width integers — see [`crate::json`]. Both
-//! directions round-trip: `to_canonical_json` after `from_json` is
-//! byte-identical.
+//! round-trip) and full-width integers — see [`crate::json`]. Each wire
+//! object is declared once, as its keys in canonical order (and, for
+//! `Request`, `Response`, `FaultKind` and `DesignSpec`, each variant's
+//! tag and payload keys), and that one declaration both writes the
+//! object and reads it back, with the decode bounds on the fields they
+//! guard. Both directions round-trip: `to_canonical_json` after
+//! `from_json` is byte-identical.
 //!
 //! Fault schedules are written and read here too:
 //! [`fault_schedule_to_json`] / [`fault_schedule_from_json`] handle the
-//! `openserdes-fault-schedule/1` file with the same event writer and
-//! reader as the `faults` object of [`Request::RunLinkWithFaults`].
+//! `openserdes-fault-schedule/1` file, whose events are the canonical
+//! event bytes of the `faults` object of [`Request::RunLinkWithFaults`],
+//! spaced.
 //!
 //! ```
 //! use openserdes_core::job::{Request, Response, SweepSpec};
@@ -42,6 +47,7 @@
 //! # Ok::<(), openserdes_core::error::Error>(())
 //! ```
 
+use crate::cdr::CdrConfig;
 use crate::error::Error;
 use crate::json::{self, Json};
 use crate::link::{FaultReport, LinkConfig, LinkReport};
@@ -56,7 +62,8 @@ use openserdes_netlist::NetlistStats;
 use openserdes_pdk::corner::{ProcessCorner, Pvt};
 use openserdes_pdk::units::{Hertz, Time, Volt};
 use openserdes_phy::ChannelModel;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::{RangeBounds, RangeInclusive};
 
 /// One job for any engine behind the Session front door. Every variant
 /// carries its full operating point, so a request means the same thing
@@ -399,7 +406,7 @@ impl LintSummary {
                 .iter()
                 .map(|f| FindingSummary {
                     rule: f.rule.code().to_string(),
-                    severity: severity_tag(f.severity).to_string(),
+                    severity: f.severity.label().to_string(),
                     message: f.message.clone(),
                 })
                 .collect(),
@@ -433,14 +440,6 @@ pub struct DeadlineInfo {
     pub queued_ms: u64,
 }
 
-fn severity_tag(sev: Severity) -> &'static str {
-    match sev {
-        Severity::Info => "info",
-        Severity::Warn => "warn",
-        Severity::Error => "error",
-    }
-}
-
 fn parse_err(msg: impl Into<String>) -> Error {
     Error::Parse(msg.into())
 }
@@ -449,123 +448,153 @@ fn parse_err(msg: impl Into<String>) -> Error {
 // Canonical encoding
 // ====================================================================
 
-fn push_pvt(out: &mut String, pvt: &Pvt) {
-    let corner = match pvt.corner {
-        ProcessCorner::Typical => "tt",
-        ProcessCorner::SlowSlow => "ss",
-        ProcessCorner::FastFast => "ff",
-        ProcessCorner::SlowFast => "sf",
-        ProcessCorner::FastSlow => "fs",
-    };
-    out.push_str("{\"corner\":\"");
-    out.push_str(corner);
-    out.push_str("\",\"vdd_v\":");
-    json::push_f64(out, pvt.vdd.value());
-    out.push_str(",\"temp_c\":");
-    json::push_f64(out, pvt.temp_c);
-    out.push('}');
+/// One value on the wire: its canonical JSON, and the reader that takes
+/// that JSON (or any equivalent spelling) back. `what` names the value
+/// in error messages.
+trait Wire: Sized {
+    fn write(&self, out: &mut String);
+    fn read(v: &Json, what: &str) -> Result<Self, String>;
 }
 
-fn parse_pvt(v: &Json) -> Result<Pvt, String> {
-    let obj = v.as_obj("pvt")?;
-    let corner = match json::get(obj, "corner")?.as_str("corner")? {
-        "tt" => ProcessCorner::Typical,
-        "ss" => ProcessCorner::SlowSlow,
-        "ff" => ProcessCorner::FastFast,
-        "sf" => ProcessCorner::SlowFast,
-        "fs" => ProcessCorner::FastSlow,
-        other => return Err(format!("unknown process corner `{other}`")),
-    };
-    Ok(Pvt {
-        corner,
-        vdd: Volt::new(json::get(obj, "vdd_v")?.as_f64("vdd_v")?),
-        temp_c: json::get(obj, "temp_c")?.as_f64("temp_c")?,
-    })
+/// The fields of a JSON object, written after `sep` (`{` to open the
+/// object, `,` to continue one) and read from the object's field list.
+/// A type with fields is a `Wire` object; a tagged variant's payload
+/// and a fault event's kind are written inline in their parent.
+trait Fields: Sized {
+    fn write_fields(&self, out: &mut String, sep: char);
+    fn read_fields(obj: &[(String, Json)], what: &str) -> Result<Self, String>;
 }
 
-fn push_channel(out: &mut String, ch: &ChannelModel) {
-    out.push_str("{\"attenuation_db\":");
-    json::push_f64(out, ch.attenuation_db);
-    out.push_str(",\"bandwidth_hz\":");
-    json::push_f64(out, ch.bandwidth.value());
-    out.push_str(",\"noise_sigma_v\":");
-    json::push_f64(out, ch.noise_sigma.value());
-    out.push_str(",\"rj_sigma_s\":");
-    json::push_f64(out, ch.rj_sigma.value());
-    out.push_str(",\"dj_pp_s\":");
-    json::push_f64(out, ch.dj_pp.value());
-    out.push_str(",\"dj_freq_hz\":");
-    json::push_f64(out, ch.dj_freq.value());
-    let _ = write!(out, ",\"seed\":{}}}", ch.seed);
-}
-
-fn parse_channel(v: &Json) -> Result<ChannelModel, String> {
-    let obj = v.as_obj("channel")?;
-    Ok(ChannelModel {
-        attenuation_db: json::get(obj, "attenuation_db")?.as_f64("attenuation_db")?,
-        bandwidth: Hertz::new(json::get(obj, "bandwidth_hz")?.as_f64("bandwidth_hz")?),
-        noise_sigma: Volt::new(json::get(obj, "noise_sigma_v")?.as_f64("noise_sigma_v")?),
-        rj_sigma: Time::new(json::get(obj, "rj_sigma_s")?.as_f64("rj_sigma_s")?),
-        dj_pp: Time::new(json::get(obj, "dj_pp_s")?.as_f64("dj_pp_s")?),
-        dj_freq: Hertz::new(json::get(obj, "dj_freq_hz")?.as_f64("dj_freq_hz")?),
-        seed: json::get(obj, "seed")?.as_u64("seed")?,
-    })
-}
-
-fn push_link_config(out: &mut String, cfg: &LinkConfig) {
-    out.push_str("{\"data_rate_hz\":");
-    json::push_f64(out, cfg.data_rate.value());
-    out.push_str(",\"channel\":");
-    push_channel(out, &cfg.channel);
-    out.push_str(",\"pvt\":");
-    push_pvt(out, &cfg.pvt);
-    let _ = write!(
-        out,
-        ",\"cdr\":{{\"oversampling\":{},\"glitch_filter\":{},\"phase_hysteresis\":{},\"window\":{}}}}}",
-        cfg.cdr.oversampling, cfg.cdr.glitch_filter, cfg.cdr.phase_hysteresis, cfg.cdr.window
-    );
-}
-
-fn parse_link_config(v: &Json) -> Result<LinkConfig, String> {
-    let obj = v.as_obj("config")?;
-    let cdr_obj = json::get(obj, "cdr")?.as_obj("cdr")?;
-    // The range `OversamplingCdr::new` asserts. A link run sizes its
-    // sample buffers from `oversampling` before the CDR exists, so past
-    // the range a request would abort the process on a failed
-    // allocation instead of panicking where the worker can isolate it.
-    let oversampling = json::get(cdr_obj, "oversampling")?.as_usize("oversampling")?;
-    if !crate::cdr::OVERSAMPLING.contains(&oversampling) {
-        return Err(format!(
-            "cdr: oversampling {oversampling} outside {:?}",
-            crate::cdr::OVERSAMPLING
-        ));
+impl<T: Fields> Wire for T {
+    fn write(&self, out: &mut String) {
+        self.write_fields(out, '{');
+        out.push('}');
     }
-    let window = json::get(cdr_obj, "window")?.as_usize("window")?;
-    if window == 0 {
-        return Err("cdr: window 0 must be positive".to_string());
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        Self::read_fields(v.as_obj(what)?, what)
     }
-    let cdr = crate::cdr::CdrConfig {
-        oversampling,
-        glitch_filter: json::get(cdr_obj, "glitch_filter")?.as_bool("glitch_filter")?,
-        phase_hysteresis: json::get(cdr_obj, "phase_hysteresis")?.as_u32("phase_hysteresis")?,
-        window,
-    };
-    Ok(LinkConfig {
-        data_rate: Hertz::new(json::get(obj, "data_rate_hz")?.as_f64("data_rate_hz")?),
-        channel: parse_channel(json::get(obj, "channel")?)?,
-        pvt: parse_pvt(json::get(obj, "pvt")?)?,
-        cdr,
-    })
 }
 
-fn push_sweep_spec(out: &mut String, s: &SweepSpec) {
-    let _ = write!(
-        out,
-        "{{\"bits\":{},\"phases\":{},\"frames\":{},\"tol_db\":",
-        s.bits, s.phases, s.frames
-    );
-    json::push_f64(out, s.tol_db);
-    out.push('}');
+/// Writes one declared field: `"key":value`, or for the key `_` the
+/// value's own fields inline.
+macro_rules! write_field {
+    ($out:ident, $sep:expr, _, $value:expr) => {
+        $value.write_fields($out, $sep)
+    };
+    ($out:ident, $sep:expr, $key:literal, $value:expr) => {{
+        $out.push($sep);
+        $out.push_str(concat!("\"", $key, "\":"));
+        $value.write($out);
+    }};
+}
+
+/// Reads one declared field back (see `write_field!`).
+macro_rules! read_field {
+    ($obj:ident, $what:ident, _) => {
+        Fields::read_fields($obj, $what)?
+    };
+    ($obj:ident, $what:ident, $key:literal) => {
+        Wire::read(json::get($obj, $key)?, $key)?
+    };
+}
+
+/// Declares each struct's wire object once, as its `"key" => field`
+/// pairs in canonical order. `_ => field` writes the field's own fields
+/// inline; `if bound` checks a decoded value (see `check`).
+macro_rules! wire_struct {
+    ($($ty:ident { $($key:tt => $field:ident $(if $bound:expr)?),+ $(,)? })+) => {$(
+        impl Fields for $ty {
+            fn write_fields(&self, out: &mut String, mut sep: char) {
+                $(
+                    write_field!(out, sep, $key, self.$field);
+                    sep = ',';
+                )+
+                let _ = sep;
+            }
+
+            fn read_fields(obj: &[(String, Json)], what: &str) -> Result<Self, String> {
+                // Only bounds and inline fields name their object.
+                let _ = what;
+                $(
+                    let $field = read_field!(obj, what, $key);
+                    $(check(what, $key, &$field, $bound)?;)?
+                )+
+                Ok(Self { $($field),+ })
+            }
+        }
+    )+};
+}
+
+/// Declares a tagged enum's wire object once: the tag key, the name
+/// unknown tags are reported under, and each variant's tag with its
+/// payload keys. A tuple variant's payload sits under one key, or with
+/// `_` inline; a struct variant lists its fields as in `wire_struct!`.
+macro_rules! wire_enum {
+    ($($ty:ident: $tag_key:literal, $name:literal {$(
+        $tag:literal => $variant:ident
+            $(($($tkey:tt => $tfield:ident),+))?
+            $({$($skey:literal => $sfield:ident $(if $bound:expr)?),+})?
+    ),+ $(,)?})+) => {$(
+        impl Fields for $ty {
+            fn write_fields(&self, out: &mut String, sep: char) {
+                out.push(sep);
+                match self {$(
+                    Self::$variant $(($($tfield),+))? $({$($sfield),+})? => {
+                        out.push_str(concat!("\"", $tag_key, "\":\"", $tag, "\""));
+                        $($(write_field!(out, ',', $tkey, $tfield);)+)?
+                        $($(write_field!(out, ',', $skey, $sfield);)+)?
+                    }
+                )+}
+            }
+
+            fn read_fields(obj: &[(String, Json)], what: &str) -> Result<Self, String> {
+                let _ = what;
+                match json::get(obj, $tag_key)?.as_str($tag_key)? {
+                    $($tag => {
+                        $($(let $tfield = read_field!(obj, what, $tkey);)+)?
+                        $($(
+                            let $sfield = read_field!(obj, what, $skey);
+                            $(check(what, $skey, &$sfield, $bound)?;)?
+                        )+)?
+                        Ok(Self::$variant $(($($tfield),+))? $({$($sfield),+})?)
+                    })+
+                    other => Err(format!(concat!("unknown ", $name, " `{}`"), other)),
+                }
+            }
+        }
+    )+};
+}
+
+/// Applies a decode bound to the value read for `key` of the object
+/// `what`. Decoded values are outside input: a bound turns a value
+/// whose job would abort the process, or never end, into an error
+/// naming the field.
+fn check<T>(
+    what: &str,
+    key: &str,
+    value: &T,
+    bound: impl Fn(&T) -> Result<(), String>,
+) -> Result<(), String> {
+    bound(value).map_err(|e| format!("{what}: {key} {e}"))
+}
+
+fn within(n: usize, range: impl RangeBounds<usize> + fmt::Debug) -> Result<(), String> {
+    if range.contains(&n) {
+        Ok(())
+    } else {
+        Err(format!("{n} outside {range:?}"))
+    }
+}
+
+/// A bisection to a non-positive or NaN tolerance never (or trivially)
+/// ends.
+fn positive_finite(x: &f64) -> Result<(), String> {
+    if x.is_finite() && *x > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{x} is not a positive finite number"))
+    }
 }
 
 /// The largest sweep counts a decoded request may carry. Every caller
@@ -579,106 +608,334 @@ const MAX_SWEEP_BITS: usize = 1 << 20;
 const MAX_SWEEP_PHASES: usize = 1 << 10;
 const MAX_SWEEP_FRAMES: usize = 1 << 10;
 
-fn parse_sweep_spec(v: &Json) -> Result<SweepSpec, String> {
-    let obj = v.as_obj("sweep")?;
-    let count = |field: &str, max: usize| -> Result<usize, String> {
-        let n = json::get(obj, field)?.as_usize(field)?;
-        if n > max {
-            return Err(format!("sweep: {field} {n} above the limit of {max}"));
+/// The oversampling [`crate::cdr::cdr_design`] accepts.
+const DESIGN_OVERSAMPLING: RangeInclusive<usize> = 3..=8;
+
+macro_rules! wire_int {
+    ($($ty:ident => $as:ident),+) => {$(
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                v.$as(what)
+            }
         }
-        Ok(n)
-    };
-    // A bathtub scores bits 1..n against their predecessors, so it needs
-    // two bits; a bisection to a non-positive or NaN tolerance never
-    // (or trivially) ends.
-    let bits = count("bits", MAX_SWEEP_BITS)?;
-    if bits < 2 {
-        return Err(format!("sweep: bits {bits} below 2"));
-    }
-    let tol_db = json::get(obj, "tol_db")?.as_f64("tol_db")?;
-    if !(tol_db.is_finite() && tol_db > 0.0) {
-        return Err(format!(
-            "sweep: tol_db {tol_db} is not a positive finite number"
-        ));
-    }
-    Ok(SweepSpec {
-        bits,
-        phases: count("phases", MAX_SWEEP_PHASES)?,
-        frames: count("frames", MAX_SWEEP_FRAMES)?,
-        tol_db,
-    })
+    )+};
 }
 
-fn push_frames(out: &mut String, frames: &[Frame]) {
+wire_int!(u64 => as_u64, usize => as_usize, u32 => as_u32, i32 => as_i32);
+
+/// A shed priority: a `u64` on the wire that must fit the `u8`, not
+/// wrap into it.
+impl Wire for u8 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        let n = v.as_u64(what)?;
+        u8::try_from(n).map_err(|_| format!("{what}: `{n}` is not a u8"))
+    }
+}
+
+impl Wire for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_bool(what)
+    }
+}
+
+impl Wire for f64 {
+    fn write(&self, out: &mut String) {
+        json::push_f64(out, *self);
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_f64(what)
+    }
+}
+
+impl Wire for String {
+    fn write(&self, out: &mut String) {
+        json::push_quoted(out, self);
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_str(what).map(str::to_string)
+    }
+}
+
+/// Units travel as their SI value.
+macro_rules! wire_unit {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                json::push_f64(out, self.value());
+            }
+
+            fn read(v: &Json, what: &str) -> Result<Self, String> {
+                v.as_f64(what).map($ty::new)
+            }
+        }
+    )+};
+}
+
+wire_unit!(Hertz, Volt, Time);
+
+fn write_list<T: Wire>(out: &mut String, items: &[T]) {
     out.push('[');
-    for (i, f) in frames.iter().enumerate() {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('[');
-        for (k, w) in f.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{w}");
-        }
-        out.push(']');
+        item.write(out);
     }
     out.push(']');
 }
 
-fn parse_frames(v: &Json) -> Result<Vec<Frame>, String> {
-    v.as_arr("frames")?
-        .iter()
-        .enumerate()
-        .map(|(i, fv)| {
-            let words = fv.as_arr("frame")?;
-            if words.len() != LANES {
-                return Err(format!("frames[{i}]: expected {LANES} words"));
-            }
-            let mut frame: Frame = [0u32; LANES];
-            for (k, w) in words.iter().enumerate() {
-                frame[k] = w.as_u32("frame word")?;
-            }
-            Ok(frame)
-        })
-        .collect()
-}
-
-fn push_design(out: &mut String, d: &DesignSpec) {
-    out.push_str("{\"name\":\"");
-    out.push_str(d.tag());
-    out.push('"');
-    match d {
-        DesignSpec::Cdr { oversampling } | DesignSpec::DigitalTop { oversampling } => {
-            let _ = write!(out, ",\"oversampling\":{oversampling}");
-        }
-        _ => {}
+/// A list; an error inside item `i` is reported as `what[i]`.
+impl<T: Wire> Wire for Vec<T> {
+    fn write(&self, out: &mut String) {
+        write_list(out, self);
     }
-    out.push('}');
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        v.as_arr(what)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item, what).map_err(|e| format!("{what}[{i}]: {e}")))
+            .collect()
+    }
 }
 
-fn parse_design(v: &Json) -> Result<DesignSpec, String> {
-    let obj = v.as_obj("design")?;
-    let oversampling = |what: &str| -> Result<usize, String> {
-        let n = json::get(obj, "oversampling")?.as_usize("oversampling")?;
-        if (3..=8).contains(&n) {
-            Ok(n)
-        } else {
-            Err(format!("{what}: oversampling {n} outside 3..=8"))
+/// A frame: exactly [`LANES`] `u32` words.
+impl Wire for Frame {
+    fn write(&self, out: &mut String) {
+        write_list(out, self);
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        let words = v.as_arr(what)?;
+        if words.len() != LANES {
+            return Err(format!("expected {LANES} words"));
         }
-    };
-    match json::get(obj, "name")?.as_str("name")? {
-        "serializer" => Ok(DesignSpec::Serializer),
-        "deserializer" => Ok(DesignSpec::Deserializer),
-        "cdr" => Ok(DesignSpec::Cdr {
-            oversampling: oversampling("cdr")?,
-        }),
-        "scan_chain" => Ok(DesignSpec::ScanChain),
-        "digital_top" => Ok(DesignSpec::DigitalTop {
-            oversampling: oversampling("digital_top")?,
-        }),
-        other => Err(format!("unknown design `{other}`")),
+        let mut frame: Frame = [0; LANES];
+        for (word, w) in frame.iter_mut().zip(words) {
+            *word = w.as_u32("frame word")?;
+        }
+        Ok(frame)
+    }
+}
+
+/// Each process corner's wire name.
+const CORNERS: [(ProcessCorner, &str); 5] = [
+    (ProcessCorner::Typical, "tt"),
+    (ProcessCorner::SlowSlow, "ss"),
+    (ProcessCorner::FastFast, "ff"),
+    (ProcessCorner::SlowFast, "sf"),
+    (ProcessCorner::FastSlow, "fs"),
+];
+
+impl Wire for ProcessCorner {
+    fn write(&self, out: &mut String) {
+        let (_, name) = CORNERS
+            .iter()
+            .find(|(corner, _)| corner == self)
+            .expect("every corner has a wire name");
+        out.push('"');
+        out.push_str(name);
+        out.push('"');
+    }
+
+    fn read(v: &Json, what: &str) -> Result<Self, String> {
+        let name = v.as_str(what)?;
+        CORNERS
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|&(corner, _)| corner)
+            .ok_or_else(|| format!("unknown process corner `{name}`"))
+    }
+}
+
+/// The `faults` object of a request, `{"seed":N,"events":[...]}`. The
+/// schedule's fields are private to `openserdes-fault`, so it reads
+/// back through [`FaultSchedule::from_events`].
+impl Fields for FaultSchedule {
+    fn write_fields(&self, out: &mut String, sep: char) {
+        write_field!(out, sep, "seed", self.seed());
+        out.push_str(",\"events\":");
+        write_list(out, self.events());
+    }
+
+    fn read_fields(obj: &[(String, Json)], _what: &str) -> Result<Self, String> {
+        Ok(FaultSchedule::from_events(
+            read_field!(obj, _what, "seed"),
+            read_field!(obj, _what, "events"),
+        ))
+    }
+}
+
+wire_struct! {
+    Pvt { "corner" => corner, "vdd_v" => vdd, "temp_c" => temp_c }
+    ChannelModel {
+        "attenuation_db" => attenuation_db,
+        "bandwidth_hz" => bandwidth,
+        "noise_sigma_v" => noise_sigma,
+        "rj_sigma_s" => rj_sigma,
+        "dj_pp_s" => dj_pp,
+        "dj_freq_hz" => dj_freq,
+        "seed" => seed,
+    }
+    // The oversampling range is the one `OversamplingCdr::new` asserts.
+    // A link run sizes its sample buffers from `oversampling` before the
+    // CDR exists, so past the range a request would abort the process on
+    // a failed allocation instead of panicking where the worker can
+    // isolate it.
+    CdrConfig {
+        "oversampling" => oversampling if |&n| within(n, crate::cdr::OVERSAMPLING),
+        "glitch_filter" => glitch_filter,
+        "phase_hysteresis" => phase_hysteresis,
+        "window" => window if |&n| within(n, 1..),
+    }
+    LinkConfig {
+        "data_rate_hz" => data_rate,
+        "channel" => channel,
+        "pvt" => pvt,
+        "cdr" => cdr,
+    }
+    // A bathtub scores bits 1..n against their predecessors, so it needs
+    // two bits.
+    SweepSpec {
+        "bits" => bits if |&n| within(n, 2..=MAX_SWEEP_BITS),
+        "phases" => phases if |&n| within(n, ..=MAX_SWEEP_PHASES),
+        "frames" => frames if |&n| within(n, ..=MAX_SWEEP_FRAMES),
+        "tol_db" => tol_db if positive_finite,
+    }
+    FaultEvent { "at_ui" => at_ui, _ => kind }
+    LinkReport {
+        "frames_sent" => frames_sent,
+        "frames_correct" => frames_correct,
+        "bits" => bits,
+        "bit_errors" => bit_errors,
+        "cdr_locked" => cdr_locked,
+        "cdr_phase_updates" => cdr_phase_updates,
+        "alignment_lag" => alignment_lag,
+    }
+    FaultReport {
+        "link" => link,
+        "lock_losses" => lock_losses,
+        "relock_times_ui" => relock_times_ui,
+        "injected_channel" => injected_channel,
+        "injected_clock" => injected_clock,
+        "injected_digital" => injected_digital,
+    }
+    FlowSummary {
+        "design" => design,
+        "cells" => cells,
+        "flops" => flops,
+        "nets" => nets,
+        "area_um2" => area_um2,
+        "power_mw" => power_mw,
+        "fmax_ghz" => fmax_ghz,
+        "wns_ps" => wns_ps,
+        "tns_ps" => tns_ps,
+        "violations" => violations,
+        "hold_violations" => hold_violations,
+    }
+    BathtubPoint { "phase_ui" => phase_ui, "ber" => ber }
+    SweepPoint {
+        "data_rate_hz" => data_rate,
+        "sensitivity_v" => sensitivity,
+        "max_loss_db" => max_loss_db,
+    }
+    CornerPoint {
+        "pvt" => pvt,
+        "max_loss_db" => max_loss_db,
+        "sensitivity_v" => sensitivity,
+    }
+    StaSummary {
+        "design" => design,
+        "clock_ghz" => clock_ghz,
+        "fmax_ghz" => fmax_ghz,
+        "wns_ps" => wns_ps,
+        "tns_ps" => tns_ps,
+        "violations" => violations,
+        "hold_wns_ps" => hold_wns_ps,
+        "hold_violations" => hold_violations,
+        "endpoints" => endpoints,
+        "domains" => domains,
+    }
+    FindingSummary { "rule" => rule, "severity" => severity, "message" => message }
+    LintSummary {
+        "errors" => errors,
+        "warnings" => warnings,
+        "infos" => infos,
+        "suppressed" => suppressed,
+        "findings" => findings,
+    }
+    ShedInfo { "tenant" => tenant, "priority" => priority, "queue_depth" => queue_depth }
+    DeadlineInfo { "tenant" => tenant, "deadline_ms" => deadline_ms, "queued_ms" => queued_ms }
+}
+
+wire_enum! {
+    DesignSpec: "name", "design" {
+        "serializer" => Serializer,
+        "deserializer" => Deserializer,
+        "cdr" => Cdr { "oversampling" => oversampling if |&n| within(n, DESIGN_OVERSAMPLING) },
+        "scan_chain" => ScanChain,
+        "digital_top" => DigitalTop {
+            "oversampling" => oversampling if |&n| within(n, DESIGN_OVERSAMPLING)
+        },
+    }
+    FaultKind: "kind", "fault kind" {
+        "burst_noise" => BurstNoise { "duration_ui" => duration_ui, "flip_prob" => flip_prob },
+        "dropout" => Dropout { "duration_ui" => duration_ui, "level" => level },
+        "supply_droop" => SupplyDroop {
+            "duration_ui" => duration_ui,
+            "peak_flip_prob" => peak_flip_prob
+        },
+        "phase_glitch" => PhaseGlitch { "offset_samples" => offset_samples },
+        "clock_drift" => ClockDrift {
+            "duration_ui" => duration_ui,
+            "slip_period_ui" => slip_period_ui,
+            "late" => late
+        },
+        "seu_cdr_phase" => SeuCdrPhase { "bit" => bit },
+        "seu_deserializer" => SeuDeserializer { "lane" => lane, "bit" => bit },
+        "stuck_at_net" => StuckAtNet { "net" => net, "value" => value },
+    }
+    Request: "kind", "request kind" {
+        "run_link" => RunLink { "config" => config, "frames" => frames },
+        "run_link_with_faults" => RunLinkWithFaults {
+            "config" => config,
+            "frames" => frames,
+            "faults" => schedule
+        },
+        "run_flow" => RunFlow { "design" => design, "pvt" => pvt },
+        "bathtub" => Bathtub { "config" => config, "sweep" => sweep },
+        "max_loss" => MaxLoss { "config" => config, "sweep" => sweep },
+        "rate_sweep" => RateSweep { "config" => config, "sweep" => sweep, "rates_hz" => rates },
+        "corner_sweep" => CornerSweep { "config" => config, "sweep" => sweep },
+        "sta" => Sta { "design" => design, "pvt" => pvt, "clock_hz" => clock },
+        "lint" => Lint { "design" => design },
+    }
+    Response: "kind", "response kind" {
+        "link" => Link("report" => report),
+        "faulted" => Faulted("report" => report),
+        "flow" => Flow("summary" => summary),
+        "bathtub" => Bathtub("points" => points),
+        "max_loss" => MaxLoss { "max_loss_db" => max_loss_db },
+        "rates" => Rates("points" => points),
+        "corners" => Corners("points" => points),
+        "sta" => Sta("summary" => summary),
+        "lint" => Lint("summary" => summary),
+        "shed" => Shed(_ => info),
+        "deadline_exceeded" => DeadlineExceeded(_ => info),
     }
 }
 
@@ -691,11 +948,12 @@ const FAULT_SCHEDULE_SCHEMA: &str = "openserdes-fault-schedule/1";
 /// self-describing document with one event per line, so a campaign can
 /// be archived next to its results and replayed bit-identically.
 ///
-/// Events carry the same fields, in the same order, as the `faults`
-/// object of a canonical [`Request::RunLinkWithFaults`]; the file adds
-/// the `schema` tag and whitespace. Floats are written as in
-/// [`crate::json::push_f64`], so every probability, NaN and infinities
-/// included, reads back bit-exactly.
+/// Each event line is the event's canonical bytes, as in the `faults`
+/// object of a canonical [`Request::RunLinkWithFaults`], with a space
+/// after each `:` and `,` and inside each brace; the file adds the
+/// `schema` tag. Floats are written as in [`crate::json::push_f64`], so
+/// every probability, NaN and infinities included, reads back
+/// bit-exactly.
 ///
 /// ```
 /// use openserdes_core::job::{fault_schedule_from_json, fault_schedule_to_json};
@@ -716,9 +974,12 @@ pub fn fault_schedule_to_json(schedule: &FaultSchedule) -> String {
         "{{\n  \"schema\": \"{FAULT_SCHEDULE_SCHEMA}\",\n  \"seed\": {},\n  \"events\": [",
         schedule.seed()
     );
+    let mut event = String::new();
     for (i, e) in schedule.events().iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
-        push_fault_event(&mut out, e, true);
+        event.clear();
+        e.write(&mut event);
+        push_spaced(&mut out, &event);
     }
     out.push_str(if schedule.is_empty() {
         "]\n}\n"
@@ -726,6 +987,38 @@ pub fn fault_schedule_to_json(schedule: &FaultSchedule) -> String {
         "\n  ]\n}\n"
     });
     out
+}
+
+/// Appends canonical JSON with a space after each `:` and `,` and
+/// inside each brace, outside strings.
+fn push_spaced(out: &mut String, canonical: &str) {
+    let mut in_string = false;
+    let mut escaped = false;
+    for c in canonical.chars() {
+        if in_string {
+            out.push(c);
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            ':' | ',' | '{' => {
+                out.push(c);
+                out.push(' ');
+            }
+            '}' => out.push_str(" }"),
+            _ => out.push(c),
+        }
+    }
 }
 
 /// Reads an `openserdes-fault-schedule/1` file written by
@@ -739,9 +1032,8 @@ pub fn fault_schedule_to_json(schedule: &FaultSchedule) -> String {
 /// inside an event name it as `events[i]`.
 pub fn fault_schedule_from_json(text: &str) -> Result<FaultSchedule, Error> {
     let v = json::parse(text).map_err(parse_err)?;
-    let schema = v
-        .as_obj("document")
-        .and_then(|obj| json::get(obj, "schema"))
+    let obj = v.as_obj("document").map_err(parse_err)?;
+    let schema = json::get(obj, "schema")
         .and_then(|s| s.as_str("schema"))
         .map_err(parse_err)?;
     if schema != FAULT_SCHEDULE_SCHEMA {
@@ -749,179 +1041,7 @@ pub fn fault_schedule_from_json(text: &str) -> Result<FaultSchedule, Error> {
             "unsupported schema `{schema}` (want `{FAULT_SCHEDULE_SCHEMA}`)"
         )));
     }
-    parse_fault_schedule(&v).map_err(parse_err)
-}
-
-/// The canonical `faults` object of a request: `{"seed":N,"events":[...]}`.
-fn push_fault_schedule(out: &mut String, s: &FaultSchedule) {
-    let _ = write!(out, "{{\"seed\":{},\"events\":[", s.seed());
-    for (i, e) in s.events().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_fault_event(out, e, false);
-    }
-    out.push_str("]}");
-}
-
-/// One event object, compact for the canonical bytes or `pretty` for
-/// the schedule file. The two layouts differ only in whitespace.
-fn push_fault_event(out: &mut String, e: &FaultEvent, pretty: bool) {
-    let (colon, comma) = if pretty { (": ", ", ") } else { (":", ",") };
-    // Starts the field `key`: separator, quoted key, colon.
-    let field = |out: &mut String, sep: &str, key: &str| {
-        out.push_str(sep);
-        out.push('"');
-        out.push_str(key);
-        out.push('"');
-        out.push_str(colon);
-    };
-    field(out, if pretty { "{ " } else { "{" }, "at_ui");
-    let _ = write!(out, "{}", e.at_ui);
-    field(out, comma, "kind");
-    out.push('"');
-    out.push_str(e.kind.tag());
-    out.push('"');
-    match &e.kind {
-        FaultKind::BurstNoise {
-            duration_ui,
-            flip_prob,
-        } => {
-            field(out, comma, "duration_ui");
-            let _ = write!(out, "{duration_ui}");
-            field(out, comma, "flip_prob");
-            json::push_f64(out, *flip_prob);
-        }
-        FaultKind::Dropout { duration_ui, level } => {
-            field(out, comma, "duration_ui");
-            let _ = write!(out, "{duration_ui}");
-            field(out, comma, "level");
-            let _ = write!(out, "{level}");
-        }
-        FaultKind::SupplyDroop {
-            duration_ui,
-            peak_flip_prob,
-        } => {
-            field(out, comma, "duration_ui");
-            let _ = write!(out, "{duration_ui}");
-            field(out, comma, "peak_flip_prob");
-            json::push_f64(out, *peak_flip_prob);
-        }
-        FaultKind::PhaseGlitch { offset_samples } => {
-            field(out, comma, "offset_samples");
-            let _ = write!(out, "{offset_samples}");
-        }
-        FaultKind::ClockDrift {
-            duration_ui,
-            slip_period_ui,
-            late,
-        } => {
-            field(out, comma, "duration_ui");
-            let _ = write!(out, "{duration_ui}");
-            field(out, comma, "slip_period_ui");
-            let _ = write!(out, "{slip_period_ui}");
-            field(out, comma, "late");
-            let _ = write!(out, "{late}");
-        }
-        FaultKind::SeuCdrPhase { bit } => {
-            field(out, comma, "bit");
-            let _ = write!(out, "{bit}");
-        }
-        FaultKind::SeuDeserializer { lane, bit } => {
-            field(out, comma, "lane");
-            let _ = write!(out, "{lane}");
-            field(out, comma, "bit");
-            let _ = write!(out, "{bit}");
-        }
-        FaultKind::StuckAtNet { net, value } => {
-            field(out, comma, "net");
-            json::push_quoted(out, net);
-            field(out, comma, "value");
-            let _ = write!(out, "{value}");
-        }
-    }
-    out.push_str(if pretty { " }" } else { "}" });
-}
-
-/// Reads the `seed` and `events` of a schedule object; other fields
-/// (a file's `schema` tag) are left to the caller.
-fn parse_fault_schedule(v: &Json) -> Result<FaultSchedule, String> {
-    let obj = v.as_obj("faults")?;
-    let seed = json::get(obj, "seed")?.as_u64("seed")?;
-    let events = json::get(obj, "events")?
-        .as_arr("events")?
-        .iter()
-        .enumerate()
-        .map(|(i, ev)| parse_fault_event(ev).map_err(|e| format!("events[{i}]: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FaultSchedule::from_events(seed, events))
-}
-
-fn parse_fault_event(v: &Json) -> Result<FaultEvent, String> {
-    let obj = v.as_obj("event")?;
-    let at_ui = json::get(obj, "at_ui")?.as_u64("at_ui")?;
-    let kind = match json::get(obj, "kind")?.as_str("kind")? {
-        "burst_noise" => FaultKind::BurstNoise {
-            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
-            flip_prob: json::get(obj, "flip_prob")?.as_f64("flip_prob")?,
-        },
-        "dropout" => FaultKind::Dropout {
-            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
-            level: json::get(obj, "level")?.as_bool("level")?,
-        },
-        "supply_droop" => FaultKind::SupplyDroop {
-            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
-            peak_flip_prob: json::get(obj, "peak_flip_prob")?.as_f64("peak_flip_prob")?,
-        },
-        "phase_glitch" => FaultKind::PhaseGlitch {
-            offset_samples: json::get(obj, "offset_samples")?.as_i32("offset_samples")?,
-        },
-        "clock_drift" => FaultKind::ClockDrift {
-            duration_ui: json::get(obj, "duration_ui")?.as_u64("duration_ui")?,
-            slip_period_ui: json::get(obj, "slip_period_ui")?.as_u64("slip_period_ui")?,
-            late: json::get(obj, "late")?.as_bool("late")?,
-        },
-        "seu_cdr_phase" => FaultKind::SeuCdrPhase {
-            bit: json::get(obj, "bit")?.as_u32("bit")?,
-        },
-        "seu_deserializer" => FaultKind::SeuDeserializer {
-            lane: json::get(obj, "lane")?.as_u32("lane")?,
-            bit: json::get(obj, "bit")?.as_u32("bit")?,
-        },
-        "stuck_at_net" => FaultKind::StuckAtNet {
-            net: json::get(obj, "net")?.as_str("net")?.to_string(),
-            value: json::get(obj, "value")?.as_bool("value")?,
-        },
-        other => return Err(format!("unknown fault kind `{other}`")),
-    };
-    Ok(FaultEvent { at_ui, kind })
-}
-
-fn push_link_report(out: &mut String, r: &LinkReport) {
-    let _ = write!(
-        out,
-        "{{\"frames_sent\":{},\"frames_correct\":{},\"bits\":{},\"bit_errors\":{},\"cdr_locked\":{},\"cdr_phase_updates\":{},\"alignment_lag\":{}}}",
-        r.frames_sent,
-        r.frames_correct,
-        r.bits,
-        r.bit_errors,
-        r.cdr_locked,
-        r.cdr_phase_updates,
-        r.alignment_lag
-    );
-}
-
-fn parse_link_report(v: &Json) -> Result<LinkReport, String> {
-    let obj = v.as_obj("report")?;
-    Ok(LinkReport {
-        frames_sent: json::get(obj, "frames_sent")?.as_usize("frames_sent")?,
-        frames_correct: json::get(obj, "frames_correct")?.as_usize("frames_correct")?,
-        bits: json::get(obj, "bits")?.as_u64("bits")?,
-        bit_errors: json::get(obj, "bit_errors")?.as_u64("bit_errors")?,
-        cdr_locked: json::get(obj, "cdr_locked")?.as_bool("cdr_locked")?,
-        cdr_phase_updates: json::get(obj, "cdr_phase_updates")?.as_u64("cdr_phase_updates")?,
-        alignment_lag: json::get(obj, "alignment_lag")?.as_usize("alignment_lag")?,
-    })
+    FaultSchedule::read_fields(obj, "document").map_err(parse_err)
 }
 
 impl Request {
@@ -930,93 +1050,8 @@ impl Request {
     /// text, and [`Request::from_json`] inverts it exactly.
     pub fn to_canonical_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        self.write_json(&mut out);
+        self.write(&mut out);
         out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Request::RunLink { config, frames } => {
-                out.push_str("{\"kind\":\"run_link\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"frames\":");
-                push_frames(out, frames);
-                out.push('}');
-            }
-            Request::RunLinkWithFaults {
-                config,
-                frames,
-                schedule,
-            } => {
-                out.push_str("{\"kind\":\"run_link_with_faults\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"frames\":");
-                push_frames(out, frames);
-                out.push_str(",\"faults\":");
-                push_fault_schedule(out, schedule);
-                out.push('}');
-            }
-            Request::RunFlow { design, pvt } => {
-                out.push_str("{\"kind\":\"run_flow\",\"design\":");
-                push_design(out, design);
-                out.push_str(",\"pvt\":");
-                push_pvt(out, pvt);
-                out.push('}');
-            }
-            Request::Bathtub { config, sweep } => {
-                out.push_str("{\"kind\":\"bathtub\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"sweep\":");
-                push_sweep_spec(out, sweep);
-                out.push('}');
-            }
-            Request::MaxLoss { config, sweep } => {
-                out.push_str("{\"kind\":\"max_loss\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"sweep\":");
-                push_sweep_spec(out, sweep);
-                out.push('}');
-            }
-            Request::RateSweep {
-                config,
-                sweep,
-                rates,
-            } => {
-                out.push_str("{\"kind\":\"rate_sweep\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"sweep\":");
-                push_sweep_spec(out, sweep);
-                out.push_str(",\"rates_hz\":[");
-                for (i, r) in rates.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    json::push_f64(out, r.value());
-                }
-                out.push_str("]}");
-            }
-            Request::CornerSweep { config, sweep } => {
-                out.push_str("{\"kind\":\"corner_sweep\",\"config\":");
-                push_link_config(out, config);
-                out.push_str(",\"sweep\":");
-                push_sweep_spec(out, sweep);
-                out.push('}');
-            }
-            Request::Sta { design, pvt, clock } => {
-                out.push_str("{\"kind\":\"sta\",\"design\":");
-                push_design(out, design);
-                out.push_str(",\"pvt\":");
-                push_pvt(out, pvt);
-                out.push_str(",\"clock_hz\":");
-                json::push_f64(out, clock.value());
-                out.push('}');
-            }
-            Request::Lint { design } => {
-                out.push_str("{\"kind\":\"lint\",\"design\":");
-                push_design(out, design);
-                out.push('}');
-            }
-        }
     }
 
     /// Parses a request from its canonical (or any equivalent) JSON.
@@ -1038,52 +1073,7 @@ impl Request {
     ///
     /// A description of the first malformed field.
     pub fn from_value(v: &Json) -> Result<Self, String> {
-        let obj = v.as_obj("request")?;
-        match json::get(obj, "kind")?.as_str("kind")? {
-            "run_link" => Ok(Request::RunLink {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                frames: parse_frames(json::get(obj, "frames")?)?,
-            }),
-            "run_link_with_faults" => Ok(Request::RunLinkWithFaults {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                frames: parse_frames(json::get(obj, "frames")?)?,
-                schedule: parse_fault_schedule(json::get(obj, "faults")?)?,
-            }),
-            "run_flow" => Ok(Request::RunFlow {
-                design: parse_design(json::get(obj, "design")?)?,
-                pvt: parse_pvt(json::get(obj, "pvt")?)?,
-            }),
-            "bathtub" => Ok(Request::Bathtub {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                sweep: parse_sweep_spec(json::get(obj, "sweep")?)?,
-            }),
-            "max_loss" => Ok(Request::MaxLoss {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                sweep: parse_sweep_spec(json::get(obj, "sweep")?)?,
-            }),
-            "rate_sweep" => Ok(Request::RateSweep {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                sweep: parse_sweep_spec(json::get(obj, "sweep")?)?,
-                rates: json::get(obj, "rates_hz")?
-                    .as_arr("rates_hz")?
-                    .iter()
-                    .map(|r| Ok(Hertz::new(r.as_f64("rate")?)))
-                    .collect::<Result<Vec<_>, String>>()?,
-            }),
-            "corner_sweep" => Ok(Request::CornerSweep {
-                config: parse_link_config(json::get(obj, "config")?)?,
-                sweep: parse_sweep_spec(json::get(obj, "sweep")?)?,
-            }),
-            "sta" => Ok(Request::Sta {
-                design: parse_design(json::get(obj, "design")?)?,
-                pvt: parse_pvt(json::get(obj, "pvt")?)?,
-                clock: Hertz::new(json::get(obj, "clock_hz")?.as_f64("clock_hz")?),
-            }),
-            "lint" => Ok(Request::Lint {
-                design: parse_design(json::get(obj, "design")?)?,
-            }),
-            other => Err(format!("unknown request kind `{other}`")),
-        }
+        Self::read(v, "request")
     }
 }
 
@@ -1093,169 +1083,8 @@ impl Response {
     /// property the serve-layer bit-identity checks assert.
     pub fn to_canonical_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        self.write_json(&mut out);
+        self.write(&mut out);
         out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Response::Link(r) => {
-                out.push_str("{\"kind\":\"link\",\"report\":");
-                push_link_report(out, r);
-                out.push('}');
-            }
-            Response::Faulted(r) => {
-                out.push_str("{\"kind\":\"faulted\",\"report\":{\"link\":");
-                push_link_report(out, &r.link);
-                let _ = write!(
-                    out,
-                    ",\"lock_losses\":{},\"relock_times_ui\":[",
-                    r.lock_losses
-                );
-                for (i, t) in r.relock_times_ui.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{t}");
-                }
-                let _ = write!(
-                    out,
-                    "],\"injected_channel\":{},\"injected_clock\":{},\"injected_digital\":{}}}}}",
-                    r.injected_channel, r.injected_clock, r.injected_digital
-                );
-            }
-            Response::Flow(s) => {
-                out.push_str("{\"kind\":\"flow\",\"summary\":{\"design\":");
-                json::push_quoted(out, &s.design);
-                let _ = write!(
-                    out,
-                    ",\"cells\":{},\"flops\":{},\"nets\":{},\"area_um2\":",
-                    s.cells, s.flops, s.nets
-                );
-                json::push_f64(out, s.area_um2);
-                out.push_str(",\"power_mw\":");
-                json::push_f64(out, s.power_mw);
-                out.push_str(",\"fmax_ghz\":");
-                json::push_f64(out, s.fmax_ghz);
-                out.push_str(",\"wns_ps\":");
-                json::push_f64(out, s.wns_ps);
-                out.push_str(",\"tns_ps\":");
-                json::push_f64(out, s.tns_ps);
-                let _ = write!(
-                    out,
-                    ",\"violations\":{},\"hold_violations\":{}}}}}",
-                    s.violations, s.hold_violations
-                );
-            }
-            Response::Bathtub(points) => {
-                out.push_str("{\"kind\":\"bathtub\",\"points\":[");
-                for (i, p) in points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"phase_ui\":");
-                    json::push_f64(out, p.phase_ui);
-                    out.push_str(",\"ber\":");
-                    json::push_f64(out, p.ber);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Response::MaxLoss { max_loss_db } => {
-                out.push_str("{\"kind\":\"max_loss\",\"max_loss_db\":");
-                json::push_f64(out, *max_loss_db);
-                out.push('}');
-            }
-            Response::Rates(points) => {
-                out.push_str("{\"kind\":\"rates\",\"points\":[");
-                for (i, p) in points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"data_rate_hz\":");
-                    json::push_f64(out, p.data_rate.value());
-                    out.push_str(",\"sensitivity_v\":");
-                    json::push_f64(out, p.sensitivity.value());
-                    out.push_str(",\"max_loss_db\":");
-                    json::push_f64(out, p.max_loss_db);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Response::Corners(points) => {
-                out.push_str("{\"kind\":\"corners\",\"points\":[");
-                for (i, p) in points.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"pvt\":");
-                    push_pvt(out, &p.pvt);
-                    out.push_str(",\"max_loss_db\":");
-                    json::push_f64(out, p.max_loss_db);
-                    out.push_str(",\"sensitivity_v\":");
-                    json::push_f64(out, p.sensitivity.value());
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Response::Sta(s) => {
-                out.push_str("{\"kind\":\"sta\",\"summary\":{\"design\":");
-                json::push_quoted(out, &s.design);
-                out.push_str(",\"clock_ghz\":");
-                json::push_f64(out, s.clock_ghz);
-                out.push_str(",\"fmax_ghz\":");
-                json::push_f64(out, s.fmax_ghz);
-                out.push_str(",\"wns_ps\":");
-                json::push_f64(out, s.wns_ps);
-                out.push_str(",\"tns_ps\":");
-                json::push_f64(out, s.tns_ps);
-                let _ = write!(out, ",\"violations\":{},\"hold_wns_ps\":", s.violations);
-                json::push_f64(out, s.hold_wns_ps);
-                let _ = write!(
-                    out,
-                    ",\"hold_violations\":{},\"endpoints\":{},\"domains\":{}}}}}",
-                    s.hold_violations, s.endpoints, s.domains
-                );
-            }
-            Response::Lint(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"lint\",\"summary\":{{\"errors\":{},\"warnings\":{},\"infos\":{},\"suppressed\":{},\"findings\":[",
-                    s.errors, s.warnings, s.infos, s.suppressed
-                );
-                for (i, f) in s.findings.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"rule\":");
-                    json::push_quoted(out, &f.rule);
-                    out.push_str(",\"severity\":");
-                    json::push_quoted(out, &f.severity);
-                    out.push_str(",\"message\":");
-                    json::push_quoted(out, &f.message);
-                    out.push('}');
-                }
-                out.push_str("]}}");
-            }
-            Response::Shed(s) => {
-                out.push_str("{\"kind\":\"shed\",\"tenant\":");
-                json::push_quoted(out, &s.tenant);
-                let _ = write!(
-                    out,
-                    ",\"priority\":{},\"queue_depth\":{}}}",
-                    s.priority, s.queue_depth
-                );
-            }
-            Response::DeadlineExceeded(d) => {
-                out.push_str("{\"kind\":\"deadline_exceeded\",\"tenant\":");
-                json::push_quoted(out, &d.tenant);
-                let _ = write!(
-                    out,
-                    ",\"deadline_ms\":{},\"queued_ms\":{}}}",
-                    d.deadline_ms, d.queued_ms
-                );
-            }
-        }
     }
 
     /// Parses a response from its canonical (or any equivalent) JSON.
@@ -1277,151 +1106,7 @@ impl Response {
     ///
     /// A description of the first malformed field.
     pub fn from_value(v: &Json) -> Result<Self, String> {
-        let obj = v.as_obj("response")?;
-        match json::get(obj, "kind")?.as_str("kind")? {
-            "link" => Ok(Response::Link(parse_link_report(json::get(
-                obj, "report",
-            )?)?)),
-            "faulted" => {
-                let robj = json::get(obj, "report")?.as_obj("report")?;
-                Ok(Response::Faulted(FaultReport {
-                    link: parse_link_report(json::get(robj, "link")?)?,
-                    lock_losses: json::get(robj, "lock_losses")?.as_u64("lock_losses")?,
-                    relock_times_ui: json::get(robj, "relock_times_ui")?
-                        .as_arr("relock_times_ui")?
-                        .iter()
-                        .map(|t| t.as_u64("relock time"))
-                        .collect::<Result<Vec<_>, String>>()?,
-                    injected_channel: json::get(robj, "injected_channel")?
-                        .as_usize("injected_channel")?,
-                    injected_clock: json::get(robj, "injected_clock")?
-                        .as_usize("injected_clock")?,
-                    injected_digital: json::get(robj, "injected_digital")?
-                        .as_usize("injected_digital")?,
-                }))
-            }
-            "flow" => {
-                let s = json::get(obj, "summary")?.as_obj("summary")?;
-                Ok(Response::Flow(FlowSummary {
-                    design: json::get(s, "design")?.as_str("design")?.to_string(),
-                    cells: json::get(s, "cells")?.as_usize("cells")?,
-                    flops: json::get(s, "flops")?.as_usize("flops")?,
-                    nets: json::get(s, "nets")?.as_usize("nets")?,
-                    area_um2: json::get(s, "area_um2")?.as_f64("area_um2")?,
-                    power_mw: json::get(s, "power_mw")?.as_f64("power_mw")?,
-                    fmax_ghz: json::get(s, "fmax_ghz")?.as_f64("fmax_ghz")?,
-                    wns_ps: json::get(s, "wns_ps")?.as_f64("wns_ps")?,
-                    tns_ps: json::get(s, "tns_ps")?.as_f64("tns_ps")?,
-                    violations: json::get(s, "violations")?.as_usize("violations")?,
-                    hold_violations: json::get(s, "hold_violations")?
-                        .as_usize("hold_violations")?,
-                }))
-            }
-            "bathtub" => Ok(Response::Bathtub(
-                json::get(obj, "points")?
-                    .as_arr("points")?
-                    .iter()
-                    .map(|p| {
-                        let pobj = p.as_obj("point")?;
-                        Ok(BathtubPoint {
-                            phase_ui: json::get(pobj, "phase_ui")?.as_f64("phase_ui")?,
-                            ber: json::get(pobj, "ber")?.as_f64("ber")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "max_loss" => Ok(Response::MaxLoss {
-                max_loss_db: json::get(obj, "max_loss_db")?.as_f64("max_loss_db")?,
-            }),
-            "rates" => Ok(Response::Rates(
-                json::get(obj, "points")?
-                    .as_arr("points")?
-                    .iter()
-                    .map(|p| {
-                        let pobj = p.as_obj("point")?;
-                        Ok(SweepPoint {
-                            data_rate: Hertz::new(
-                                json::get(pobj, "data_rate_hz")?.as_f64("data_rate_hz")?,
-                            ),
-                            sensitivity: Volt::new(
-                                json::get(pobj, "sensitivity_v")?.as_f64("sensitivity_v")?,
-                            ),
-                            max_loss_db: json::get(pobj, "max_loss_db")?.as_f64("max_loss_db")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "corners" => Ok(Response::Corners(
-                json::get(obj, "points")?
-                    .as_arr("points")?
-                    .iter()
-                    .map(|p| {
-                        let pobj = p.as_obj("point")?;
-                        Ok(CornerPoint {
-                            pvt: parse_pvt(json::get(pobj, "pvt")?)?,
-                            max_loss_db: json::get(pobj, "max_loss_db")?.as_f64("max_loss_db")?,
-                            sensitivity: Volt::new(
-                                json::get(pobj, "sensitivity_v")?.as_f64("sensitivity_v")?,
-                            ),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            )),
-            "sta" => {
-                let s = json::get(obj, "summary")?.as_obj("summary")?;
-                Ok(Response::Sta(StaSummary {
-                    design: json::get(s, "design")?.as_str("design")?.to_string(),
-                    clock_ghz: json::get(s, "clock_ghz")?.as_f64("clock_ghz")?,
-                    fmax_ghz: json::get(s, "fmax_ghz")?.as_f64("fmax_ghz")?,
-                    wns_ps: json::get(s, "wns_ps")?.as_f64("wns_ps")?,
-                    tns_ps: json::get(s, "tns_ps")?.as_f64("tns_ps")?,
-                    violations: json::get(s, "violations")?.as_usize("violations")?,
-                    hold_wns_ps: json::get(s, "hold_wns_ps")?.as_f64("hold_wns_ps")?,
-                    hold_violations: json::get(s, "hold_violations")?
-                        .as_usize("hold_violations")?,
-                    endpoints: json::get(s, "endpoints")?.as_usize("endpoints")?,
-                    domains: json::get(s, "domains")?.as_usize("domains")?,
-                }))
-            }
-            "lint" => {
-                let s = json::get(obj, "summary")?.as_obj("summary")?;
-                Ok(Response::Lint(LintSummary {
-                    errors: json::get(s, "errors")?.as_usize("errors")?,
-                    warnings: json::get(s, "warnings")?.as_usize("warnings")?,
-                    infos: json::get(s, "infos")?.as_usize("infos")?,
-                    suppressed: json::get(s, "suppressed")?.as_usize("suppressed")?,
-                    findings: json::get(s, "findings")?
-                        .as_arr("findings")?
-                        .iter()
-                        .map(|f| {
-                            let fobj = f.as_obj("finding")?;
-                            Ok(FindingSummary {
-                                rule: json::get(fobj, "rule")?.as_str("rule")?.to_string(),
-                                severity: json::get(fobj, "severity")?
-                                    .as_str("severity")?
-                                    .to_string(),
-                                message: json::get(fobj, "message")?.as_str("message")?.to_string(),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                }))
-            }
-            "shed" => {
-                let priority = json::get(obj, "priority")?.as_u64("priority")?;
-                Ok(Response::Shed(ShedInfo {
-                    tenant: json::get(obj, "tenant")?.as_str("tenant")?.to_string(),
-                    priority: u8::try_from(priority)
-                        .map_err(|_| format!("priority {priority} exceeds 255"))?,
-                    queue_depth: json::get(obj, "queue_depth")?.as_usize("queue_depth")?,
-                }))
-            }
-            "deadline_exceeded" => Ok(Response::DeadlineExceeded(DeadlineInfo {
-                tenant: json::get(obj, "tenant")?.as_str("tenant")?.to_string(),
-                deadline_ms: json::get(obj, "deadline_ms")?.as_u64("deadline_ms")?,
-                queued_ms: json::get(obj, "queued_ms")?.as_u64("queued_ms")?,
-            })),
-            other => Err(format!("unknown response kind `{other}`")),
-        }
+        Self::read(v, "response")
     }
 }
 
@@ -1447,7 +1132,7 @@ impl JobKey {
     pub fn of(request: &Request, seed: u64) -> Self {
         let mut canonical = String::with_capacity(256);
         canonical.push_str("{\"request\":");
-        request.write_json(&mut canonical);
+        request.write(&mut canonical);
         let _ = write!(canonical, ",\"seed\":{seed}}}");
         let digest = digest_hex(canonical.as_bytes());
         Self { canonical, digest }

@@ -154,20 +154,6 @@ impl FaultKind {
     pub fn is_digital(&self) -> bool {
         !self.is_channel() && !self.is_clock()
     }
-
-    /// Stable lower-snake tag used by the JSON form and in reports.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FaultKind::BurstNoise { .. } => "burst_noise",
-            FaultKind::Dropout { .. } => "dropout",
-            FaultKind::SupplyDroop { .. } => "supply_droop",
-            FaultKind::PhaseGlitch { .. } => "phase_glitch",
-            FaultKind::ClockDrift { .. } => "clock_drift",
-            FaultKind::SeuCdrPhase { .. } => "seu_cdr_phase",
-            FaultKind::SeuDeserializer { .. } => "seu_deserializer",
-            FaultKind::StuckAtNet { .. } => "stuck_at_net",
-        }
-    }
 }
 
 /// One fault anchored at a unit-interval timestamp in the recovered
@@ -505,7 +491,7 @@ mod tests {
                 .iter()
                 .filter(|&&b| b)
                 .count();
-            assert_eq!(families, 1, "{:?} must be in exactly one family", k.tag());
+            assert_eq!(families, 1, "{k:?} must be in exactly one family");
         }
     }
 
