@@ -211,8 +211,8 @@ impl Client {
         deadline_ms: Option<u64>,
         request: &Request,
     ) -> Result<Response, ClientError> {
-        Response::from_json(&self.submit_raw_with_deadline(priority, seed, deadline_ms, request)?)
-            .map_err(|e| ClientError::Protocol(e.to_string()))
+        let reply = self.exchange(priority, seed, deadline_ms, request)?;
+        decode_reply(&reply)
     }
 
     /// Like [`Client::submit`], but returns the raw canonical response
@@ -228,15 +228,18 @@ impl Client {
         seed: u64,
         request: &Request,
     ) -> Result<String, ClientError> {
-        self.submit_raw_with_deadline(priority, seed, None, request)
+        let reply = self.exchange(priority, seed, None, request)?;
+        decode_reply(&reply)?;
+        reply
+            .strip_prefix(wire::OK_PREFIX)
+            .and_then(|rest| rest.strip_suffix('}'))
+            .map(str::to_string)
+            .ok_or_else(|| ClientError::Protocol("reply frame is not canonical".to_string()))
     }
 
-    /// Raw-JSON variant of [`Client::submit_with_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::submit`].
-    fn submit_raw_with_deadline(
+    /// Sends one envelope and returns the reply frame's text, retrying
+    /// transport failures.
+    fn exchange(
         &mut self,
         priority: u8,
         seed: u64,
@@ -255,7 +258,7 @@ impl Client {
         loop {
             self.stats.attempts += 1;
             match self.roundtrip(frame.as_bytes()) {
-                Ok(reply) => return reply_to_response_json(reply),
+                Ok(reply) => return Ok(reply),
                 Err(e) if e.is_retryable() && attempt < self.config.retries => {
                     attempt += 1;
                     self.stats.retries += 1;
@@ -325,20 +328,12 @@ fn duration_knob(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
-/// Parses a reply frame and strips it down to the canonical response
-/// sub-document: everything between `"response":` and the final `}`.
-fn reply_to_response_json(text: String) -> Result<String, ClientError> {
-    let reply = wire::parse_reply(&text).map_err(|e| ClientError::Protocol(e.to_string()))?;
-    match reply {
-        Ok(_) => {
-            let inner = text
-                .strip_prefix(&format!("{{\"schema\":\"{}\",\"response\":", wire::SCHEMA))
-                .and_then(|rest| rest.strip_suffix('}'))
-                .ok_or_else(|| ClientError::Protocol("reply frame is not canonical".to_string()))?;
-            Ok(inner.to_string())
-        }
-        Err(msg) => Err(ClientError::Server(msg)),
-    }
+/// Decodes a reply frame, which arrives from the network, into the
+/// server's response or its error.
+fn decode_reply(text: &str) -> Result<Response, ClientError> {
+    wire::parse_reply(text)
+        .map_err(|e| ClientError::Protocol(e.to_string()))?
+        .map_err(ClientError::Server)
 }
 
 /// The splitmix64 step — the same tiny deterministic generator the

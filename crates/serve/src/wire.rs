@@ -124,12 +124,14 @@ impl Envelope {
     }
 }
 
+/// A success reply frame up to its response document: the bytes
+/// [`ok_frame`] writes first and the client strips.
+pub(crate) const OK_PREFIX: &str = "{\"schema\":\"openserdes-serve/1\",\"response\":";
+
 /// Wraps a canonical response document into a success reply frame.
 pub fn ok_frame(response_json: &str) -> String {
-    let mut out = String::with_capacity(response_json.len() + 48);
-    out.push_str("{\"schema\":\"");
-    out.push_str(SCHEMA);
-    out.push_str("\",\"response\":");
+    let mut out = String::with_capacity(OK_PREFIX.len() + response_json.len() + 1);
+    out.push_str(OK_PREFIX);
     out.push_str(response_json);
     out.push('}');
     out
@@ -322,6 +324,10 @@ mod tests {
 
     #[test]
     fn reply_frames_round_trip() {
+        assert_eq!(
+            OK_PREFIX,
+            format!("{{\"schema\":\"{SCHEMA}\",\"response\":")
+        );
         let resp = Response::MaxLoss { max_loss_db: 33.5 };
         let frame = ok_frame(&resp.to_canonical_json());
         assert_eq!(parse_reply(&frame).expect("parses"), Ok(resp));
