@@ -210,13 +210,6 @@ impl LintReport {
         }
     }
 
-    /// Merge another report's findings into this one, to aggregate
-    /// passes over the same design.
-    pub fn absorb(&mut self, other: LintReport) {
-        self.findings.extend(other.findings);
-        self.suppressed += other.suppressed;
-    }
-
     /// All recorded findings, in emission order.
     pub fn findings(&self) -> &[Finding] {
         &self.findings
@@ -422,13 +415,5 @@ mod tests {
     fn json_escape_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = sample();
-        let b = sample();
-        a.absorb(b);
-        assert_eq!(a.findings().len(), 4);
     }
 }

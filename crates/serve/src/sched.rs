@@ -139,7 +139,6 @@ struct Inner {
     tenant_queues: Vec<(String, VecDeque<String>)>,
     /// Round-robin pick position over `tenant_queues`.
     rr_cursor: usize,
-    queued_total: usize,
     /// Executing work: digest → canonical bytes plus the waiters late
     /// joiners attach to.
     inflight: HashMap<String, (String, Vec<Arc<Completion>>)>,
@@ -163,7 +162,6 @@ impl Scheduler {
                 queued: HashMap::new(),
                 tenant_queues: Vec::new(),
                 rr_cursor: 0,
-                queued_total: 0,
                 inflight: HashMap::new(),
                 cache: ResultCache::new(cache_capacity),
                 stats: ServerStats::default(),
@@ -241,7 +239,7 @@ impl Scheduler {
         // Backpressure: at capacity, shed the lowest-priority queued
         // job — or the incoming one if nothing queued ranks below it.
         let mut evicted: Option<QueuedJob> = None;
-        if inner.queued_total >= self.queue_capacity {
+        if inner.queued.len() >= self.queue_capacity {
             let lowest = inner
                 .queued
                 .values()
@@ -250,7 +248,7 @@ impl Scheduler {
                 .unwrap_or(u8::MAX);
             if priority <= lowest {
                 inner.stats.shed += 1;
-                let depth = inner.queued_total;
+                let depth = inner.queued.len();
                 drop(inner);
                 return Submitted::Ready(shed_frame(tenant, priority, depth));
             }
@@ -279,10 +277,9 @@ impl Scheduler {
             }
         };
         inner.tenant_queues[t_idx].1.push_back(key.digest);
-        inner.queued_total += 1;
         if let Some(job) = evicted {
             inner.stats.shed += 1;
-            let depth = inner.queued_total;
+            let depth = inner.queued.len();
             let frame = shed_frame(&job.tenant, job.priority, depth);
             drop(inner);
             for w in job.waiters {
@@ -309,9 +306,7 @@ impl Scheduler {
                     .1
                     .remove(pos)
                     .expect("position valid");
-                let job = inner.queued.remove(&digest).expect("indexed job exists");
-                inner.queued_total -= 1;
-                return Some(job);
+                return Some(inner.queued.remove(&digest).expect("indexed job exists"));
             }
         }
         None
@@ -322,13 +317,12 @@ impl Scheduler {
     fn next_job(&self) -> Option<ExecJob> {
         let mut inner = self.inner.lock().expect("scheduler poisoned");
         loop {
-            'scan: while inner.queued_total > 0 {
+            'scan: while !inner.queued.is_empty() {
                 let n = inner.tenant_queues.len();
                 for i in 0..n {
                     let idx = (inner.rr_cursor + i) % n;
                     if let Some(digest) = inner.tenant_queues[idx].1.pop_front() {
                         inner.rr_cursor = (idx + 1) % n;
-                        inner.queued_total -= 1;
                         let job = inner.queued.remove(&digest).expect("indexed job exists");
                         // A job whose deadline lapsed while it queued is
                         // retired with a typed response instead of
