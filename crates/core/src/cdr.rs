@@ -367,10 +367,12 @@ pub fn oversample_bits(
 /// The stream is built from whole words (DESIGN.md §23): a slot whose
 /// position within its UI stays farther from both edges than any draw
 /// can reach reads the same bit offset at every UI, so the body of the
-/// stream is the source with each bit repeated `n` times. The exact
-/// per-sample rule runs only where a sample can differ from that: on
-/// a slot near an edge, at UIs where that edge is a transition, and on
-/// the UIs and inputs the argument does not cover.
+/// stream is the source with each bit repeated `n` times. A sample can
+/// differ from that only on a slot near an edge, at UIs where that
+/// edge is a transition. A slot exactly on its leading edge is settled
+/// there 64 UIs at a time from each edge's raw `u2` word; the exact
+/// per-sample rule runs on the rest, and on the UIs and inputs the
+/// argument does not cover.
 pub fn oversample_bits_packed(
     bits: &BitVec,
     n: usize,
@@ -419,6 +421,9 @@ struct Body {
     /// `(slot, edge offset)`: the slot of UI `i` is within reach of
     /// edge `i + offset` and of no other.
     near: Vec<(usize, usize)>,
+    /// The near slot whose first-UI position `c` is exactly its leading
+    /// edge (`f == 0`), with that edge's offset `d`.
+    on_edge: Option<(usize, usize)>,
 }
 
 impl<'a> SampleRule<'a> {
@@ -513,6 +518,7 @@ impl<'a> SampleRule<'a> {
         }
         let mut shift = 0;
         let mut near = Vec::new();
+        let mut on_edge = None;
         for (j, &offset) in self.offsets.iter().enumerate() {
             let c = offset + phase;
             let d = usize::from(c >= 1.0);
@@ -520,6 +526,9 @@ impl<'a> SampleRule<'a> {
             shift += d;
             if f - delta < reach {
                 near.push((j, d));
+                if f == 0.0 {
+                    on_edge = Some((j, d));
+                }
             } else if f + delta >= self.far_hi {
                 near.push((j, d + 1));
             }
@@ -529,40 +538,89 @@ impl<'a> SampleRule<'a> {
             hi: len - 2,
             shift,
             near,
+            on_edge,
         })
     }
 
-    /// Runs the exact rule on each near sample of the body whose edge
-    /// is a transition, in sample order. Anywhere else the sample can
-    /// only read the one value both sides of its edge share, which the
-    /// fill already wrote.
+    /// Corrects each near sample of the body whose edge is a transition,
+    /// 64 UIs at a time. Anywhere else the sample can only read the one
+    /// value both sides of its edge share, which the fill already wrote.
+    ///
+    /// The on-edge slot's sample at UI `i` reads bit `e − 1` in place of
+    /// the filled bit `e = i + d` exactly where its position is the
+    /// edge (`frac == 0`), edge `e` is a transition and its draw is
+    /// late (the sign rule of [`Self::sample`]). Where [`late_word`]
+    /// settles the sign from the raw word, that is one XOR of the
+    /// slot's samples with `transitions & late`. Every other corrected
+    /// sample runs the exact rule, in sample order.
     fn patch(&mut self, body: &Body, out: &mut BitVec) {
         if body.near.is_empty() {
             return;
         }
         let bits = self.bits;
         let n = self.offsets.len();
+        let by_words = body.on_edge.filter(|_| self.edges.words_decide());
         let mut i0 = body.lo;
         while i0 < body.hi {
             let m = (body.hi - i0).min(64);
-            // UIs with a transition at some near slot's edge.
+            let transitions =
+                |g: usize| (bits.window64(i0 + g) ^ bits.window64(i0 + g - 1)) & low_mask(m);
+            // UIs whose on-edge sample the word rule settled.
+            let mut settled = 0u64;
+            // UIs with a sample left to the exact rule.
             let mut due = 0u64;
-            for &(_, g) in &body.near {
-                due |= bits.window64(i0 + g) ^ bits.window64(i0 + g - 1);
+            for &(j, g) in &body.near {
+                if by_words == Some((j, g)) {
+                    let (late, band) = self.edges.word_signs(i0 + g);
+                    let edge = transitions(g);
+                    settled = edge & self.on_edge_uis(i0, j, g) & !band;
+                    let mut flips = settled & late;
+                    while flips != 0 {
+                        out.toggle((i0 + flips.trailing_zeros() as usize) * n + j);
+                        flips &= flips - 1;
+                    }
+                    due |= edge & !settled;
+                } else {
+                    due |= transitions(g);
+                }
             }
-            due &= low_mask(m);
             while due != 0 {
-                let i = i0 + due.trailing_zeros() as usize;
+                let u = due.trailing_zeros() as usize;
                 due &= due - 1;
+                let i = i0 + u;
                 for &(j, g) in &body.near {
-                    if bits.get(i + g) != bits.get(i + g - 1) {
-                        let s = i * n + j;
+                    let left = by_words == Some((j, g)) && settled >> u & 1 == 1;
+                    if !left && bits.get(i + g) != bits.get(i + g - 1) {
                         let bit = self.sample(i, j);
-                        out.set(s, bit);
+                        out.set(i * n + j, bit);
                     }
                 }
             }
             i0 += m;
+        }
+    }
+
+    /// The UIs `i0..i0 + 64` at which sample `j` is computed exactly on
+    /// edge `i + d`, where [`Self::sample`] finds `frac == 0`: every
+    /// one, or none. The slot's first-UI position is that edge, and its
+    /// position at any body UI is within `δ < 1/2` of it, so an
+    /// integral position can only be the edge itself.
+    ///
+    /// A body needs `16·len·ε < 1`, so every UI is below 2^48. Within
+    /// one binade of `i`, `fl(i + o_j) = i + ρ` with `ρ` fixed (`i` is
+    /// even on the grid, so ties round alike), and `t = fl(i + ρ + phase)`
+    /// is the integer `i + d` exactly when `ρ + phase − d` lies within
+    /// half the gaps around `i + d`, gaps that never shrink as `i`
+    /// grows. So once a UI of a binade is on its edge, every later UI
+    /// of that binade is too, and the block needs checking only at its
+    /// first UI and at the first UI of a binade it enters.
+    fn on_edge_uis(&self, i0: usize, j: usize, d: usize) -> u64 {
+        let on_edge = |i: usize| i as f64 + self.offsets[j] + self.phase == (i + d) as f64;
+        let entered = (i0 + 64).next_power_of_two() / 2;
+        if on_edge(i0) && (entered <= i0 || on_edge(entered)) {
+            u64::MAX
+        } else {
+            0
         }
     }
 }
@@ -622,7 +680,7 @@ const SIGN_BAND: f64 = 1.0 / 17_592_186_044_416.0; // 2^-44
 const SIGN_SIGMA_MIN: f64 = 1e-280;
 
 /// One Box–Muller edge offset, `√(−2 ln u1)·cos(2π·u2)·σ`.
-fn box_muller(u1: f64, u2: f64, sigma: f64) -> f64 {
+pub(crate) fn box_muller(u1: f64, u2: f64, sigma: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * sigma
 }
 
@@ -647,12 +705,29 @@ fn draw_is_positive(u1: f64, u2: f64, sigma: f64) -> bool {
     }
 }
 
+/// [`cos_turn_sign`] of the `u2` that generator word `w` converts to,
+/// read from the word as `(late, in a band)`: `u2 = m·2^-53` exactly,
+/// with `m = w >> 11`, so `u2 < 1/4 || u2 ≥ 3/4` is
+/// `m < 2^51 || m ≥ 3·2^51`, and the 2^-44 bands are
+/// `|m − 2^51| ≤ 2^9` and `|m − 3·2^51| ≤ 2^9`. Each test is one
+/// wrapping subtraction and compare.
+fn late_word(w: u64) -> (bool, bool) {
+    const QUARTER: u64 = 1 << 51;
+    const BAND: u64 = 1 << 9;
+    let m = w >> 11;
+    let late = m.wrapping_sub(QUARTER) >= 2 * QUARTER;
+    let band = m.wrapping_sub(QUARTER - BAND) <= 2 * BAND
+        || m.wrapping_sub(3 * QUARTER - BAND) <= 2 * BAND;
+    (late, band)
+}
+
 /// The per-edge jitter of [`oversample_bits_packed`], drawn lazily.
 ///
 /// Edge `e` owns the generator's `e`-th `(u1, u2)` pair, so edges are
-/// drawn in order into a ring: samples never move backwards, and one
-/// sample reads at most its bit's two edges. The generator is local,
-/// so drawing past the last edge read changes nothing.
+/// drawn in order into a ring: samples never move backwards, one
+/// sample reads at most its bit's two edges, and the word rule reads
+/// the 64 edges of its block. The generator is local, so drawing past
+/// the last edge read changes nothing.
 struct EdgeJitter {
     sigma: f64,
     rng: rand::rngs::StdRng,
@@ -660,10 +735,18 @@ struct EdgeJitter {
     /// Edge `e`'s two raw generator words and, once evaluated, its
     /// jitter, at `e % RING`.
     ring: [(u64, u64, Option<f64>); RING],
+    /// Bit `e % RING`: [`late_word`] of edge `e`'s `u2` word.
+    late: u128,
+    band: u128,
 }
 
-/// Edges [`EdgeJitter`] keeps; it draws half of them at a time.
-const RING: usize = 64;
+/// Edges [`EdgeJitter`] keeps. It draws [`DRAW`] at a time, so after
+/// drawing to the last edge of a 64-edge block the first is still
+/// kept, and so are the edges the exact rule reads in that block.
+const RING: usize = 128;
+
+/// Edges [`EdgeJitter`] draws per pass.
+const DRAW: usize = 32;
 
 /// Hands one stored generator word to the `rand` conversions, so a
 /// uniform converted late equals the one drawn in place.
@@ -676,12 +759,12 @@ impl rand::RngCore for Replay {
 }
 
 /// `u1` from its generator word, as `gen_range(ε..1)` converts it.
-fn uniform_u1(word: u64) -> f64 {
+pub(crate) fn uniform_u1(word: u64) -> f64 {
     rand::Rng::gen_range(&mut Replay(word), f64::EPSILON..1.0)
 }
 
 /// `u2` from its generator word, as `gen::<f64>()` converts it.
-fn uniform_u2(word: u64) -> f64 {
+pub(crate) fn uniform_u2(word: u64) -> f64 {
     rand::Rng::gen(&mut Replay(word))
 }
 
@@ -693,6 +776,8 @@ impl EdgeJitter {
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             drawn: 0,
             ring: [(0, 0, None); RING],
+            late: 0,
+            band: 0,
         }
     }
 
@@ -709,9 +794,16 @@ impl EdgeJitter {
         self.sigma > 0.0 && 1.0 - 2.0 * self.reach() > 0.0
     }
 
+    /// Whether [`late_word`] decides that sign wherever it answers:
+    /// [`Self::sign_decides`], with a sigma [`draw_is_positive`] reads
+    /// the cosine's sign for.
+    fn words_decide(&self) -> bool {
+        self.sign_decides() && self.sigma >= SIGN_SIGMA_MIN
+    }
+
     /// Edge `e`'s slot, drawing forward to it. `gen_range(ε..1)` and
     /// `gen::<f64>()` each consume exactly one `next_u64`, so the words
-    /// are drawn raw, `RING / 2` edges per pass of a fixed-length local
+    /// are drawn raw, [`DRAW`] edges per pass of a fixed-length local
     /// loop, and converted only when read.
     fn slot(&mut self, e: usize) -> &mut (u64, u64, Option<f64>) {
         use rand::RngCore;
@@ -719,14 +811,34 @@ impl EdgeJitter {
         if e >= self.drawn {
             let mut rng = self.rng.clone();
             while e >= self.drawn {
-                for edge in self.drawn..self.drawn + RING / 2 {
-                    self.ring[edge % RING] = (rng.next_u64(), rng.next_u64(), None);
+                let (mut late, mut band) = (0u32, 0u32);
+                for k in 0..DRAW {
+                    let (u1, u2) = (rng.next_u64(), rng.next_u64());
+                    self.ring[(self.drawn + k) % RING] = (u1, u2, None);
+                    let (is_late, in_band) = late_word(u2);
+                    late |= u32::from(is_late) << k;
+                    band |= u32::from(in_band) << k;
                 }
-                self.drawn += RING / 2;
+                let at = self.drawn % RING;
+                let keep = !(u128::from(u32::MAX) << at);
+                self.late = self.late & keep | u128::from(late) << at;
+                self.band = self.band & keep | u128::from(band) << at;
+                self.drawn += DRAW;
             }
             self.rng = rng;
         }
         &mut self.ring[e % RING]
+    }
+
+    /// [`late_word`] of edges `e0..e0 + 64`, bit `k` for edge `e0 + k`:
+    /// the edges whose draw is late, and those it leaves undecided.
+    fn word_signs(&mut self, e0: usize) -> (u64, u64) {
+        self.slot(e0 + 63);
+        let at = (e0 % RING) as u32;
+        (
+            self.late.rotate_right(at) as u64,
+            self.band.rotate_right(at) as u64,
+        )
     }
 
     /// Edge `e`'s offset in UI, exactly as drawn (zero for `σ <= 0`).

@@ -1139,22 +1139,22 @@ impl JobKey {
     }
 }
 
-/// Two independent FNV-1a-64 passes (different offset bases) over the
+/// Two independent FNV-1a-64 hashes (different offset bases) of the
 /// bytes, concatenated to 32 hex characters. Not cryptographic — the
 /// cache also compares canonical bytes on a digest hit, so a collision
-/// costs a miss, never a wrong answer.
+/// costs a miss, never a wrong answer. One pass updates both states,
+/// whose multiply chains are independent.
 fn digest_hex(bytes: &[u8]) -> String {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let fnv = |basis: u64| -> u64 {
-        let mut h = basis;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    };
-    let a = fnv(0xCBF2_9CE4_8422_2325);
-    let b = fnv(0x6C62_272E_07BB_0142);
+    let (a, b) = bytes.iter().fold(
+        (0xCBF2_9CE4_8422_2325u64, 0x6C62_272E_07BB_0142u64),
+        |(a, b), &byte| {
+            (
+                (a ^ u64::from(byte)).wrapping_mul(PRIME),
+                (b ^ u64::from(byte)).wrapping_mul(PRIME),
+            )
+        },
+    );
     format!("{a:016x}{b:016x}")
 }
 

@@ -22,8 +22,10 @@ use crate::error::Error;
 use crate::serializer::{frame_to_bits, Frame, Serializer, FRAME_BITS, LANES, WORD_BITS};
 use openserdes_fault::{FaultEvent, FaultKind, FaultSchedule};
 use openserdes_pdk::corner::Pvt;
-use openserdes_pdk::units::{Hertz, Time};
-use openserdes_phy::{AnalogLink, BehavioralLink, ChannelModel, LinkRun};
+use openserdes_pdk::units::{Hertz, Time, Volt};
+use openserdes_phy::{
+    AnalogLink, BehavioralLink, ChannelModel, FrontEndConfig, LinkRun, RxFrontEnd,
+};
 use openserdes_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,14 +185,52 @@ fn score_frames(
     correct
 }
 
+/// The front end's sensitivity at `config`'s PVT point and data rate:
+/// the one DC solve of the PHY's characterization, which depends on
+/// neither the channel nor the seed.
+///
+/// # Errors
+///
+/// Propagates solver failures from the bias point.
+pub(crate) fn front_end_sensitivity(config: &LinkConfig) -> Result<Volt, Error> {
+    let front_end = RxFrontEnd::new(FrontEndConfig::paper_default(), config.pvt);
+    Ok(front_end.sensitivity(config.data_rate)?)
+}
+
+/// The model `BehavioralLink::from_analog` builds at `config`'s
+/// operating point, from a sensitivity [`front_end_sensitivity`]
+/// already solved there.
+fn characterized(config: &LinkConfig, rx_sensitivity: Volt) -> BehavioralLink {
+    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
+    BehavioralLink {
+        tx_swing: Volt::new(analog.sampler.threshold.value() * 2.0),
+        noise_sigma: analog.channel.noise_sigma,
+        channel: analog.channel,
+        rx_sensitivity,
+        ui: Time::new(1.0 / config.data_rate.value()),
+        jitter_slope: 2.0,
+    }
+}
+
 /// The statistical PHY of the fast path: statistics from the analog
 /// models at `config`'s operating point, then the serialized `bits`
 /// oversampled with a deliberate phase offset (the reference clock is
 /// not aligned to the data — the CDR's whole job), edge jitter and
-/// per-sample noise flips.
-fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitVec, Error> {
-    let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
-    let beh = BehavioralLink::from_analog(&analog, config.data_rate)?;
+/// per-sample noise flips. The front end is characterized here unless
+/// its sensitivity comes solved.
+fn statistical_phy(
+    config: &LinkConfig,
+    bits: &BitVec,
+    seed: u64,
+    rx_sensitivity: Option<Volt>,
+) -> Result<BitVec, Error> {
+    let beh = match rx_sensitivity {
+        Some(sensitivity) => characterized(config, sensitivity),
+        None => {
+            let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
+            BehavioralLink::from_analog(&analog, config.data_rate)?
+        }
+    };
     let ui = 1.0 / config.data_rate.value();
     let jitter_frac = config.channel.rj_sigma.value() / ui;
     let n = config.cdr.oversampling;
@@ -218,7 +258,27 @@ fn statistical_phy(config: &LinkConfig, bits: &BitVec, seed: u64) -> Result<BitV
 /// Propagates solver failures from the front-end characterization.
 pub fn run_frames(config: &LinkConfig, frames: &[Frame], seed: u64) -> Result<LinkReport, Error> {
     let _span = telemetry::span("link.run");
-    Ok(run_pipeline(config, frames, seed, &FaultSchedule::new(0))?.link)
+    Ok(run_pipeline(config, frames, seed, &FaultSchedule::new(0), None)?.link)
+}
+
+/// [`run_frames`] with the front end's sensitivity at `config`'s PVT
+/// point and rate already solved ([`front_end_sensitivity`]), so the
+/// probes of one loss bisection share one characterization.
+pub(crate) fn run_frames_characterized(
+    config: &LinkConfig,
+    frames: &[Frame],
+    seed: u64,
+    rx_sensitivity: Volt,
+) -> Result<LinkReport, Error> {
+    let _span = telemetry::span("link.run");
+    Ok(run_pipeline(
+        config,
+        frames,
+        seed,
+        &FaultSchedule::new(0),
+        Some(rx_sensitivity),
+    )?
+    .link)
 }
 
 /// Result of a fault-campaign link run: the ordinary [`LinkReport`]
@@ -403,7 +463,7 @@ pub fn run_frames_with_faults(
     schedule: &FaultSchedule,
 ) -> Result<FaultReport, Error> {
     let _span = telemetry::span("link.run_faulted");
-    run_pipeline(config, frames, seed, schedule)
+    run_pipeline(config, frames, seed, schedule, None)
 }
 
 /// The one fast-path pipeline behind both runners, each of which
@@ -415,6 +475,7 @@ fn run_pipeline(
     frames: &[Frame],
     seed: u64,
     schedule: &FaultSchedule,
+    rx_sensitivity: Option<Volt>,
 ) -> Result<FaultReport, Error> {
     // Serialize everything into one contiguous packed bit stream.
     let ser_span = telemetry::span("link.serialize");
@@ -429,7 +490,7 @@ fn run_pipeline(
     // stream: clock faults first (they move *when* everything else is
     // seen), then amplitude faults at their scheduled UIs.
     let phy_span = telemetry::span("link.phy");
-    let mut stream = statistical_phy(config, &bits, seed)?;
+    let mut stream = statistical_phy(config, &bits, seed, rx_sensitivity)?;
     let n = config.cdr.oversampling;
     let uis = (stream.len() / n) as u64;
     let mut injected_channel = 0;
@@ -945,6 +1006,22 @@ mod tests {
                     "n {}, {} UIs, schedule {:?}", n, uis, schedule
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_solved_sensitivity_characterizes_as_from_analog_does() {
+        let mut lossy = LinkConfig::paper_default();
+        lossy.channel = ChannelModel::lossy(12.5);
+        let mut slow = LinkConfig::paper_default();
+        slow.pvt = Pvt::worst_case();
+        slow.data_rate = Hertz::from_ghz(1.0);
+        slow.channel = ChannelModel::emib(3.0);
+        for config in [LinkConfig::paper_default(), lossy, slow] {
+            let analog = AnalogLink::paper_default(config.pvt, config.channel.clone());
+            let want = BehavioralLink::from_analog(&analog, config.data_rate).expect("solves");
+            let sensitivity = front_end_sensitivity(&config).expect("solves");
+            assert_eq!(characterized(&config, sensitivity), want, "{config:?}");
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::ber::BerTest;
 use crate::bitstream::BitVec;
 use crate::error::Error;
-use crate::link::LinkConfig;
+use crate::link::{self, LinkConfig};
 use openserdes_pdk::corner::Pvt;
 use openserdes_pdk::units::{Hertz, Volt};
 use openserdes_phy::{ChannelModel, FrontEndConfig, RxFrontEnd};
@@ -41,8 +41,13 @@ pub struct SweepPoint {
 /// failing at 0 dB reports 0, one still error-free at 60 dB reports 60,
 /// and otherwise `bisect` narrows the `[0, 60]` dB bracket with the
 /// error-free probe and returns its known-good end.
+///
+/// Only the attenuation changes between probes, so every probe runs on
+/// `rx_sensitivity`, the front end's sensitivity at `base`'s PVT point
+/// and rate, solved once by the caller.
 fn max_loss_with(
     base: &LinkConfig,
+    rx_sensitivity: Volt,
     frames: usize,
     bisect: impl FnOnce(f64, f64, &(dyn Fn(f64) -> Result<bool, Error> + Sync)) -> Result<f64, Error>,
 ) -> Result<f64, Error> {
@@ -54,7 +59,14 @@ fn max_loss_with(
             attenuation_db: db,
             ..base.channel.clone()
         };
-        BerTest::prbs31(cfg, frames).is_error_free()
+        let test = BerTest::prbs31(cfg, frames);
+        let report = link::run_frames_characterized(
+            &test.link,
+            &test.stimulus(),
+            test.seed,
+            rx_sensitivity,
+        )?;
+        Ok(report.bit_errors == 0)
     };
     let (lo, hi) = (0.0f64, 60.0f64);
     if !error_free(lo)? {
@@ -69,23 +81,40 @@ fn max_loss_with(
 /// Bisects the maximum channel attenuation (dB) at which a PRBS link run
 /// of `frames` frames is still error-free, to within `tol_db`, on the
 /// calling thread.
+#[cfg(test)]
 pub(crate) fn max_loss_impl(base: &LinkConfig, frames: usize, tol_db: f64) -> Result<f64, Error> {
-    max_loss_with(base, frames, |mut lo, mut hi, error_free| {
-        while hi - lo > tol_db {
-            let mid = 0.5 * (lo + hi);
-            // Adjacent floats: the midpoint rounds onto an end and the
-            // bracket cannot narrow any further.
-            if mid <= lo || mid >= hi {
-                break;
+    bisect_loss(base, link::front_end_sensitivity(base)?, frames, tol_db)
+}
+
+/// The sequential loss bisection of one rate or corner item, on the
+/// front end's sensitivity there ([`max_loss_with`]).
+fn bisect_loss(
+    base: &LinkConfig,
+    rx_sensitivity: Volt,
+    frames: usize,
+    tol_db: f64,
+) -> Result<f64, Error> {
+    max_loss_with(
+        base,
+        rx_sensitivity,
+        frames,
+        |mut lo, mut hi, error_free| {
+            while hi - lo > tol_db {
+                let mid = 0.5 * (lo + hi);
+                // Adjacent floats: the midpoint rounds onto an end and the
+                // bracket cannot narrow any further.
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                if error_free(mid)? {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
             }
-            if error_free(mid)? {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
-    })
+            Ok(lo)
+        },
+    )
 }
 
 /// One point of a BER bathtub curve.
@@ -122,19 +151,116 @@ struct BathtubModel {
     blur_ui: f64,
 }
 
-impl BathtubModel {
-    /// Whether `phase` lies farther from both edges of the UI than the
-    /// blur half-width plus the largest jitter a bit can draw
-    /// (`|rj|·√(−2 ln ε) + |dj|`), padded for rounding. Every bit of a
-    /// clear phase samples its own value without a blur coin. NaN or
-    /// infinite jitter is never clear.
-    fn is_clear(&self, phase: f64) -> bool {
-        let reach = (0.5 * self.blur_ui
-            + self.rj_ui.abs() * crate::cdr::max_gauss_radius()
-            + self.dj_ui.abs())
-            * crate::cdr::BOUND_PAD;
-        phase > reach && 1.0 - phase > reach
+/// How a bathtub bit is sampled, as far as a bound on its jitter
+/// decides it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Branch {
+    /// Its own value.
+    Own,
+    /// The previous bit: the leading edge came after the sampling point.
+    Prev,
+    /// The next bit: the trailing edge came before it.
+    Next,
+    /// A blur coin on the leading edge: heads reads the previous bit.
+    CoinPrev,
+    /// A blur coin on the trailing edge: heads reads the next bit.
+    CoinNext,
+    /// The bound cannot decide; the bit takes its full draw.
+    Exact,
+}
+
+/// One phase's bits settled from bounds on their jitter, by edge
+/// pattern (bit 0: a transition into the bit, bit 1: one out of it).
+/// A bit whose `u1` is at least `u1_min` takes `inner`, every other
+/// bit `outer`.
+///
+/// A bit's jitter is `rj·g + dj·sin(…)`, where `|g| ≤ R` for every draw
+/// (`cdr::max_gauss_radius`), and `|g| ≤ r` wherever `u1` is at least
+/// `exp(−(r/BOUND_PAD)²/2)`, for a radius `r ≥ 1`. So the rounded
+/// jitter lies within `±(|rj|·r + |dj|)·BOUND_PAD`. Each distance the
+/// per-bit loop tests is a rounded difference that is monotone in the
+/// jitter, so evaluating the loop's tests at both ends of that interval
+/// decides them for every jitter in it, or finds that they differ.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PhaseBounds {
+    u1_min: f64,
+    inner: [Branch; 4],
+    outer: [Branch; 4],
+}
+
+impl PhaseBounds {
+    /// The bounds at `phase`. The inner radius keeps the jitter interval
+    /// clear of every value at which one of the loop's tests changes
+    /// its answer; it is used only from 1 up, where the threshold's
+    /// rounding is far inside `BOUND_PAD`. A NaN or infinite `rj` or
+    /// `dj` makes every bound NaN or infinite, and every bit with an
+    /// edge exact.
+    fn new(model: &BathtubModel, phase: f64) -> Self {
+        use crate::cdr::{max_gauss_radius, BOUND_PAD};
+        let (rj, dj, half) = (model.rj_ui.abs(), model.dj_ui.abs(), model.blur_ui / 2.0);
+        let reach = |radius: f64| (rj * radius + dj) * BOUND_PAD;
+        let table = |reach: f64| {
+            std::array::from_fn(|p| branch(phase, half, reach, p & 1 == 1, p & 2 == 2))
+        };
+        let turns = [
+            phase - half,
+            phase + half,
+            phase,
+            phase - 1.0 - half,
+            phase - 1.0 + half,
+            phase - 1.0,
+        ];
+        let clearance = turns.iter().fold(f64::INFINITY, |m, t| m.min(t.abs()));
+        let radius = ((clearance / BOUND_PAD / BOUND_PAD - dj) / rj).min(max_gauss_radius());
+        let u1_min = if radius >= 1.0 {
+            (-0.5 * (radius / BOUND_PAD).powi(2)).exp()
+        } else {
+            f64::INFINITY
+        };
+        Self {
+            u1_min,
+            inner: table(reach(radius)),
+            outer: table(reach(max_gauss_radius())),
+        }
     }
+}
+
+/// The branch of the per-bit loop for a bit with a leading and/or
+/// trailing transition at `phase`, for every jitter in
+/// `[−reach, reach]`: the loop's tests in its order, each evaluated at
+/// the interval's two ends.
+fn branch(phase: f64, half_blur: f64, reach: f64, lead: bool, trail: bool) -> Branch {
+    // The distances `phase − jitter` and `phase − (1 + jitter)` at
+    // jitter `reach` and `−reach`, as (smallest, largest).
+    let lead_d = (phase - reach, phase - -reach);
+    let trail_d = (phase - (1.0 + reach), phase - (1.0 + -reach));
+    // `Some(answer)` where the test agrees over the interval.
+    let decided = |all: bool, none: bool| (all || none).then_some(all);
+    let in_blur = |(lo, hi): (f64, f64)| {
+        decided(
+            lo > -half_blur && hi < half_blur,
+            lo >= half_blur || hi <= -half_blur,
+        )
+    };
+    let tests = [
+        (lead, in_blur(lead_d), Branch::CoinPrev),
+        (trail, in_blur(trail_d), Branch::CoinNext),
+        (lead, decided(lead_d.1 < 0.0, lead_d.0 >= 0.0), Branch::Prev),
+        (
+            trail,
+            decided(trail_d.0 > 0.0, trail_d.1 <= 0.0),
+            Branch::Next,
+        ),
+    ];
+    for (edge, answer, taken) in tests {
+        match answer {
+            _ if !edge => {}
+            Some(true) => return taken,
+            Some(false) => {}
+            None => return Branch::Exact,
+        }
+    }
+    Branch::Own
 }
 
 /// # Panics
@@ -180,8 +306,9 @@ fn bathtub_point(
     telemetry::counter("sweep.eye_phases", 1);
     let phase = (k as f64 + 0.5) / phases as f64;
     let mut rng = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
-    let errors = if !model.is_clear(phase) {
-        jittered_errors(bits, model, phase, &mut rng)
+    let bounds = PhaseBounds::new(model, phase);
+    let errors = if bounds.outer != [Branch::Own; 4] {
+        settled_errors(bits, model, phase, &bounds, &mut rng)
     } else if model.flip > 0.0 {
         // Every bit samples its own value, so only noise flips err. Each
         // bit still steps the generator past its two jitter uniforms.
@@ -207,36 +334,71 @@ fn bathtub_point(
 
 /// Bit errors at `phase` with every edge jittered by a Box–Muller RJ
 /// draw plus the sinusoidal DJ, a coin inside the blur window and a
-/// noise flip per bit.
-fn jittered_errors(bits: &BitVec, model: &BathtubModel, phase: f64, rng: &mut StdRng) -> u64 {
+/// noise flip per bit. Each bit draws the generator exactly as the
+/// per-bit model does (`u1`, `u2`, a coin where the blur decides, the
+/// noise uniform), but evaluates its jitter only where `bounds` leave
+/// its branch open.
+fn settled_errors(
+    bits: &BitVec,
+    model: &BathtubModel,
+    phase: f64,
+    bounds: &PhaseBounds,
+    rng: &mut StdRng,
+) -> u64 {
+    use crate::cdr::{box_muller, uniform_u1, uniform_u2};
     let mut errors = 0u64;
     for i in 1..bits.len() {
-        // The edge ahead of bit i sits at offset `jitter` into the UI.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen::<f64>();
-        let gauss = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        let jitter = model.rj_ui * gauss
-            + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
-        // Distance to the nearest data edge (leading edge of this UI
-        // or trailing edge into the next one), where an edge exists.
-        let lead = (bits.get(i - 1) != bits.get(i)).then_some(phase - jitter);
-        let trail = (i + 1 < bits.len() && bits.get(i) != bits.get(i + 1))
-            .then_some(phase - (1.0 + jitter));
-        let in_blur = |d: f64| d.abs() < model.blur_ui / 2.0;
-        let sampled = match (lead, trail) {
-            (Some(d), _) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i - 1)),
-            (_, Some(d)) if in_blur(d) => rng.gen::<bool>().then_some(bits.get(i + 1)),
-            (Some(d), _) if d < 0.0 => Some(bits.get(i - 1)),
-            (_, Some(d)) if d > 0.0 => Some(bits.get(i + 1)),
-            _ => Some(bits.get(i)),
+        let (w1, w2) = (rng.next_u64(), rng.next_u64());
+        let (prev, own) = (bits.get(i - 1), bits.get(i));
+        let next = i + 1 < bits.len() && bits.get(i + 1);
+        let lead = prev != own;
+        let trail = i + 1 < bits.len() && own != next;
+        let u1 = uniform_u1(w1);
+        let table = if u1 >= bounds.u1_min {
+            &bounds.inner
+        } else {
+            &bounds.outer
         };
-        let sampled = sampled.unwrap_or_else(|| bits.get(i));
+        let sampled = match table[usize::from(lead) | usize::from(trail) << 1] {
+            Branch::Own => own,
+            Branch::Prev => prev,
+            Branch::Next => next,
+            Branch::CoinPrev => coin(rng, prev, own),
+            Branch::CoinNext => coin(rng, next, own),
+            Branch::Exact => {
+                // The edge ahead of bit i sits at offset `jitter` into the UI.
+                let jitter = box_muller(u1, uniform_u2(w2), model.rj_ui)
+                    + model.dj_ui * (2.0 * std::f64::consts::PI * 0.01 * i as f64).sin();
+                // Distance to the nearest data edge (leading edge of this
+                // UI or trailing edge into the next one), where an edge
+                // exists.
+                let lead = lead.then_some(phase - jitter);
+                let trail = trail.then_some(phase - (1.0 + jitter));
+                let in_blur = |d: f64| d.abs() < model.blur_ui / 2.0;
+                match (lead, trail) {
+                    (Some(d), _) if in_blur(d) => coin(rng, prev, own),
+                    (_, Some(d)) if in_blur(d) => coin(rng, next, own),
+                    (Some(d), _) if d < 0.0 => prev,
+                    (_, Some(d)) if d > 0.0 => next,
+                    _ => own,
+                }
+            }
+        };
         let noise_flip = rng.gen::<f64>() < model.flip;
-        if (sampled != bits.get(i)) ^ noise_flip {
+        if (sampled != own) ^ noise_flip {
             errors += 1;
         }
     }
     errors
+}
+
+/// A blur coin: heads reads `heads`, tails `tails`.
+fn coin(rng: &mut StdRng, heads: bool, tails: bool) -> bool {
+    if rng.gen::<bool>() {
+        heads
+    } else {
+        tails
+    }
 }
 
 /// One fault-isolated work item's result: `Err(message)` when the item
@@ -408,7 +570,8 @@ impl Sweep {
     ///
     /// Propagates link failures from the probes the bisection uses.
     pub fn max_loss(&self, config: &LinkConfig) -> Result<f64, Error> {
-        max_loss_with(config, self.frames, |lo, hi, error_free| {
+        let rx_sensitivity = link::front_end_sensitivity(config)?;
+        max_loss_with(config, rx_sensitivity, self.frames, |lo, hi, error_free| {
             Ok(parallel::bisect_speculative(lo, hi, self.tol_db, self.threads, error_free)?.0)
         })
     }

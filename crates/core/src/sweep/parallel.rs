@@ -72,10 +72,11 @@ pub(crate) fn bathtub(
 }
 
 /// The rate-sweep fan-out, one isolated item per rate in `rates` order;
-/// each item runs the sequential loss bisection. The front-end
-/// characterization depends only on the PVT point, so it is solved once
-/// and shared; if it fails, each point re-solves its own sensitivity
-/// inside its isolated item instead of failing the sweep.
+/// each item runs the sequential loss bisection on its point's
+/// sensitivity. The front-end characterization depends only on the PVT
+/// point, so it is solved once and shared; if it fails, each point
+/// re-solves its own sensitivity inside its isolated item instead of
+/// failing the sweep.
 pub(crate) fn rate_sweep(
     sweep: &Sweep,
     base: &LinkConfig,
@@ -88,11 +89,11 @@ pub(crate) fn rate_sweep(
         telemetry::counter("sweep.rate_points", 1);
         let mut cfg = base.clone();
         cfg.data_rate = rate;
-        let max_loss_db = super::max_loss_impl(&cfg, sweep.frames, sweep.tol_db)?;
         let sensitivity = match &ss {
             Some(ss) => fe.sensitivity_with(ss, rate),
             None => fe.sensitivity(rate)?,
         };
+        let max_loss_db = super::bisect_loss(&cfg, sensitivity, sweep.frames, sweep.tol_db)?;
         Ok(SweepPoint {
             data_rate: rate,
             sensitivity,
@@ -118,7 +119,8 @@ pub struct CornerPoint {
 /// The corner-sweep fan-out over the three classic PVT corners
 /// (tt/ss/ff), one isolated item per corner in
 /// `[nominal, worst_case, best_case]` order. Each item characterizes
-/// its own front end and bisects its own loss budget.
+/// its own front end once, and bisects its own loss budget on that
+/// sensitivity.
 pub(crate) fn corner_sweep(sweep: &Sweep, base: &LinkConfig) -> Vec<Slot<CornerPoint>> {
     let _span = telemetry::span("sweep.corner_sweep");
     let corners = [Pvt::nominal(), Pvt::worst_case(), Pvt::best_case()];
@@ -126,11 +128,10 @@ pub(crate) fn corner_sweep(sweep: &Sweep, base: &LinkConfig) -> Vec<Slot<CornerP
         telemetry::counter("sweep.corner_points", 1);
         let mut cfg = base.clone();
         cfg.pvt = pvt;
-        let sensitivity =
-            RxFrontEnd::new(FrontEndConfig::paper_default(), pvt).sensitivity(base.data_rate)?;
+        let sensitivity = crate::link::front_end_sensitivity(&cfg)?;
         Ok(CornerPoint {
             pvt,
-            max_loss_db: super::max_loss_impl(&cfg, sweep.frames, sweep.tol_db)?,
+            max_loss_db: super::bisect_loss(&cfg, sensitivity, sweep.frames, sweep.tol_db)?,
             sensitivity,
         })
     })
