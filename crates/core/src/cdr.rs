@@ -613,11 +613,13 @@ impl<'a> SampleRule<'a> {
     /// half the gaps around `i + d`, gaps that never shrink as `i`
     /// grows. So once a UI of a binade is on its edge, every later UI
     /// of that binade is too, and the block needs checking only at its
-    /// first UI and at the first UI of a binade it enters.
+    /// first UI and at each power of two it reaches (one at most, from
+    /// UI 64 on).
     fn on_edge_uis(&self, i0: usize, j: usize, d: usize) -> u64 {
         let on_edge = |i: usize| i as f64 + self.offsets[j] + self.phase == (i + d) as f64;
-        let entered = (i0 + 64).next_power_of_two() / 2;
-        if on_edge(i0) && (entered <= i0 || on_edge(entered)) {
+        let binades = std::iter::successors(Some((i0 + 1).next_power_of_two()), |p| Some(p * 2));
+        let starts = std::iter::once(i0).chain(binades.take_while(|&p| p < i0 + 64));
+        if starts.into_iter().all(on_edge) {
             u64::MAX
         } else {
             0
@@ -1358,6 +1360,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn word_sign_matches_the_sign_rule_around_each_band_edge() {
+        // The 2^16 values of `m` on each side of each band edge, each
+        // as a word with its 11 unread low bits clear and set.
+        const K: u64 = 1 << 16;
+        const QUARTER: u64 = 1 << 51;
+        let edges = [
+            QUARTER - 512,
+            QUARTER + 512,
+            3 * QUARTER - 512,
+            3 * QUARTER + 512,
+        ];
+        let words: Vec<u64> = edges
+            .into_iter()
+            .flat_map(|edge| edge - K..=edge + K)
+            .flat_map(|m| [m << 11, m << 11 | 0x7FF])
+            .collect();
+        let largest_below_one = 1.0 - f64::EPSILON / 2.0;
+        for sigma in [0.003, 1e-300, 5e-324] {
+            // Below the sigma floor the word rule leaves every edge to
+            // the exact rule, which takes the full draw there.
+            let decides = EdgeJitter::new(sigma, 0).words_decide();
+            assert_eq!(decides, sigma >= SIGN_SIGMA_MIN, "sigma = {sigma:e}");
+            for u1 in [f64::EPSILON, 0.5, largest_below_one] {
+                for &w in &words {
+                    let u2 = uniform_u2(w);
+                    let (late, band) = late_word(w);
+                    assert_eq!(band, cos_turn_sign(u2).is_none(), "w = {w:#x}");
+                    if decides && !band {
+                        assert_eq!(
+                            late,
+                            draw_is_positive(u1, u2, sigma),
+                            "u1 = {u1:e}, w = {w:#x}, sigma = {sigma:e}"
+                        );
+                        assert_eq!(late, 0.0 < box_muller(u1, u2, sigma));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The word rule and its per-UI fallback against the reference at
+    /// the link's lengths. Some on-edge phases leave a few early UIs'
+    /// positions an ulp off the edge; sigmas near 1e-15 UI put draws
+    /// between such a position and the edge, where the sign alone would
+    /// misread them.
+    #[test]
+    fn packed_sampler_matches_reference_at_link_lengths() {
+        use rand::{Rng, SeedableRng};
+        // Phases that put the slot's first-UI position exactly on its
+        // edge, the last four leaving UIs 4–7, 2, 1 and 2 just off it.
+        let cases = [
+            (16_384, 5, 0.3, 0.003, 11),
+            (40_000, 4, 0.125, 0.003, 12),
+            (65_536, 8, 0.0625, 0.003, 13),
+            (50_000, 7, 1.0 - 6.5 / 7.0, 0.003, 14),
+            (16_384, 9, (1.0f64 - 5.5 / 9.0).next_down(), 1e-15, 15),
+            (65_536, 9, (1.0f64 - 5.5 / 9.0).next_down(), 2e-15, 16),
+            (16_384, 5, (1.0f64 - 3.5 / 5.0).next_up(), 1e-15, 17),
+            (65_536, 5, (1.0f64 - 4.5 / 5.0).next_down(), 2e-15, 18),
+            (40_000, 7, (1.0f64 - 6.5 / 7.0).next_up(), 1e-15, 19),
+        ];
+        let (mut settled, mut left) = (0, 0);
+        for (len, n, phase, sigma, seed) in cases {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bits: Vec<bool> = (0..len).map(|_| rng.gen::<bool>()).collect();
+            let packed = BitVec::from_bools(&bits);
+            let rule = SampleRule::new(&packed, n, phase, sigma, seed);
+            let body = rule.body().expect("the word fill covers the case");
+            let (j, d) = body.on_edge.expect("a slot on its edge");
+            for i0 in (body.lo..body.hi).step_by(64) {
+                if rule.on_edge_uis(i0, j, d) == 0 {
+                    left += 1;
+                } else {
+                    settled += 1;
+                }
+            }
+            assert_eq!(
+                oversample_bits_packed(&packed, n, phase, sigma, seed).to_bools(),
+                oversample_reference(&bits, n, phase, sigma, seed),
+                "len {len}, n {n}, phase {phase:e}, sigma {sigma:e}"
+            );
+        }
+        assert!(
+            settled > 0 && left > 0,
+            "{settled} blocks settled, {left} left"
+        );
     }
 
     #[test]

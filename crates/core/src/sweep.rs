@@ -151,6 +151,15 @@ struct BathtubModel {
     blur_ui: f64,
 }
 
+impl BathtubModel {
+    /// A bound on a bit's rounded jitter, `rj·g + dj·sin(…)`, over every
+    /// draw with `|g| ≤ radius`, padded for rounding. NaN or infinite
+    /// for a NaN or infinite `rj` or `dj`.
+    fn reach(&self, radius: f64) -> f64 {
+        (self.rj_ui.abs() * radius + self.dj_ui.abs()) * crate::cdr::BOUND_PAD
+    }
+}
+
 /// How a bathtub bit is sampled, as far as a bound on its jitter
 /// decides it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,8 +206,7 @@ impl PhaseBounds {
     /// edge exact.
     fn new(model: &BathtubModel, phase: f64) -> Self {
         use crate::cdr::{max_gauss_radius, BOUND_PAD};
-        let (rj, dj, half) = (model.rj_ui.abs(), model.dj_ui.abs(), model.blur_ui / 2.0);
-        let reach = |radius: f64| (rj * radius + dj) * BOUND_PAD;
+        let half = model.blur_ui / 2.0;
         let table = |reach: f64| {
             std::array::from_fn(|p| branch(phase, half, reach, p & 1 == 1, p & 2 == 2))
         };
@@ -211,7 +219,8 @@ impl PhaseBounds {
             phase - 1.0,
         ];
         let clearance = turns.iter().fold(f64::INFINITY, |m, t| m.min(t.abs()));
-        let radius = ((clearance / BOUND_PAD / BOUND_PAD - dj) / rj).min(max_gauss_radius());
+        let radius = ((clearance / BOUND_PAD / BOUND_PAD - model.dj_ui.abs()) / model.rj_ui.abs())
+            .min(max_gauss_radius());
         let u1_min = if radius >= 1.0 {
             (-0.5 * (radius / BOUND_PAD).powi(2)).exp()
         } else {
@@ -219,8 +228,8 @@ impl PhaseBounds {
         };
         Self {
             u1_min,
-            inner: table(reach(radius)),
-            outer: table(reach(max_gauss_radius())),
+            inner: table(model.reach(radius)),
+            outer: table(model.reach(max_gauss_radius())),
         }
     }
 }
@@ -743,9 +752,35 @@ mod tests {
         ];
         const FLIPS: [f64; 5] = [0.0, -0.1, f64::NAN, 1e-3, 0.3];
 
+        /// The two adjacent positive floats in `[lo, hi]` between which
+        /// the monotone test `past` turns true: the last before and the
+        /// first at or past the crossing.
+        fn crossing(lo: f64, hi: f64, past: impl Fn(f64) -> bool) -> Option<[f64; 2]> {
+            let (mut lo, mut hi) = (lo.to_bits(), hi.to_bits());
+            if past(f64::from_bits(lo)) || !past(f64::from_bits(hi)) {
+                return None;
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if past(f64::from_bits(mid)) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            Some([f64::from_bits(lo), f64::from_bits(hi)])
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(300))]
 
+            /// Random, hostile and bound-edge models. For one phase,
+            /// `bound_pick` 0–3 take `rj = 0` and the `dj` on either side
+            /// of where an end of the outer jitter bound reaches the blur
+            /// half-width or zero, at the leading or the trailing edge:
+            /// the second lands exactly on it wherever a `dj` can. 4 and 5
+            /// put the inner `u1` threshold just below, and at or above,
+            /// the first bit's drawn `u1`.
             #[test]
             fn bathtub_point_matches_reference(
                 phases in 1usize..40,
@@ -756,14 +791,45 @@ mod tests {
                 dj_rand in 0.0f64..0.05,
                 flip_pick in 0usize..7,
                 flip_rand in 0.0f64..0.01,
+                target in 0usize..40,
+                bound_pick in 0usize..9,
                 seed in any::<u64>(),
             ) {
-                let model = BathtubModel {
+                let mut model = BathtubModel {
                     flip: FLIPS.get(flip_pick).copied().unwrap_or(flip_rand),
                     rj_ui: JITTERS.get(rj_pick).copied().unwrap_or(rj_rand),
                     dj_ui: JITTERS.get(dj_pick).copied().unwrap_or(dj_rand),
                     blur_ui: 0.15,
                 };
+                let k = target % phases;
+                let phase = (k as f64 + 0.5) / phases as f64;
+                let half = model.blur_ui / 2.0;
+                let sign = if seed & 1 == 1 { -1.0 } else { 1.0 };
+                // The outer bound's ends at the leading and trailing edge.
+                let radius = crate::cdr::max_gauss_radius();
+                let reach = |dj: f64| BathtubModel { rj_ui: 0.0, dj_ui: dj, ..model }.reach(radius);
+                let lead = |dj: f64| phase - reach(dj);
+                let trail = |dj: f64| phase - (1.0 + -reach(dj));
+                let djs = match bound_pick {
+                    0 => crossing(1e-9, 1.0, |dj| lead(dj) <= half),
+                    1 => crossing(1e-9, 1.0, |dj| lead(dj) <= 0.0),
+                    2 => crossing(1e-9, 1.0, |dj| trail(dj) >= -half),
+                    3 => crossing(1e-9, 1.0, |dj| trail(dj) >= 0.0),
+                    _ => None,
+                };
+                if let Some(djs) = djs {
+                    (model.rj_ui, model.dj_ui) = (0.0, sign * djs[(seed >> 1 & 1) as usize]);
+                }
+                if let 4 | 5 = bound_pick {
+                    let mut draws = StdRng::seed_from_u64(parallel::derive_seed(seed, k));
+                    let u1 = crate::cdr::uniform_u1(draws.next_u64());
+                    let u1_min = |rj: f64| {
+                        PhaseBounds::new(&BathtubModel { rj_ui: rj, ..model }, phase).u1_min
+                    };
+                    if let Some(rjs) = crossing(1e-6, 1.0, |rj| u1 <= u1_min(rj)) {
+                        model.rj_ui = sign * rjs[bound_pick - 4];
+                    }
+                }
                 let mut rng = StdRng::seed_from_u64(!seed);
                 let bits: BitVec = (0..nbits).map(|_| rng.gen::<bool>()).collect();
                 for k in 0..phases {
