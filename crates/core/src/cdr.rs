@@ -552,7 +552,8 @@ impl<'a> SampleRule<'a> {
     /// late (the sign rule of [`Self::sample`]). Where [`late_word`]
     /// settles the sign from the raw word, that is one XOR of the
     /// slot's samples with `transitions & late`. Every other corrected
-    /// sample runs the exact rule, in sample order.
+    /// sample runs the exact rule. The ring keeps every edge a block's
+    /// samples read, so each slot's samples run in turn.
     fn patch(&mut self, body: &Body, out: &mut BitVec) {
         if body.near.is_empty() {
             return;
@@ -563,37 +564,24 @@ impl<'a> SampleRule<'a> {
         let mut i0 = body.lo;
         while i0 < body.hi {
             let m = (body.hi - i0).min(64);
-            let transitions =
-                |g: usize| (bits.window64(i0 + g) ^ bits.window64(i0 + g - 1)) & low_mask(m);
-            // UIs whose on-edge sample the word rule settled.
-            let mut settled = 0u64;
-            // UIs with a sample left to the exact rule.
-            let mut due = 0u64;
             for &(j, g) in &body.near {
+                // UIs whose edge at this slot is a transition.
+                let mut due = (bits.window64(i0 + g) ^ bits.window64(i0 + g - 1)) & low_mask(m);
                 if by_words == Some((j, g)) {
                     let (late, band) = self.edges.word_signs(i0 + g);
-                    let edge = transitions(g);
-                    settled = edge & self.on_edge_uis(i0, j, g) & !band;
+                    let settled = due & self.on_edge_uis(i0, j, g) & !band;
                     let mut flips = settled & late;
                     while flips != 0 {
                         out.toggle((i0 + flips.trailing_zeros() as usize) * n + j);
                         flips &= flips - 1;
                     }
-                    due |= edge & !settled;
-                } else {
-                    due |= transitions(g);
+                    due &= !settled;
                 }
-            }
-            while due != 0 {
-                let u = due.trailing_zeros() as usize;
-                due &= due - 1;
-                let i = i0 + u;
-                for &(j, g) in &body.near {
-                    let left = by_words == Some((j, g)) && settled >> u & 1 == 1;
-                    if !left && bits.get(i + g) != bits.get(i + g - 1) {
-                        let bit = self.sample(i, j);
-                        out.set(i * n + j, bit);
-                    }
+                while due != 0 {
+                    let i = i0 + due.trailing_zeros() as usize;
+                    due &= due - 1;
+                    let bit = self.sample(i, j);
+                    out.set(i * n + j, bit);
                 }
             }
             i0 += m;
@@ -744,7 +732,7 @@ struct EdgeJitter {
 
 /// Edges [`EdgeJitter`] keeps. It draws [`DRAW`] at a time, so after
 /// drawing to the last edge of a 64-edge block the first is still
-/// kept, and so are the edges the exact rule reads in that block.
+/// kept, and so is every edge the exact rule reads in that block.
 const RING: usize = 128;
 
 /// Edges [`EdgeJitter`] draws per pass.
