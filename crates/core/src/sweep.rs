@@ -200,10 +200,10 @@ struct PhaseBounds {
 impl PhaseBounds {
     /// The bounds at `phase`. The inner radius keeps the jitter interval
     /// clear of every value at which one of the loop's tests changes
-    /// its answer; it is used only from 1 up, where the threshold's
-    /// rounding is far inside `BOUND_PAD`. A NaN or infinite `rj` or
-    /// `dj` makes every bound NaN or infinite, and every bit with an
-    /// edge exact.
+    /// its answer. It gets a threshold only when it is at least 1,
+    /// where the threshold's rounding is far inside `BOUND_PAD`. A NaN
+    /// or infinite `rj` or `dj` makes every bound NaN or infinite, and
+    /// every bit with an edge exact.
     fn new(model: &BathtubModel, phase: f64) -> Self {
         use crate::cdr::{max_gauss_radius, BOUND_PAD};
         let half = model.blur_ui / 2.0;
