@@ -190,7 +190,7 @@ enum Branch {
 /// per-bit loop tests is a rounded difference that is monotone in the
 /// jitter, so evaluating the loop's tests at both ends of that interval
 /// decides them for every jitter in it, or finds that they differ.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug)]
 struct PhaseBounds {
     u1_min: f64,
     inner: [Branch; 4],
