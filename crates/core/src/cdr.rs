@@ -589,8 +589,8 @@ impl<'a> SampleRule<'a> {
     }
 
     /// The UIs `i0..i0 + 64` at which sample `j` is computed exactly on
-    /// edge `i + d`, where [`Self::sample`] finds `frac == 0`: every
-    /// one, or none. The slot's first-UI position is that edge, and its
+    /// edge `i + d`, where [`Self::sample`] finds `frac == 0`: all of
+    /// them, or none when any may be off. The slot's first-UI position is that edge, and its
     /// position at any body UI is within `δ < 1/2` of it, so an
     /// integral position can only be the edge itself.
     ///
@@ -606,8 +606,10 @@ impl<'a> SampleRule<'a> {
     fn on_edge_uis(&self, i0: usize, j: usize, d: usize) -> u64 {
         let on_edge = |i: usize| i as f64 + self.offsets[j] + self.phase == (i + d) as f64;
         let binades = std::iter::successors(Some((i0 + 1).next_power_of_two()), |p| Some(p * 2));
-        let starts = std::iter::once(i0).chain(binades.take_while(|&p| p < i0 + 64));
-        if starts.into_iter().all(on_edge) {
+        if std::iter::once(i0)
+            .chain(binades.take_while(|&p| p < i0 + 64))
+            .all(on_edge)
+        {
             u64::MAX
         } else {
             0
